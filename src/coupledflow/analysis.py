@@ -70,9 +70,9 @@ class LinearModelParams:
     def __post_init__(self) -> None:
         if self.dz is None:
             object.__setattr__(self, "dz", self.length / self.num_elements)
-        if not (self.c > 0.0 and self.k > 0.0 and self.length > 0.0
-                and self.dt > 0.0 and self.dz > 0.0):
-            raise ValueError("c, k, length, dt, dz must all be positive")
+        if not all(0.0 < value < np.inf for value in
+                   (self.c, self.k, self.length, self.dt, self.dz)):
+            raise ValueError("c, k, length, dt, dz must be positive and finite")
         if int(self.num_elements) != self.num_elements or self.num_elements < 2:
             raise ValueError("num_elements must be an integer >= 2")
         if not 0.0 < self.omega <= 1.0:

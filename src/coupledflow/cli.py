@@ -18,9 +18,9 @@ iteration diverges, 4 when an inner nonlinear solver fails.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -32,31 +32,29 @@ from .scenarios import ConfigError
 from .surface1d import SurfaceNewtonError
 
 
-def _axis(text: str, low: float = 1e-3, high: float = 1e3,
-          count: int = 25) -> np.ndarray:
-    """Parse an axis flag: a bare float or a log spaced 'low:high:count'."""
+def _axis(text: str) -> np.ndarray:
+    """Parse an axis flag: a positive float or a log spaced 'low:high:count'."""
     parts = text.split(":")
     try:
-        if len(parts) == 1:
-            return np.array([float(parts[0])])
-        if len(parts) == 3:
-            low, high, count = float(parts[0]), float(parts[1]), int(parts[2])
-            if low <= 0 or high <= 0 or count < 1:
-                raise ConfigError(
-                    f"axis {text!r} needs positive bounds and count >= 1")
-            return analysis.default_log_grid(low, high, count)
+        if len(parts) not in (1, 3):
+            raise ValueError(text)
+        bounds = [float(part) for part in parts[:2]]
+        count = int(parts[2]) if len(parts) == 3 else 1
     except ValueError:
-        pass
-    raise ConfigError(f"bad axis {text!r}: expected VALUE or LOW:HIGH:COUNT")
-
-
-def _sweep_task(args: tuple) -> dict:
-    c, k, dt, dz, length = args
-    return analysis.sweep_point(c, k, dt, dz, length)
+        raise ConfigError(
+            f"bad axis {text!r}: expected VALUE or LOW:HIGH:COUNT") from None
+    if not (all(0 < bound < np.inf for bound in bounds) and count >= 1):
+        raise ConfigError(
+            f"axis {text!r} needs positive finite bounds and count >= 1")
+    if len(parts) == 1:
+        return np.array(bounds)
+    return analysis.default_log_grid(bounds[0], bounds[1], count)
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     length = args.length
+    if not 0 < length < np.inf:
+        raise ConfigError("--length must be positive and finite")
     if args.mode == "material":
         c_axis = _axis(args.c) if args.c else analysis.default_log_grid()
         k_axis = _axis(args.k) if args.k else analysis.default_log_grid()
@@ -64,8 +62,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         dz_axis = _axis(args.dz) if args.dz else np.array([length / 20.0])
         if dt_axis.size != 1 or dz_axis.size != 1:
             raise ConfigError("material mode sweeps c/K; give single dt, dz")
-        points = [(c, k, dt_axis[0], dz_axis[0], length)
-                  for c in c_axis for k in k_axis]
+        rows = analysis.sweep_material(c_axis, k_axis, dt_axis[0], dz_axis[0],
+                                       length)
     else:
         dt_axis = _axis(args.dt) if args.dt else analysis.default_log_grid()
         dz_axis = _axis(args.dz) if args.dz \
@@ -74,15 +72,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         k_axis = _axis(args.k) if args.k else np.array([1.0])
         if c_axis.size != 1 or k_axis.size != 1:
             raise ConfigError("resolution mode sweeps dt/dz; give single c, K")
-        points = [(c_axis[0], k_axis[0], dt, dz, length)
-                  for dt in dt_axis for dz in dz_axis]
-
-    if args.workers > 1:
-        chunk = max(1, len(points) // (4 * args.workers))
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            rows = list(pool.map(_sweep_task, points, chunksize=chunk))
-    else:
-        rows = [_sweep_task(point) for point in points]
+        rows = analysis.sweep_resolution(dt_axis, dz_axis, c_axis[0],
+                                         k_axis[0], length)
 
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "sweep.csv")
@@ -92,8 +83,14 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_linrun(args: argparse.Namespace) -> int:
-    base = LinearModelParams(c=args.c, k=args.k, length=args.length,
-                             dt=args.dt, num_elements=args.num_elements)
+    try:
+        base = LinearModelParams(c=args.c, k=args.k, length=args.length,
+                                 dt=args.dt, num_elements=args.num_elements)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    if args.steps < 1 or args.max_iters < 1 or not args.tol > 0:
+        raise ConfigError(
+            "--steps and --max-iters must be at least 1, --tol positive")
     predicted = analysis.discrete_S(base)
     if args.omega == "opt":
         omega = predicted.omega_opt
@@ -107,9 +104,7 @@ def cmd_linrun(args: argparse.Namespace) -> int:
     if not 0 < omega <= 1:
         raise ConfigError("omega must lie in (0, 1]")
 
-    params = LinearModelParams(c=args.c, k=args.k, length=args.length,
-                               dt=args.dt, num_elements=args.num_elements,
-                               omega=omega)
+    params = dataclasses.replace(base, omega=omega)
     trace = linear1d.run_simulation(params, num_steps=args.steps,
                                     tol=args.tol, max_iters=args.max_iters)
     os.makedirs(args.out, exist_ok=True)
@@ -183,7 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--dt", help="time step axis")
     analyze.add_argument("--dz", help="grid spacing axis")
     analyze.add_argument("--length", type=float, default=1.0)
-    analyze.add_argument("--workers", type=int, default=1)
     analyze.add_argument("--out", default="analysis-out")
     analyze.set_defaults(func=cmd_analyze)
 

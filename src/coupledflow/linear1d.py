@@ -199,6 +199,8 @@ def run_time_step(sys: Linear1DSystem, omega: float, tol: float = 1e-8,
         raise ValueError("omega must lie in (0, 1]")
     if tol <= 0.0:
         raise ValueError("tol must be positive")
+    if max_iters < 1:
+        raise ValueError("max_iters must be at least 1")
     psi_gamma = sys.psi_gamma_old
     psi_interior = sys.psi_interior_old
     iterates: list[float] = []

@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 
 @dataclass(frozen=True)
@@ -159,11 +158,8 @@ def conductivity_derivative(psi, p: VanGenuchtenParams):
 
 
 def max_capacity(p: VanGenuchtenParams) -> float:
-    """Largest capacity value, located by golden section search on (-10, 0) m."""
-    result = optimize.golden(
-        lambda psi: -capacity(psi, p),
-        brack=(-10.0, -1.0, -1e-12), full_output=True)
-    return float(-result[1])
+    """Largest capacity value, reached where (alpha*|psi|)^n = (n-1)/n."""
+    return float(capacity(-((p.n - 1.0) / p.n) ** (1.0 / p.n) / p.alpha, p))
 
 
 class _BoundMaterial:

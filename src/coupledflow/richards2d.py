@@ -322,64 +322,12 @@ class RichardsWorkspace:
         return float(self.weight * np.sum(self.bound.theta(psi_qp)))
 
 
-# Module level wrappers matching the workspace methods, for one off calls.
-
-_WORKSPACES: dict = {}
-
-
-def _workspace(grid: Grid2D, material) -> RichardsWorkspace:
-    try:
-        key = (grid, material)
-        cached = _WORKSPACES.get(key)
-        if cached is None:
-            cached = RichardsWorkspace(grid, material)
-            if len(_WORKSPACES) > 16:
-                _WORKSPACES.clear()
-            _WORKSPACES[key] = cached
-        return cached
-    except TypeError:
-        return RichardsWorkspace(grid, material)
-
-
-def _psi_of(state) -> np.ndarray:
-    if isinstance(state, SubsurfaceState):
-        return state.psi
-    return np.asarray(state, dtype=float)
-
-
-def assemble_residual(state_new, state_old, dt, grid, material,
-                      dirichlet: DirichletData | None) -> np.ndarray:
-    return _workspace(grid, material).residual(
-        _psi_of(state_new), _psi_of(state_old), dt, dirichlet)
-
-
-def assemble_jacobian(state_new, dt, grid, material,
-                      dirichlet: DirichletData | None) -> sparse.csr_matrix:
-    return _workspace(grid, material).jacobian(_psi_of(state_new), dt,
-                                               dirichlet)
-
-
-def newton_step_solve(state_old, dt, grid, material,
-                      dirichlet: DirichletData,
-                      settings: NewtonSettings = NewtonSettings(),
-                      ) -> tuple[SubsurfaceState, NewtonReport]:
-    old = state_old if isinstance(state_old, SubsurfaceState) else \
-        SubsurfaceState(np.asarray(state_old, dtype=float))
-    psi, report = _workspace(grid, material).newton_step(
-        old.psi, dt, dirichlet, settings)
-    return SubsurfaceState(psi=psi, time=old.time + dt), report
-
-
-def interface_flux(state, grid, material) -> np.ndarray:
-    return _workspace(grid, material).interface_flux(_psi_of(state))
-
-
 FIELD_COLUMNS = ("x", "z", "psi", "theta", "K")
 
 
-def field_rows(state, grid: Grid2D, material) -> list[dict]:
+def field_rows(state: SubsurfaceState, grid: Grid2D, material) -> list[dict]:
     """Snapshot rows (x, z, psi, theta, K) in node index order."""
-    psi = _psi_of(state)
+    psi = state.psi
     node_x, node_z = grid.node_coords()
     bound = material.at(node_x)
     theta = np.asarray(bound.theta(psi))

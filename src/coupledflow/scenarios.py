@@ -16,8 +16,7 @@ benchmark families:
 Configs are INI files with the same keys the presets use; a file starts from
 a preset (``[scenario] base = ...``) and overrides fields.  Unknown sections
 or keys are rejected rather than ignored.  All stored values are SI; inputs
-quoted per minute or per hour are converted on ingestion and the conversion
-helpers round trip to double precision.
+quoted per minute or per hour are converted to SI on ingestion.
 
 CSV writers emit a single header row and ``%.17g`` floats so repeated runs
 of the same config are byte identical.
@@ -54,17 +53,9 @@ def per_minute_to_si(rate: float) -> float:
     return rate / 60.0
 
 
-def si_to_per_minute(rate: float) -> float:
-    return rate * 60.0
-
-
 def per_hour_to_si(rate: float) -> float:
     """Velocity quoted in m/h to m/s."""
     return rate / 3600.0
-
-
-def si_to_per_hour(rate: float) -> float:
-    return rate * 3600.0
 
 
 def manning_minutes_to_si(n_manning: float) -> float:
@@ -74,10 +65,6 @@ def manning_minutes_to_si(n_manning: float) -> float:
     into a per second one.
     """
     return n_manning * 60.0
-
-
-def manning_si_to_minutes(n_manning: float) -> float:
-    return n_manning / 60.0
 
 
 # ---------------------------------------------------------------------------

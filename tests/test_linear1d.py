@@ -169,6 +169,8 @@ class TestRunTimeStep:
             run_time_step(sys, omega=0.0)
         with pytest.raises(ValueError):
             run_time_step(sys, omega=1.0, tol=0.0)
+        with pytest.raises(ValueError):
+            run_time_step(sys, omega=1.0, max_iters=0)
 
 
 class TestRunSimulation:

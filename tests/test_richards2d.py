@@ -19,10 +19,7 @@ from coupledflow.richards2d import (
     NewtonSettings,
     RichardsWorkspace,
     SubsurfaceState,
-    assemble_residual,
     field_rows,
-    interface_flux,
-    newton_step_solve,
     top_dirichlet,
 )
 
@@ -303,36 +300,6 @@ class TestDiagnostics:
 
 
 class TestModuleWrappers:
-    def test_state_and_array_forms_agree(self):
-        grid = small_grid()
-        rng = np.random.default_rng(29)
-        psi_new = rng.uniform(-2.0, 0.0, grid.num_nodes)
-        psi_old = rng.uniform(-2.0, 0.0, grid.num_nodes)
-        from_arrays = assemble_residual(psi_new, psi_old, 100.0, grid, SILT,
-                                        dirichlet=None)
-        from_states = assemble_residual(SubsurfaceState(psi_new),
-                                        SubsurfaceState(psi_old), 100.0,
-                                        grid, SILT, dirichlet=None)
-        assert np.array_equal(from_arrays, from_states)
-
-    def test_wrapper_matches_workspace(self):
-        grid = small_grid()
-        psi = np.full(grid.num_nodes, -0.4)
-        work = RichardsWorkspace(grid, SILT)
-        assert_allclose(interface_flux(psi, grid, SILT),
-                        work.interface_flux(psi), rtol=1e-15)
-
-    def test_newton_wrapper_runs(self):
-        grid = Grid2D(length_x=1.0, length_z=1.0, num_x=2, num_z=2)
-        _, z = grid.node_coords()
-        psi_old = 0.2 - z
-        data = top_dirichlet(grid, psi_old[grid.top_node_indices()])
-        state, report = newton_step_solve(psi_old, 100.0, grid, SILT,
-                                          dirichlet=data)
-        assert report.iterations == 0
-        assert state.psi.shape == (grid.num_nodes,)
-        assert state.time == 100.0
-
     def test_field_rows(self):
         grid = Grid2D(length_x=1.0, length_z=1.0, num_x=1, num_z=1)
         psi = np.array([-1.0, -1.0, -0.5, -0.5])

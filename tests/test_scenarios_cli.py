@@ -3,12 +3,15 @@
 import csv
 import dataclasses
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from coupledflow import cli, scenarios
+import coupledflow
+from coupledflow import analysis, cli, scenarios
 from coupledflow.coupling import TRACE_COLUMNS
 from coupledflow.material import SOIL_PRESETS
 from coupledflow.richards2d import NewtonError
@@ -21,26 +24,16 @@ from coupledflow.scenarios import (
     format_value,
     load_config,
     manning_minutes_to_si,
-    manning_si_to_minutes,
     parse_overrides,
     per_hour_to_si,
     per_minute_to_si,
     preset,
     side_dirichlet,
-    si_to_per_hour,
-    si_to_per_minute,
     write_csv,
 )
 
 
 class TestUnits:
-    def test_round_trips(self):
-        assert_allclose(si_to_per_minute(per_minute_to_si(3.3e-4)), 3.3e-4,
-                        rtol=1e-12)
-        assert_allclose(si_to_per_hour(per_hour_to_si(0.1)), 0.1, rtol=1e-12)
-        assert_allclose(manning_si_to_minutes(manning_minutes_to_si(3.31e-3)),
-                        3.31e-3, rtol=1e-12)
-
     def test_direction_of_conversion(self):
         assert_allclose(per_hour_to_si(0.1), 0.1 / 3600.0, rtol=1e-15)
         assert_allclose(per_minute_to_si(3.3e-4), 3.3e-4 / 60.0, rtol=1e-15)
@@ -250,24 +243,56 @@ class TestCli:
         assert all(float(row["K"]) == 2.0 for row in rows)
         assert all(float(row["S"]) < 0.0 for row in rows)
 
-    def test_analyze_workers_agree(self, tmp_path):
-        serial = str(tmp_path / "serial")
-        parallel = str(tmp_path / "parallel")
-        args = ["analyze", "--mode", "resolution", "--dt", "0.01:1:4",
-                "--dz", "0.1:0.5:3", "--c", "1.0", "--k", "1.0"]
-        assert cli.main(args + ["--workers", "1", "--out", serial]) == 0
-        assert cli.main(args + ["--workers", "2", "--out", parallel]) == 0
-        with open(os.path.join(serial, "sweep.csv"), "rb") as handle:
-            serial_bytes = handle.read()
-        with open(os.path.join(parallel, "sweep.csv"), "rb") as handle:
-            parallel_bytes = handle.read()
-        assert serial_bytes == parallel_bytes
-        assert serial_bytes.count(b"\n") == 13
+    def test_analyze_resolution_matches_library_sweep(self, tmp_path):
+        out_dir = str(tmp_path / "cli")
+        assert cli.main(["analyze", "--mode", "resolution",
+                         "--dt", "0.01:1:4", "--dz", "0.1:0.5:3",
+                         "--c", "1.0", "--k", "1.0", "--out", out_dir]) == 0
+        library = str(tmp_path / "library.csv")
+        write_csv(library, analysis.SWEEP_COLUMNS, analysis.sweep_resolution(
+            analysis.default_log_grid(0.01, 1.0, 4),
+            analysis.default_log_grid(0.1, 0.5, 3), 1.0, 1.0, 1.0))
+        with open(os.path.join(out_dir, "sweep.csv"), "rb") as handle:
+            cli_bytes = handle.read()
+        with open(library, "rb") as handle:
+            assert cli_bytes == handle.read()
+        assert cli_bytes.count(b"\n") == 13
 
     def test_analyze_rejects_bad_axis(self, tmp_path, capsys):
         assert cli.main(["analyze", "--c", "1:2", "--out",
                          str(tmp_path)]) == 2
         assert "axis" in capsys.readouterr().err
+        assert cli.main(["analyze", "--c", "1:10:0", "--out",
+                         str(tmp_path)]) == 2
+        assert "needs positive finite bounds and count >= 1" \
+            in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["linrun", "--steps", "0"],
+        ["linrun", "--num-elements", "1"],
+        ["linrun", "--tol", "0"],
+        ["linrun", "--max-iters", "0"],
+        ["linrun", "--c=-1"],
+        ["linrun", "--c", "inf"],
+        ["analyze", "--length", "-1"],
+        ["analyze", "--length", "inf"],
+        ["analyze", "--mode", "resolution", "--c", "-1"],
+        ["analyze", "--c", "inf", "--k", "1"],
+    ])
+    def test_out_of_range_numeric_flag_is_a_config_error(self, argv,
+                                                         tmp_path, capsys):
+        assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not os.path.exists(str(tmp_path / "out"))
+
+    def test_import_leaves_out_optimize_and_multiprocessing(self):
+        src = os.path.dirname(os.path.dirname(coupledflow.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        code = ("import coupledflow.cli, sys; print(sorted(name for name in "
+                "('scipy.optimize', 'multiprocessing') if name in sys.modules))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "[]"
 
     def test_linrun_reports_rate(self, tmp_path, capsys):
         code = cli.main(["linrun", "--omega", "0.5", "--tol", "1e-10",
