@@ -115,7 +115,12 @@ class PredictedFactors:
 
 @dataclass(frozen=True)
 class StepRecord:
-    """Trace data of one coupled time step."""
+    """Trace data of one coupled time step.
+
+    line_search_failures counts the Richards and surface Newton iterations,
+    over all coupling iterations, whose line search never lowered the
+    residual norm; the last, smallest trial step was taken regardless.
+    """
 
     step: int
     time: float
@@ -126,6 +131,7 @@ class StepRecord:
     predicted: PredictedFactors
     newton_iterations: int
     clamped_volume: float
+    line_search_failures: int
 
 
 class CouplingDivergedError(RuntimeError):
@@ -215,6 +221,7 @@ def run_coupled_step(problem: CoupledProblem, config: CouplingConfig,
     residuals: list[float] = []
     newton_total = 0
     clamped_total = 0.0
+    failures_total = 0
     surface_new = None
     converged = False
     for _ in range(config.max_iters):
@@ -225,6 +232,7 @@ def run_coupled_step(problem: CoupledProblem, config: CouplingConfig,
             psi_old, config.dt, dirichlet, problem.newton,
             initial_guess=psi_guess)
         newton_total += newton_report.iterations
+        failures_total += newton_report.line_search_failures
         psi_guess = psi_new
         source = SurfaceSource(
             exchange=map_flux_to_source(
@@ -234,6 +242,7 @@ def run_coupled_step(problem: CoupledProblem, config: CouplingConfig,
             state.surface, source, config.dt, problem.grid.dx,
             problem.surface_model, problem.boundary)
         clamped_total += surf_report.clamped_volume
+        failures_total += surf_report.line_search_failures
         residuals.append(residual_norm(surface_new.h, h_iter))
         h_iter = relax(surface_new.h, h_iter, config.omega)
         if residuals[-1] < config.tol:
@@ -249,7 +258,8 @@ def run_coupled_step(problem: CoupledProblem, config: CouplingConfig,
                         converged=converged, residuals=tuple(residuals),
                         cr=observed_cr(residuals), predicted=predicted,
                         newton_iterations=newton_total,
-                        clamped_volume=clamped_total)
+                        clamped_volume=clamped_total,
+                        line_search_failures=failures_total)
     return CoupledState(subsurface=new_sub, surface=new_surf), record
 
 

@@ -110,6 +110,7 @@ class NewtonReport:
     iterations: int
     residual_norm: float
     initial_residual_norm: float
+    line_search_failures: int
 
 
 class NewtonError(RuntimeError):
@@ -286,9 +287,10 @@ class RichardsWorkspace:
                        dtype=float)
         residual = self.residual(psi, psi_old, dt, dirichlet)
         norm = norm0 = np.max(np.abs(residual))
+        failures = 0
         for iteration in range(1, settings.max_iters + 1):
             if norm <= settings.abs_tol or norm <= settings.rel_tol * norm0:
-                return psi, NewtonReport(iteration - 1, norm, norm0)
+                return psi, NewtonReport(iteration - 1, norm, norm0, failures)
             matrix = self.jacobian(psi, dt, dirichlet)
             delta = spsolve(matrix.tocsc(), -residual)
             step = 1.0
@@ -299,9 +301,11 @@ class RichardsWorkspace:
                 if trial_norm < norm or trial_norm <= settings.abs_tol:
                     break
                 step *= 0.5
+            else:
+                failures += 1
             psi, residual, norm = trial, trial_res, trial_norm
         if norm <= settings.abs_tol or norm <= settings.rel_tol * norm0:
-            return psi, NewtonReport(settings.max_iters, norm, norm0)
+            return psi, NewtonReport(settings.max_iters, norm, norm0, failures)
         raise NewtonError(
             f"Newton failed to converge in {settings.max_iters} iterations "
             f"(residual {norm:.3e})", residual_norm=float(norm),

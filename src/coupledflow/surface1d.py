@@ -20,9 +20,12 @@ solves the implicit Euler balance
 
     q_l = q_l_old - (dt/dx) (F_l - F_{l-1}) + dt b_l,     b = (s + r, 0),
 
-by a Newton iteration with a dense finite difference Jacobian; sources enter
-the height component only.  After the solve, depths below h_floor are raised
-to h_floor and the added volume is reported.
+by a damped Newton iteration; sources enter the height component only.  The
+dense finite difference Jacobian comes from one residual call on the batch
+of all column-bumped states, and each residual takes every face flux from
+one LLF call on the state padded with a ghost cell per side.  After the
+solve, depths below h_floor are raised to h_floor and the added volume is
+reported.
 """
 
 from __future__ import annotations
@@ -139,38 +142,36 @@ def physical_flux(q, model: SurfaceModel) -> np.ndarray:
     q = _as_states(q, model)
     if np.any(q[0] < 0.0):
         raise ValueError("negative water height")
-    return _flux_unchecked(q, model)
+    return _flux_and_speed(q, model)[0]
 
 
-def _flux_unchecked(q: np.ndarray, model: SurfaceModel) -> np.ndarray:
+def _flux_and_speed(q: np.ndarray, model: SurfaceModel,
+                    ) -> tuple[np.ndarray, np.ndarray]:
     # Newton trial states may dip below zero; clamping h keeps the residual
     # defined while the user-facing op still rejects negative input.
     h = np.maximum(q[0], 0.0)
     if model.flavor == "swe":
         hu = q[1]
         u = np.where(h > 0.0, hu / np.maximum(h, 1e-300), 0.0)
-        return np.stack([hu, hu * u + 0.5 * model.gravity * h * h])
-    return (model.flow_sign * h * model.manning_speed(h))[None, :]
+        return (np.stack([hu, hu * u + 0.5 * model.gravity * h * h]),
+                np.abs(u) + np.sqrt(model.gravity * h))
+    speed = model.manning_speed(h)
+    return (model.flow_sign * h * speed)[None], 5.0 / 3.0 * speed
 
 
 def wave_speed(q, model: SurfaceModel) -> np.ndarray:
     """Largest absolute characteristic speed of each state."""
-    q = _as_states(q, model)
-    h = np.maximum(q[0], 0.0)
-    if model.flavor == "swe":
-        u = np.where(h > 0.0, q[1] / np.maximum(h, 1e-300), 0.0)
-        return np.abs(u) + np.sqrt(model.gravity * h)
-    return 5.0 / 3.0 * model.manning_speed(h)
+    return _flux_and_speed(_as_states(q, model), model)[1]
 
 
 def llf_flux(q_left, q_right, model: SurfaceModel) -> np.ndarray:
     """Local Lax-Friedrichs interface flux between two states."""
     q_left = _as_states(q_left, model)
     q_right = _as_states(q_right, model)
-    speed = np.maximum(wave_speed(q_left, model), wave_speed(q_right, model))
-    return 0.5 * (_flux_unchecked(q_left, model)
-                  + _flux_unchecked(q_right, model)) \
-        - 0.5 * speed * (q_right - q_left)
+    flux_left, speed_left = _flux_and_speed(q_left, model)
+    flux_right, speed_right = _flux_and_speed(q_right, model)
+    speed = np.maximum(speed_left, speed_right)
+    return 0.5 * (flux_left + flux_right) - 0.5 * speed * (q_right - q_left)
 
 
 # Boundary kinds:
@@ -191,30 +192,17 @@ class BoundarySpec:
                 raise ValueError(f"unknown boundary kind {side!r}")
 
 
-def _boundary_flux(q_edge: np.ndarray, kind: str, model: SurfaceModel,
-                   is_left: bool) -> np.ndarray:
-    if kind == "reflect":
-        if model.flavor == "kinematic":
-            # no momentum to mirror; zero discharge means zero face flux
-            return np.zeros(1)
-        ghost = q_edge.copy()
-        ghost[1] = -ghost[1]
-        inner, outer = q_edge[:, None], ghost[:, None]
-    else:
-        inner = outer = q_edge[:, None]
-    if is_left:
-        return llf_flux(outer, inner, model)[:, 0]
-    return llf_flux(inner, outer, model)[:, 0]
-
-
 def _face_fluxes(q: np.ndarray, boundary: BoundarySpec,
                  model: SurfaceModel) -> np.ndarray:
-    """All num_cells + 1 face fluxes, boundary closures included."""
-    faces = np.empty((model.num_components, q.shape[1] + 1))
-    faces[:, 1:-1] = llf_flux(q[:, :-1], q[:, 1:], model)
-    faces[:, 0] = _boundary_flux(q[:, 0], boundary.left, model, is_left=True)
-    faces[:, -1] = _boundary_flux(q[:, -1], boundary.right, model,
-                                  is_left=False)
+    """All num_cells + 1 face fluxes of q with shape (n_comp, ..., cells)."""
+    padded = np.concatenate([q[..., :1], q, q[..., -1:]], axis=-1)
+    walls = [end for kind, end in ((boundary.left, 0), (boundary.right, -1))
+             if kind == "reflect"]
+    if model.flavor == "swe":
+        padded[1, ..., walls] = -padded[1, ..., walls]
+    faces = llf_flux(padded[..., :-1], padded[..., 1:], model)
+    if model.flavor == "kinematic":
+        faces[..., walls] = 0.0
     return faces
 
 
@@ -224,6 +212,7 @@ class SurfaceStepReport:
     residual_norm: float
     clamped_cells: int
     clamped_volume: float
+    line_search_failures: int
 
 
 class SurfaceNewtonError(RuntimeError):
@@ -238,11 +227,13 @@ class SurfaceNewtonError(RuntimeError):
 def _step_residual(flat: np.ndarray, q_old: np.ndarray, total_source,
                    dt: float, dx: float, boundary: BoundarySpec,
                    model: SurfaceModel) -> np.ndarray:
-    q = flat.reshape(q_old.shape)
+    """Residual of one flat state, or of each row of a (B, size) batch."""
+    q = flat.reshape(-1, *q_old.shape).swapaxes(0, 1)
     faces = _face_fluxes(q, boundary, model)
-    residual = q - q_old + dt / dx * (faces[:, 1:] - faces[:, :-1])
+    residual = q - q_old[:, None] + dt / dx * (faces[..., 1:]
+                                               - faces[..., :-1])
     residual[0] -= dt * total_source
-    return residual.ravel()
+    return residual.swapaxes(0, 1).reshape(flat.shape)
 
 
 def implicit_fv_step(state_old: SurfaceState, sources: SurfaceSource,
@@ -266,17 +257,14 @@ def implicit_fv_step(state_old: SurfaceState, sources: SurfaceSource,
     acceptable = 1e-12 * scale
     residual = _step_residual(flat, q_old, total, dt, dx, boundary, model)
     norm = np.max(np.abs(residual))
-    iterations = 0
-    size = flat.size
+    iterations = failures = 0
+    diagonal = np.diag_indices(flat.size)
     while norm > target and iterations < max_iters:
-        jacobian = np.empty((size, size))
-        for j in range(size):
-            eps = 1e-8 * max(1.0, abs(flat[j]))
-            bumped = flat.copy()
-            bumped[j] += eps
-            jacobian[:, j] = (_step_residual(bumped, q_old, total, dt, dx,
-                                             boundary, model)
-                              - residual) / eps
+        eps = 1e-8 * np.maximum(1.0, np.abs(flat))
+        bumped = np.tile(flat, (flat.size, 1))
+        bumped[diagonal] += eps
+        jacobian = ((_step_residual(bumped, q_old, total, dt, dx, boundary,
+                                    model) - residual) / eps[:, None]).T
         try:
             delta = np.linalg.solve(jacobian, -residual)
         except np.linalg.LinAlgError as err:
@@ -292,6 +280,8 @@ def implicit_fv_step(state_old: SurfaceState, sources: SurfaceSource,
             if trial_norm < norm or trial_norm <= target:
                 break
             step *= 0.5
+        else:
+            failures += 1
         flat, residual, norm = trial, trial_res, trial_norm
         iterations += 1
     if norm > acceptable:
@@ -307,7 +297,8 @@ def implicit_fv_step(state_old: SurfaceState, sources: SurfaceSource,
     report = SurfaceStepReport(iterations=iterations,
                                residual_norm=float(norm),
                                clamped_cells=int(np.count_nonzero(low)),
-                               clamped_volume=clamped_volume)
+                               clamped_volume=clamped_volume,
+                               line_search_failures=failures)
     return state_from_vector(q_new, model, time=state_old.time + dt), report
 
 

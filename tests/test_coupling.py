@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from coupledflow import linear1d
+from coupledflow import linear1d, richards2d
 from coupledflow.analysis import LinearModelParams, alpha_sum, toeplitz_coeffs
 from coupledflow.coupling import (
     SUMMARY_COLUMNS,
@@ -208,6 +208,31 @@ class TestCoupledStep:
         assert info.value.step == 1
         assert len(info.value.residuals) == 2
 
+    @pytest.mark.parametrize("reverse_first", [False, True])
+    def test_line_search_failures_are_summed(self, monkeypatch,
+                                             reverse_first):
+        # flip the first Richards and the first surface Newton direction
+        calls = {"richards": 0, "surface": 0}
+
+        def flipping(solve, layer):
+            def wrapped(matrix, rhs):
+                calls[layer] += 1
+                delta = solve(matrix, rhs)
+                first = reverse_first and calls[layer] == 1
+                return -delta if first else delta
+            return wrapped
+
+        monkeypatch.setattr(richards2d, "spsolve",
+                            flipping(richards2d.spsolve, "richards"))
+        monkeypatch.setattr(np.linalg, "solve",
+                            flipping(np.linalg.solve, "surface"))
+        problem, state = column_problem(0.5, 0.01)
+        config = CouplingConfig(omega=1.0, tol=1e-10, max_iters=50, dt=0.1,
+                                num_steps=1)
+        _, record = run_coupled_step(problem, config, state)
+        assert calls["richards"] >= 2 and calls["surface"] >= 2
+        assert record.line_search_failures == 2 * int(reverse_first)
+
     def test_snapshot_cadence(self):
         problem, state = column_problem(1e-9, 0.01)
         config = CouplingConfig(omega=1.0, tol=1e-10, max_iters=50, dt=0.1,
@@ -254,7 +279,7 @@ def fake_record(step: int, cr: float | None) -> StepRecord:
     return StepRecord(step=step, time=step * 36.0, iterations=3,
                       converged=True, residuals=(1e-3, 1e-5, 1e-7),
                       cr=cr, predicted=predicted, newton_iterations=5,
-                      clamped_volume=0.0)
+                      clamped_volume=0.0, line_search_failures=0)
 
 
 class TestAggregation:

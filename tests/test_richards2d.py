@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from coupledflow import richards2d
 from coupledflow.material import SOIL_PRESETS, MaterialField
 from coupledflow.richards2d import (
     FIELD_COLUMNS,
@@ -236,6 +237,29 @@ class TestNewtonStep:
         assert report.iterations == 1
         assert report.residual_norm <= 1e-12
         assert np.all(psi > 0.0)
+
+    @pytest.mark.parametrize("reverse_first", [False, True])
+    def test_line_search_failures_are_counted(self, monkeypatch,
+                                              reverse_first):
+        # on the linear saturated problem an uphill first direction raises
+        # the residual for every damping trial; the next Newton step solves
+        solves = []
+        spsolve = richards2d.spsolve
+
+        def flipping_spsolve(matrix, rhs):
+            solves.append(1)
+            delta = spsolve(matrix, rhs)
+            return -delta if reverse_first and len(solves) == 1 else delta
+
+        monkeypatch.setattr(richards2d, "spsolve", flipping_spsolve)
+        grid = small_grid()
+        work = RichardsWorkspace(grid, CLAY)
+        psi_old = np.full(grid.num_nodes, 2.0)
+        values = 2.0 + 0.1 * np.linspace(-1.0, 1.0, grid.num_x + 1)
+        _, report = work.newton_step(psi_old, dt=36.0,
+                                     dirichlet=top_dirichlet(grid, values))
+        assert report.line_search_failures == int(reverse_first)
+        assert report.iterations == 1 + int(reverse_first)
 
     def test_hydrostatic_rest_is_converged_immediately(self):
         grid = Grid2D(length_x=1.0, length_z=2.0, num_x=2, num_z=4)

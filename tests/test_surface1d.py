@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from coupledflow import surface1d
 from coupledflow.scenarios import manning_minutes_to_si
 from coupledflow.surface1d import (
     PROBE_COLUMNS,
@@ -209,6 +210,129 @@ class TestImplicitStep:
                              model=model, boundary=WALLS, max_iters=1)
         assert info.value.iterations >= 1
         assert info.value.residual_norm > 0.0
+
+
+def reference_boundary_flux(q_edge, kind, model, is_left):
+    # one LLF call per boundary face, as before the ghost-cell padding
+    if kind == "reflect":
+        if model.flavor == "kinematic":
+            return np.zeros(1)
+        ghost = q_edge.copy()
+        ghost[1] = -ghost[1]
+        inner, outer = q_edge[:, None], ghost[:, None]
+    else:
+        inner = outer = q_edge[:, None]
+    if is_left:
+        return llf_flux(outer, inner, model)[:, 0]
+    return llf_flux(inner, outer, model)[:, 0]
+
+
+def reference_residual(flat, q_old, total, dt, dx, boundary, model):
+    q = flat.reshape(q_old.shape)
+    faces = np.empty((model.num_components, q.shape[1] + 1))
+    faces[:, 1:-1] = llf_flux(q[:, :-1], q[:, 1:], model)
+    faces[:, 0] = reference_boundary_flux(q[:, 0], boundary.left, model,
+                                          is_left=True)
+    faces[:, -1] = reference_boundary_flux(q[:, -1], boundary.right, model,
+                                           is_left=False)
+    residual = q - q_old + dt / dx * (faces[:, 1:] - faces[:, :-1])
+    residual[0] -= dt * total
+    return residual.ravel()
+
+
+def reference_jacobian(flat, residual, *args):
+    # the column-by-column finite difference loop the batch replaces
+    size = flat.size
+    jacobian = np.empty((size, size))
+    for j in range(size):
+        eps = 1e-8 * max(1.0, abs(flat[j]))
+        bumped = flat.copy()
+        bumped[j] += eps
+        jacobian[:, j] = (reference_residual(bumped, *args) - residual) / eps
+    return jacobian
+
+
+def recorded_solves(monkeypatch, reverse_first=False):
+    """Record every dense solve; optionally flip the first Newton step."""
+    solves = []
+    solve = np.linalg.solve
+
+    def recording_solve(matrix, rhs):
+        solves.append((matrix.copy(), rhs.copy()))
+        delta = solve(matrix, rhs)
+        return -delta if reverse_first and len(solves) == 1 else delta
+
+    monkeypatch.setattr(np.linalg, "solve", recording_solve)
+    return solves
+
+
+def rainy_state(flavor, num_x, seed=7):
+    rng = np.random.default_rng(seed)
+    model = swe_model() if flavor == "swe" else kinematic_model()
+    h = rng.uniform(0.05, 0.3, size=num_x)
+    hu = rng.normal(scale=0.05, size=num_x) if flavor == "swe" else None
+    source = SurfaceSource(rng.normal(scale=1e-4, size=num_x), rain=2e-4)
+    return model, SurfaceState(h=h, hu=hu), source
+
+
+class TestBatchedNewton:
+    @pytest.mark.parametrize("num_x", [1, 2, 5, 23])
+    @pytest.mark.parametrize("right", ["copy", "reflect"])
+    @pytest.mark.parametrize("left", ["copy", "reflect"])
+    @pytest.mark.parametrize("flavor", ["swe", "kinematic"])
+    def test_jacobian_matches_column_loop_bitwise(self, monkeypatch, flavor,
+                                                  left, right, num_x):
+        model, state, source = rainy_state(flavor, num_x)
+        boundary = BoundarySpec(left=left, right=right)
+        solves = recorded_solves(monkeypatch)
+        implicit_fv_step(state, source, dt=0.5, dx=0.5, model=model,
+                         boundary=boundary)
+        q_old = state.as_vector(model)
+        args = (q_old, source.total(num_x), 0.5, 0.5, boundary, model)
+        flat = q_old.ravel().copy()
+        residual = reference_residual(flat, *args)
+        jacobian, rhs = solves[0]
+        assert np.array_equal(rhs, -residual)
+        assert np.array_equal(jacobian, reference_jacobian(flat, residual,
+                                                           *args))
+
+    @pytest.mark.parametrize("flavor", ["swe", "kinematic"])
+    def test_one_residual_call_per_jacobian(self, monkeypatch, flavor):
+        model, state, source = rainy_state(flavor, 5)
+        size = model.num_components * 5
+        shapes, llf_calls = [], []
+        step_residual = surface1d._step_residual
+        flux = surface1d.llf_flux
+
+        def counting_residual(flat, *args):
+            shapes.append(flat.shape)
+            return step_residual(flat, *args)
+
+        def counting_flux(*args):
+            llf_calls.append(1)
+            return flux(*args)
+
+        monkeypatch.setattr(surface1d, "_step_residual", counting_residual)
+        monkeypatch.setattr(surface1d, "llf_flux", counting_flux)
+        _, report = implicit_fv_step(state, source, dt=5.0, dx=0.5,
+                                     model=model, boundary=WALLS)
+        assert report.iterations >= 2
+        # initial residual, then per iteration one batch and one full step
+        assert shapes.count((size, size)) == report.iterations
+        assert shapes.count((size,)) == 1 + report.iterations
+        assert len(shapes) == 1 + 2 * report.iterations
+        assert len(llf_calls) == len(shapes)
+
+    @pytest.mark.parametrize("reverse_first", [False, True])
+    def test_line_search_failures_are_counted(self, monkeypatch,
+                                              reverse_first):
+        # an uphill first direction fails all 20 halvings; Newton recovers
+        model, state, source = rainy_state("swe", 5)
+        recorded_solves(monkeypatch, reverse_first=reverse_first)
+        _, report = implicit_fv_step(state, source, dt=5.0, dx=0.5,
+                                     model=model, boundary=WALLS)
+        assert report.line_search_failures == int(reverse_first)
+        assert report.residual_norm <= 1e-12
 
 
 class TestProbe:
