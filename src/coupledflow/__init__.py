@@ -6,6 +6,8 @@ material
     Van Genuchten-Mualem closures and the soil parameter presets.
 analysis
     Discrete and continuous convergence factors of the coupling iteration.
+iteration
+    The shared relaxed fixed-point loop and damped Newton iteration.
 linear1d
     Constant coefficient column against a 0D surface reservoir.
 richards2d

@@ -12,7 +12,7 @@ Subcommands:
 * ``presets``: list the built in scenarios.
 
 Exit codes: 0 on success, 2 for configuration errors, 3 when the coupling
-iteration diverges, 4 when an inner nonlinear solver fails.
+iteration diverges, 4 when the Richards or surface Newton raises NewtonError.
 """
 
 from __future__ import annotations
@@ -27,9 +27,8 @@ import numpy as np
 from . import analysis, coupling, linear1d, scenarios
 from .analysis import LinearModelParams
 from .coupling import CouplingDivergedError
-from .richards2d import NewtonError
+from .iteration import NewtonError
 from .scenarios import ConfigError
-from .surface1d import SurfaceNewtonError
 
 
 def _axis(text: str) -> np.ndarray:
@@ -225,7 +224,7 @@ def main(argv: list[str] | None = None) -> int:
     except CouplingDivergedError as exc:
         print(f"coupling iteration diverged: {exc}", file=sys.stderr)
         return 3
-    except (NewtonError, SurfaceNewtonError) as exc:
+    except NewtonError as exc:
         print(f"nonlinear solver failure: {exc}", file=sys.stderr)
         return 4
 

@@ -1,7 +1,7 @@
 """Partitioned, sequential coupling of the subsurface and surface solvers.
 
 Within each time step the two solvers exchange interface data in a fixed
-point loop (Gauss-Seidel ordering, subsurface first):
+point loop, iteration.fixed_point (Gauss-Seidel order, subsurface first):
 
   1. the surface heights of the previous iterate become Dirichlet head
      values on the soil's top boundary (map_height_to_head),
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analysis import LinearModelParams, discrete_S
-from .linear1d import observed_cr
+from .iteration import fixed_point, observed_cr
 from .richards2d import (DirichletData, Grid2D, NewtonSettings,
                          RichardsWorkspace, SubsurfaceState, top_dirichlet)
 from .surface1d import (BoundarySpec, SurfaceModel, SurfaceSource,
@@ -173,24 +173,6 @@ def map_flux_to_source(flux_integrals: np.ndarray, dx: float) -> np.ndarray:
     return np.asarray(flux_integrals, dtype=float) / dx
 
 
-def relax(h_tilde: np.ndarray, h_prev_iter: np.ndarray,
-          omega: float) -> np.ndarray:
-    """Convex blend of the proposal and the previous iterate."""
-    if not 0.0 < omega <= 1.0:
-        raise ValueError("omega must lie in (0, 1]")
-    return omega * np.asarray(h_tilde, dtype=float) \
-        + (1.0 - omega) * np.asarray(h_prev_iter, dtype=float)
-
-
-def residual_norm(h_tilde: np.ndarray, h_prev_iter: np.ndarray) -> float:
-    """Euclidean norm of the height update over the surface cells."""
-    h_tilde = np.asarray(h_tilde, dtype=float)
-    h_prev_iter = np.asarray(h_prev_iter, dtype=float)
-    if h_tilde.shape != h_prev_iter.shape:
-        raise ValueError("height arrays must have equal shape")
-    return float(np.linalg.norm(h_tilde - h_prev_iter))
-
-
 def predict_S(state: SubsurfaceState, grid: Grid2D, material, dt: float,
               ) -> PredictedFactors:
     """Linear-theory contraction estimate from spatial coefficient means."""
@@ -214,26 +196,18 @@ def run_coupled_step(problem: CoupledProblem, config: CouplingConfig,
     time_new = state.time + config.dt
     rain_rate = problem.rain.at(time_new)
     psi_old = state.subsurface.psi
-    h_committed = state.surface.h
+    psi_new, surface_new = psi_old, state.surface
+    newton_iters, clamped, failures = 0, 0.0, 0
 
-    h_iter = h_committed.copy()
-    psi_guess = psi_old
-    residuals: list[float] = []
-    newton_total = 0
-    clamped_total = 0.0
-    failures_total = 0
-    surface_new = None
-    converged = False
-    for _ in range(config.max_iters):
+    def sweep(h_iter: np.ndarray) -> np.ndarray:
+        nonlocal psi_new, surface_new, newton_iters, clamped, failures
         dirichlet = top_dirichlet(problem.grid, map_height_to_head(h_iter))
         if problem.static_dirichlet is not None:
             dirichlet = dirichlet.merged_with(problem.static_dirichlet)
+        # warm start from the previous sweep's field
         psi_new, newton_report = problem.workspace.newton_step(
             psi_old, config.dt, dirichlet, problem.newton,
-            initial_guess=psi_guess)
-        newton_total += newton_report.iterations
-        failures_total += newton_report.line_search_failures
-        psi_guess = psi_new
+            initial_guess=psi_new)
         source = SurfaceSource(
             exchange=map_flux_to_source(
                 problem.workspace.interface_flux(psi_new), problem.grid.dx),
@@ -241,25 +215,26 @@ def run_coupled_step(problem: CoupledProblem, config: CouplingConfig,
         surface_new, surf_report = implicit_fv_step(
             state.surface, source, config.dt, problem.grid.dx,
             problem.surface_model, problem.boundary)
-        clamped_total += surf_report.clamped_volume
-        failures_total += surf_report.line_search_failures
-        residuals.append(residual_norm(surface_new.h, h_iter))
-        h_iter = relax(surface_new.h, h_iter, config.omega)
-        if residuals[-1] < config.tol:
-            converged = True
-            break
-    if not converged:
+        newton_iters += newton_report.iterations
+        clamped += surf_report.clamped_volume
+        failures += (newton_report.line_search_failures
+                     + surf_report.line_search_failures)
+        return surface_new.h
+
+    h_new, _, residuals = fixed_point(sweep, state.surface.h, config.omega,
+                                      config.tol, config.max_iters,
+                                      np.linalg.norm)
+    if not residuals[-1] < config.tol:
         raise CouplingDivergedError(step, tuple(residuals))
 
-    new_sub = SubsurfaceState(psi=psi_guess, time=time_new)
-    new_surf = SurfaceState(h=h_iter, hu=surface_new.hu, time=time_new)
+    new_sub = SubsurfaceState(psi=psi_new, time=time_new)
+    new_surf = SurfaceState(h=h_new, hu=surface_new.hu, time=time_new)
     predicted = predict_S(new_sub, problem.grid, problem.material, config.dt)
     record = StepRecord(step=step, time=time_new, iterations=len(residuals),
-                        converged=converged, residuals=tuple(residuals),
+                        converged=True, residuals=tuple(residuals),
                         cr=observed_cr(residuals), predicted=predicted,
-                        newton_iterations=newton_total,
-                        clamped_volume=clamped_total,
-                        line_search_failures=failures_total)
+                        newton_iterations=newton_iters,
+                        clamped_volume=clamped, line_search_failures=failures)
     return CoupledState(subsurface=new_sub, surface=new_surf), record
 
 

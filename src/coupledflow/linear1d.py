@@ -16,7 +16,7 @@ where the interior matrix is the symmetric tridiagonal Toeplitz matrix with
 diagonal a and off diagonal b from the analysis module, the coupling vector
 is (0, ..., 0, b), and M_GG + dt A_GG = a / 2.  Under relaxation omega the
 interface map is affine with slope Sigma(omega) = omega S + 1 - omega, which
-is what the testbench exists to demonstrate.
+is what the testbench demonstrates through iteration.fixed_point.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from scipy import linalg as spla
 
 from .analysis import (AnalysisResult, LinearModelParams, discrete_S, sigma,
                        toeplitz_coeffs)
+from .iteration import fixed_point, observed_cr
 
 
 @dataclass(frozen=True)
@@ -175,16 +176,6 @@ def affine_tail(sys: Linear1DSystem) -> float:
     return surface_update(sys, subsurface_solve(sys, 0.0), 0.0)
 
 
-def observed_cr(residuals) -> float | None:
-    """Mean consecutive residual ratio; None when fewer than 3 iterations."""
-    residuals = np.asarray(residuals, dtype=float)
-    if residuals.size < 3:
-        return None
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = residuals[1:-1] / residuals[:-2]
-    return float(np.mean(ratios))
-
-
 def run_time_step(sys: Linear1DSystem, omega: float, tol: float = 1e-8,
                   max_iters: int = 200) -> StepResult:
     """Relaxed coupling iterations for one time step.
@@ -195,32 +186,20 @@ def run_time_step(sys: Linear1DSystem, omega: float, tol: float = 1e-8,
     history, not as an exception: divergent settings are a legitimate region
     of parameter space.
     """
-    if not 0.0 < omega <= 1.0:
-        raise ValueError("omega must lie in (0, 1]")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    if max_iters < 1:
-        raise ValueError("max_iters must be at least 1")
-    psi_gamma = sys.psi_gamma_old
     psi_interior = sys.psi_interior_old
-    iterates: list[float] = []
-    residuals: list[float] = []
-    converged = False
-    for _ in range(max_iters):
+
+    def sweep(psi_gamma: float) -> float:
+        nonlocal psi_interior
         psi_interior = subsurface_solve(sys, psi_gamma)
-        proposal = surface_update(sys, psi_interior, psi_gamma)
-        residual = abs(proposal - psi_gamma)
-        psi_gamma = omega * proposal + (1.0 - omega) * psi_gamma
-        iterates.append(psi_gamma)
-        residuals.append(residual)
-        if residual < tol:
-            converged = True
-            break
-    residual_array = np.asarray(residuals)
+        return surface_update(sys, psi_interior, psi_gamma)
+
+    # the iterate is a Python float; abs keeps numpy calls out of the loop
+    psi_gamma, iterates, residuals = fixed_point(
+        sweep, sys.psi_gamma_old, omega, tol, max_iters, abs)
     return StepResult(psi_gamma=psi_gamma, psi_interior=psi_interior,
-                      iterates=np.asarray(iterates), residuals=residual_array,
-                      iterations=len(residuals), converged=converged,
-                      cr=observed_cr(residual_array))
+                      iterates=np.asarray(iterates), iterations=len(residuals),
+                      residuals=np.asarray(residuals),
+                      converged=residuals[-1] < tol, cr=observed_cr(residuals))
 
 
 def run_simulation(p: LinearModelParams, num_steps: int, tol: float = 1e-8,

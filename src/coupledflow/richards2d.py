@@ -12,9 +12,10 @@ for a root of the weak residual
           + dt <K(psi) grad(psi + z), grad phi_i>
 
 over the free nodes, with Dirichlet rows replaced by (psi_node - prescribed);
-the root is found with a damped Newton iteration using the analytic capacity
-c(psi) and conductivity derivative K'(psi).  The surface coupling reads the
-normal Darcy flux at the midpoint of every top cell edge,
+the root is found by the shared damped Newton (iteration.damped_newton) with
+the analytic capacity c(psi) and conductivity derivative K'(psi).  The
+surface coupling reads the normal Darcy flux at the midpoint of every top
+cell edge,
 
     flux_l = -K(psi_mid) (d_z psi_mid + 1) * dx,
 
@@ -30,6 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import spsolve
+
+from .iteration import NewtonReport, damped_newton
 
 
 @dataclass(frozen=True)
@@ -103,23 +106,6 @@ class NewtonSettings:
             raise ValueError("tolerances must be positive")
         if self.max_iters < 1 or self.damping < 0:
             raise ValueError("max_iters must be >= 1 and damping >= 0")
-
-
-@dataclass(frozen=True)
-class NewtonReport:
-    iterations: int
-    residual_norm: float
-    initial_residual_norm: float
-    line_search_failures: int
-
-
-class NewtonError(RuntimeError):
-    """Newton ran out of iterations; carries the final residual norm."""
-
-    def __init__(self, message: str, residual_norm: float, iterations: int):
-        super().__init__(message)
-        self.residual_norm = residual_norm
-        self.iterations = iterations
 
 
 @dataclass(eq=False, frozen=True)
@@ -285,31 +271,13 @@ class RichardsWorkspace:
             raise ValueError("dt must be positive")
         psi = np.array(psi_old if initial_guess is None else initial_guess,
                        dtype=float)
-        residual = self.residual(psi, psi_old, dt, dirichlet)
-        norm = norm0 = np.max(np.abs(residual))
-        failures = 0
-        for iteration in range(1, settings.max_iters + 1):
-            if norm <= settings.abs_tol or norm <= settings.rel_tol * norm0:
-                return psi, NewtonReport(iteration - 1, norm, norm0, failures)
-            matrix = self.jacobian(psi, dt, dirichlet)
-            delta = spsolve(matrix.tocsc(), -residual)
-            step = 1.0
-            for _ in range(settings.damping + 1):
-                trial = psi + step * delta
-                trial_res = self.residual(trial, psi_old, dt, dirichlet)
-                trial_norm = np.max(np.abs(trial_res))
-                if trial_norm < norm or trial_norm <= settings.abs_tol:
-                    break
-                step *= 0.5
-            else:
-                failures += 1
-            psi, residual, norm = trial, trial_res, trial_norm
-        if norm <= settings.abs_tol or norm <= settings.rel_tol * norm0:
-            return psi, NewtonReport(settings.max_iters, norm, norm0, failures)
-        raise NewtonError(
-            f"Newton failed to converge in {settings.max_iters} iterations "
-            f"(residual {norm:.3e})", residual_norm=float(norm),
-            iterations=settings.max_iters)
+        return damped_newton(
+            lambda trial: self.residual(trial, psi_old, dt, dirichlet),
+            # the module-level spsolve is looked up at call time
+            lambda trial, res: spsolve(
+                self.jacobian(trial, dt, dirichlet).tocsc(), -res),
+            psi, lambda norm0: max(settings.abs_tol, settings.rel_tol * norm0),
+            settings.max_iters, settings.damping + 1)
 
     def interface_flux(self, psi: np.ndarray) -> np.ndarray:
         """Outward normal flux integral over each top cell [m^2/s]."""

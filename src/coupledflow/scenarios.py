@@ -120,6 +120,11 @@ class ScenarioConfig:
             + self.psi0_x * np.asarray(x)
 
     def validate(self) -> None:
+        for item in dataclasses.fields(self):
+            value = getattr(self, item.name)
+            if isinstance(value, float) and not np.isfinite(value) and not (
+                    item.name == "rain_cutoff" and value == np.inf):
+                raise ConfigError(f"{item.name} must be finite, got {value}")
         if self.length_x <= 0 or self.length_z <= 0:
             raise ConfigError("domain lengths must be positive")
         if self.num_x < 1 or self.num_z < 1:

@@ -20,12 +20,12 @@ solves the implicit Euler balance
 
     q_l = q_l_old - (dt/dx) (F_l - F_{l-1}) + dt b_l,     b = (s + r, 0),
 
-by a damped Newton iteration; sources enter the height component only.  The
-dense finite difference Jacobian comes from one residual call on the batch
-of all column-bumped states, and each residual takes every face flux from
-one LLF call on the state padded with a ghost cell per side.  After the
-solve, depths below h_floor are raised to h_floor and the added volume is
-reported.
+by the shared damped Newton (iteration.damped_newton); sources enter the
+height component only.  The dense finite difference Jacobian comes from one
+residual call on the batch of all column-bumped states, and each residual
+takes every face flux from one LLF call on the state padded with a ghost
+cell per side.  After the solve, depths below h_floor are raised to h_floor
+and the added volume is reported.
 """
 
 from __future__ import annotations
@@ -33,6 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .iteration import damped_newton
 
 
 @dataclass(frozen=True)
@@ -215,15 +217,6 @@ class SurfaceStepReport:
     line_search_failures: int
 
 
-class SurfaceNewtonError(RuntimeError):
-    """Implicit step failed to reach its residual target."""
-
-    def __init__(self, message: str, residual_norm: float, iterations: int):
-        super().__init__(message)
-        self.residual_norm = residual_norm
-        self.iterations = iterations
-
-
 def _step_residual(flat: np.ndarray, q_old: np.ndarray, total_source,
                    dt: float, dx: float, boundary: BoundarySpec,
                    model: SurfaceModel) -> np.ndarray:
@@ -253,52 +246,29 @@ def implicit_fv_step(state_old: SurfaceState, sources: SurfaceSource,
 
     flat = q_old.ravel().copy()
     scale = max(1.0, np.max(np.abs(flat)))
-    target = 1e-13 * scale
-    acceptable = 1e-12 * scale
-    residual = _step_residual(flat, q_old, total, dt, dx, boundary, model)
-    norm = np.max(np.abs(residual))
-    iterations = failures = 0
-    diagonal = np.diag_indices(flat.size)
-    while norm > target and iterations < max_iters:
-        eps = 1e-8 * np.maximum(1.0, np.abs(flat))
-        bumped = np.tile(flat, (flat.size, 1))
-        bumped[diagonal] += eps
-        jacobian = ((_step_residual(bumped, q_old, total, dt, dx, boundary,
-                                    model) - residual) / eps[:, None]).T
-        try:
-            delta = np.linalg.solve(jacobian, -residual)
-        except np.linalg.LinAlgError as err:
-            raise SurfaceNewtonError(f"singular surface Jacobian: {err}",
-                                     residual_norm=float(norm),
-                                     iterations=iterations) from err
-        step = 1.0
-        for _ in range(20):
-            trial = flat + step * delta
-            trial_res = _step_residual(trial, q_old, total, dt, dx, boundary,
-                                       model)
-            trial_norm = np.max(np.abs(trial_res))
-            if trial_norm < norm or trial_norm <= target:
-                break
-            step *= 0.5
-        else:
-            failures += 1
-        flat, residual, norm = trial, trial_res, trial_norm
-        iterations += 1
-    if norm > acceptable:
-        raise SurfaceNewtonError(
-            f"surface Newton stalled at residual {norm:.3e} after "
-            f"{iterations} iterations", residual_norm=float(norm),
-            iterations=iterations)
 
+    def residual(trial: np.ndarray) -> np.ndarray:
+        return _step_residual(trial, q_old, total, dt, dx, boundary, model)
+
+    def direction(point: np.ndarray, res: np.ndarray) -> np.ndarray:
+        eps = 1e-8 * np.maximum(1.0, np.abs(point))
+        bumped = np.tile(point, (point.size, 1))
+        bumped[np.diag_indices(point.size)] += eps
+        jacobian = ((residual(bumped) - res) / eps[:, None]).T
+        return np.linalg.solve(jacobian, -res)
+
+    flat, newton = damped_newton(residual, direction, flat,
+                                 lambda norm0: 1e-13 * scale, max_iters, 20,
+                                 accept=1e-12 * scale)
     q_new = flat.reshape(q_old.shape)
     low = q_new[0] < model.h_floor
     clamped_volume = float(np.sum((model.h_floor - q_new[0][low]) * dx))
     q_new[0][low] = model.h_floor
-    report = SurfaceStepReport(iterations=iterations,
-                               residual_norm=float(norm),
-                               clamped_cells=int(np.count_nonzero(low)),
-                               clamped_volume=clamped_volume,
-                               line_search_failures=failures)
+    report = SurfaceStepReport(
+        iterations=newton.iterations, residual_norm=newton.residual_norm,
+        clamped_cells=int(np.count_nonzero(low)),
+        clamped_volume=clamped_volume,
+        line_search_failures=newton.line_search_failures)
     return state_from_vector(q_new, model, time=state_old.time + dt), report
 
 

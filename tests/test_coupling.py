@@ -27,8 +27,6 @@ from coupledflow.coupling import (
     map_flux_to_source,
     map_height_to_head,
     predict_S,
-    relax,
-    residual_norm,
     run_coupled_step,
     run_simulation,
     summary_row,
@@ -102,20 +100,6 @@ class TestMaps:
                         [5e-6, -1e-5], rtol=1e-15)
         with pytest.raises(ValueError):
             map_flux_to_source(np.array([1.0]), 0.0)
-
-    def test_relax(self):
-        assert_allclose(relax(np.array([2.0]), np.array([0.0]), 0.5), [1.0])
-        assert_allclose(relax(np.array([2.0]), np.array([4.0]), 1.0), [2.0])
-        with pytest.raises(ValueError):
-            relax(np.array([1.0]), np.array([1.0]), 0.0)
-        with pytest.raises(ValueError):
-            relax(np.array([1.0]), np.array([1.0]), 1.5)
-
-    def test_residual_norm(self):
-        assert residual_norm(np.array([3.0, 4.0]),
-                             np.array([0.0, 0.0])) == 5.0
-        with pytest.raises(ValueError):
-            residual_norm(np.array([1.0]), np.array([1.0, 2.0]))
 
 
 class TestRainSchedule:

@@ -10,11 +10,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 from coupledflow.analysis import LinearModelParams, discrete_S, sigma
+from coupledflow.iteration import observed_cr
 from coupledflow.linear1d import (
     affine_tail,
     build_system,
     initial_state,
-    observed_cr,
     run_simulation,
     run_time_step,
     subsurface_solve,

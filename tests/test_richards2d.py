@@ -11,12 +11,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 from coupledflow import richards2d
+from coupledflow.iteration import NewtonError
 from coupledflow.material import SOIL_PRESETS, MaterialField
 from coupledflow.richards2d import (
     FIELD_COLUMNS,
     DirichletData,
     Grid2D,
-    NewtonError,
     NewtonSettings,
     RichardsWorkspace,
     SubsurfaceState,

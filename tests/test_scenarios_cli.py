@@ -13,8 +13,8 @@ from numpy.testing import assert_allclose
 import coupledflow
 from coupledflow import analysis, cli, scenarios
 from coupledflow.coupling import TRACE_COLUMNS
+from coupledflow.iteration import NewtonError
 from coupledflow.material import SOIL_PRESETS
-from coupledflow.richards2d import NewtonError
 from coupledflow.scenarios import (
     ConfigError,
     PRESETS,
@@ -278,6 +278,18 @@ class TestCli:
         ["analyze", "--length", "inf"],
         ["analyze", "--mode", "resolution", "--c", "-1"],
         ["analyze", "--c", "inf", "--k", "1"],
+        ["simulate", "--scenario", "trench-loam",
+         "--override", "rain.rate=nan"],
+        ["simulate", "--scenario", "trench-loam",
+         "--override", "coupling.dt=nan"],
+        ["simulate", "--scenario", "trench-loam",
+         "--override", "coupling.tol=inf"],
+        ["simulate", "--scenario", "trench-loam",
+         "--override", "surface.gravity=nan"],
+        ["simulate", "--scenario", "trench-loam",
+         "--override", "rain.cutoff=nan"],
+        ["simulate", "--scenario", "hillslope-sandy",
+         "--override", "surface.manning_n=nan"],
     ])
     def test_out_of_range_numeric_flag_is_a_config_error(self, argv,
                                                          tmp_path, capsys):

@@ -5,12 +5,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 from coupledflow import surface1d
+from coupledflow.iteration import NewtonError
 from coupledflow.scenarios import manning_minutes_to_si
 from coupledflow.surface1d import (
     PROBE_COLUMNS,
     BoundarySpec,
     SurfaceModel,
-    SurfaceNewtonError,
     SurfaceSource,
     SurfaceState,
     implicit_fv_step,
@@ -205,11 +205,22 @@ class TestImplicitStep:
         model = swe_model()
         state = SurfaceState(h=np.array([1.0, 1e-8]),
                              hu=np.array([5.0, 0.0]))
-        with pytest.raises(SurfaceNewtonError) as info:
+        with pytest.raises(NewtonError) as info:
             implicit_fv_step(state, SurfaceSource(0.0), dt=50.0, dx=1e-3,
                              model=model, boundary=WALLS, max_iters=1)
         assert info.value.iterations >= 1
         assert info.value.residual_norm > 0.0
+
+    def test_non_finite_residual_is_a_newton_error(self):
+        # hu^2 / h overflows, so the very first residual is not finite
+        state = SurfaceState(h=np.array([1e-200, 1.0]),
+                             hu=np.array([1e200, 0.0]))
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NewtonError) as info:
+            implicit_fv_step(state, SurfaceSource(0.0), dt=1.0, dx=1.0,
+                             model=swe_model(), boundary=BoundarySpec())
+        assert info.value.iterations == 0
+        assert not np.isfinite(info.value.residual_norm)
 
 
 def reference_boundary_flux(q_edge, kind, model, is_left):
