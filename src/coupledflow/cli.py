@@ -91,19 +91,13 @@ def cmd_linrun(args: argparse.Namespace) -> int:
         raise ConfigError(
             "--steps and --max-iters must be at least 1, --tol positive")
     predicted = analysis.discrete_S(base)
-    if args.omega == "opt":
-        omega = predicted.omega_opt
-    else:
-        try:
-            omega = float(args.omega)
-        except ValueError:
-            raise ConfigError(
-                f"--omega must be a float or 'opt', got {args.omega!r}"
-            ) from None
-    if not 0 < omega <= 1:
-        raise ConfigError("omega must lie in (0, 1]")
-
-    params = dataclasses.replace(base, omega=omega)
+    try:
+        omega = predicted.omega_opt if args.omega == "opt" \
+            else float(args.omega)
+        params = dataclasses.replace(base, omega=omega)
+    except ValueError:
+        raise ConfigError(f"--omega must be a float in (0, 1] or 'opt', "
+                          f"got {args.omega!r}") from None
     trace = linear1d.run_simulation(params, num_steps=args.steps,
                                     tol=args.tol, max_iters=args.max_iters)
     os.makedirs(args.out, exist_ok=True)

@@ -54,10 +54,6 @@ class CouplingConfig:
         if self.max_iters < 1 or self.num_steps < 1 or self.output_every < 1:
             raise ValueError("iteration and step counts must be positive")
 
-    @property
-    def total_time(self) -> float:
-        return self.dt * self.num_steps
-
 
 @dataclass(frozen=True)
 class RainSchedule:
@@ -65,6 +61,10 @@ class RainSchedule:
 
     rate: float = 0.0
     cutoff: float = float("inf")
+
+    def __post_init__(self) -> None:
+        if not (self.rate >= 0.0 and self.cutoff >= 0.0):
+            raise ValueError("rain rate and cutoff must be nonnegative")
 
     def at(self, time: float) -> float:
         # implicit stepping samples sources at the end of the step; keep the

@@ -70,31 +70,35 @@ def damped_newton(residual, direction, x: np.ndarray, target, max_iters: int,
     trials tries, else the last try is taken as a line search failure.
     Iterates while the norm is finite and above target(initial norm); a
     final norm not within accept (default: the target) raises NewtonError,
-    as does a singular direction solve.
+    as does a singular direction solve or a FloatingPointError from
+    residual (a non-finite trial).
     """
-    r = residual(x)
-    norm = norm0 = np.max(np.abs(r))
-    tol = target(norm0)
-    accept = tol if accept is None else accept
-    iterations = failures = 0
-    while np.isfinite(norm) and not norm <= tol and iterations < max_iters:
-        try:
+    norm, iterations, failures = np.nan, 0, 0
+    try:
+        r = residual(x)
+        norm = norm0 = np.max(np.abs(r))
+        tol = target(norm0)
+        while np.isfinite(norm) and not norm <= tol and iterations < max_iters:
             delta = direction(x, r)
-        except np.linalg.LinAlgError as err:
-            raise NewtonError(f"singular Newton system: {err}", float(norm),
-                              iterations) from err
-        step = 1.0
-        for _ in range(trials):
-            trial = x + step * delta
-            trial_r = residual(trial)
-            trial_norm = np.max(np.abs(trial_r))
-            if trial_norm < norm:
-                break
-            step *= 0.5
-        else:
-            failures += 1
-        x, r, norm = trial, trial_r, trial_norm
-        iterations += 1
+            step = 1.0
+            for _ in range(trials):
+                trial = x + step * delta
+                trial_r = residual(trial)
+                trial_norm = np.max(np.abs(trial_r))
+                if trial_norm < norm:
+                    break
+                step *= 0.5
+            else:
+                failures += 1
+            x, r, norm = trial, trial_r, trial_norm
+            iterations += 1
+    except np.linalg.LinAlgError as err:
+        raise NewtonError(f"singular Newton system: {err}", float(norm),
+                          iterations) from err
+    except FloatingPointError as err:
+        raise NewtonError(f"non-finite Newton residual: {err}", float(norm),
+                          iterations) from err
+    accept = tol if accept is None else accept
     if not norm <= accept:
         raise NewtonError(f"Newton stalled at residual {norm:.3e} after "
                           f"{iterations} iterations", float(norm), iterations)

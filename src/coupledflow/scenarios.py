@@ -16,7 +16,11 @@ benchmark families:
 Configs are INI files with the same keys the presets use; a file starts from
 a preset (``[scenario] base = ...``) and overrides fields.  Unknown sections
 or keys are rejected rather than ignored.  All stored values are SI; inputs
-quoted per minute or per hour are converted to SI on ingestion.
+quoted per minute or per hour are converted on ingestion (``_UNITS``).  Each
+value is checked once, by the runtime object that uses it (grid, material,
+surface model, boundary, rain, coupling config); ``validate`` builds those
+objects and checks only what none of them owns.  Any failure is a
+``ConfigError``.
 
 CSV writers emit a single header row and ``%.17g`` floats so repeated runs
 of the same config are byte identical.
@@ -120,54 +124,30 @@ class ScenarioConfig:
             + self.psi0_x * np.asarray(x)
 
     def validate(self) -> None:
+        """Check the scenario-only rules, then build each runtime object."""
         for item in dataclasses.fields(self):
             value = getattr(self, item.name)
             if isinstance(value, float) and not np.isfinite(value) and not (
                     item.name == "rain_cutoff" and value == np.inf):
                 raise ConfigError(f"{item.name} must be finite, got {value}")
-        if self.length_x <= 0 or self.length_z <= 0:
-            raise ConfigError("domain lengths must be positive")
-        if self.num_x < 1 or self.num_z < 1:
-            raise ConfigError("element counts must be at least 1")
         for soil in filter(None, (self.soil, self.soil_right)):
             if soil not in SOIL_PRESETS:
                 known = ", ".join(sorted(SOIL_PRESETS))
                 raise ConfigError(f"unknown soil {soil!r} (known: {known})")
-        if self.soil_right is not None and self.blend_steepness <= 0:
-            raise ConfigError("blend_steepness must be positive")
-        if self.k_s is not None:
-            if self.soil_right is not None:
-                raise ConfigError("k_s override only applies to homogeneous "
-                                  "soils")
-            if self.k_s <= 0:
-                raise ConfigError("k_s must be positive")
-        if self.flavor not in ("swe", "kinematic"):
-            raise ConfigError(f"unknown surface flavor {self.flavor!r}")
-        if self.flavor == "kinematic":
-            if self.manning_n is None or self.friction_slope is None:
-                raise ConfigError(
-                    "kinematic surface needs manning_n and friction_slope")
-        if self.flow_sign not in (-1.0, 1.0):
-            raise ConfigError("flow_sign must be -1 or 1")
-        for kind in (self.boundary_left, self.boundary_right):
-            if kind not in ("copy", "reflect"):
-                raise ConfigError(f"unknown boundary kind {kind!r}")
+        try:
+            build_grid(self)
+            build_material(self)
+            build_surface_model(self)
+            BoundarySpec(left=self.boundary_left, right=self.boundary_right)
+            RainSchedule(rate=self.rain_rate, cutoff=self.rain_cutoff)
+            build_coupling_config(self)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if self.h0 < 0:
             raise ConfigError("h0 must be nonnegative")
-        if self.rain_rate < 0:
-            raise ConfigError("rain_rate must be nonnegative")
-        if self.rain_cutoff < 0:
-            raise ConfigError("rain_cutoff must be nonnegative")
         if self.side_dirichlet_below is not None \
                 and not 0 < self.side_dirichlet_below <= self.length_z:
             raise ConfigError("side_dirichlet_below must lie in (0, L_z]")
-        if not 0 < self.omega <= 1:
-            raise ConfigError("omega must lie in (0, 1]")
-        if self.tol <= 0 or self.dt <= 0:
-            raise ConfigError("tol and dt must be positive")
-        if self.max_iters < 1 or self.num_steps < 1 or self.output_every < 1:
-            raise ConfigError(
-                "max_iters, num_steps, output_every must be at least 1")
 
 
 # ---------------------------------------------------------------------------
@@ -231,11 +211,7 @@ def preset(name: str) -> ScenarioConfig:
 # ---------------------------------------------------------------------------
 # INI ingestion
 
-def _parse_flavor(text: str) -> str:
-    return text.strip().lower()
-
-
-def _parse_boundary(text: str) -> str:
+def _parse_word(text: str) -> str:
     return text.strip().lower()
 
 
@@ -251,8 +227,8 @@ def _parse_optional_soil(text: str) -> str | None:
     return text if text and text.lower() != "none" else None
 
 
-# section -> key -> (ScenarioConfig field, parser).  Unit qualifier keys are
-# handled separately and listed here with a None field.
+# section -> key -> (ScenarioConfig field, parser).  Keys that set no field
+# (the base preset and the units keys of _UNITS) have a None field.
 _SCHEMA: dict[str, dict[str, tuple[str | None, object]]] = {
     "scenario": {"base": (None, str), "name": ("name", str)},
     "grid": {
@@ -271,14 +247,14 @@ _SCHEMA: dict[str, dict[str, tuple[str | None, object]]] = {
         "psi_x": ("psi0_x", float), "h": ("h0", float),
     },
     "surface": {
-        "flavor": ("flavor", _parse_flavor),
+        "flavor": ("flavor", _parse_word),
         "gravity": ("gravity", float),
         "manning_n": ("manning_n", float),
         "manning_units": (None, str),
         "friction_slope": ("friction_slope", float),
         "flow_sign": ("flow_sign", float),
-        "boundary_left": ("boundary_left", _parse_boundary),
-        "boundary_right": ("boundary_right", _parse_boundary),
+        "boundary_left": ("boundary_left", _parse_word),
+        "boundary_right": ("boundary_right", _parse_word),
     },
     "rain": {
         "rate": ("rain_rate", float),
@@ -296,9 +272,15 @@ _SCHEMA: dict[str, dict[str, tuple[str | None, object]]] = {
     },
 }
 
-_RATE_CONVERTERS = {"si": lambda v: v, "per_minute": per_minute_to_si,
-                    "per_hour": per_hour_to_si}
-_MANNING_CONVERTERS = {"si": lambda v: v, "per_minute": manning_minutes_to_si}
+# value field -> (its units key, converters by units name).  A units key
+# applies wherever it sits in the file and is checked even without its value.
+_UNITS = {
+    "rain_rate": (("rain", "units"), {
+        "si": lambda v: v, "per_minute": per_minute_to_si,
+        "per_hour": per_hour_to_si}),
+    "manning_n": (("surface", "manning_units"), {
+        "si": lambda v: v, "per_minute": manning_minutes_to_si}),
+}
 
 
 def _check_known(section: str, key: str) -> tuple[str | None, object]:
@@ -314,59 +296,27 @@ def _check_known(section: str, key: str) -> tuple[str | None, object]:
                           f"(known: {known})") from None
 
 
-def _convert(section: str, key: str, value: str, units: Mapping) -> object:
-    field, parser = _check_known(section, key)
-    if field is None:
-        return None
-    try:
-        parsed = parser(value)
-    except ValueError as exc:
-        raise ConfigError(
-            f"bad value for [{section}] {key}: {value!r} ({exc})") from None
-    if (section, key) == ("rain", "rate"):
-        parsed = _rate_converter(units.get(("rain", "units"), "si"))(parsed)
-    elif (section, key) == ("surface", "manning_n"):
-        parsed = _manning_converter(
-            units.get(("surface", "manning_units"), "si"))(parsed)
-    return parsed
-
-
-def _rate_converter(units: str):
-    try:
-        return _RATE_CONVERTERS[units.strip().lower()]
-    except KeyError:
-        known = ", ".join(sorted(_RATE_CONVERTERS))
-        raise ConfigError(
-            f"unknown rain units {units!r} (known: {known})") from None
-
-
-def _manning_converter(units: str):
-    try:
-        return _MANNING_CONVERTERS[units.strip().lower()]
-    except KeyError:
-        known = ", ".join(sorted(_MANNING_CONVERTERS))
-        raise ConfigError(
-            f"unknown manning units {units!r} (known: {known})") from None
-
-
 def _apply_items(config: ScenarioConfig,
                  items: Iterable[tuple[str, str, str]]) -> ScenarioConfig:
-    items = list(items)
-    # units qualifiers must take effect regardless of key order
-    units = {(s, k): v.strip().lower() for s, k, v in items
-             if (s, k) in (("rain", "units"), ("surface", "manning_units"))}
-    for section, key, _ in items:
-        _check_known(section, key)
-    updates = {}
+    updates, qualifiers = {}, {}
     for section, key, value in items:
-        field, _ = _SCHEMA[section][key]
+        field, parser = _check_known(section, key)
         if field is None:
-            if (section, key) == ("rain", "units"):
-                _rate_converter(value)
-            elif (section, key) == ("surface", "manning_units"):
-                _manning_converter(value)
+            qualifiers[section, key] = value.strip().lower()
             continue
-        updates[field] = _convert(section, key, value, units)
+        try:
+            updates[field] = parser(value)
+        except ValueError as exc:
+            raise ConfigError(f"bad value for [{section}] {key}: {value!r} "
+                              f"({exc})") from None
+    for field, ((section, key), converters) in _UNITS.items():
+        units = qualifiers.get((section, key), "si")
+        if units not in converters:
+            known = ", ".join(sorted(converters))
+            raise ConfigError(f"unknown [{section}] {key} {units!r} "
+                              f"(known: {known})")
+        if field in updates:
+            updates[field] = converters[units](updates[field])
     config = dataclasses.replace(config, **updates)
     config.validate()
     return config

@@ -54,7 +54,7 @@ class SurfaceModel:
 
     def __post_init__(self) -> None:
         if self.flavor not in ("swe", "kinematic"):
-            raise ValueError("flavor must be 'swe' or 'kinematic'")
+            raise ValueError(f"unknown surface flavor {self.flavor!r}")
         if self.flavor == "kinematic":
             if self.manning_n is None or self.friction_slope is None:
                 raise ValueError("kinematic model needs manning_n and "

@@ -112,6 +112,12 @@ class TestRainSchedule:
     def test_default_never_stops(self):
         assert RainSchedule(rate=2e-5).at(1e12) == 2e-5
 
+    def test_rejects_negative_rate_or_cutoff(self):
+        with pytest.raises(ValueError):
+            RainSchedule(rate=-1e-6)
+        with pytest.raises(ValueError):
+            RainSchedule(rate=1e-6, cutoff=-1.0)
+
 
 class TestPredictS:
     def test_uniform_unsaturated_field(self):
@@ -254,7 +260,6 @@ class TestCoupledStep:
             CouplingConfig(num_steps=0)
         with pytest.raises(ValueError):
             CouplingConfig(output_every=0)
-        assert CouplingConfig(dt=36.0, num_steps=10).total_time == 360.0
 
 
 def fake_record(step: int, cr: float | None) -> StepRecord:

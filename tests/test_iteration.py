@@ -84,3 +84,19 @@ class TestDampedNewton:
         assert info.value.iterations == 0
         assert info.value.residual_norm == 2.0
         assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
+    def test_floating_point_error_from_residual_is_a_newton_error(self):
+        # spsolve on an exactly singular matrix warns and returns nan, and
+        # the Richards residual raises FloatingPointError on the nan trial
+        def residual(x):
+            if not np.all(np.isfinite(x)):
+                raise FloatingPointError("non-finite water content")
+            return x - 1.0
+
+        with pytest.raises(NewtonError, match="non-finite") as info:
+            damped_newton(residual, lambda x, r: np.full_like(r, np.nan),
+                          np.array([3.0]), target=lambda norm0: 1e-12,
+                          max_iters=20, trials=5)
+        assert info.value.iterations == 0
+        assert info.value.residual_norm == 2.0
+        assert isinstance(info.value.__cause__, FloatingPointError)

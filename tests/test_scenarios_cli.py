@@ -167,6 +167,18 @@ manning_units = per_minute
 """)
         assert load_config(path).manning_n == pytest.approx(0.1986)
 
+    @pytest.mark.parametrize("text, known", [
+        ("[rain]\nrate = 1.2\nunits = per_day\n",
+         "per_hour, per_minute, si"),
+        ("[rain]\nunits = per_day\n", "per_hour, per_minute, si"),
+        ("[scenario]\nbase = hillslope-sandy\n[surface]\n"
+         "manning_n = 3.31e-3\nmanning_units = per_hour\n", "per_minute, si"),
+        ("[surface]\nmanning_units = per_hour\n", "per_minute, si"),
+    ])
+    def test_unknown_units(self, tmp_path, text, known):
+        with pytest.raises(ConfigError, match=f"known: {known}"):
+            load_config(self.write(tmp_path, text))
+
     def test_unknown_section_and_key(self, tmp_path):
         with pytest.raises(ConfigError) as info:
             load_config(self.write(tmp_path, "[weather]\nrate = 1\n"))
@@ -290,6 +302,14 @@ class TestCli:
          "--override", "rain.cutoff=nan"],
         ["simulate", "--scenario", "hillslope-sandy",
          "--override", "surface.manning_n=nan"],
+        ["simulate", "--scenario", "hillslope-sandy",
+         "--override", "surface.manning_n=-1"],
+        ["simulate", "--scenario", "hillslope-sandy",
+         "--override", "surface.friction_slope=0"],
+        ["simulate", "--scenario", "trench-loam",
+         "--override", "surface.gravity=-1"],
+        ["simulate", "--scenario", "trench-loam",
+         "--override", "rain.rate=-1"],
     ])
     def test_out_of_range_numeric_flag_is_a_config_error(self, argv,
                                                          tmp_path, capsys):
@@ -388,3 +408,14 @@ class TestCli:
                          "--out", str(tmp_path / "boom")])
         assert code == 4
         assert "soil solve failed" in capsys.readouterr().err
+
+    def test_simulate_non_finite_newton_trial_exit_code(self, tmp_path,
+                                                        capsys):
+        # the Jacobian overflows, spsolve returns nan and the trial's water
+        # content is non-finite
+        code = cli.main(["simulate", "--scenario", "trench-loam",
+                         "--override", "soil.k_s=1e308",
+                         "--override", "coupling.num_steps=2",
+                         "--out", str(tmp_path / "ks")])
+        assert code == 4
+        assert "non-finite water content" in capsys.readouterr().err
