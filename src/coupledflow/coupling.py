@@ -84,9 +84,11 @@ class CoupledProblem:
     static_dirichlet: DirichletData | None = None
     newton: NewtonSettings = NewtonSettings()
     workspace: RichardsWorkspace = field(init=False)
+    node_material: object = field(init=False)
 
     def __post_init__(self) -> None:
         self.workspace = RichardsWorkspace(self.grid, self.material)
+        self.node_material = self.material.at(self.grid.node_coords()[0])
         if self.static_dirichlet is not None:
             top = set(self.grid.top_node_indices().tolist())
             if top & set(self.static_dirichlet.nodes.tolist()):
@@ -173,13 +175,12 @@ def map_flux_to_source(flux_integrals: np.ndarray, dx: float) -> np.ndarray:
     return np.asarray(flux_integrals, dtype=float) / dx
 
 
-def predict_S(state: SubsurfaceState, grid: Grid2D, material, dt: float,
-              ) -> PredictedFactors:
-    """Linear-theory contraction estimate from spatial coefficient means."""
-    node_x, _ = grid.node_coords()
-    bound = material.at(node_x)
-    c_bar = float(np.mean(bound.capacity(state.psi)))
-    k_bar = float(np.mean(bound.hydraulic_conductivity(state.psi)))
+def predict_S(state: SubsurfaceState, grid: Grid2D, node_material,
+              dt: float) -> PredictedFactors:
+    """Linear-theory contraction estimate from spatial coefficient means of
+    node_material, the material bound at the grid nodes."""
+    c_bar = float(np.mean(node_material.capacity(state.psi)))
+    k_bar = float(np.mean(node_material.hydraulic_conductivity(state.psi)))
     guarded = c_bar < 1e-30
     params = LinearModelParams(c=max(c_bar, 1e-30), k=k_bar,
                                length=grid.length_z, dt=dt,
@@ -229,7 +230,8 @@ def run_coupled_step(problem: CoupledProblem, config: CouplingConfig,
 
     new_sub = SubsurfaceState(psi=psi_new, time=time_new)
     new_surf = SurfaceState(h=h_new, hu=surface_new.hu, time=time_new)
-    predicted = predict_S(new_sub, problem.grid, problem.material, config.dt)
+    predicted = predict_S(new_sub, problem.grid, problem.node_material,
+                          config.dt)
     record = StepRecord(step=step, time=time_new, iterations=len(residuals),
                         converged=True, residuals=tuple(residuals),
                         cr=observed_cr(residuals), predicted=predicted,

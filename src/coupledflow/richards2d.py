@@ -22,6 +22,11 @@ cell edge,
 positive when water leaves the soil.  Nonlinear coefficients are evaluated at
 quadrature points from the interpolated psi, and material parameters may vary
 horizontally (they are baked in per quadrature point at workspace setup).
+
+The Jacobian is assembled straight into a CSC pattern fixed at setup: one
+bincount sums the element matrices (duplicates in element order), Dirichlet
+rows become identity rows and a constrained matrix drops its exact zeros,
+bit for bit the matrix a COO -> CSR -> "+ diags" -> CSC chain gives spsolve.
 """
 
 from __future__ import annotations
@@ -180,12 +185,19 @@ class RichardsWorkspace:
         node_x, _ = grid.node_coords()
         self.qp_x = node_x[self.conn] @ self.shape.T
         self.bound = material.at(self.qp_x)
-        rows = np.broadcast_to(self.conn[:, :, None],
-                               (self.conn.shape[0], 4, 4))
-        cols = np.broadcast_to(self.conn[:, None, :],
-                               (self.conn.shape[0], 4, 4))
-        self._coo_rows = rows.ravel()
-        self._coo_cols = cols.ravel()
+        # CSC pattern of the assembled Jacobian: the data slot of each of the
+        # 16 entries per element, the row of each slot, the column starts
+        # and the slot of each diagonal entry (C int indices, as SuperLU's)
+        num_nodes = grid.num_nodes
+        rows = np.broadcast_to(self.conn[:, :, None], (len(self.conn), 4, 4))
+        cols = np.broadcast_to(self.conn[:, None, :], (len(self.conn), 4, 4))
+        keys, slot = np.unique((cols * num_nodes + rows).ravel(),
+                               return_inverse=True)
+        self._slot = slot.ravel()
+        self._rows = (keys % num_nodes).astype(np.intc)
+        nodes = np.arange(num_nodes + 1)
+        self._indptr = np.searchsorted(keys, nodes * num_nodes).astype(np.intc)
+        self._diag = np.searchsorted(keys, nodes[:-1] * (num_nodes + 1))
         # top-edge midpoints for the interface flux
         ex = np.arange(grid.num_x)
         self._top = {
@@ -209,12 +221,15 @@ class RichardsWorkspace:
         return (psi_el @ self.shape.T, psi_el @ self.grad_x.T,
                 psi_el @ self.grad_z.T)
 
-    def residual(self, psi_new: np.ndarray, psi_old: np.ndarray, dt: float,
-                 dirichlet: DirichletData | None) -> np.ndarray:
+    def theta_at_qp(self, psi: np.ndarray) -> np.ndarray:
+        """Water content at every quadrature point (elements x 4)."""
+        return self.bound.theta(psi[self.conn] @ self.shape.T)
+
+    def residual(self, psi_new: np.ndarray, theta_old_qp: np.ndarray,
+                 dt: float, dirichlet: DirichletData | None) -> np.ndarray:
+        """Weak residual at psi_new; theta_old_qp is theta_at_qp(psi_old)."""
         psi_qp, dpsi_dx, dpsi_dz = self._fields_at_qp(psi_new)
-        psi_old_qp = psi_old[self.conn] @ self.shape.T
         theta_qp = self.bound.theta(psi_qp)
-        theta_old_qp = self.bound.theta(psi_old_qp)
         cond_qp = self.bound.hydraulic_conductivity(psi_qp)
         self._check_finite(theta_qp, "water content")
         self._check_finite(cond_qp, "conductivity")
@@ -222,14 +237,14 @@ class RichardsWorkspace:
             (theta_qp - theta_old_qp) @ self.shape
             + dt * ((cond_qp * dpsi_dx) @ self.grad_x
                     + (cond_qp * (dpsi_dz + 1.0)) @ self.grad_z))
-        out = np.zeros(self.grid.num_nodes)
-        np.add.at(out, self.conn, element_res)
+        out = np.bincount(self.conn.ravel(), element_res.ravel(),
+                          self.grid.num_nodes)
         if dirichlet is not None:
             out[dirichlet.nodes] = psi_new[dirichlet.nodes] - dirichlet.values
         return out
 
-    def jacobian(self, psi_new: np.ndarray, dt: float,
-                 dirichlet: DirichletData | None) -> sparse.csr_matrix:
+    def _element_jacobians(self, psi_new: np.ndarray,
+                           dt: float) -> np.ndarray:
         psi_qp, dpsi_dx, dpsi_dz = self._fields_at_qp(psi_new)
         cap_qp = self.bound.capacity(psi_qp)
         cond_qp = self.bound.hydraulic_conductivity(psi_qp)
@@ -240,21 +255,31 @@ class RichardsWorkspace:
         # part and the symmetric K stiffness part
         advect = (dpsi_dx[:, :, None] * self.grad_x[None, :, :]
                   + (dpsi_dz + 1.0)[:, :, None] * self.grad_z[None, :, :])
-        element_jac = self.weight * (
+        return self.weight * (
             np.einsum("eq,qa,qb->eab", cap_qp, self.shape, self.shape)
             + dt * (np.einsum("eq,eqa,qb->eab", dcond_qp, advect, self.shape)
                     + np.einsum("eq,qab->eab", cond_qp, self.grad_outer)))
-        matrix = sparse.coo_matrix(
-            (element_jac.ravel(), (self._coo_rows, self._coo_cols)),
-            shape=(self.grid.num_nodes, self.grid.num_nodes)).tocsr()
+
+    def jacobian(self, psi_new: np.ndarray, dt: float,
+                 dirichlet: DirichletData | None) -> sparse.csc_matrix:
+        # duplicates are summed in element order
+        data = np.bincount(self._slot,
+                           self._element_jacobians(psi_new, dt).ravel(),
+                           len(self._rows))
+        rows, indptr, n = self._rows, self._indptr, self.grid.num_nodes
         if dirichlet is not None:
-            constrained = np.zeros(self.grid.num_nodes, dtype=bool)
+            constrained = np.zeros(n, dtype=bool)
             constrained[dirichlet.nodes] = True
-            row_of_entry = np.repeat(np.arange(self.grid.num_nodes),
-                                     np.diff(matrix.indptr))
-            matrix.data[constrained[row_of_entry]] = 0.0
-            matrix = (matrix + sparse.diags(constrained.astype(float))).tocsr()
-        return matrix
+            data[constrained[rows]] = 0.0
+            data[self._diag[dirichlet.nodes]] = 1.0
+            # SuperLU orders columns by the stored pattern: keep it to the
+            # nonzeros, as scipy's canonical sparse sum "+ diags" stores
+            keep = data != 0.0
+            data, rows = data[keep], rows[keep]
+            kept = np.zeros(len(keep) + 1, dtype=np.intc)
+            np.cumsum(keep, out=kept[1:])
+            indptr = kept[indptr]
+        return sparse.csc_matrix((data, rows, indptr), shape=(n, n))
 
     # ── solves ───────────────────────────────────────────────────────────
 
@@ -271,11 +296,12 @@ class RichardsWorkspace:
             raise ValueError("dt must be positive")
         psi = np.array(psi_old if initial_guess is None else initial_guess,
                        dtype=float)
+        theta_old_qp = self.theta_at_qp(psi_old)
         return damped_newton(
-            lambda trial: self.residual(trial, psi_old, dt, dirichlet),
+            lambda trial: self.residual(trial, theta_old_qp, dt, dirichlet),
             # the module-level spsolve is looked up at call time
             lambda trial, res: spsolve(
-                self.jacobian(trial, dt, dirichlet).tocsc(), -res),
+                self.jacobian(trial, dt, dirichlet), -res),
             psi, lambda norm0: max(settings.abs_tol, settings.rel_tol * norm0),
             settings.max_iters, settings.damping + 1)
 
@@ -290,8 +316,7 @@ class RichardsWorkspace:
 
     def water_volume(self, psi: np.ndarray) -> float:
         """Integral of theta over the domain by the assembly quadrature."""
-        psi_qp = psi[self.conn] @ self.shape.T
-        return float(self.weight * np.sum(self.bound.theta(psi_qp)))
+        return float(self.weight * np.sum(self.theta_at_qp(psi)))
 
 
 FIELD_COLUMNS = ("x", "z", "psi", "theta", "K")

@@ -19,7 +19,8 @@ or keys are rejected rather than ignored.  All stored values are SI; inputs
 quoted per minute or per hour are converted on ingestion (``_UNITS``).  Each
 value is checked once, by the runtime object that uses it (grid, material,
 surface model, boundary, rain, coupling config); ``validate`` builds those
-objects and checks only what none of them owns.  Any failure is a
+objects once, checks only what none of them owns and returns them, and
+``build_all`` assembles the run from what it returns.  Any failure is a
 ``ConfigError``.
 
 CSV writers emit a single header row and ``%.17g`` floats so repeated runs
@@ -123,8 +124,10 @@ class ScenarioConfig:
         return self.psi0_const + self.psi0_z * np.asarray(z) \
             + self.psi0_x * np.asarray(x)
 
-    def validate(self) -> None:
-        """Check the scenario-only rules, then build each runtime object."""
+    def validate(self) -> tuple[Grid2D, MaterialField, SurfaceModel,
+                                BoundarySpec, RainSchedule, CouplingConfig]:
+        """Check the scenario-only rules; return each runtime object, built
+        once."""
         for item in dataclasses.fields(self):
             value = getattr(self, item.name)
             if isinstance(value, float) and not np.isfinite(value) and not (
@@ -135,12 +138,16 @@ class ScenarioConfig:
                 known = ", ".join(sorted(SOIL_PRESETS))
                 raise ConfigError(f"unknown soil {soil!r} (known: {known})")
         try:
-            build_grid(self)
-            build_material(self)
-            build_surface_model(self)
-            BoundarySpec(left=self.boundary_left, right=self.boundary_right)
-            RainSchedule(rate=self.rain_rate, cutoff=self.rain_cutoff)
-            build_coupling_config(self)
+            built = (
+                build_grid(self), build_material(self),
+                build_surface_model(self),
+                BoundarySpec(left=self.boundary_left,
+                             right=self.boundary_right),
+                RainSchedule(rate=self.rain_rate, cutoff=self.rain_cutoff),
+                CouplingConfig(omega=self.omega, tol=self.tol,
+                               max_iters=self.max_iters, dt=self.dt,
+                               num_steps=self.num_steps,
+                               output_every=self.output_every))
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         if self.h0 < 0:
@@ -148,6 +155,7 @@ class ScenarioConfig:
         if self.side_dirichlet_below is not None \
                 and not 0 < self.side_dirichlet_below <= self.length_z:
             raise ConfigError("side_dirichlet_below must lie in (0, L_z]")
+        return built
 
 
 # ---------------------------------------------------------------------------
@@ -423,26 +431,6 @@ def side_dirichlet(config: ScenarioConfig,
                          values=config.psi0_at(x[nodes], z[nodes]))
 
 
-def build_problem(config: ScenarioConfig) -> CoupledProblem:
-    grid = build_grid(config)
-    return CoupledProblem(
-        grid=grid,
-        material=build_material(config),
-        surface_model=build_surface_model(config),
-        boundary=BoundarySpec(left=config.boundary_left,
-                              right=config.boundary_right),
-        rain=RainSchedule(rate=config.rain_rate, cutoff=config.rain_cutoff),
-        static_dirichlet=side_dirichlet(config, grid),
-    )
-
-
-def build_coupling_config(config: ScenarioConfig) -> CouplingConfig:
-    return CouplingConfig(omega=config.omega, tol=config.tol,
-                          max_iters=config.max_iters, dt=config.dt,
-                          num_steps=config.num_steps,
-                          output_every=config.output_every)
-
-
 def build_initial_state(config: ScenarioConfig, grid: Grid2D,
                         model: SurfaceModel) -> CoupledState:
     x, z = grid.node_coords()
@@ -456,10 +444,12 @@ def build_initial_state(config: ScenarioConfig, grid: Grid2D,
 
 def build_all(config: ScenarioConfig,
               ) -> tuple[CoupledProblem, CouplingConfig, CoupledState]:
-    config.validate()
-    problem = build_problem(config)
-    state = build_initial_state(config, problem.grid, problem.surface_model)
-    return problem, build_coupling_config(config), state
+    grid, material, model, boundary, rain, coupling_config = config.validate()
+    problem = CoupledProblem(grid=grid, material=material,
+                             surface_model=model, boundary=boundary,
+                             rain=rain,
+                             static_dirichlet=side_dirichlet(config, grid))
+    return problem, coupling_config, build_initial_state(config, grid, model)
 
 
 # ---------------------------------------------------------------------------

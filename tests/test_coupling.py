@@ -124,7 +124,8 @@ class TestPredictS:
         grid = Grid2D(length_x=2.0, length_z=3.0, num_x=4, num_z=6)
         silt = MaterialField.homogeneous(SOIL_PRESETS["silt-loam"])
         state = SubsurfaceState(np.full(grid.num_nodes, -1.0))
-        predicted = predict_S(state, grid, silt, dt=36.0)
+        predicted = predict_S(state, grid, silt.at(grid.node_coords()[0]),
+                              dt=36.0)
         bound = silt.at(np.array([0.0]))
         assert_allclose(predicted.c_bar,
                         bound.capacity(np.array([-1.0]))[0], rtol=1e-14)
@@ -139,7 +140,8 @@ class TestPredictS:
         grid = Grid2D(length_x=1.0, length_z=1.0, num_x=2, num_z=4)
         clay = MaterialField.homogeneous(SOIL_PRESETS["beit-netofa-clay"])
         state = SubsurfaceState(np.full(grid.num_nodes, 0.5))
-        predicted = predict_S(state, grid, clay, dt=36.0)
+        predicted = predict_S(state, grid, clay.at(grid.node_coords()[0]),
+                              dt=36.0)
         assert predicted.c_guarded
         assert predicted.c_bar == 0.0
         assert np.isfinite(predicted.abs_s)

@@ -9,8 +9,10 @@ rest, fully saturated linear flow).
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy import sparse
+from scipy.sparse.linalg import spsolve
 
-from coupledflow import richards2d
+from coupledflow import richards2d, scenarios
 from coupledflow.iteration import NewtonError
 from coupledflow.material import SOIL_PRESETS, MaterialField
 from coupledflow.richards2d import (
@@ -65,6 +67,46 @@ def residual_oracle(grid: Grid2D, material, psi_new: np.ndarray,
     return out
 
 
+def cancelling_grid() -> Grid2D:
+    """Elements with dz^2 = 2 dx^2: on a saturated field the stiffness
+    entries of vertical neighbours cancel to exact zeros."""
+    return Grid2D(length_x=3 * 0.375 / np.sqrt(2.0), length_z=0.75,
+                  num_x=3, num_z=2)
+
+
+def wall_dirichlet(grid: Grid2D) -> DirichletData:
+    """Both vertical walls below the top row, held at -0.5."""
+    iz = np.arange(grid.num_z)
+    nodes = np.concatenate([grid.node_index(0, iz),
+                            grid.node_index(grid.num_x, iz)])
+    return DirichletData(nodes, np.full(nodes.shape, -0.5))
+
+
+def coo_assembly(work: RichardsWorkspace, psi: np.ndarray, dt: float,
+                 dirichlet: DirichletData | None) -> sparse.csc_matrix:
+    """The scipy.sparse chain the fixed CSC pattern replaced: COO -> CSR,
+    Dirichlet rows zeroed, + diags, -> CSC."""
+    n = work.grid.num_nodes
+    conn = work.conn
+    rows = np.broadcast_to(conn[:, :, None], (len(conn), 4, 4)).ravel()
+    cols = np.broadcast_to(conn[:, None, :], (len(conn), 4, 4)).ravel()
+    matrix = sparse.coo_matrix(
+        (work._element_jacobians(psi, dt).ravel(), (rows, cols)),
+        shape=(n, n)).tocsr()
+    if dirichlet is not None:
+        constrained = np.zeros(n, dtype=bool)
+        constrained[dirichlet.nodes] = True
+        row_of_entry = np.repeat(np.arange(n), np.diff(matrix.indptr))
+        matrix.data[constrained[row_of_entry]] = 0.0
+        matrix = (matrix + sparse.diags(constrained.astype(float))).tocsr()
+    return matrix.tocsc()
+
+
+def assert_bitwise_equal(got: np.ndarray, want: np.ndarray) -> None:
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
+
+
 class TestGrid:
     def test_indices_and_coords(self):
         grid = small_grid()
@@ -117,7 +159,8 @@ class TestResidual:
         psi_old = rng.uniform(-2.0, 0.5, grid.num_nodes)
         work = RichardsWorkspace(grid, SILT)
         dt = 1.0e5
-        got = work.residual(psi_new, psi_old, dt, dirichlet=None)
+        got = work.residual(psi_new, work.theta_at_qp(psi_old), dt,
+                            dirichlet=None)
         want = residual_oracle(grid, SILT, psi_new, psi_old, dt)
         assert_allclose(got, want, rtol=1e-11,
                         atol=1e-14 * np.max(np.abs(want)))
@@ -131,7 +174,8 @@ class TestResidual:
         psi_new = rng.uniform(-2.0, 0.2, grid.num_nodes)
         psi_old = rng.uniform(-2.0, 0.2, grid.num_nodes)
         work = RichardsWorkspace(grid, material)
-        got = work.residual(psi_new, psi_old, 3.0e4, dirichlet=None)
+        got = work.residual(psi_new, work.theta_at_qp(psi_old), 3.0e4,
+                            dirichlet=None)
         want = residual_oracle(grid, material, psi_new, psi_old, 3.0e4)
         assert_allclose(got, want, rtol=1e-11,
                         atol=1e-14 * np.max(np.abs(want)))
@@ -142,7 +186,8 @@ class TestResidual:
         _, z = grid.node_coords()
         psi = 0.5 - z
         work = RichardsWorkspace(grid, SILT)
-        residual = work.residual(psi, psi, dt=1.0e6, dirichlet=None)
+        residual = work.residual(psi, work.theta_at_qp(psi), dt=1.0e6,
+                                 dirichlet=None)
         assert np.max(np.abs(residual)) <= 1e-14
 
     def test_dirichlet_rows_replace_equations(self):
@@ -150,7 +195,7 @@ class TestResidual:
         psi = np.full(grid.num_nodes, -1.0)
         data = top_dirichlet(grid, -0.25)
         work = RichardsWorkspace(grid, SILT)
-        residual = work.residual(psi, psi, 10.0, data)
+        residual = work.residual(psi, work.theta_at_qp(psi), 10.0, data)
         assert_allclose(residual[data.nodes], -0.75, rtol=1e-15)
 
     def test_mass_identity_without_constraints(self):
@@ -166,7 +211,8 @@ class TestResidual:
             psi_new = rng.uniform(-3.0, 1.0, grid.num_nodes)
             psi_old = rng.uniform(-3.0, 1.0, grid.num_nodes)
             dt = 10.0 ** rng.uniform(0, 6)
-            residual = work.residual(psi_new, psi_old, dt, dirichlet=None)
+            residual = work.residual(psi_new, work.theta_at_qp(psi_old), dt,
+                                     dirichlet=None)
             change = work.water_volume(psi_new) - work.water_volume(psi_old)
             scale = np.sum(np.abs(residual)) + abs(change)
             assert abs(np.sum(residual) - change) <= 1e-13 * scale
@@ -178,10 +224,64 @@ class TestResidual:
         bad = psi.copy()
         bad[4] = np.nan
         with pytest.raises(FloatingPointError):
-            work.residual(bad, psi, 1.0, None)
+            work.residual(bad, work.theta_at_qp(psi), 1.0, None)
+
+
+    def test_bincount_scatter_matches_add_at_bitwise(self):
+        grid = small_grid()
+        rng = np.random.default_rng(20)
+        work = RichardsWorkspace(grid, SILT)
+        psi_new = rng.uniform(-3.0, 1.0, grid.num_nodes)
+        theta_old = work.theta_at_qp(rng.uniform(-3.0, 1.0, grid.num_nodes))
+        dt = 1.0e4
+        psi_qp = psi_new[work.conn] @ work.shape.T
+        cond_qp = work.bound.hydraulic_conductivity(psi_qp)
+        element_res = work.weight * (
+            (work.bound.theta(psi_qp) - theta_old) @ work.shape
+            + dt * ((cond_qp * (psi_new[work.conn] @ work.grad_x.T))
+                    @ work.grad_x
+                    + (cond_qp * (psi_new[work.conn] @ work.grad_z.T + 1.0))
+                    @ work.grad_z))
+        want = np.zeros(grid.num_nodes)
+        np.add.at(want, work.conn, element_res)
+        assert_bitwise_equal(work.residual(psi_new, theta_old, dt, None),
+                             want)
 
 
 class TestJacobian:
+    @pytest.mark.parametrize("field", ["unsaturated", "saturated"])
+    @pytest.mark.parametrize("constraints", ["none", "top", "top+walls"])
+    @pytest.mark.parametrize("soil", ["silt", "trench-mixed"])
+    def test_matches_coo_assembly_bitwise(self, soil, constraints, field):
+        if soil == "silt":
+            work = RichardsWorkspace(cancelling_grid(), SILT)
+        else:
+            work = scenarios.build_all(
+                scenarios.preset("trench-mixed"))[0].workspace
+        grid = work.grid
+        dirichlet = {"none": None, "top": top_dirichlet(grid, 0.1),
+                     "top+walls": top_dirichlet(grid, 0.1).merged_with(
+                         wall_dirichlet(grid))}[constraints]
+        rng = np.random.default_rng(29)
+        low, high = (-3.0, -0.05) if field == "unsaturated" else (0.1, 2.0)
+        psi = rng.uniform(low, high, grid.num_nodes)
+        got = work.jacobian(psi, 36.0, dirichlet)
+        want = coo_assembly(work, psi, 36.0, dirichlet)
+        for name in ("data", "indices", "indptr"):
+            assert_bitwise_equal(getattr(got, name), getattr(want, name))
+        rhs = rng.normal(size=grid.num_nodes)
+        assert_bitwise_equal(spsolve(got, rhs), spsolve(want, rhs))
+
+    def test_saturated_cancellations_are_dropped(self):
+        """Exact zeros stay in the full pattern, which is what the assembly
+        stores without constraints; a constrained system stores none."""
+        work = RichardsWorkspace(cancelling_grid(), SILT)
+        psi = np.full(work.grid.num_nodes, 0.5)
+        full = work.jacobian(psi, 36.0, None)
+        assert np.count_nonzero(full.data == 0.0) > 0
+        constrained = work.jacobian(psi, 36.0, top_dirichlet(work.grid, 0.1))
+        assert np.all(constrained.data != 0.0)
+
     def test_directional_finite_difference(self):
         grid = small_grid()
         rng = np.random.default_rng(23)
@@ -191,12 +291,13 @@ class TestJacobian:
         work = RichardsWorkspace(grid, SILT)
         dt = 1.0e5
         matrix = work.jacobian(psi, dt, dirichlet=None)
+        theta_old = work.theta_at_qp(psi_old)
         for trial in range(3):
             direction = rng.normal(size=grid.num_nodes)
             direction /= np.max(np.abs(direction))
             h = 1e-6
-            diff = (work.residual(psi + h * direction, psi_old, dt, None)
-                    - work.residual(psi - h * direction, psi_old, dt, None)
+            diff = (work.residual(psi + h * direction, theta_old, dt, None)
+                    - work.residual(psi - h * direction, theta_old, dt, None)
                     ) / (2.0 * h)
             applied = matrix @ direction
             denom = np.max(np.abs(applied))

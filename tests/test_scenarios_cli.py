@@ -15,6 +15,7 @@ from coupledflow import analysis, cli, scenarios
 from coupledflow.coupling import TRACE_COLUMNS
 from coupledflow.iteration import NewtonError
 from coupledflow.material import SOIL_PRESETS
+from coupledflow.richards2d import Grid2D
 from coupledflow.scenarios import (
     ConfigError,
     PRESETS,
@@ -51,6 +52,18 @@ class TestPresets:
                 == (config.num_x + 1) * (config.num_z + 1)
             assert state.surface.h.size == config.num_x
             assert coupling_config.num_steps == config.num_steps
+
+    def test_build_all_builds_the_grid_once(self, monkeypatch):
+        built = []
+        check = Grid2D.__post_init__
+
+        def counting(grid):
+            built.append(grid)
+            check(grid)
+
+        monkeypatch.setattr(Grid2D, "__post_init__", counting)
+        problem, _, _ = build_all(preset("trench-loam"))
+        assert built == [problem.grid]
 
     def test_unknown_preset(self):
         with pytest.raises(ConfigError) as info:
