@@ -179,8 +179,9 @@ def predict_S(state: SubsurfaceState, grid: Grid2D, node_material,
               dt: float) -> PredictedFactors:
     """Linear-theory contraction estimate from spatial coefficient means of
     node_material, the material bound at the grid nodes."""
-    c_bar = float(np.mean(node_material.capacity(state.psi)))
-    k_bar = float(np.mean(node_material.hydraulic_conductivity(state.psi)))
+    soil = node_material.at_heads(state.psi)
+    c_bar = float(np.mean(soil.capacity))
+    k_bar = float(np.mean(soil.hydraulic_conductivity))
     guarded = c_bar < 1e-30
     params = LinearModelParams(c=max(c_bar, 1e-30), k=k_bar,
                                length=grid.length_z, dt=dt,

@@ -66,8 +66,9 @@ def damped_newton(residual, direction, x: np.ndarray, target, max_iters: int,
                   trials: int, accept: float | None = None):
     """Damped Newton for residual(x) = 0 in the max norm; returns x, report.
 
-    The update direction(x, r) is halved until the norm drops, at most
-    trials tries, else the last try is taken as a line search failure.
+    The update direction(x, r), always asked for at the x and r of the
+    latest residual call, is halved until the norm drops, at most trials
+    tries, else the last try is taken as a line search failure.
     Iterates while the norm is finite and above target(initial norm); a
     final norm not within accept (default: the target) raises NewtonError,
     as does a singular direction solve or a FloatingPointError from

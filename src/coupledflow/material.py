@@ -1,8 +1,11 @@
 """Van Genuchten / Mualem soil hydraulics and spatially varying material fields.
 
-All functions work in SI units (meters, seconds) and accept scalars or numpy
-arrays for the pressure head ``psi``; scalar input gives scalar output.  The
-closures are:
+Each closure is written once, as an attribute of the evaluator that
+``MaterialField.at(x).at_heads(psi)`` returns: theta at construction, c, K
+and K' on first use, all from the shared x = alpha*|psi| and x^n and from
+parameter factors fixed per binding.  The module functions evaluate one
+parameter set the same way; scalar psi gives scalars.  Units are SI (meters,
+seconds).  The closures (van Genuchten 1980, Mualem 1976) are:
 
     water content   theta(psi) = theta_r + (theta_s - theta_r)
                                  * (1 / (1 + (alpha*|psi|)^n))^((n-1)/n)   psi <= 0
@@ -26,6 +29,7 @@ deliberately, and the "sandy-loam" preset with theta_s = 1 is unaffected.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -83,78 +87,24 @@ SOIL_PRESETS: dict[str, VanGenuchtenParams] = {
 }
 
 
-def _unwrap(value: np.ndarray):
-    """Return a scalar for 0-d arrays, the array itself otherwise."""
-    return value[()]
-
-
 def theta(psi, p: VanGenuchtenParams):
     """Volumetric water content theta(psi)."""
-    psi = np.asarray(psi, dtype=float)
-    x = p.alpha * np.abs(psi)
-    with np.errstate(over="ignore"):
-        saturation = (1.0 + x ** p.n) ** (-(p.n - 1.0) / p.n)
-    value = p.theta_r + (p.theta_s - p.theta_r) * saturation
-    return _unwrap(np.where(psi > 0.0, p.theta_s, value))
+    return _BoundMaterial(p).at_heads(psi).theta[()]
 
 
 def capacity(psi, p: VanGenuchtenParams):
     """Specific moisture capacity c(psi) = d theta / d psi [1/m]."""
-    psi = np.asarray(psi, dtype=float)
-    x = p.alpha * np.abs(psi)
-    n = p.n
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = (p.alpha * (p.theta_s - p.theta_r) * (n - 1.0)
-                 * x ** (n - 1.0) * (1.0 + x ** n) ** (1.0 / n - 2.0))
-    # inf * 0 between the two factors only occurs at overflow-level |psi|,
-    # where the true capacity has long underflowed.
-    value = np.where(np.isfinite(value), value, 0.0)
-    return _unwrap(np.where(psi > 0.0, 0.0, value))
+    return _BoundMaterial(p).at_heads(psi).capacity[()]
 
 
 def hydraulic_conductivity(psi, p: VanGenuchtenParams):
     """Hydraulic conductivity K(psi) [m/s]."""
-    psi = np.asarray(psi, dtype=float)
-    wc = np.asarray(theta(np.minimum(psi, 0.0), p))
-    pore = p.n / (p.n - 1.0)
-    bracket = 1.0 - (1.0 - wc ** pore) ** (1.0 / pore)
-    value = p.k_s * np.sqrt(wc) * bracket ** 2
-    return _unwrap(np.where(psi > 0.0, p.k_s, value))
+    return _BoundMaterial(p).at_heads(psi).hydraulic_conductivity[()]
 
 
 def conductivity_derivative(psi, p: VanGenuchtenParams):
-    """One sided derivative dK/dpsi, taken as 0 for psi >= 0.
-
-    Evaluated as dK/dtheta * c(psi).  The factor
-    (1 - theta^(n/(n-1)))^((n-1)/n - 1) degenerates as theta -> 1, so the
-    complement 1 - theta^(n/(n-1)) is built from expm1/log1p to keep it exact
-    down to the underflow threshold; its product with the vanishing capacity
-    then stays finite on approach to saturation (for n = 2 the one sided limit
-    is nonzero).
-    """
-    psi = np.asarray(psi, dtype=float)
-    wet = np.minimum(psi, 0.0)
-    x = p.alpha * np.abs(wet)
-    n = p.n
-    pore = n / (n - 1.0)
-    m = 1.0 / pore
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        log_base = np.log1p(x ** n)
-        # 1 - theta assembled from positive parts, no cancellation near
-        # saturation.
-        wet_deficit = -np.expm1(-m * log_base)
-        one_minus_theta = ((1.0 - p.theta_s)
-                           + (p.theta_s - p.theta_r) * wet_deficit)
-        wc = p.theta_s - (p.theta_s - p.theta_r) * wet_deficit
-        one_minus_tp = -np.expm1(pore * np.log1p(-one_minus_theta))
-        bracket = 1.0 - one_minus_tp ** m
-        dk_dtheta = p.k_s * (
-            bracket ** 2 / (2.0 * np.sqrt(wc))
-            + 2.0 * np.sqrt(wc) * bracket
-            * wc ** (pore - 1.0) * one_minus_tp ** (m - 1.0))
-        value = dk_dtheta * np.asarray(capacity(wet, p))
-    value = np.where(np.isfinite(value), value, 0.0)
-    return _unwrap(np.where(psi >= 0.0, 0.0, value))
+    """One sided derivative dK/dpsi, taken as 0 for psi >= 0."""
+    return _BoundMaterial(p).at_heads(psi).conductivity_derivative[()]
 
 
 def max_capacity(p: VanGenuchtenParams) -> float:
@@ -163,22 +113,76 @@ def max_capacity(p: VanGenuchtenParams) -> float:
 
 
 class _BoundMaterial:
-    """Hydraulic closures with per point parameters baked in."""
+    """A parameter set with the closures' parameter-only factors."""
 
     def __init__(self, p: VanGenuchtenParams):
-        self.params = p
+        n, self.params = p.n, p
+        self.span, self.dry = p.theta_s - p.theta_r, 1.0 - p.theta_s
+        self.n_minus_one, self.saturation_exponent = n - 1.0, -(n - 1.0) / n
+        self.pore = n / (n - 1.0)
+        self.m = 1.0 / self.pore
+        self.pore_minus_one, self.m_minus_one = self.pore - 1.0, self.m - 1.0
+        self.capacity_prefix = p.alpha * self.span * (n - 1.0)
+        self.capacity_exponent = 1.0 / n - 2.0
 
-    def theta(self, psi):
-        return theta(psi, self.params)
+    def at_heads(self, psi) -> "_Closures":
+        """The closures at the heads psi (array or scalar, 0-d results)."""
+        return _Closures(self, psi)
 
-    def capacity(self, psi):
-        return capacity(psi, self.params)
 
-    def hydraulic_conductivity(self, psi):
-        return hydraulic_conductivity(psi, self.params)
+class _Closures:
+    """theta at one head field, and c, K and K' there on first use."""
 
-    def conductivity_derivative(self, psi):
-        return conductivity_derivative(psi, self.params)
+    def __init__(self, bound: _BoundMaterial, psi):
+        p, self._bound = bound.params, bound
+        self.psi = np.asarray(psi, dtype=float)
+        self._x = p.alpha * np.abs(self.psi)
+        with np.errstate(over="ignore"):
+            self._x_n = self._x ** p.n
+        self._base = 1.0 + self._x_n
+        self._wet_theta = p.theta_r + bound.span * (
+            self._base ** bound.saturation_exponent)
+        self.theta = np.where(self.psi > 0.0, p.theta_s, self._wet_theta)
+
+    @cached_property
+    def capacity(self):
+        b = self._bound
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = (b.capacity_prefix * self._x ** b.n_minus_one
+                     * self._base ** b.capacity_exponent)
+        # inf * 0 between the two factors only occurs at overflow-level
+        # |psi|, where the true capacity has long underflowed.
+        value = np.where(np.isfinite(value), value, 0.0)
+        return np.where(self.psi > 0.0, 0.0, value)
+
+    @cached_property
+    def hydraulic_conductivity(self):
+        b, wc = self._bound, self._wet_theta
+        bracket = 1.0 - (1.0 - wc ** b.pore) ** b.m
+        value = b.params.k_s * np.sqrt(wc) * bracket ** 2
+        return np.where(self.psi > 0.0, b.params.k_s, value)
+
+    @cached_property
+    def conductivity_derivative(self):
+        """dK/dtheta * c(psi).  (1 - theta^(n/(n-1)))^((n-1)/n - 1)
+        degenerates as theta -> 1, so 1 - theta and its power's complement
+        are built from expm1/log1p, exact down to the underflow threshold;
+        the product with the vanishing c then stays finite on approach to
+        saturation (for n = 2 the one sided limit is nonzero)."""
+        b = self._bound
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            wet_deficit = -np.expm1(-b.m * np.log1p(self._x_n))
+            one_minus_theta = b.dry + b.span * wet_deficit
+            wc = b.params.theta_s - b.span * wet_deficit
+            one_minus_tp = -np.expm1(b.pore * np.log1p(-one_minus_theta))
+            bracket = 1.0 - one_minus_tp ** b.m
+            dk_dtheta = b.params.k_s * (
+                bracket ** 2 / (2.0 * np.sqrt(wc))
+                + 2.0 * np.sqrt(wc) * bracket
+                * wc ** b.pore_minus_one * one_minus_tp ** b.m_minus_one)
+            value = dk_dtheta * self.capacity
+        value = np.where(np.isfinite(value), value, 0.0)
+        return np.where(self.psi >= 0.0, 0.0, value)
 
 
 @dataclass(frozen=True)
@@ -223,8 +227,8 @@ def blend_weight(x, f: MaterialField):
     """Mixing weight beta(x) of the right hand soil; 0 for homogeneous fields."""
     x = np.asarray(x, dtype=float)
     if not f.is_blended:
-        return _unwrap(np.zeros_like(x))
-    return _unwrap((np.tanh(f.steepness * (x - f.center_x)) + 1.0) / 2.0)
+        return np.zeros_like(x)[()]
+    return ((np.tanh(f.steepness * (x - f.center_x)) + 1.0) / 2.0)[()]
 
 
 def params_at(x, f: MaterialField) -> VanGenuchtenParams:

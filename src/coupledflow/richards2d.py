@@ -13,7 +13,9 @@ for a root of the weak residual
 
 over the free nodes, with Dirichlet rows replaced by (psi_node - prescribed);
 the root is found by the shared damped Newton (iteration.damped_newton) with
-the analytic capacity c(psi) and conductivity derivative K'(psi).  The
+the analytic capacity c(psi) and conductivity derivative K'(psi).  Each
+iterate is interpolated and its closures evaluated once (at_qp): the Jacobian
+reuses the fields of the trial whose residual the line search accepted.  The
 surface coupling reads the normal Darcy flux at the midpoint of every top
 cell edge,
 
@@ -31,6 +33,7 @@ bit for bit the matrix a COO -> CSR -> "+ diags" -> CSC chain gives spsolve.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,6 +147,9 @@ def top_dirichlet(grid: Grid2D, values) -> DirichletData:
         np.asarray(values, dtype=float), nodes.shape).copy())
 
 
+QuadratureFields = namedtuple("QuadratureFields", "psi dpsi_dx dpsi_dz soil")
+
+
 # Reference element machinery (corners ordered BL, BR, TR, TL).
 _CORNERS = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
 _GAUSS = np.array([(sx / np.sqrt(3.0), sz / np.sqrt(3.0))
@@ -165,9 +171,9 @@ def _shape_gradients(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class RichardsWorkspace:
     """Precomputed assembly data for one grid / material pairing.
 
-    The material object must provide ``at(x) -> bound`` with vectorized
-    methods theta, capacity, hydraulic_conductivity, conductivity_derivative
-    of psi alone; ``coupledflow.material.MaterialField`` does.
+    The material must provide ``at(x) -> bound``, whose ``at_heads(psi)``
+    holds the arrays theta, capacity, hydraulic_conductivity and
+    conductivity_derivative at psi; ``material.MaterialField`` does.
     """
 
     def __init__(self, grid: Grid2D, material):
@@ -210,31 +216,31 @@ class RichardsWorkspace:
 
     # ── assembly ─────────────────────────────────────────────────────────
 
-    def _check_finite(self, values: np.ndarray, label: str) -> None:
-        if not np.all(np.isfinite(values)):
-            element = int(np.argwhere(~np.isfinite(values))[0][0])
-            raise FloatingPointError(
-                f"non-finite {label} in element {element}")
-
-    def _fields_at_qp(self, psi: np.ndarray):
+    def at_qp(self, psi: np.ndarray) -> QuadratureFields:
+        """psi with its gradients and closures at the quadrature points;
+        raises FloatingPointError where water content or K is not finite."""
         psi_el = psi[self.conn]
-        return (psi_el @ self.shape.T, psi_el @ self.grad_x.T,
-                psi_el @ self.grad_z.T)
+        soil = self.bound.at_heads(psi_el @ self.shape.T)
+        for label, values in (("water content", soil.theta),
+                              ("conductivity", soil.hydraulic_conductivity)):
+            if not np.all(np.isfinite(values)):
+                element = int(np.argwhere(~np.isfinite(values))[0][0])
+                raise FloatingPointError(
+                    f"non-finite {label} in element {element}")
+        return QuadratureFields(psi, psi_el @ self.grad_x.T,
+                                psi_el @ self.grad_z.T, soil)
 
     def theta_at_qp(self, psi: np.ndarray) -> np.ndarray:
         """Water content at every quadrature point (elements x 4)."""
-        return self.bound.theta(psi[self.conn] @ self.shape.T)
+        return self.bound.at_heads(psi[self.conn] @ self.shape.T).theta
 
-    def residual(self, psi_new: np.ndarray, theta_old_qp: np.ndarray,
+    def residual(self, fields: QuadratureFields, theta_old_qp: np.ndarray,
                  dt: float, dirichlet: DirichletData | None) -> np.ndarray:
-        """Weak residual at psi_new; theta_old_qp is theta_at_qp(psi_old)."""
-        psi_qp, dpsi_dx, dpsi_dz = self._fields_at_qp(psi_new)
-        theta_qp = self.bound.theta(psi_qp)
-        cond_qp = self.bound.hydraulic_conductivity(psi_qp)
-        self._check_finite(theta_qp, "water content")
-        self._check_finite(cond_qp, "conductivity")
+        """Weak residual at at_qp(psi_new); theta_old_qp from theta_at_qp."""
+        psi_new, dpsi_dx, dpsi_dz, soil = fields
+        cond_qp = soil.hydraulic_conductivity
         element_res = self.weight * (
-            (theta_qp - theta_old_qp) @ self.shape
+            (soil.theta - theta_old_qp) @ self.shape
             + dt * ((cond_qp * dpsi_dx) @ self.grad_x
                     + (cond_qp * (dpsi_dz + 1.0)) @ self.grad_z))
         out = np.bincount(self.conn.ravel(), element_res.ravel(),
@@ -243,28 +249,25 @@ class RichardsWorkspace:
             out[dirichlet.nodes] = psi_new[dirichlet.nodes] - dirichlet.values
         return out
 
-    def _element_jacobians(self, psi_new: np.ndarray,
+    def _element_jacobians(self, fields: QuadratureFields,
                            dt: float) -> np.ndarray:
-        psi_qp, dpsi_dx, dpsi_dz = self._fields_at_qp(psi_new)
-        cap_qp = self.bound.capacity(psi_qp)
-        cond_qp = self.bound.hydraulic_conductivity(psi_qp)
-        dcond_qp = self.bound.conductivity_derivative(psi_qp)
-        self._check_finite(cap_qp, "capacity")
-        self._check_finite(dcond_qp, "conductivity derivative")
+        _, dpsi_dx, dpsi_dz, soil = fields
         # directional derivative of the Darcy term splits into a K' advection
         # part and the symmetric K stiffness part
         advect = (dpsi_dx[:, :, None] * self.grad_x[None, :, :]
                   + (dpsi_dz + 1.0)[:, :, None] * self.grad_z[None, :, :])
         return self.weight * (
-            np.einsum("eq,qa,qb->eab", cap_qp, self.shape, self.shape)
-            + dt * (np.einsum("eq,eqa,qb->eab", dcond_qp, advect, self.shape)
-                    + np.einsum("eq,qab->eab", cond_qp, self.grad_outer)))
+            np.einsum("eq,qa,qb->eab", soil.capacity, self.shape, self.shape)
+            + dt * (np.einsum("eq,eqa,qb->eab", soil.conductivity_derivative,
+                              advect, self.shape)
+                    + np.einsum("eq,qab->eab", soil.hydraulic_conductivity,
+                                self.grad_outer)))
 
-    def jacobian(self, psi_new: np.ndarray, dt: float,
+    def jacobian(self, fields: QuadratureFields, dt: float,
                  dirichlet: DirichletData | None) -> sparse.csc_matrix:
         # duplicates are summed in element order
         data = np.bincount(self._slot,
-                           self._element_jacobians(psi_new, dt).ravel(),
+                           self._element_jacobians(fields, dt).ravel(),
                            len(self._rows))
         rows, indptr, n = self._rows, self._indptr, self.grid.num_nodes
         if dirichlet is not None:
@@ -297,11 +300,17 @@ class RichardsWorkspace:
         psi = np.array(psi_old if initial_guess is None else initial_guess,
                        dtype=float)
         theta_old_qp = self.theta_at_qp(psi_old)
+        latest = None
+
+        def residual(trial: np.ndarray) -> np.ndarray:
+            nonlocal latest
+            latest = self.at_qp(trial)
+            return self.residual(latest, theta_old_qp, dt, dirichlet)
+
+        # latest is at_qp(x) for direction(x, r), as damped_newton promises
         return damped_newton(
-            lambda trial: self.residual(trial, theta_old_qp, dt, dirichlet),
-            # the module-level spsolve is looked up at call time
-            lambda trial, res: spsolve(
-                self.jacobian(trial, dt, dirichlet), -res),
+            residual, lambda trial, res: spsolve(
+                self.jacobian(latest, dt, dirichlet), -res),
             psi, lambda norm0: max(settings.abs_tol, settings.rel_tol * norm0),
             settings.max_iters, settings.damping + 1)
 
@@ -311,7 +320,7 @@ class RichardsWorkspace:
         psi_mid = 0.5 * (psi[top["tl"]] + psi[top["tr"]])
         psi_below = 0.5 * (psi[top["bl"]] + psi[top["br"]])
         gradient = (psi_mid - psi_below) / self.grid.dz
-        cond = self._top_bound.hydraulic_conductivity(psi_mid)
+        cond = self._top_bound.at_heads(psi_mid).hydraulic_conductivity
         return -cond * (gradient + 1.0) * self.grid.dx
 
     def water_volume(self, psi: np.ndarray) -> float:
@@ -322,13 +331,13 @@ class RichardsWorkspace:
 FIELD_COLUMNS = ("x", "z", "psi", "theta", "K")
 
 
-def field_rows(state: SubsurfaceState, grid: Grid2D, material) -> list[dict]:
-    """Snapshot rows (x, z, psi, theta, K) in node index order."""
+def field_rows(state: SubsurfaceState, grid: Grid2D,
+               node_material) -> list[dict]:
+    """Snapshot rows (x, z, psi, theta, K) in node order from node_material."""
     psi = state.psi
     node_x, node_z = grid.node_coords()
-    bound = material.at(node_x)
-    theta = np.asarray(bound.theta(psi))
-    cond = np.asarray(bound.hydraulic_conductivity(psi))
+    soil = node_material.at_heads(psi)
+    theta, cond = soil.theta, soil.hydraulic_conductivity
     return [{"x": node_x[i], "z": node_z[i], "psi": psi[i],
              "theta": theta[i], "K": cond[i]}
             for i in range(psi.size)]

@@ -497,7 +497,7 @@ def run_scenario(config: ScenarioConfig, out_dir: str,
         write_csv(os.path.join(out_dir, f"field_{step:05d}.csv"),
                   richards2d.FIELD_COLUMNS,
                   richards2d.field_rows(snapshot.subsurface, problem.grid,
-                                        problem.material))
+                                        problem.node_material))
     if problem.surface_model.flavor == "kinematic":
         write_csv(os.path.join(out_dir, "probe.csv"), surface1d.PROBE_COLUMNS,
                   [surface1d.outflow_probe(snapshot.surface,

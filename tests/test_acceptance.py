@@ -347,17 +347,20 @@ class TestConservationSuite:
         rng = np.random.default_rng(405)
         psi_old = rng.uniform(-3.0, -0.5, grid.num_nodes)
         psi_new = rng.uniform(-3.0, -0.5, grid.num_nodes)
-        jacobian = workspace.jacobian(psi_new, 1e5, None).toarray()
+        jacobian = workspace.jacobian(workspace.at_qp(psi_new), 1e5,
+                                      None).toarray()
         worst_jacobian = 0.0
         theta_old = workspace.theta_at_qp(psi_old)
         for _ in range(3):
             direction = rng.standard_normal(grid.num_nodes)
             direction /= np.linalg.norm(direction)
             h = 1e-6
-            plus = workspace.residual(psi_new + h * direction, theta_old,
-                                      1e5, None)
-            minus = workspace.residual(psi_new - h * direction, theta_old,
-                                       1e5, None)
+            plus = workspace.residual(
+                workspace.at_qp(psi_new + h * direction), theta_old, 1e5,
+                None)
+            minus = workspace.residual(
+                workspace.at_qp(psi_new - h * direction), theta_old, 1e5,
+                None)
             fd = (plus - minus) / (2.0 * h)
             exact = jacobian @ direction
             worst_jacobian = max(worst_jacobian,

@@ -7,6 +7,7 @@ rate must follow the closed-form slope of the interface update.
 """
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -43,17 +44,13 @@ class LinBound:
     cap: float
     cond: float
 
-    def theta(self, psi):
-        return 0.3 + self.cap * np.asarray(psi, dtype=float)
-
-    def capacity(self, psi):
-        return np.full_like(np.asarray(psi, dtype=float), self.cap)
-
-    def hydraulic_conductivity(self, psi):
-        return np.full_like(np.asarray(psi, dtype=float), self.cond)
-
-    def conductivity_derivative(self, psi):
-        return np.zeros_like(np.asarray(psi, dtype=float))
+    def at_heads(self, psi):
+        psi = np.asarray(psi, dtype=float)
+        return SimpleNamespace(
+            theta=0.3 + self.cap * psi,
+            capacity=np.full_like(psi, self.cap),
+            hydraulic_conductivity=np.full_like(psi, self.cond),
+            conductivity_derivative=np.zeros_like(psi))
 
 
 @dataclass(frozen=True)
@@ -126,11 +123,9 @@ class TestPredictS:
         state = SubsurfaceState(np.full(grid.num_nodes, -1.0))
         predicted = predict_S(state, grid, silt.at(grid.node_coords()[0]),
                               dt=36.0)
-        bound = silt.at(np.array([0.0]))
-        assert_allclose(predicted.c_bar,
-                        bound.capacity(np.array([-1.0]))[0], rtol=1e-14)
-        assert_allclose(predicted.k_bar,
-                        bound.hydraulic_conductivity(np.array([-1.0]))[0],
+        soil = silt.at(np.array([0.0])).at_heads(np.array([-1.0]))
+        assert_allclose(predicted.c_bar, soil.capacity[0], rtol=1e-14)
+        assert_allclose(predicted.k_bar, soil.hydraulic_conductivity[0],
                         rtol=1e-14)
         assert not predicted.c_guarded
         assert_allclose(predicted.omega_opt,

@@ -100,3 +100,41 @@ class TestDampedNewton:
         assert info.value.iterations == 0
         assert info.value.residual_norm == 2.0
         assert isinstance(info.value.__cause__, FloatingPointError)
+
+
+class TestDirectionFollowsResidual:
+    """direction(x, r) gets the x and r of the latest residual call, so a
+    caller may reuse what that call computed at x (the Richards solver
+    reuses its quadrature-point fields for the Jacobian)."""
+
+    @staticmethod
+    def run(flip_first: bool):
+        calls = []
+
+        def residual(x):
+            r = x * x - 2.0
+            calls.append(("residual", x, r))
+            return r
+
+        def direction(x, r):
+            calls.append(("direction", x, r))
+            delta = -r / (2.0 * x)
+            directions = sum(call[0] == "direction" for call in calls)
+            return -delta if flip_first and directions == 1 else delta
+
+        _, report = damped_newton(residual, direction, np.array([1.0]),
+                                  target=lambda norm0: 1e-14, max_iters=20,
+                                  trials=4)
+        return calls, report
+
+    @pytest.mark.parametrize("flip_first", [False, True])
+    def test_direction_sees_latest_residual_call(self, flip_first):
+        calls, report = self.run(flip_first)
+        # an uphill first direction raises the norm for every trial
+        assert report.line_search_failures == int(flip_first)
+        directions = [i for i, call in enumerate(calls)
+                      if call[0] == "direction"]
+        assert len(directions) == report.iterations >= 2
+        for i in directions:
+            latest = [call for call in calls[:i] if call[0] == "residual"][-1]
+            assert calls[i][1] is latest[1] and calls[i][2] is latest[2]

@@ -161,7 +161,7 @@ class TestMaterialField:
         field = MaterialField.homogeneous(SILT)
         a = field.at(np.array([0.0, 1.0, 5.0]))
         psi = np.array([-1.0, -1.0, -1.0])
-        assert_allclose(a.theta(psi), theta(-1.0, SILT))
+        assert_allclose(a.at_heads(psi).theta, theta(-1.0, SILT))
 
     def test_blend_weight_golden(self):
         field = MaterialField.blended(left=SILT, right=CLAY,
@@ -193,3 +193,128 @@ class TestMaterialField:
                                       center_x=1.0, steepness=4.0)
         mid = params_at(1.0, field)
         assert_allclose(mid.k_s, 0.5 * (SILT.k_s + CLAY.k_s), rtol=1e-12)
+
+
+# The closures as written before the shared evaluator, kept verbatim as the
+# oracle of its bit for bit equality.
+def oracle_theta(psi, p):
+    psi = np.asarray(psi, dtype=float)
+    x = p.alpha * np.abs(psi)
+    with np.errstate(over="ignore"):
+        saturation = (1.0 + x ** p.n) ** (-(p.n - 1.0) / p.n)
+    value = p.theta_r + (p.theta_s - p.theta_r) * saturation
+    return np.where(psi > 0.0, p.theta_s, value)
+
+
+def oracle_capacity(psi, p):
+    psi = np.asarray(psi, dtype=float)
+    x = p.alpha * np.abs(psi)
+    n = p.n
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = (p.alpha * (p.theta_s - p.theta_r) * (n - 1.0)
+                 * x ** (n - 1.0) * (1.0 + x ** n) ** (1.0 / n - 2.0))
+    value = np.where(np.isfinite(value), value, 0.0)
+    return np.where(psi > 0.0, 0.0, value)
+
+
+def oracle_conductivity(psi, p):
+    psi = np.asarray(psi, dtype=float)
+    wc = np.asarray(oracle_theta(np.minimum(psi, 0.0), p))
+    pore = p.n / (p.n - 1.0)
+    bracket = 1.0 - (1.0 - wc ** pore) ** (1.0 / pore)
+    value = p.k_s * np.sqrt(wc) * bracket ** 2
+    return np.where(psi > 0.0, p.k_s, value)
+
+
+def oracle_conductivity_derivative(psi, p):
+    psi = np.asarray(psi, dtype=float)
+    wet = np.minimum(psi, 0.0)
+    x = p.alpha * np.abs(wet)
+    n = p.n
+    pore = n / (n - 1.0)
+    m = 1.0 / pore
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        log_base = np.log1p(x ** n)
+        wet_deficit = -np.expm1(-m * log_base)
+        one_minus_theta = ((1.0 - p.theta_s)
+                           + (p.theta_s - p.theta_r) * wet_deficit)
+        wc = p.theta_s - (p.theta_s - p.theta_r) * wet_deficit
+        one_minus_tp = -np.expm1(pore * np.log1p(-one_minus_theta))
+        bracket = 1.0 - one_minus_tp ** m
+        dk_dtheta = p.k_s * (
+            bracket ** 2 / (2.0 * np.sqrt(wc))
+            + 2.0 * np.sqrt(wc) * bracket
+            * wc ** (pore - 1.0) * one_minus_tp ** (m - 1.0))
+        value = dk_dtheta * np.asarray(oracle_capacity(wet, p))
+    value = np.where(np.isfinite(value), value, 0.0)
+    return np.where(psi >= 0.0, 0.0, value)
+
+
+ORACLES = {"theta": oracle_theta, "capacity": oracle_capacity,
+           "hydraulic_conductivity": oracle_conductivity,
+           "conductivity_derivative": oracle_conductivity_derivative}
+
+# 10,000 log-spaced dry heads, 10,201 across the saturation kink, signed
+# zeros, overflow-level and subnormal magnitudes: 20,207 heads
+HEADS = np.concatenate([-np.geomspace(1e-6, 1e3, 10_000),
+                        np.linspace(-5.0, 5.0, 10_201),
+                        [0.0, -0.0, 1e300, -1e300, 1e-320, -1e-320]])
+BLEND = MaterialField.blended(left=SILT, right=CLAY, center_x=1.0,
+                              steepness=4.0)
+FIELDS = {"silt-loam": MaterialField.homogeneous(SILT),
+          "beit-netofa-clay": MaterialField.homogeneous(CLAY),
+          "sandy-loam": MaterialField.homogeneous(SANDY),
+          "blended": BLEND}
+
+
+def same_bits(got, want) -> bool:
+    got, want = np.atleast_1d(got), np.atleast_1d(want)
+    return (got.dtype == want.dtype and got.shape == want.shape
+            and np.array_equal(got.view(np.uint8), want.view(np.uint8)))
+
+
+class TestEvaluator:
+    @pytest.mark.parametrize("name", sorted(FIELDS))
+    def test_bound_matches_oracle_bitwise(self, name):
+        # per point parameter arrays, as the solver binds them
+        x = np.linspace(-1.0, 3.0, HEADS.size)
+        soil = FIELDS[name].at(x).at_heads(HEADS)
+        params = params_at(x, FIELDS[name])
+        for closure, oracle in ORACLES.items():
+            assert same_bits(getattr(soil, closure), oracle(HEADS, params)), \
+                closure
+
+    @pytest.mark.parametrize("soil", sorted(SOIL_PRESETS))
+    def test_module_functions_match_oracle_bitwise(self, soil):
+        # scalar parameters take numpy's scalar-exponent fast paths
+        # (sandy loam has n = 2), which the oracle takes as well
+        p = SOIL_PRESETS[soil]
+        for function in (theta, capacity, hydraulic_conductivity,
+                         conductivity_derivative):
+            want = ORACLES[function.__name__](HEADS, p)
+            assert same_bits(function(HEADS, p), want), function.__name__
+            for head in (-3.0, -1e-9, 0.0, 0.4):
+                assert same_bits(function(head, p),
+                                 ORACLES[function.__name__](head, p))
+
+    def test_values_do_not_depend_on_evaluation_order(self):
+        x = np.linspace(0.0, 2.0, HEADS.size)
+        first = BLEND.at(x).at_heads(HEADS)
+        derivative = first.conductivity_derivative
+        second = BLEND.at(x).at_heads(HEADS)
+        assert same_bits(second.conductivity_derivative, derivative)
+        assert same_bits(first.capacity, second.capacity)
+
+    @pytest.mark.parametrize("name", sorted(FIELDS))
+    def test_capacity_and_derivative_finite_for_any_head(self, name):
+        """c and K' end in a finite mask, so the Jacobian needs no check of
+        its own; NaN heads still reach theta and K, whose check stays."""
+        heads = np.array([np.nan, np.inf, -np.inf, 1e300, -1e300, -1.0])
+        soil = FIELDS[name].at(np.linspace(0.0, 2.0, heads.size)).at_heads(
+            heads)
+        assert np.all(np.isfinite(soil.capacity))
+        assert np.all(np.isfinite(soil.conductivity_derivative))
+        assert np.isnan(soil.theta[0])
+        assert np.isnan(soil.hydraulic_conductivity[0])
+        assert np.all(np.isfinite(soil.theta[1:]))
+        assert np.all(np.isfinite(soil.hydraulic_conductivity[1:]))

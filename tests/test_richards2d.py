@@ -52,11 +52,11 @@ def residual_oracle(grid: Grid2D, material, psi_new: np.ndarray,
                                   for cx, cz in corners]) * 2.0 / grid.dz
             x_qp = (ex + (1.0 + xi) / 2.0) * grid.dx
             bound = material.at(np.array([x_qp]))
-            psi_qp = float(shape @ psi_new[nodes])
-            psi_old_qp = float(shape @ psi_old[nodes])
-            theta_change = (bound.theta(np.array([psi_qp]))[0]
-                            - bound.theta(np.array([psi_old_qp]))[0])
-            cond = bound.hydraulic_conductivity(np.array([psi_qp]))[0]
+            soil = bound.at_heads(np.array([float(shape @ psi_new[nodes])]))
+            soil_old = bound.at_heads(
+                np.array([float(shape @ psi_old[nodes])]))
+            theta_change = soil.theta[0] - soil_old.theta[0]
+            cond = soil.hydraulic_conductivity[0]
             grad_x = float(dshape_dx @ psi_new[nodes])
             grad_z = float(dshape_dz @ psi_new[nodes])
             for local, node in enumerate(nodes):
@@ -91,7 +91,7 @@ def coo_assembly(work: RichardsWorkspace, psi: np.ndarray, dt: float,
     rows = np.broadcast_to(conn[:, :, None], (len(conn), 4, 4)).ravel()
     cols = np.broadcast_to(conn[:, None, :], (len(conn), 4, 4)).ravel()
     matrix = sparse.coo_matrix(
-        (work._element_jacobians(psi, dt).ravel(), (rows, cols)),
+        (work._element_jacobians(work.at_qp(psi), dt).ravel(), (rows, cols)),
         shape=(n, n)).tocsr()
     if dirichlet is not None:
         constrained = np.zeros(n, dtype=bool)
@@ -159,8 +159,8 @@ class TestResidual:
         psi_old = rng.uniform(-2.0, 0.5, grid.num_nodes)
         work = RichardsWorkspace(grid, SILT)
         dt = 1.0e5
-        got = work.residual(psi_new, work.theta_at_qp(psi_old), dt,
-                            dirichlet=None)
+        got = work.residual(work.at_qp(psi_new), work.theta_at_qp(psi_old),
+                            dt, dirichlet=None)
         want = residual_oracle(grid, SILT, psi_new, psi_old, dt)
         assert_allclose(got, want, rtol=1e-11,
                         atol=1e-14 * np.max(np.abs(want)))
@@ -174,8 +174,8 @@ class TestResidual:
         psi_new = rng.uniform(-2.0, 0.2, grid.num_nodes)
         psi_old = rng.uniform(-2.0, 0.2, grid.num_nodes)
         work = RichardsWorkspace(grid, material)
-        got = work.residual(psi_new, work.theta_at_qp(psi_old), 3.0e4,
-                            dirichlet=None)
+        got = work.residual(work.at_qp(psi_new), work.theta_at_qp(psi_old),
+                            3.0e4, dirichlet=None)
         want = residual_oracle(grid, material, psi_new, psi_old, 3.0e4)
         assert_allclose(got, want, rtol=1e-11,
                         atol=1e-14 * np.max(np.abs(want)))
@@ -186,8 +186,8 @@ class TestResidual:
         _, z = grid.node_coords()
         psi = 0.5 - z
         work = RichardsWorkspace(grid, SILT)
-        residual = work.residual(psi, work.theta_at_qp(psi), dt=1.0e6,
-                                 dirichlet=None)
+        residual = work.residual(work.at_qp(psi), work.theta_at_qp(psi),
+                                 dt=1.0e6, dirichlet=None)
         assert np.max(np.abs(residual)) <= 1e-14
 
     def test_dirichlet_rows_replace_equations(self):
@@ -195,7 +195,8 @@ class TestResidual:
         psi = np.full(grid.num_nodes, -1.0)
         data = top_dirichlet(grid, -0.25)
         work = RichardsWorkspace(grid, SILT)
-        residual = work.residual(psi, work.theta_at_qp(psi), 10.0, data)
+        residual = work.residual(work.at_qp(psi), work.theta_at_qp(psi),
+                                 10.0, data)
         assert_allclose(residual[data.nodes], -0.75, rtol=1e-15)
 
     def test_mass_identity_without_constraints(self):
@@ -211,7 +212,8 @@ class TestResidual:
             psi_new = rng.uniform(-3.0, 1.0, grid.num_nodes)
             psi_old = rng.uniform(-3.0, 1.0, grid.num_nodes)
             dt = 10.0 ** rng.uniform(0, 6)
-            residual = work.residual(psi_new, work.theta_at_qp(psi_old), dt,
+            residual = work.residual(work.at_qp(psi_new),
+                                     work.theta_at_qp(psi_old), dt,
                                      dirichlet=None)
             change = work.water_volume(psi_new) - work.water_volume(psi_old)
             scale = np.sum(np.abs(residual)) + abs(change)
@@ -223,8 +225,8 @@ class TestResidual:
         psi = np.full(grid.num_nodes, -1.0)
         bad = psi.copy()
         bad[4] = np.nan
-        with pytest.raises(FloatingPointError):
-            work.residual(bad, work.theta_at_qp(psi), 1.0, None)
+        with pytest.raises(FloatingPointError, match="water content"):
+            work.at_qp(bad)
 
 
     def test_bincount_scatter_matches_add_at_bitwise(self):
@@ -234,18 +236,18 @@ class TestResidual:
         psi_new = rng.uniform(-3.0, 1.0, grid.num_nodes)
         theta_old = work.theta_at_qp(rng.uniform(-3.0, 1.0, grid.num_nodes))
         dt = 1.0e4
-        psi_qp = psi_new[work.conn] @ work.shape.T
-        cond_qp = work.bound.hydraulic_conductivity(psi_qp)
+        soil = work.bound.at_heads(psi_new[work.conn] @ work.shape.T)
+        cond_qp = soil.hydraulic_conductivity
         element_res = work.weight * (
-            (work.bound.theta(psi_qp) - theta_old) @ work.shape
+            (soil.theta - theta_old) @ work.shape
             + dt * ((cond_qp * (psi_new[work.conn] @ work.grad_x.T))
                     @ work.grad_x
                     + (cond_qp * (psi_new[work.conn] @ work.grad_z.T + 1.0))
                     @ work.grad_z))
         want = np.zeros(grid.num_nodes)
         np.add.at(want, work.conn, element_res)
-        assert_bitwise_equal(work.residual(psi_new, theta_old, dt, None),
-                             want)
+        assert_bitwise_equal(
+            work.residual(work.at_qp(psi_new), theta_old, dt, None), want)
 
 
 class TestJacobian:
@@ -265,7 +267,7 @@ class TestJacobian:
         rng = np.random.default_rng(29)
         low, high = (-3.0, -0.05) if field == "unsaturated" else (0.1, 2.0)
         psi = rng.uniform(low, high, grid.num_nodes)
-        got = work.jacobian(psi, 36.0, dirichlet)
+        got = work.jacobian(work.at_qp(psi), 36.0, dirichlet)
         want = coo_assembly(work, psi, 36.0, dirichlet)
         for name in ("data", "indices", "indptr"):
             assert_bitwise_equal(getattr(got, name), getattr(want, name))
@@ -277,9 +279,10 @@ class TestJacobian:
         stores without constraints; a constrained system stores none."""
         work = RichardsWorkspace(cancelling_grid(), SILT)
         psi = np.full(work.grid.num_nodes, 0.5)
-        full = work.jacobian(psi, 36.0, None)
+        full = work.jacobian(work.at_qp(psi), 36.0, None)
         assert np.count_nonzero(full.data == 0.0) > 0
-        constrained = work.jacobian(psi, 36.0, top_dirichlet(work.grid, 0.1))
+        constrained = work.jacobian(work.at_qp(psi), 36.0,
+                                    top_dirichlet(work.grid, 0.1))
         assert np.all(constrained.data != 0.0)
 
     def test_directional_finite_difference(self):
@@ -290,15 +293,17 @@ class TestJacobian:
         psi_old = rng.uniform(-3.0, -0.5, grid.num_nodes)
         work = RichardsWorkspace(grid, SILT)
         dt = 1.0e5
-        matrix = work.jacobian(psi, dt, dirichlet=None)
+        matrix = work.jacobian(work.at_qp(psi), dt, dirichlet=None)
         theta_old = work.theta_at_qp(psi_old)
         for trial in range(3):
             direction = rng.normal(size=grid.num_nodes)
             direction /= np.max(np.abs(direction))
             h = 1e-6
-            diff = (work.residual(psi + h * direction, theta_old, dt, None)
-                    - work.residual(psi - h * direction, theta_old, dt, None)
-                    ) / (2.0 * h)
+            plus = work.residual(work.at_qp(psi + h * direction),
+                                 theta_old, dt, None)
+            minus = work.residual(work.at_qp(psi - h * direction),
+                                  theta_old, dt, None)
+            diff = (plus - minus) / (2.0 * h)
             applied = matrix @ direction
             denom = np.max(np.abs(applied))
             assert np.max(np.abs(applied - diff)) <= 1e-5 * denom
@@ -308,7 +313,7 @@ class TestJacobian:
         psi = np.full(grid.num_nodes, 2.0)
         work = RichardsWorkspace(grid, CLAY)
         dt = 50.0
-        matrix = work.jacobian(psi, dt, dirichlet=None).toarray()
+        matrix = work.jacobian(work.at_qp(psi), dt, dirichlet=None).toarray()
         assert np.max(np.abs(matrix - matrix.T)) <= 1e-12 * np.max(
             np.abs(matrix))
         # saturated capacity vanishes, so rows sum to zero as well
@@ -320,7 +325,7 @@ class TestJacobian:
         psi = np.full(grid.num_nodes, -0.5)
         data = top_dirichlet(grid, 0.1)
         work = RichardsWorkspace(grid, SILT)
-        matrix = work.jacobian(psi, 1.0, data).toarray()
+        matrix = work.jacobian(work.at_qp(psi), 1.0, data).toarray()
         for node in data.nodes:
             row = np.zeros(grid.num_nodes)
             row[node] = 1.0
@@ -362,6 +367,46 @@ class TestNewtonStep:
         assert report.line_search_failures == int(reverse_first)
         assert report.iterations == 1 + int(reverse_first)
 
+    @pytest.mark.parametrize("reverse_first", [False, True])
+    def test_jacobian_takes_latest_residual_fields(self, monkeypatch,
+                                                   reverse_first):
+        """Each Jacobian is assembled from the QuadratureFields of the
+        latest residual call: the accepted trial, or after a failed line
+        search the last one."""
+        calls = []
+        residual = RichardsWorkspace.residual
+        jacobian = RichardsWorkspace.jacobian
+        spsolve = richards2d.spsolve
+
+        def recording_residual(work, fields, *args):
+            calls.append(("residual", fields))
+            return residual(work, fields, *args)
+
+        def recording_jacobian(work, fields, *args):
+            calls.append(("jacobian", fields))
+            return jacobian(work, fields, *args)
+
+        def flipping_spsolve(matrix, rhs):
+            delta = spsolve(matrix, rhs)
+            first = sum(call[0] == "jacobian" for call in calls) == 1
+            return -delta if reverse_first and first else delta
+
+        monkeypatch.setattr(RichardsWorkspace, "residual", recording_residual)
+        monkeypatch.setattr(RichardsWorkspace, "jacobian", recording_jacobian)
+        monkeypatch.setattr(richards2d, "spsolve", flipping_spsolve)
+        grid = small_grid()
+        work = RichardsWorkspace(grid, SILT)
+        psi_old = np.full(grid.num_nodes, -1.0)
+        _, report = work.newton_step(psi_old, dt=100.0,
+                                     dirichlet=top_dirichlet(grid, -0.2))
+        assert report.line_search_failures == int(reverse_first)
+        assembled = [i for i, call in enumerate(calls)
+                     if call[0] == "jacobian"]
+        assert len(assembled) == report.iterations >= 2
+        for i in assembled:
+            latest = [call for call in calls[:i] if call[0] == "residual"][-1]
+            assert calls[i][1] is latest[1]
+
     def test_hydrostatic_rest_is_converged_immediately(self):
         grid = Grid2D(length_x=1.0, length_z=2.0, num_x=2, num_z=4)
         _, z = grid.node_coords()
@@ -402,8 +447,8 @@ class TestDiagnostics:
         work = RichardsWorkspace(grid, SILT)
         psi_mid = 0.5 * (-0.1 + -0.3)
         psi_below = 0.5 * (0.0 + 0.2)
-        cond = SILT.at(np.array([0.2])).hydraulic_conductivity(
-            np.array([psi_mid]))[0]
+        cond = SILT.at(np.array([0.2])).at_heads(
+            np.array([psi_mid])).hydraulic_conductivity[0]
         expected = -cond * ((psi_mid - psi_below) / 0.3 + 1.0) * 0.4
         assert_allclose(work.interface_flux(psi), [expected], rtol=1e-13)
 
@@ -428,10 +473,11 @@ class TestModuleWrappers:
     def test_field_rows(self):
         grid = Grid2D(length_x=1.0, length_z=1.0, num_x=1, num_z=1)
         psi = np.array([-1.0, -1.0, -0.5, -0.5])
-        rows = field_rows(SubsurfaceState(psi), grid, SILT)
+        rows = field_rows(SubsurfaceState(psi), grid,
+                          SILT.at(grid.node_coords()[0]))
         assert len(rows) == 4
         assert tuple(rows[0]) == FIELD_COLUMNS
         top = rows[3]
-        bound = SILT.at(np.array([top["x"]]))
-        assert_allclose(top["theta"],
-                        bound.theta(np.array([top["psi"]]))[0], rtol=1e-14)
+        soil = SILT.at(np.array([top["x"]])).at_heads(np.array([top["psi"]]))
+        assert_allclose(top["theta"], soil.theta[0], rtol=1e-14)
+        assert_allclose(top["K"], soil.hydraulic_conductivity[0], rtol=1e-14)

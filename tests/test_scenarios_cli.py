@@ -120,7 +120,7 @@ class TestValidation:
         field = build_material(config)
         bound = field.at(np.array([0.0]))
         assert_allclose(
-            bound.hydraulic_conductivity(np.array([1.0]))[0], 1.16e-6,
+            bound.at_heads(np.array([1.0])).hydraulic_conductivity[0], 1.16e-6,
             rtol=1e-15)
 
     def test_k_s_override_rejected_for_blends(self):
