@@ -32,7 +32,7 @@ evaluated with principal branches for complex s with Re(s) > 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -56,7 +56,7 @@ class LinearModelParams:
     omega : float
         Relaxation factor in (0, 1].
     dz : float
-        Grid spacing; defaults to length / num_elements.
+        Grid spacing, derived: length / num_elements.
     """
 
     c: float
@@ -65,20 +65,17 @@ class LinearModelParams:
     dt: float
     num_elements: int
     omega: float = 1.0
-    dz: float | None = None
+    dz: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.dz is None:
-            object.__setattr__(self, "dz", self.length / self.num_elements)
+        if int(self.num_elements) != self.num_elements or self.num_elements < 2:
+            raise ValueError("num_elements must be an integer >= 2")
+        object.__setattr__(self, "dz", self.length / self.num_elements)
         if not all(0.0 < value < np.inf for value in
                    (self.c, self.k, self.length, self.dt, self.dz)):
             raise ValueError("c, k, length, dt, dz must be positive and finite")
-        if int(self.num_elements) != self.num_elements or self.num_elements < 2:
-            raise ValueError("num_elements must be an integer >= 2")
         if not 0.0 < self.omega <= 1.0:
             raise ValueError("omega must lie in (0, 1]")
-        if abs(self.dz * self.num_elements - self.length) > 1e-12 * self.length:
-            raise ValueError("dz * num_elements must equal length")
 
 
 @dataclass(frozen=True)
@@ -144,29 +141,25 @@ def _coth(w):
     return np.where(inside, (1.0 + decay) / (1.0 - decay), saturated)
 
 
-def _unwrap(value: np.ndarray):
-    return value[()]
-
-
 def rho_continuous(s, omega, c: float, k: float, length: float):
     """Laplace domain convergence factor rho(s, omega)."""
     s = _validate_laplace(s)
     feedback = np.sqrt(c * k / s) * _coth(np.sqrt(c * s / k) * length)
-    return _unwrap(1.0 - omega - omega * feedback)
+    return (1.0 - omega - omega * feedback)[()]
 
 
 def omega_opt_continuous(s, c: float, k: float, length: float):
     """Relaxation factor that annihilates rho at the given s."""
     s = _validate_laplace(s)
     feedback = np.sqrt(c * k / s) * _coth(np.sqrt(c * s / k) * length)
-    return _unwrap(1.0 / (1.0 + feedback))
+    return (1.0 / (1.0 + feedback))[()]
 
 
 def laplace_height(s, c: float, k: float, length: float):
     """Laplace transform of the interface height response."""
     s = _validate_laplace(s)
     feedback = np.sqrt(c * k / s) * _coth(np.sqrt(c * s / k) * length)
-    return _unwrap(-k / (s + feedback))
+    return (-k / (s + feedback))[()]
 
 
 # ── Parameter sweeps ──────────────────────────────────────────────────────────
@@ -184,7 +177,10 @@ def default_log_grid(low: float = 1e-3, high: float = 1e3,
 def sweep_point(c: float, k: float, dt: float, dz: float,
                 length: float) -> dict[str, float]:
     """One sweep row; dz is snapped to the nearest admissible grid spacing."""
-    num_elements = max(2, round(length / dz))
+    count = length / float(dz)
+    if not count < np.inf:
+        raise ValueError(f"dz = {dz:g} is too small for length {length:g}")
+    num_elements = max(2, round(count))
     p = LinearModelParams(c=c, k=k, length=length, dt=dt,
                           num_elements=num_elements)
     result = discrete_S(p)

@@ -61,8 +61,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         dz_axis = _axis(args.dz) if args.dz else np.array([length / 20.0])
         if dt_axis.size != 1 or dz_axis.size != 1:
             raise ConfigError("material mode sweeps c/K; give single dt, dz")
-        rows = analysis.sweep_material(c_axis, k_axis, dt_axis[0], dz_axis[0],
-                                       length)
+        sweep = analysis.sweep_material
+        axes = (c_axis, k_axis, dt_axis[0], dz_axis[0])
     else:
         dt_axis = _axis(args.dt) if args.dt else analysis.default_log_grid()
         dz_axis = _axis(args.dz) if args.dz \
@@ -71,8 +71,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         k_axis = _axis(args.k) if args.k else np.array([1.0])
         if c_axis.size != 1 or k_axis.size != 1:
             raise ConfigError("resolution mode sweeps dt/dz; give single c, K")
-        rows = analysis.sweep_resolution(dt_axis, dz_axis, c_axis[0],
-                                         k_axis[0], length)
+        sweep = analysis.sweep_resolution
+        axes = (dt_axis, dz_axis, c_axis[0], k_axis[0])
+    try:
+        rows = sweep(*axes, length)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "sweep.csv")

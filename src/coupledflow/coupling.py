@@ -29,8 +29,8 @@ import numpy as np
 
 from .analysis import LinearModelParams, discrete_S
 from .iteration import fixed_point, observed_cr
-from .richards2d import (DirichletData, Grid2D, NewtonSettings,
-                         RichardsWorkspace, SubsurfaceState, top_dirichlet)
+from .richards2d import (DirichletData, Grid2D, RichardsWorkspace,
+                         SubsurfaceState, top_dirichlet)
 from .surface1d import (BoundarySpec, SurfaceModel, SurfaceSource,
                         SurfaceState, implicit_fv_step)
 
@@ -82,7 +82,6 @@ class CoupledProblem:
     boundary: BoundarySpec
     rain: RainSchedule = RainSchedule()
     static_dirichlet: DirichletData | None = None
-    newton: NewtonSettings = NewtonSettings()
     workspace: RichardsWorkspace = field(init=False)
     node_material: object = field(init=False)
 
@@ -197,8 +196,8 @@ def run_coupled_step(problem: CoupledProblem, config: CouplingConfig,
     step = int(round(state.time / config.dt)) + 1
     time_new = state.time + config.dt
     rain_rate = problem.rain.at(time_new)
-    psi_old = state.subsurface.psi
-    psi_new, surface_new = psi_old, state.surface
+    theta_old_qp = problem.workspace.theta_at_qp(state.subsurface.psi)
+    psi_new, surface_new = state.subsurface.psi, state.surface
     newton_iters, clamped, failures = 0, 0.0, 0
 
     def sweep(h_iter: np.ndarray) -> np.ndarray:
@@ -208,8 +207,7 @@ def run_coupled_step(problem: CoupledProblem, config: CouplingConfig,
             dirichlet = dirichlet.merged_with(problem.static_dirichlet)
         # warm start from the previous sweep's field
         psi_new, newton_report = problem.workspace.newton_step(
-            psi_old, config.dt, dirichlet, problem.newton,
-            initial_guess=psi_new)
+            psi_new, theta_old_qp, config.dt, dirichlet)
         source = SurfaceSource(
             exchange=map_flux_to_source(
                 problem.workspace.interface_flux(psi_new), problem.grid.dx),

@@ -171,11 +171,6 @@ def surface_update(sys: Linear1DSystem, psi_interior_new: np.ndarray,
         - p.dt * p.k)
 
 
-def affine_tail(sys: Linear1DSystem) -> float:
-    """Constant term of the interface map: psi_tilde = S psi_prev + tail."""
-    return surface_update(sys, subsurface_solve(sys, 0.0), 0.0)
-
-
 def run_time_step(sys: Linear1DSystem, omega: float, tol: float = 1e-8,
                   max_iters: int = 200) -> StepResult:
     """Relaxed coupling iterations for one time step.

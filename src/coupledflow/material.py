@@ -3,9 +3,8 @@
 Each closure is written once, as an attribute of the evaluator that
 ``MaterialField.at(x).at_heads(psi)`` returns: theta at construction, c, K
 and K' on first use, all from the shared x = alpha*|psi| and x^n and from
-parameter factors fixed per binding.  The module functions evaluate one
-parameter set the same way; scalar psi gives scalars.  Units are SI (meters,
-seconds).  The closures (van Genuchten 1980, Mualem 1976) are:
+parameter factors fixed per binding; scalar psi gives 0-d arrays.  Units are
+SI (meters, seconds).  The closures (van Genuchten 1980, Mualem 1976) are:
 
     water content   theta(psi) = theta_r + (theta_s - theta_r)
                                  * (1 / (1 + (alpha*|psi|)^n))^((n-1)/n)   psi <= 0
@@ -85,31 +84,6 @@ SOIL_PRESETS: dict[str, VanGenuchtenParams] = {
     "sandy-loam": VanGenuchtenParams(
         alpha=100.0, n=2.0, theta_r=0.2, theta_s=1.0, k_s=1.16e-5),
 }
-
-
-def theta(psi, p: VanGenuchtenParams):
-    """Volumetric water content theta(psi)."""
-    return _BoundMaterial(p).at_heads(psi).theta[()]
-
-
-def capacity(psi, p: VanGenuchtenParams):
-    """Specific moisture capacity c(psi) = d theta / d psi [1/m]."""
-    return _BoundMaterial(p).at_heads(psi).capacity[()]
-
-
-def hydraulic_conductivity(psi, p: VanGenuchtenParams):
-    """Hydraulic conductivity K(psi) [m/s]."""
-    return _BoundMaterial(p).at_heads(psi).hydraulic_conductivity[()]
-
-
-def conductivity_derivative(psi, p: VanGenuchtenParams):
-    """One sided derivative dK/dpsi, taken as 0 for psi >= 0."""
-    return _BoundMaterial(p).at_heads(psi).conductivity_derivative[()]
-
-
-def max_capacity(p: VanGenuchtenParams) -> float:
-    """Largest capacity value, reached where (alpha*|psi|)^n = (n-1)/n."""
-    return float(capacity(-((p.n - 1.0) / p.n) ** (1.0 / p.n) / p.alpha, p))
 
 
 class _BoundMaterial:

@@ -13,11 +13,13 @@ for a root of the weak residual
 
 over the free nodes, with Dirichlet rows replaced by (psi_node - prescribed);
 the root is found by the shared damped Newton (iteration.damped_newton) with
-the analytic capacity c(psi) and conductivity derivative K'(psi).  Each
-iterate is interpolated and its closures evaluated once (at_qp): the Jacobian
-reuses the fields of the trial whose residual the line search accepted.  The
-surface coupling reads the normal Darcy flux at the midpoint of every top
-cell edge,
+the analytic capacity c(psi) and conductivity derivative K'(psi).  Newton
+stops at a max-norm residual of max(NEWTON_ABS_TOL, NEWTON_REL_TOL * initial
+norm), halves each step at most NEWTON_TRIALS - 1 times and fails after
+NEWTON_MAX_ITERS iterations.  Each iterate is interpolated and its closures
+evaluated once (at_qp): the Jacobian reuses the fields of the trial whose
+residual the line search accepted.  The surface coupling reads the normal
+Darcy flux at the midpoint of every top cell edge,
 
     flux_l = -K(psi_mid) (d_z psi_mid + 1) * dx,
 
@@ -41,6 +43,11 @@ from scipy import sparse
 from scipy.sparse.linalg import spsolve
 
 from .iteration import NewtonReport, damped_newton
+
+NEWTON_ABS_TOL = 1e-10
+NEWTON_REL_TOL = 1e-8
+NEWTON_MAX_ITERS = 50
+NEWTON_TRIALS = 11
 
 
 @dataclass(frozen=True)
@@ -100,20 +107,6 @@ class SubsurfaceState:
 
     psi: np.ndarray
     time: float = 0.0
-
-
-@dataclass(frozen=True)
-class NewtonSettings:
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-8
-    max_iters: int = 50
-    damping: int = 10
-
-    def __post_init__(self) -> None:
-        if self.abs_tol <= 0.0 or self.rel_tol <= 0.0:
-            raise ValueError("tolerances must be positive")
-        if self.max_iters < 1 or self.damping < 0:
-            raise ValueError("max_iters must be >= 1 and damping >= 0")
 
 
 @dataclass(eq=False, frozen=True)
@@ -286,20 +279,16 @@ class RichardsWorkspace:
 
     # ── solves ───────────────────────────────────────────────────────────
 
-    def newton_step(self, psi_old: np.ndarray, dt: float,
-                    dirichlet: DirichletData,
-                    settings: NewtonSettings = NewtonSettings(),
-                    initial_guess: np.ndarray | None = None,
+    def newton_step(self, psi: np.ndarray, theta_old_qp: np.ndarray,
+                    dt: float, dirichlet: DirichletData,
                     ) -> tuple[np.ndarray, NewtonReport]:
-        """Advance one implicit Euler step; returns the new field."""
-        psi_old = np.asarray(psi_old, dtype=float)
-        if not np.all(np.isfinite(psi_old)):
-            raise ValueError("previous state contains non-finite values")
+        """Advance one implicit Euler step from the start iterate psi;
+        theta_old_qp is theta_at_qp of the previous step's field."""
+        psi = np.array(psi, dtype=float)
+        if not np.all(np.isfinite(psi)):
+            raise ValueError("start field contains non-finite values")
         if dt <= 0.0:
             raise ValueError("dt must be positive")
-        psi = np.array(psi_old if initial_guess is None else initial_guess,
-                       dtype=float)
-        theta_old_qp = self.theta_at_qp(psi_old)
         latest = None
 
         def residual(trial: np.ndarray) -> np.ndarray:
@@ -311,8 +300,8 @@ class RichardsWorkspace:
         return damped_newton(
             residual, lambda trial, res: spsolve(
                 self.jacobian(latest, dt, dirichlet), -res),
-            psi, lambda norm0: max(settings.abs_tol, settings.rel_tol * norm0),
-            settings.max_iters, settings.damping + 1)
+            psi, lambda norm0: max(NEWTON_ABS_TOL, NEWTON_REL_TOL * norm0),
+            NEWTON_MAX_ITERS, NEWTON_TRIALS)
 
     def interface_flux(self, psi: np.ndarray) -> np.ndarray:
         """Outward normal flux integral over each top cell [m^2/s]."""
@@ -322,10 +311,6 @@ class RichardsWorkspace:
         gradient = (psi_mid - psi_below) / self.grid.dz
         cond = self._top_bound.at_heads(psi_mid).hydraulic_conductivity
         return -cond * (gradient + 1.0) * self.grid.dx
-
-    def water_volume(self, psi: np.ndarray) -> float:
-        """Integral of theta over the domain by the assembly quadrature."""
-        return float(self.weight * np.sum(self.theta_at_qp(psi)))
 
 
 FIELD_COLUMNS = ("x", "z", "psi", "theta", "K")

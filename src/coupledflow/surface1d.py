@@ -24,7 +24,7 @@ by the shared damped Newton (iteration.damped_newton); sources enter the
 height component only.  The dense finite difference Jacobian comes from one
 residual call on the batch of all column-bumped states, and each residual
 takes every face flux from one LLF call on the state padded with a ghost
-cell per side.  After the solve, depths below h_floor are raised to h_floor
+cell per side.  After the solve, depths below H_FLOOR are raised to H_FLOOR
 and the added volume is reported.
 """
 
@@ -35,6 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .iteration import damped_newton
+
+H_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -50,7 +52,6 @@ class SurfaceModel:
     manning_n: float | None = None
     friction_slope: float | None = None
     flow_sign: float = 1.0
-    h_floor: float = 1e-12
 
     def __post_init__(self) -> None:
         if self.flavor not in ("swe", "kinematic"):
@@ -66,8 +67,6 @@ class SurfaceModel:
             raise ValueError("gravity must be positive")
         if self.flow_sign not in (-1.0, 1.0):
             raise ValueError("flow_sign must be +1 or -1")
-        if self.h_floor <= 0.0:
-            raise ValueError("h_floor must be positive")
 
     @property
     def num_components(self) -> int:
@@ -139,18 +138,9 @@ def _as_states(q, model: SurfaceModel) -> np.ndarray:
     return q
 
 
-def physical_flux(q, model: SurfaceModel) -> np.ndarray:
-    """Pointwise flux f(q); q has shape (num_components,) or (n_comp, M)."""
-    q = _as_states(q, model)
-    if np.any(q[0] < 0.0):
-        raise ValueError("negative water height")
-    return _flux_and_speed(q, model)[0]
-
-
 def _flux_and_speed(q: np.ndarray, model: SurfaceModel,
                     ) -> tuple[np.ndarray, np.ndarray]:
-    # Newton trial states may dip below zero; clamping h keeps the residual
-    # defined while the user-facing op still rejects negative input.
+    # Newton trial states may dip below zero; clamping h keeps f defined
     h = np.maximum(q[0], 0.0)
     if model.flavor == "swe":
         hu = q[1]
@@ -159,11 +149,6 @@ def _flux_and_speed(q: np.ndarray, model: SurfaceModel,
                 np.abs(u) + np.sqrt(model.gravity * h))
     speed = model.manning_speed(h)
     return (model.flow_sign * h * speed)[None], 5.0 / 3.0 * speed
-
-
-def wave_speed(q, model: SurfaceModel) -> np.ndarray:
-    """Largest absolute characteristic speed of each state."""
-    return _flux_and_speed(_as_states(q, model), model)[1]
 
 
 def llf_flux(q_left, q_right, model: SurfaceModel) -> np.ndarray:
@@ -232,7 +217,6 @@ def _step_residual(flat: np.ndarray, q_old: np.ndarray, total_source,
 def implicit_fv_step(state_old: SurfaceState, sources: SurfaceSource,
                      dt: float, dx: float, model: SurfaceModel,
                      boundary: BoundarySpec,
-                     max_iters: int = 30,
                      ) -> tuple[SurfaceState, SurfaceStepReport]:
     """Advance one implicit Euler step of the FV scheme."""
     if dt <= 0.0 or dx <= 0.0:
@@ -258,12 +242,12 @@ def implicit_fv_step(state_old: SurfaceState, sources: SurfaceSource,
         return np.linalg.solve(jacobian, -res)
 
     flat, newton = damped_newton(residual, direction, flat,
-                                 lambda norm0: 1e-13 * scale, max_iters, 20,
+                                 lambda norm0: 1e-13 * scale, 30, 20,
                                  accept=1e-12 * scale)
     q_new = flat.reshape(q_old.shape)
-    low = q_new[0] < model.h_floor
-    clamped_volume = float(np.sum((model.h_floor - q_new[0][low]) * dx))
-    q_new[0][low] = model.h_floor
+    low = q_new[0] < H_FLOOR
+    clamped_volume = float(np.sum((H_FLOOR - q_new[0][low]) * dx))
+    q_new[0][low] = H_FLOOR
     report = SurfaceStepReport(
         iterations=newton.iterations, residual_norm=newton.residual_norm,
         clamped_cells=int(np.count_nonzero(low)),

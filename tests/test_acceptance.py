@@ -12,7 +12,6 @@ import time
 import numpy as np
 import pytest
 
-from coupledflow import material as mat
 from coupledflow.analysis import (
     LinearModelParams,
     alpha_sum,
@@ -331,9 +330,10 @@ class TestConservationSuite:
         psi = np.linspace(-3.0, -0.05, 40)
         step = 1e-6 * np.maximum(np.abs(psi), 1.0)
         for params in SOIL_PRESETS.values():
-            derivative = (mat.theta(psi + step, params)
-                          - mat.theta(psi - step, params)) / (2.0 * step)
-            capacity = mat.capacity(psi, params)
+            bound = MaterialField.homogeneous(params).at(0.0)
+            derivative = (bound.at_heads(psi + step).theta
+                          - bound.at_heads(psi - step).theta) / (2.0 * step)
+            capacity = bound.at_heads(psi).capacity
             scale = np.max(np.abs(capacity))
             worst_capacity = max(worst_capacity,
                                  float(np.max(np.abs(capacity - derivative))

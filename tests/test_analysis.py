@@ -211,10 +211,9 @@ class TestValidation:
     def test_rejects_bad_parameters(self):
         good = dict(c=1.0, k=1.0, length=1.0, dt=0.1, num_elements=4)
         for field, value in [("c", 0.0), ("k", -1.0), ("length", 0.0),
-                             ("dt", 0.0), ("num_elements", 1)]:
+                             ("dt", 0.0), ("num_elements", 1),
+                             ("num_elements", 0)]:
             with pytest.raises(ValueError):
                 LinearModelParams(**{**good, field: value})
         with pytest.raises(ValueError):
             LinearModelParams(omega=0.0, **good)
-        with pytest.raises(ValueError):
-            LinearModelParams(dz=0.3, **good)

@@ -6,14 +6,14 @@ sequences of the dedicated linearized column model, and its contraction
 rate must follow the closed-form slope of the interface update.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from coupledflow import linear1d, richards2d
+from coupledflow import linear1d, richards2d, scenarios
 from coupledflow.analysis import LinearModelParams, alpha_sum, toeplitz_coeffs
 from coupledflow.coupling import (
     SUMMARY_COLUMNS,
@@ -219,6 +219,22 @@ class TestCoupledStep:
         _, record = run_coupled_step(problem, config, state)
         assert calls["richards"] >= 2 and calls["surface"] >= 2
         assert record.line_search_failures == 2 * int(reverse_first)
+
+    def test_old_water_content_is_evaluated_once_per_step(self, monkeypatch):
+        # every sweep of a step starts from the same theta(psi_old)
+        calls = []
+        theta_at_qp = richards2d.RichardsWorkspace.theta_at_qp
+
+        def counting(work, psi):
+            calls.append(psi)
+            return theta_at_qp(work, psi)
+
+        monkeypatch.setattr(richards2d.RichardsWorkspace, "theta_at_qp",
+                            counting)
+        config = replace(scenarios.preset("trench-loam"), num_steps=3)
+        result = run_simulation(*scenarios.build_all(config))
+        assert len(calls) == 3
+        assert sum(record.iterations for record in result.records) > 3
 
     def test_snapshot_cadence(self):
         problem, state = column_problem(1e-9, 0.01)

@@ -12,7 +12,6 @@ from numpy.testing import assert_allclose
 from coupledflow.analysis import LinearModelParams, discrete_S, sigma
 from coupledflow.iteration import observed_cr
 from coupledflow.linear1d import (
-    affine_tail,
     build_system,
     initial_state,
     run_simulation,
@@ -22,6 +21,11 @@ from coupledflow.linear1d import (
     surface_update,
     trace_rows,
 )
+
+
+def affine_tail(sys) -> float:
+    """Constant term of the interface map: psi_tilde = S psi_prev + tail."""
+    return surface_update(sys, subsurface_solve(sys, 0.0), 0.0)
 
 
 def standard_params(**overrides) -> LinearModelParams:

@@ -13,12 +13,7 @@ from coupledflow.material import (
     MaterialField,
     VanGenuchtenParams,
     blend_weight,
-    capacity,
-    conductivity_derivative,
-    hydraulic_conductivity,
-    max_capacity,
     params_at,
-    theta,
 )
 
 CLAY = SOIL_PRESETS["beit-netofa-clay"]
@@ -26,39 +21,53 @@ SILT = SOIL_PRESETS["silt-loam"]
 SANDY = SOIL_PRESETS["sandy-loam"]
 
 
+def closures(psi, soil):
+    """The closures of one soil at psi, bound with scalar parameters."""
+    return MaterialField.homogeneous(soil).at(0.0).at_heads(psi)
+
+
+def peak_capacity(soil):
+    """c at its maximiser, where (alpha*|psi|)^n = (n-1)/n."""
+    peak = -((soil.n - 1.0) / soil.n) ** (1.0 / soil.n) / soil.alpha
+    return closures(peak, soil).capacity
+
+
 class TestTheta:
     def test_saturated_branch(self):
         """Ponded soil holds theta_s regardless of the head magnitude."""
-        assert theta(1.0, SILT) == SILT.theta_s
-        assert theta(1e-12, CLAY) == CLAY.theta_s
+        assert closures(1.0, SILT).theta == SILT.theta_s
+        assert closures(1e-12, CLAY).theta == CLAY.theta_s
 
     def test_golden_values(self):
-        assert_allclose(theta(-1.0, SILT), 0.37544096008071127, rtol=1e-14)
-        assert_allclose(theta(-3.0, CLAY), 0.42476332095394187, rtol=1e-14)
+        assert_allclose(closures(-1.0, SILT).theta, 0.37544096008071127,
+                        rtol=1e-14)
+        assert_allclose(closures(-3.0, CLAY).theta, 0.42476332095394187,
+                        rtol=1e-14)
 
     @pytest.mark.parametrize("soil", [CLAY, SILT, SANDY])
     def test_monotone_and_bounded(self, soil):
         psi = -np.geomspace(1e-6, 1e4, 300)[::-1]
-        values = theta(psi, soil)
+        values = closures(psi, soil).theta
         assert np.all(np.diff(values) >= 0)  # wetter soil holds more water
         assert np.all(values > soil.theta_r)
         assert np.all(values <= soil.theta_s)
 
     def test_scalar_and_array_agree(self):
         psi = np.array([-2.0, -0.5, 0.3])
-        values = theta(psi, SILT)
+        values = closures(psi, SILT).theta
         assert values.shape == (3,)
         for one, many in zip(psi, values):
-            assert theta(float(one), SILT) == many
+            assert closures(float(one), SILT).theta == many
 
 
 class TestCapacity:
     def test_zero_when_saturated(self):
-        assert capacity(0.5, SILT) == 0.0
-        assert np.all(capacity(np.array([1e-9, 2.0]), CLAY) == 0.0)
+        assert closures(0.5, SILT).capacity == 0.0
+        assert np.all(closures(np.array([1e-9, 2.0]), CLAY).capacity == 0.0)
 
     def test_golden_value(self):
-        assert_allclose(capacity(-1.0, SILT), 0.037634176564700102, rtol=1e-14)
+        assert_allclose(closures(-1.0, SILT).capacity, 0.037634176564700102,
+                        rtol=1e-14)
 
     @pytest.mark.parametrize("soil", [CLAY, SILT, SANDY])
     def test_matches_theta_derivative(self, soil):
@@ -66,39 +75,36 @@ class TestCapacity:
         rng = np.random.default_rng(42)
         psi = -np.exp(rng.uniform(np.log(1e-3), np.log(1e2), 64))
         step = 1e-7 * np.maximum(1.0, np.abs(psi))
-        fd = (theta(psi + step, soil) - theta(psi - step, soil)) / (2 * step)
-        scale = max_capacity(soil)
-        assert np.max(np.abs(capacity(psi, soil) - fd)) <= 1e-6 * scale
-
-    def test_max_capacity_goldens(self):
-        assert_allclose(max_capacity(SILT), 0.045014504547628399, rtol=1e-10)
-        assert_allclose(max_capacity(CLAY), 0.0074546129403275243, rtol=1e-10)
-        assert_allclose(max_capacity(SANDY), 30.792014356780041, rtol=1e-10)
+        fd = (closures(psi + step, soil).theta
+              - closures(psi - step, soil).theta) / (2 * step)
+        error = np.max(np.abs(closures(psi, soil).capacity - fd))
+        assert error <= 1e-6 * peak_capacity(soil)
 
     @pytest.mark.parametrize("soil", [CLAY, SILT, SANDY])
     def test_max_capacity_dominates(self, soil):
         psi = -np.geomspace(1e-8, 1e4, 400)
-        assert np.all(capacity(psi, soil) <= max_capacity(soil) * (1 + 1e-12))
+        assert np.all(closures(psi, soil).capacity
+                      <= peak_capacity(soil) * (1 + 1e-12))
 
 
 class TestConductivity:
     def test_saturated_branch(self):
         # printed spot value: K(0.5 m) for the clay equals K_s
-        assert hydraulic_conductivity(0.5, CLAY) == CLAY.k_s
+        assert closures(0.5, CLAY).hydraulic_conductivity == CLAY.k_s
 
     def test_golden_values(self):
         # the Mualem bracket cancels ~4 digits for the clay exponents, so
         # float64 evaluation order costs ~1e-12 relative against the 50
         # digit oracle values
-        assert_allclose(hydraulic_conductivity(-2.0, SILT),
+        assert_allclose(closures(-2.0, SILT).hydraulic_conductivity,
                         1.2822123577066742e-9, rtol=1e-12)
-        assert_allclose(hydraulic_conductivity(-3.0, CLAY),
+        assert_allclose(closures(-3.0, CLAY).hydraulic_conductivity,
                         9.9642378481173442e-16, rtol=1e-11)
 
     @pytest.mark.parametrize("soil", [CLAY, SILT, SANDY])
     def test_positive_and_bounded(self, soil):
         psi = -np.geomspace(1e-9, 1e3, 200)
-        values = hydraulic_conductivity(psi, soil)
+        values = closures(psi, soil).hydraulic_conductivity
         assert np.all(values > 0)
         assert np.all(values <= soil.k_s)
 
@@ -109,29 +115,29 @@ class TestConductivity:
         deliberate property of the closure, frozen here so any accidental
         switch to effective saturation shows up as a failure.
         """
-        limit = hydraulic_conductivity(-1e-30, SILT)
+        limit = closures(-1e-30, SILT).hydraulic_conductivity
         assert_allclose(limit, 2.8456073762847091e-9, rtol=1e-12)
         assert limit < 0.005 * SILT.k_s
 
     def test_continuous_for_full_porosity(self):
         # sandy loam has theta_s = 1, so the jump closes
-        near = hydraulic_conductivity(-1e-10, SANDY)
+        near = closures(-1e-10, SANDY).hydraulic_conductivity
         assert_allclose(near, SANDY.k_s, rtol=1e-6)
 
 
 class TestConductivityDerivative:
     def test_zero_when_saturated(self):
-        assert conductivity_derivative(0.2, SILT) == 0.0
+        assert closures(0.2, SILT).conductivity_derivative == 0.0
 
     def test_golden_values(self):
-        assert_allclose(conductivity_derivative(-2.0, SILT),
+        assert_allclose(closures(-2.0, SILT).conductivity_derivative,
                         7.6948286644365845e-10, rtol=1e-10)
-        assert_allclose(conductivity_derivative(-3.0, CLAY),
+        assert_allclose(closures(-3.0, CLAY).conductivity_derivative,
                         2.2998321090026103e-16, rtol=1e-10)
         # near saturation the sandy derivative stays finite and smooth
-        assert_allclose(conductivity_derivative(-1e-6, SANDY),
+        assert_allclose(closures(-1e-6, SANDY).conductivity_derivative,
                         0.0020749318411032816, rtol=1e-9)
-        assert_allclose(conductivity_derivative(-1e-9, SANDY),
+        assert_allclose(closures(-1e-9, SANDY).conductivity_derivative,
                         0.0020750709439197628, rtol=1e-9)
 
     @pytest.mark.parametrize("soil", [CLAY, SILT, SANDY])
@@ -141,9 +147,9 @@ class TestConductivityDerivative:
         rng = np.random.default_rng(7)
         psi = -np.exp(rng.uniform(np.log(1e-2), np.log(30.0), 32))
         step = 3e-5 * np.abs(psi)
-        fd = (hydraulic_conductivity(psi + step, soil)
-              - hydraulic_conductivity(psi - step, soil)) / (2 * step)
-        values = conductivity_derivative(psi, soil)
+        fd = (closures(psi + step, soil).hydraulic_conductivity
+              - closures(psi - step, soil).hydraulic_conductivity) / (2 * step)
+        values = closures(psi, soil).conductivity_derivative
         assert_allclose(values, fd, rtol=2e-4, atol=1e-30)
 
 
@@ -161,7 +167,7 @@ class TestMaterialField:
         field = MaterialField.homogeneous(SILT)
         a = field.at(np.array([0.0, 1.0, 5.0]))
         psi = np.array([-1.0, -1.0, -1.0])
-        assert_allclose(a.at_heads(psi).theta, theta(-1.0, SILT))
+        assert_allclose(a.at_heads(psi).theta, closures(-1.0, SILT).theta)
 
     def test_blend_weight_golden(self):
         field = MaterialField.blended(left=SILT, right=CLAY,
@@ -285,17 +291,16 @@ class TestEvaluator:
                 closure
 
     @pytest.mark.parametrize("soil", sorted(SOIL_PRESETS))
-    def test_module_functions_match_oracle_bitwise(self, soil):
+    def test_scalar_parameters_match_oracle_bitwise(self, soil):
         # scalar parameters take numpy's scalar-exponent fast paths
         # (sandy loam has n = 2), which the oracle takes as well
         p = SOIL_PRESETS[soil]
-        for function in (theta, capacity, hydraulic_conductivity,
-                         conductivity_derivative):
-            want = ORACLES[function.__name__](HEADS, p)
-            assert same_bits(function(HEADS, p), want), function.__name__
+        for closure, oracle in ORACLES.items():
+            got = getattr(closures(HEADS, p), closure)
+            assert same_bits(got, oracle(HEADS, p)), closure
             for head in (-3.0, -1e-9, 0.0, 0.4):
-                assert same_bits(function(head, p),
-                                 ORACLES[function.__name__](head, p))
+                assert same_bits(getattr(closures(head, p), closure),
+                                 oracle(head, p)), closure
 
     def test_values_do_not_depend_on_evaluation_order(self):
         x = np.linspace(0.0, 2.0, HEADS.size)

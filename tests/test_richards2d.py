@@ -19,7 +19,6 @@ from coupledflow.richards2d import (
     FIELD_COLUMNS,
     DirichletData,
     Grid2D,
-    NewtonSettings,
     RichardsWorkspace,
     SubsurfaceState,
     field_rows,
@@ -215,7 +214,8 @@ class TestResidual:
             residual = work.residual(work.at_qp(psi_new),
                                      work.theta_at_qp(psi_old), dt,
                                      dirichlet=None)
-            change = work.water_volume(psi_new) - work.water_volume(psi_old)
+            change = (work.weight * np.sum(work.theta_at_qp(psi_new))
+                      - work.weight * np.sum(work.theta_at_qp(psi_old)))
             scale = np.sum(np.abs(residual)) + abs(change)
             assert abs(np.sum(residual) - change) <= 1e-13 * scale
 
@@ -338,8 +338,8 @@ class TestNewtonStep:
         work = RichardsWorkspace(grid, CLAY)
         psi_old = np.full(grid.num_nodes, 2.0)
         values = 2.0 + 0.1 * np.linspace(-1.0, 1.0, grid.num_x + 1)
-        psi, report = work.newton_step(psi_old, dt=36.0,
-                                       dirichlet=top_dirichlet(grid, values))
+        psi, report = work.newton_step(psi_old, work.theta_at_qp(psi_old),
+                                       36.0, top_dirichlet(grid, values))
         assert report.iterations == 1
         assert report.residual_norm <= 1e-12
         assert np.all(psi > 0.0)
@@ -362,8 +362,8 @@ class TestNewtonStep:
         work = RichardsWorkspace(grid, CLAY)
         psi_old = np.full(grid.num_nodes, 2.0)
         values = 2.0 + 0.1 * np.linspace(-1.0, 1.0, grid.num_x + 1)
-        _, report = work.newton_step(psi_old, dt=36.0,
-                                     dirichlet=top_dirichlet(grid, values))
+        _, report = work.newton_step(psi_old, work.theta_at_qp(psi_old),
+                                     36.0, top_dirichlet(grid, values))
         assert report.line_search_failures == int(reverse_first)
         assert report.iterations == 1 + int(reverse_first)
 
@@ -397,8 +397,8 @@ class TestNewtonStep:
         grid = small_grid()
         work = RichardsWorkspace(grid, SILT)
         psi_old = np.full(grid.num_nodes, -1.0)
-        _, report = work.newton_step(psi_old, dt=100.0,
-                                     dirichlet=top_dirichlet(grid, -0.2))
+        _, report = work.newton_step(psi_old, work.theta_at_qp(psi_old),
+                                     100.0, top_dirichlet(grid, -0.2))
         assert report.line_search_failures == int(reverse_first)
         assembled = [i for i, call in enumerate(calls)
                      if call[0] == "jacobian"]
@@ -413,18 +413,20 @@ class TestNewtonStep:
         psi_old = 0.5 - z
         data = top_dirichlet(grid, psi_old[grid.top_node_indices()])
         work = RichardsWorkspace(grid, SILT)
-        psi, report = work.newton_step(psi_old, dt=1.0e4, dirichlet=data)
+        psi, report = work.newton_step(psi_old, work.theta_at_qp(psi_old),
+                                       1.0e4, data)
         assert report.iterations == 0
         assert_allclose(psi, psi_old, rtol=1e-15)
 
-    def test_reports_failure_with_residual(self):
+    def test_reports_failure_with_residual(self, monkeypatch):
+        monkeypatch.setattr(richards2d, "NEWTON_MAX_ITERS", 1)
+        monkeypatch.setattr(richards2d, "NEWTON_TRIALS", 1)
         grid = small_grid()
         work = RichardsWorkspace(grid, SILT)
         psi_old = np.full(grid.num_nodes, -10.0)
         with pytest.raises(NewtonError) as info:
-            work.newton_step(psi_old, dt=1000.0,
-                             dirichlet=top_dirichlet(grid, 0.5),
-                             settings=NewtonSettings(max_iters=1, damping=0))
+            work.newton_step(psi_old, work.theta_at_qp(psi_old), 1000.0,
+                             top_dirichlet(grid, 0.5))
         assert info.value.iterations == 1
         assert info.value.residual_norm > 0.0
 
@@ -435,9 +437,11 @@ class TestNewtonStep:
         bad = good.copy()
         bad[0] = np.inf
         with pytest.raises(ValueError):
-            work.newton_step(bad, 1.0, top_dirichlet(grid, 0.0))
+            work.newton_step(bad, work.theta_at_qp(good), 1.0,
+                             top_dirichlet(grid, 0.0))
         with pytest.raises(ValueError):
-            work.newton_step(good, 0.0, top_dirichlet(grid, 0.0))
+            work.newton_step(good, work.theta_at_qp(good), 0.0,
+                             top_dirichlet(grid, 0.0))
 
 
 class TestDiagnostics:
@@ -465,8 +469,9 @@ class TestDiagnostics:
         grid = small_grid()
         work = RichardsWorkspace(grid, SILT)
         theta_s = SOIL_PRESETS["silt-loam"].theta_s
-        assert_allclose(work.water_volume(np.full(grid.num_nodes, 1.0)),
-                        theta_s * 1.5 * 1.0, rtol=1e-13)
+        volume = work.weight * np.sum(
+            work.theta_at_qp(np.full(grid.num_nodes, 1.0)))
+        assert_allclose(volume, theta_s * 1.5 * 1.0, rtol=1e-13)
 
 
 class TestModuleWrappers:

@@ -295,6 +295,7 @@ class TestCli:
     @pytest.mark.parametrize("argv", [
         ["linrun", "--steps", "0"],
         ["linrun", "--num-elements", "1"],
+        ["linrun", "--num-elements", "0"],
         ["linrun", "--tol", "0"],
         ["linrun", "--max-iters", "0"],
         ["linrun", "--c=-1"],
@@ -303,6 +304,8 @@ class TestCli:
         ["analyze", "--length", "inf"],
         ["analyze", "--mode", "resolution", "--c", "-1"],
         ["analyze", "--c", "inf", "--k", "1"],
+        ["analyze", "--dz", "1e-320"],
+        ["analyze", "--mode", "resolution", "--c", "1e-320", "--k", "1e-320"],
         ["simulate", "--scenario", "trench-loam",
          "--override", "rain.rate=nan"],
         ["simulate", "--scenario", "trench-loam",

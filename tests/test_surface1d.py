@@ -16,9 +16,7 @@ from coupledflow.surface1d import (
     implicit_fv_step,
     llf_flux,
     outflow_probe,
-    physical_flux,
     state_from_vector,
-    wave_speed,
 )
 
 WALLS = BoundarySpec(left="reflect", right="reflect")
@@ -37,10 +35,11 @@ def kinematic_model() -> SurfaceModel:
 class TestFluxes:
     def test_swe_flux_hand_values(self):
         model = swe_model()
-        assert_allclose(physical_flux(np.array([1.0, 0.0]), model)[:, 0],
-                        [0.0, 4.905], rtol=1e-15)
-        assert_allclose(physical_flux(np.array([1.0, 2.0]), model)[:, 0],
-                        [2.0, 4.0 + 4.905], rtol=1e-15)
+        # the LLF flux of a state with itself is the physical flux f(q)
+        for q, flux in (([1.0, 0.0], [0.0, 4.905]),
+                        ([1.0, 2.0], [2.0, 4.0 + 4.905])):
+            assert_allclose(llf_flux(np.array(q), np.array(q), model)[:, 0],
+                            flux, rtol=1e-15)
 
     def test_manning_speed_golden(self):
         model = kinematic_model()
@@ -49,26 +48,30 @@ class TestFluxes:
 
     def test_kinematic_flux_follows_fall_line(self):
         model = kinematic_model()
-        flux = physical_flux(np.array([0.01]), model)[0, 0]
+        q = np.array([0.01])
+        flux = llf_flux(q, q, model)[0, 0]
         assert_allclose(flux, -0.01 * 0.005226036332105808, rtol=1e-12)
 
-    def test_negative_height_rejected(self):
-        with pytest.raises(ValueError):
-            physical_flux(np.array([-0.1, 0.0]), swe_model())
-
     def test_wave_speeds(self):
-        model = swe_model()
-        assert_allclose(wave_speed(np.array([4.0, 8.0]), model),
-                        2.0 + np.sqrt(9.81 * 4.0), rtol=1e-14)
-        kin = kinematic_model()
-        assert_allclose(wave_speed(np.array([0.01]), kin),
-                        5.0 / 3.0 * 0.005226036332105808, rtol=1e-12)
+        # LLF dissipates with the larger speed: |u| + sqrt(g h) of the
+        # moving state here, (5/3) u against a dry neighbour
+        speed = 2.0 + np.sqrt(9.81 * 4.0)
+        flux = llf_flux(np.array([4.0, 8.0]), np.array([4.0, 0.0]),
+                        swe_model())
+        assert_allclose(flux[1, 0], 8.0 + 0.5 * 9.81 * 16.0 + 4.0 * speed,
+                        rtol=1e-14)
+        u = 0.005226036332105808
+        flux = llf_flux(np.array([0.01]), np.array([0.0]), kinematic_model())
+        assert_allclose(flux[0, 0], -0.005 * u + 0.005 * 5.0 / 3.0 * u,
+                        rtol=1e-12)
 
     def test_llf_consistency(self):
-        for model, q in ((swe_model(), np.array([0.7, 0.21])),
-                         (kinematic_model(), np.array([0.04]))):
-            assert_allclose(llf_flux(q, q, model),
-                            physical_flux(q, model), rtol=1e-15)
+        swe, kin = swe_model(), kinematic_model()
+        for model, q, flux in (
+                (swe, [0.7, 0.21], [0.21, 0.21 * 0.3 + 0.5 * 9.81 * 0.49]),
+                (kin, [0.04], [-0.04 * kin.manning_speed(0.04)])):
+            q = np.array(q)
+            assert_allclose(llf_flux(q, q, model)[:, 0], flux, rtol=1e-15)
 
     def test_llf_hand_value(self):
         model = swe_model()
@@ -105,8 +108,6 @@ class TestStates:
             SurfaceModel(flavor="kinematic", manning_n=0.1986)
         with pytest.raises(ValueError):
             SurfaceModel(flavor="swe", flow_sign=0.5)
-        with pytest.raises(ValueError):
-            SurfaceModel(flavor="swe", h_floor=0.0)
         with pytest.raises(ValueError):
             BoundarySpec(left="open")
 
@@ -165,7 +166,7 @@ class TestImplicitStep:
         new, report = implicit_fv_step(state, SurfaceSource(-1e-3), dt=1.0,
                                        dx=0.5, model=model, boundary=WALLS)
         assert report.clamped_cells == 3
-        assert np.all(new.h == model.h_floor)
+        assert np.all(new.h == surface1d.H_FLOOR)
         # clamping injects exactly the reported volume
         balance = (np.sum(new.h) - np.sum(state.h)) * 0.5 \
             - (-1e-3 * 1.0 * 0.5 * 3) - report.clamped_volume
@@ -201,13 +202,21 @@ class TestImplicitStep:
             implicit_fv_step(good, SurfaceSource(np.inf), dt=1.0, dx=1.0,
                              model=model, boundary=WALLS)
 
-    def test_newton_failure_carries_diagnostics(self):
+    def test_newton_failure_carries_diagnostics(self, monkeypatch):
+        # one Newton iteration cannot solve this step
+        newton = surface1d.damped_newton
+
+        def one_iteration(residual, direction, x, target, max_iters, *rest,
+                          **kwargs):
+            return newton(residual, direction, x, target, 1, *rest, **kwargs)
+
+        monkeypatch.setattr(surface1d, "damped_newton", one_iteration)
         model = swe_model()
         state = SurfaceState(h=np.array([1.0, 1e-8]),
                              hu=np.array([5.0, 0.0]))
         with pytest.raises(NewtonError) as info:
             implicit_fv_step(state, SurfaceSource(0.0), dt=50.0, dx=1e-3,
-                             model=model, boundary=WALLS, max_iters=1)
+                             model=model, boundary=WALLS)
         assert info.value.iterations >= 1
         assert info.value.residual_norm > 0.0
 
