@@ -52,7 +52,8 @@ class LinearModelParams:
     dt : float
         Time step [s].
     num_elements : int
-        Element count M; the interface carries one extra unknown.
+        Element count M in [2, 10**6]; the interface carries one extra
+        unknown.
     omega : float
         Relaxation factor in (0, 1].
     dz : float
@@ -68,8 +69,11 @@ class LinearModelParams:
     dz: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if int(self.num_elements) != self.num_elements or self.num_elements < 2:
-            raise ValueError("num_elements must be an integer >= 2")
+        # the eigenvalue sum and the linear column allocate arrays of
+        # length num_elements
+        if int(self.num_elements) != self.num_elements \
+                or not 2 <= self.num_elements <= 10**6:
+            raise ValueError("num_elements must be an integer in [2, 10**6]")
         object.__setattr__(self, "dz", self.length / self.num_elements)
         if not all(0.0 < value < np.inf for value in
                    (self.c, self.k, self.length, self.dt, self.dz)):
@@ -110,8 +114,14 @@ def alpha_sum(a: float, b: float, num_elements: int, dz: float,
 def discrete_S(p: LinearModelParams) -> AnalysisResult:
     """Iteration factor S = b^2 alpha - a/2 and the derived optimum."""
     a, b = toeplitz_coeffs(p)
-    alpha = alpha_sum(a, b, p.num_elements, p.dz, p.length)
-    S = b * b * alpha - a / 2.0
+    # subnormal denominators overflow the sum, huge b overflows b^2
+    with np.errstate(over="ignore", invalid="ignore"):
+        alpha = alpha_sum(a, b, p.num_elements, p.dz, p.length)
+        S = b * b * alpha - a / 2.0
+    if not (np.isfinite(alpha) and np.isfinite(S)):
+        raise ValueError(f"S = b^2 alpha - a/2 is not finite (alpha = "
+                         f"{alpha:g}, S = {S:g}); c, k, dt or dz is out of "
+                         f"range")
     return AnalysisResult(a=a, b=b, alpha_sum=alpha, S=S,
                           omega_opt=1.0 / (1.0 - S))
 

@@ -89,12 +89,12 @@ def cmd_linrun(args: argparse.Namespace) -> int:
     try:
         base = LinearModelParams(c=args.c, k=args.k, length=args.length,
                                  dt=args.dt, num_elements=args.num_elements)
+        predicted = analysis.discrete_S(base)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     if args.steps < 1 or args.max_iters < 1 or not args.tol > 0:
         raise ConfigError(
             "--steps and --max-iters must be at least 1, --tol positive")
-    predicted = analysis.discrete_S(base)
     try:
         omega = predicted.omega_opt if args.omega == "opt" \
             else float(args.omega)

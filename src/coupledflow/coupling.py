@@ -5,8 +5,9 @@ point loop, iteration.fixed_point (Gauss-Seidel order, subsurface first):
 
   1. the surface heights of the previous iterate become Dirichlet head
      values on the soil's top boundary (map_height_to_head),
-  2. the subsurface step is solved and its top-edge Darcy fluxes are turned
-     into per-cell surface sources (map_flux_to_source),
+  2. the subsurface step is solved; its top-edge Darcy flux integrals
+     [m^2/s], divided by the cell width, plus the rain rate are the per-cell
+     surface source [m/s] (water leaving the soil adds to the surface),
   3. the surface step is solved for a height proposal h_tilde,
   4. the new iterate is the relaxed blend omega*h_tilde + (1-omega)*h_prev,
   5. the loop stops when res = ||h_tilde - h_prev||_2 falls below tol.
@@ -31,8 +32,8 @@ from .analysis import LinearModelParams, discrete_S
 from .iteration import fixed_point, observed_cr
 from .richards2d import (DirichletData, Grid2D, RichardsWorkspace,
                          SubsurfaceState, top_dirichlet)
-from .surface1d import (BoundarySpec, SurfaceModel, SurfaceSource,
-                        SurfaceState, implicit_fv_step)
+from .surface1d import (BoundarySpec, SurfaceModel, SurfaceState,
+                        implicit_fv_step)
 
 
 @dataclass(frozen=True)
@@ -163,17 +164,6 @@ def map_height_to_head(h_cells: np.ndarray) -> np.ndarray:
     return nodes
 
 
-def map_flux_to_source(flux_integrals: np.ndarray, dx: float) -> np.ndarray:
-    """Per-cell surface source [m/s] from top-edge flux integrals [m^2/s].
-
-    Positive integrals (water leaving the soil through the upward normal)
-    add water to the surface cells.
-    """
-    if dx <= 0.0:
-        raise ValueError("dx must be positive")
-    return np.asarray(flux_integrals, dtype=float) / dx
-
-
 def predict_S(state: SubsurfaceState, grid: Grid2D, node_material,
               dt: float) -> PredictedFactors:
     """Linear-theory contraction estimate from spatial coefficient means of
@@ -208,10 +198,8 @@ def run_coupled_step(problem: CoupledProblem, config: CouplingConfig,
         # warm start from the previous sweep's field
         psi_new, newton_report = problem.workspace.newton_step(
             psi_new, theta_old_qp, config.dt, dirichlet)
-        source = SurfaceSource(
-            exchange=map_flux_to_source(
-                problem.workspace.interface_flux(psi_new), problem.grid.dx),
-            rain=rain_rate)
+        source = (problem.workspace.interface_flux(psi_new)
+                  / problem.grid.dx + rain_rate)
         surface_new, surf_report = implicit_fv_step(
             state.surface, source, config.dt, problem.grid.dx,
             problem.surface_model, problem.boundary)

@@ -1,6 +1,6 @@
 """The shared iterations: the linear testbench and the coupled step run
-fixed_point, the Richards and the surface solver run damped_newton.  Only
-numpy is imported, so the linear testbench stays free of scipy.
+fixed_point, the Richards and the surface solver run damped_newton.  The
+module imports only numpy.
 """
 
 from __future__ import annotations

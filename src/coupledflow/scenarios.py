@@ -16,12 +16,12 @@ benchmark families:
 Configs are INI files with the same keys the presets use; a file starts from
 a preset (``[scenario] base = ...``) and overrides fields.  Unknown sections
 or keys are rejected rather than ignored.  All stored values are SI; inputs
-quoted per minute or per hour are converted on ingestion (``_UNITS``).  Each
-value is checked once, by the runtime object that uses it (grid, material,
-surface model, boundary, rain, coupling config); ``validate`` builds those
-objects once, checks only what none of them owns and returns them, and
-``build_all`` assembles the run from what it returns.  Any failure is a
-``ConfigError``.
+quoted per minute or per hour are converted on ingestion (``_UNITS``).
+``load_config`` only parses.  Each value is checked once, by the runtime
+object that uses it (grid, material, surface model, boundary, rain, coupling
+config); ``build_all`` is the one place that builds those objects, once
+each, checks only what none of them owns and assembles the run.  Any
+failure is a ``ConfigError``.
 
 CSV writers emit a single header row and ``%.17g`` floats so repeated runs
 of the same config are byte identical.
@@ -78,7 +78,8 @@ def manning_minutes_to_si(n_manning: float) -> float:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Complete, validated description of one coupled run (SI units)."""
+    """Complete description of one coupled run (SI units); build_all checks
+    it."""
 
     name: str
     # geometry
@@ -123,39 +124,6 @@ class ScenarioConfig:
     def psi0_at(self, x, z):
         return self.psi0_const + self.psi0_z * np.asarray(z) \
             + self.psi0_x * np.asarray(x)
-
-    def validate(self) -> tuple[Grid2D, MaterialField, SurfaceModel,
-                                BoundarySpec, RainSchedule, CouplingConfig]:
-        """Check the scenario-only rules; return each runtime object, built
-        once."""
-        for item in dataclasses.fields(self):
-            value = getattr(self, item.name)
-            if isinstance(value, float) and not np.isfinite(value) and not (
-                    item.name == "rain_cutoff" and value == np.inf):
-                raise ConfigError(f"{item.name} must be finite, got {value}")
-        for soil in filter(None, (self.soil, self.soil_right)):
-            if soil not in SOIL_PRESETS:
-                known = ", ".join(sorted(SOIL_PRESETS))
-                raise ConfigError(f"unknown soil {soil!r} (known: {known})")
-        try:
-            built = (
-                build_grid(self), build_material(self),
-                build_surface_model(self),
-                BoundarySpec(left=self.boundary_left,
-                             right=self.boundary_right),
-                RainSchedule(rate=self.rain_rate, cutoff=self.rain_cutoff),
-                CouplingConfig(omega=self.omega, tol=self.tol,
-                               max_iters=self.max_iters, dt=self.dt,
-                               num_steps=self.num_steps,
-                               output_every=self.output_every))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-        if self.h0 < 0:
-            raise ConfigError("h0 must be nonnegative")
-        if self.side_dirichlet_below is not None \
-                and not 0 < self.side_dirichlet_below <= self.length_z:
-            raise ConfigError("side_dirichlet_below must lie in (0, L_z]")
-        return built
 
 
 # ---------------------------------------------------------------------------
@@ -325,9 +293,7 @@ def _apply_items(config: ScenarioConfig,
                               f"(known: {known})")
         if field in updates:
             updates[field] = converters[units](updates[field])
-    config = dataclasses.replace(config, **updates)
-    config.validate()
-    return config
+    return dataclasses.replace(config, **updates)
 
 
 def parse_overrides(pairs: Sequence[str]) -> list[tuple[str, str, str]]:
@@ -386,11 +352,6 @@ def load_config(path: str | None = None,
 # assembling runnable objects
 
 
-def build_grid(config: ScenarioConfig) -> Grid2D:
-    return Grid2D(length_x=config.length_x, length_z=config.length_z,
-                  num_x=config.num_x, num_z=config.num_z)
-
-
 def build_material(config: ScenarioConfig) -> MaterialField:
     if config.soil_right is None:
         params = SOIL_PRESETS[config.soil]
@@ -402,13 +363,6 @@ def build_material(config: ScenarioConfig) -> MaterialField:
     return MaterialField.blended(
         left=SOIL_PRESETS[config.soil], right=SOIL_PRESETS[config.soil_right],
         center_x=config.blend_center, steepness=config.blend_steepness)
-
-
-def build_surface_model(config: ScenarioConfig) -> SurfaceModel:
-    return SurfaceModel(flavor=config.flavor, gravity=config.gravity,
-                        manning_n=config.manning_n,
-                        friction_slope=config.friction_slope,
-                        flow_sign=config.flow_sign)
 
 
 def side_dirichlet(config: ScenarioConfig,
@@ -444,7 +398,42 @@ def build_initial_state(config: ScenarioConfig, grid: Grid2D,
 
 def build_all(config: ScenarioConfig,
               ) -> tuple[CoupledProblem, CouplingConfig, CoupledState]:
-    grid, material, model, boundary, rain, coupling_config = config.validate()
+    """Check config and build each runtime object from it once.
+
+    The runtime objects check their own values; this adds only the rules
+    none of them owns.  Any failure is a ConfigError.
+    """
+    for item in dataclasses.fields(config):
+        value = getattr(config, item.name)
+        if isinstance(value, float) and not np.isfinite(value) and not (
+                item.name == "rain_cutoff" and value == np.inf):
+            raise ConfigError(f"{item.name} must be finite, got {value}")
+    for soil in filter(None, (config.soil, config.soil_right)):
+        if soil not in SOIL_PRESETS:
+            known = ", ".join(sorted(SOIL_PRESETS))
+            raise ConfigError(f"unknown soil {soil!r} (known: {known})")
+    try:
+        grid = Grid2D(length_x=config.length_x, length_z=config.length_z,
+                      num_x=config.num_x, num_z=config.num_z)
+        material = build_material(config)
+        model = SurfaceModel(flavor=config.flavor, gravity=config.gravity,
+                             manning_n=config.manning_n,
+                             friction_slope=config.friction_slope,
+                             flow_sign=config.flow_sign)
+        boundary = BoundarySpec(left=config.boundary_left,
+                                right=config.boundary_right)
+        rain = RainSchedule(rate=config.rain_rate, cutoff=config.rain_cutoff)
+        coupling_config = CouplingConfig(
+            omega=config.omega, tol=config.tol, max_iters=config.max_iters,
+            dt=config.dt, num_steps=config.num_steps,
+            output_every=config.output_every)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    if config.h0 < 0:
+        raise ConfigError("h0 must be nonnegative")
+    if config.side_dirichlet_below is not None \
+            and not 0 < config.side_dirichlet_below <= config.length_z:
+        raise ConfigError("side_dirichlet_below must lie in (0, L_z]")
     problem = CoupledProblem(grid=grid, material=material,
                              surface_model=model, boundary=boundary,
                              rain=rain,

@@ -18,14 +18,16 @@ with lambda_max the larger absolute characteristic speed of the two states
 (|u| + sqrt(g h) for swe, (5/3) u for the kinematic wave).  Each time step
 solves the implicit Euler balance
 
-    q_l = q_l_old - (dt/dx) (F_l - F_{l-1}) + dt b_l,     b = (s + r, 0),
+    q_l = q_l_old - (dt/dx) (F_l - F_{l-1}) + dt b_l,     b = (s_l, 0),
 
-by the shared damped Newton (iteration.damped_newton); sources enter the
-height component only.  The dense finite difference Jacobian comes from one
-residual call on the batch of all column-bumped states, and each residual
-takes every face flux from one LLF call on the state padded with a ghost
-cell per side.  After the solve, depths below H_FLOOR are raised to H_FLOOR
-and the added volume is reported.
+by the shared damped Newton (iteration.damped_newton); the source s [m/s]
+(soil exchange plus rain, per cell or one scalar) enters the height
+component only.  The dense finite difference Jacobian comes from one
+residual call on the batch of all column-bumped states.  Each residual takes
+every face flux from one llf_flux call, which pads the state with a ghost
+cell per side and evaluates f and lambda once per cell.  After the solve,
+depths below H_FLOOR are raised to H_FLOOR and the added volume is
+reported.
 """
 
 from __future__ import annotations
@@ -68,10 +70,6 @@ class SurfaceModel:
         if self.flow_sign not in (-1.0, 1.0):
             raise ValueError("flow_sign must be +1 or -1")
 
-    @property
-    def num_components(self) -> int:
-        return 2 if self.flavor == "swe" else 1
-
     def manning_speed(self, h) -> np.ndarray:
         """Manning velocity magnitude for the kinematic flavor."""
         h = np.asarray(h, dtype=float)
@@ -96,10 +94,6 @@ class SurfaceState:
                 raise ValueError("h and hu must have the same shape")
             object.__setattr__(self, "hu", hu)
 
-    @property
-    def num_cells(self) -> int:
-        return self.h.size
-
     def as_vector(self, model: SurfaceModel) -> np.ndarray:
         if model.flavor == "swe":
             if self.hu is None:
@@ -115,29 +109,6 @@ def state_from_vector(q: np.ndarray, model: SurfaceModel,
     return SurfaceState(h=q[0].copy(), time=time)
 
 
-@dataclass(frozen=True)
-class SurfaceSource:
-    """Height-equation source terms: soil exchange s and rainfall r [m/s]."""
-
-    exchange: np.ndarray | float
-    rain: float = 0.0
-
-    def total(self, num_cells: int) -> np.ndarray:
-        exchange = np.broadcast_to(np.asarray(self.exchange, dtype=float),
-                                   (num_cells,))
-        return exchange + self.rain
-
-
-def _as_states(q, model: SurfaceModel) -> np.ndarray:
-    """Coerce a single state or a batch to shape (num_components, M)."""
-    q = np.asarray(q, dtype=float)
-    if q.ndim == 1:
-        q = q.reshape(model.num_components, -1)
-    if q.shape[0] != model.num_components:
-        raise ValueError(f"state needs {model.num_components} components")
-    return q
-
-
 def _flux_and_speed(q: np.ndarray, model: SurfaceModel,
                     ) -> tuple[np.ndarray, np.ndarray]:
     # Newton trial states may dip below zero; clamping h keeps f defined
@@ -149,16 +120,6 @@ def _flux_and_speed(q: np.ndarray, model: SurfaceModel,
                 np.abs(u) + np.sqrt(model.gravity * h))
     speed = model.manning_speed(h)
     return (model.flow_sign * h * speed)[None], 5.0 / 3.0 * speed
-
-
-def llf_flux(q_left, q_right, model: SurfaceModel) -> np.ndarray:
-    """Local Lax-Friedrichs interface flux between two states."""
-    q_left = _as_states(q_left, model)
-    q_right = _as_states(q_right, model)
-    flux_left, speed_left = _flux_and_speed(q_left, model)
-    flux_right, speed_right = _flux_and_speed(q_right, model)
-    speed = np.maximum(speed_left, speed_right)
-    return 0.5 * (flux_left + flux_right) - 0.5 * speed * (q_right - q_left)
 
 
 # Boundary kinds:
@@ -179,15 +140,19 @@ class BoundarySpec:
                 raise ValueError(f"unknown boundary kind {side!r}")
 
 
-def _face_fluxes(q: np.ndarray, boundary: BoundarySpec,
-                 model: SurfaceModel) -> np.ndarray:
-    """All num_cells + 1 face fluxes of q with shape (n_comp, ..., cells)."""
+def llf_flux(q: np.ndarray, boundary: BoundarySpec,
+             model: SurfaceModel) -> np.ndarray:
+    """Local Lax-Friedrichs fluxes on the cells + 1 faces of q, which is
+    shaped (n_comp, ..., cells); a ghost cell per side closes the ends."""
     padded = np.concatenate([q[..., :1], q, q[..., -1:]], axis=-1)
     walls = [end for kind, end in ((boundary.left, 0), (boundary.right, -1))
              if kind == "reflect"]
     if model.flavor == "swe":
         padded[1, ..., walls] = -padded[1, ..., walls]
-    faces = llf_flux(padded[..., :-1], padded[..., 1:], model)
+    flux, speed = _flux_and_speed(padded, model)
+    faces = (0.5 * (flux[..., :-1] + flux[..., 1:])
+             - 0.5 * np.maximum(speed[..., :-1], speed[..., 1:])
+             * (padded[..., 1:] - padded[..., :-1]))
     if model.flavor == "kinematic":
         faces[..., walls] = 0.0
     return faces
@@ -202,37 +167,37 @@ class SurfaceStepReport:
     line_search_failures: int
 
 
-def _step_residual(flat: np.ndarray, q_old: np.ndarray, total_source,
+def _step_residual(flat: np.ndarray, q_old: np.ndarray, source,
                    dt: float, dx: float, boundary: BoundarySpec,
                    model: SurfaceModel) -> np.ndarray:
     """Residual of one flat state, or of each row of a (B, size) batch."""
     q = flat.reshape(-1, *q_old.shape).swapaxes(0, 1)
-    faces = _face_fluxes(q, boundary, model)
+    faces = llf_flux(q, boundary, model)
     residual = q - q_old[:, None] + dt / dx * (faces[..., 1:]
                                                - faces[..., :-1])
-    residual[0] -= dt * total_source
+    residual[0] -= dt * source
     return residual.swapaxes(0, 1).reshape(flat.shape)
 
 
-def implicit_fv_step(state_old: SurfaceState, sources: SurfaceSource,
-                     dt: float, dx: float, model: SurfaceModel,
-                     boundary: BoundarySpec,
+def implicit_fv_step(state_old: SurfaceState, source, dt: float, dx: float,
+                     model: SurfaceModel, boundary: BoundarySpec,
                      ) -> tuple[SurfaceState, SurfaceStepReport]:
-    """Advance one implicit Euler step of the FV scheme."""
+    """Advance one implicit Euler step of the FV scheme; source is the
+    per-cell height source [m/s], an array or a scalar."""
     if dt <= 0.0 or dx <= 0.0:
         raise ValueError("dt and dx must be positive")
     q_old = state_old.as_vector(model)
     if not np.all(np.isfinite(q_old)):
         raise ValueError("previous state contains non-finite values")
-    total = sources.total(state_old.num_cells)
-    if not np.all(np.isfinite(total)):
-        raise ValueError("sources contain non-finite values")
+    source = np.asarray(source, dtype=float)
+    if not np.all(np.isfinite(source)):
+        raise ValueError("source contains non-finite values")
 
     flat = q_old.ravel().copy()
     scale = max(1.0, np.max(np.abs(flat)))
 
     def residual(trial: np.ndarray) -> np.ndarray:
-        return _step_residual(trial, q_old, total, dt, dx, boundary, model)
+        return _step_residual(trial, q_old, source, dt, dx, boundary, model)
 
     def direction(point: np.ndarray, res: np.ndarray) -> np.ndarray:
         eps = 1e-8 * np.maximum(1.0, np.abs(point))

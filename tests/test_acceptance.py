@@ -31,7 +31,6 @@ from coupledflow.scenarios import build_all, preset
 from coupledflow.surface1d import (
     BoundarySpec,
     SurfaceModel,
-    SurfaceSource,
     SurfaceState,
     implicit_fv_step,
     outflow_probe,
@@ -317,9 +316,8 @@ class TestConservationSuite:
             state = SurfaceState(h=h, hu=hu)
             dx = 0.25
             volume = np.sum(state.h) * dx
-            quiet = SurfaceSource(exchange=np.zeros(8), rain=0.0)
             for _ in range(3):
-                state, _ = implicit_fv_step(state, quiet, dt=0.05, dx=dx,
+                state, _ = implicit_fv_step(state, np.zeros(8), dt=0.05, dx=dx,
                                             model=model, boundary=walls)
             drift = abs(np.sum(state.h) * dx - volume)
             worst_mass = max(worst_mass, drift / volume)

@@ -212,7 +212,8 @@ class TestValidation:
         good = dict(c=1.0, k=1.0, length=1.0, dt=0.1, num_elements=4)
         for field, value in [("c", 0.0), ("k", -1.0), ("length", 0.0),
                              ("dt", 0.0), ("num_elements", 1),
-                             ("num_elements", 0)]:
+                             ("num_elements", 0),
+                             ("num_elements", 10**6 + 1)]:
             with pytest.raises(ValueError):
                 LinearModelParams(**{**good, field: value})
         with pytest.raises(ValueError):

@@ -25,7 +25,6 @@ from coupledflow.coupling import (
     PredictedFactors,
     RainSchedule,
     StepRecord,
-    map_flux_to_source,
     map_height_to_head,
     predict_S,
     run_coupled_step,
@@ -91,12 +90,6 @@ class TestMaps:
                         rtol=1e-15)
         with pytest.raises(ValueError):
             map_height_to_head(np.zeros((2, 2)))
-
-    def test_flux_to_source(self):
-        assert_allclose(map_flux_to_source(np.array([2e-6, -4e-6]), 0.4),
-                        [5e-6, -1e-5], rtol=1e-15)
-        with pytest.raises(ValueError):
-            map_flux_to_source(np.array([1.0]), 0.0)
 
 
 class TestRainSchedule:

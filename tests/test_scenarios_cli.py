@@ -65,6 +65,22 @@ class TestPresets:
         problem, _, _ = build_all(preset("trench-loam"))
         assert built == [problem.grid]
 
+    def test_simulate_with_overrides_builds_the_grid_once(self, monkeypatch,
+                                                          tmp_path, capsys):
+        # load_config only parses; build_all is the one place that builds
+        built = []
+        check = Grid2D.__post_init__
+
+        def counting(grid):
+            built.append(grid)
+            check(grid)
+
+        monkeypatch.setattr(Grid2D, "__post_init__", counting)
+        assert cli.main(["simulate", "--scenario", "trench-loam",
+                         "--override", "coupling.num_steps=1",
+                         "--out", str(tmp_path / "once")]) == 0
+        assert len(built) == 1
+
     def test_unknown_preset(self):
         with pytest.raises(ConfigError) as info:
             preset("trench-sand")
@@ -102,7 +118,9 @@ class TestSideDirichlet:
     def test_disabled_when_none(self):
         config = dataclasses.replace(preset("trench-loam"),
                                      side_dirichlet_below=None)
-        assert side_dirichlet(config, scenarios.build_grid(config)) is None
+        problem, _, _ = build_all(config)
+        assert problem.static_dirichlet is None
+        assert side_dirichlet(config, problem.grid) is None
 
 
 class TestValidation:
@@ -112,11 +130,11 @@ class TestValidation:
                              ("omega", 1.5), ("boundary_left", "open"),
                              ("flavor", "dg"), ("k_s", -1.0)]:
             with pytest.raises(ConfigError):
-                dataclasses.replace(base, **{field: value}).validate()
+                build_all(dataclasses.replace(base, **{field: value}))
 
     def test_k_s_override_applies(self):
         config = dataclasses.replace(preset("hillslope-sandy"), k_s=1.16e-6)
-        config.validate()
+        build_all(config)
         field = build_material(config)
         bound = field.at(np.array([0.0]))
         assert_allclose(
@@ -306,6 +324,11 @@ class TestCli:
         ["analyze", "--c", "inf", "--k", "1"],
         ["analyze", "--dz", "1e-320"],
         ["analyze", "--mode", "resolution", "--c", "1e-320", "--k", "1e-320"],
+        ["analyze", "--mode", "resolution", "--c", "1e-320", "--k", "1e-320",
+         "--dt", "1", "--dz", "0.5"],
+        ["analyze", "--c", "1e300", "--k", "1"],
+        ["linrun", "--c", "1e-320", "--k", "1e-320"],
+        ["analyze", "--c", "1", "--k", "1", "--dz", "5e-7"],
         ["simulate", "--scenario", "trench-loam",
          "--override", "rain.rate=nan"],
         ["simulate", "--scenario", "trench-loam",
@@ -425,10 +448,11 @@ class TestCli:
         assert code == 4
         assert "soil solve failed" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_simulate_non_finite_newton_trial_exit_code(self, tmp_path,
                                                         capsys):
-        # the Jacobian overflows, spsolve returns nan and the trial's water
-        # content is non-finite
+        # the Jacobian overflows (its RuntimeWarnings are expected), spsolve
+        # returns nan and the trial's water content is non-finite
         code = cli.main(["simulate", "--scenario", "trench-loam",
                          "--override", "soil.k_s=1e308",
                          "--override", "coupling.num_steps=2",

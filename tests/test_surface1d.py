@@ -11,7 +11,6 @@ from coupledflow.surface1d import (
     PROBE_COLUMNS,
     BoundarySpec,
     SurfaceModel,
-    SurfaceSource,
     SurfaceState,
     implicit_fv_step,
     llf_flux,
@@ -20,6 +19,7 @@ from coupledflow.surface1d import (
 )
 
 WALLS = BoundarySpec(left="reflect", right="reflect")
+COPY = BoundarySpec()
 
 
 def swe_model() -> SurfaceModel:
@@ -32,14 +32,19 @@ def kinematic_model() -> SurfaceModel:
                         friction_slope=5e-4, flow_sign=-1.0)
 
 
+def uniform(q, num_cells=3):
+    """num_cells copies of the single state q, shaped (n_comp, cells)."""
+    return np.tile(np.array(q, dtype=float)[:, None], num_cells)
+
+
 class TestFluxes:
     def test_swe_flux_hand_values(self):
         model = swe_model()
-        # the LLF flux of a state with itself is the physical flux f(q)
+        # every face of a uniform state with copy walls carries f(q)
         for q, flux in (([1.0, 0.0], [0.0, 4.905]),
                         ([1.0, 2.0], [2.0, 4.0 + 4.905])):
-            assert_allclose(llf_flux(np.array(q), np.array(q), model)[:, 0],
-                            flux, rtol=1e-15)
+            assert_allclose(llf_flux(uniform(q), COPY, model),
+                            uniform(flux, 4), rtol=1e-15)
 
     def test_manning_speed_golden(self):
         model = kinematic_model()
@@ -47,22 +52,20 @@ class TestFluxes:
                         rtol=1e-12)
 
     def test_kinematic_flux_follows_fall_line(self):
-        model = kinematic_model()
-        q = np.array([0.01])
-        flux = llf_flux(q, q, model)[0, 0]
-        assert_allclose(flux, -0.01 * 0.005226036332105808, rtol=1e-12)
+        faces = llf_flux(uniform([0.01]), COPY, kinematic_model())
+        assert_allclose(faces, -0.01 * 0.005226036332105808, rtol=1e-12)
 
     def test_wave_speeds(self):
         # LLF dissipates with the larger speed: |u| + sqrt(g h) of the
         # moving state here, (5/3) u against a dry neighbour
         speed = 2.0 + np.sqrt(9.81 * 4.0)
-        flux = llf_flux(np.array([4.0, 8.0]), np.array([4.0, 0.0]),
-                        swe_model())
-        assert_allclose(flux[1, 0], 8.0 + 0.5 * 9.81 * 16.0 + 4.0 * speed,
+        faces = llf_flux(np.array([[4.0, 4.0], [8.0, 0.0]]), COPY,
+                         swe_model())
+        assert_allclose(faces[1, 1], 8.0 + 0.5 * 9.81 * 16.0 + 4.0 * speed,
                         rtol=1e-14)
         u = 0.005226036332105808
-        flux = llf_flux(np.array([0.01]), np.array([0.0]), kinematic_model())
-        assert_allclose(flux[0, 0], -0.005 * u + 0.005 * 5.0 / 3.0 * u,
+        faces = llf_flux(np.array([[0.01, 0.0]]), COPY, kinematic_model())
+        assert_allclose(faces[0, 1], -0.005 * u + 0.005 * 5.0 / 3.0 * u,
                         rtol=1e-12)
 
     def test_llf_consistency(self):
@@ -70,17 +73,17 @@ class TestFluxes:
         for model, q, flux in (
                 (swe, [0.7, 0.21], [0.21, 0.21 * 0.3 + 0.5 * 9.81 * 0.49]),
                 (kin, [0.04], [-0.04 * kin.manning_speed(0.04)])):
-            q = np.array(q)
-            assert_allclose(llf_flux(q, q, model)[:, 0], flux, rtol=1e-15)
+            assert_allclose(llf_flux(uniform(q), COPY, model),
+                            uniform(flux, 4), rtol=1e-15)
 
     def test_llf_hand_value(self):
-        model = swe_model()
-        q_left = np.array([1.0, 0.0])
-        q_right = np.array([0.5, 0.1])
-        flux = llf_flux(q_left, q_right, model)[:, 0]
+        # the middle face of a two-cell state
+        faces = llf_flux(np.array([[1.0, 0.5], [0.0, 0.1]]), COPY,
+                         swe_model())
         # the still deep state carries the larger speed sqrt(g)
-        assert_allclose(flux[0], 0.05 + 0.25 * np.sqrt(9.81), rtol=1e-14)
-        assert_allclose(flux[1], 3.075625 - 0.05 * np.sqrt(9.81), rtol=1e-14)
+        assert_allclose(faces[0, 1], 0.05 + 0.25 * np.sqrt(9.81), rtol=1e-14)
+        assert_allclose(faces[1, 1], 3.075625 - 0.05 * np.sqrt(9.81),
+                        rtol=1e-14)
 
 
 class TestStates:
@@ -116,7 +119,7 @@ class TestImplicitStep:
     def test_lake_at_rest_is_exact(self):
         model = swe_model()
         state = SurfaceState(h=np.full(6, 0.3), hu=np.zeros(6))
-        new, report = implicit_fv_step(state, SurfaceSource(0.0), dt=0.5,
+        new, report = implicit_fv_step(state, 0.0, dt=0.5,
                                        dx=0.1, model=model, boundary=WALLS)
         assert report.iterations == 0
         assert np.array_equal(new.h, state.h)
@@ -125,7 +128,7 @@ class TestImplicitStep:
     def test_uniform_rain_raises_uniformly(self):
         model = swe_model()
         state = SurfaceState(h=np.full(5, 0.2), hu=np.zeros(5))
-        new, report = implicit_fv_step(state, SurfaceSource(0.0, rain=1e-3),
+        new, report = implicit_fv_step(state, 1e-3,
                                        dt=2.0, dx=0.5, model=model,
                                        boundary=WALLS)
         assert report.clamped_cells == 0
@@ -141,7 +144,7 @@ class TestImplicitStep:
         state = SurfaceState(h=h, hu=hu)
         dx = 0.25
         for _ in range(3):
-            state, report = implicit_fv_step(state, SurfaceSource(0.0),
+            state, report = implicit_fv_step(state, 0.0,
                                              dt=0.1, dx=dx, model=model,
                                              boundary=WALLS)
             assert report.clamped_cells == 0
@@ -151,10 +154,8 @@ class TestImplicitStep:
         model = kinematic_model()
         exchange = np.array([1e-4, -2e-4, 3e-4, 0.0])
         state = SurfaceState(h=np.full(4, 0.05))
-        new, report = implicit_fv_step(state, SurfaceSource(exchange,
-                                                            rain=1e-4),
-                                       dt=10.0, dx=2.0, model=model,
-                                       boundary=WALLS)
+        new, report = implicit_fv_step(state, exchange + 1e-4, dt=10.0,
+                                       dx=2.0, model=model, boundary=WALLS)
         assert report.clamped_cells == 0
         gained = (np.sum(new.h) - np.sum(state.h)) * 2.0
         expected = 10.0 * 2.0 * np.sum(exchange + 1e-4)
@@ -163,7 +164,7 @@ class TestImplicitStep:
     def test_floor_clamp_reports_added_volume(self):
         model = kinematic_model()
         state = SurfaceState(h=np.full(3, 1e-6))
-        new, report = implicit_fv_step(state, SurfaceSource(-1e-3), dt=1.0,
+        new, report = implicit_fv_step(state, -1e-3, dt=1.0,
                                        dx=0.5, model=model, boundary=WALLS)
         assert report.clamped_cells == 3
         assert np.all(new.h == surface1d.H_FLOOR)
@@ -177,14 +178,14 @@ class TestImplicitStep:
         model = kinematic_model()
         state = SurfaceState(h=np.full(4, 0.02))
         boundary = BoundarySpec(left="copy", right="reflect")
-        new, _ = implicit_fv_step(state, SurfaceSource(0.0), dt=5.0, dx=1.0,
+        new, _ = implicit_fv_step(state, 0.0, dt=5.0, dx=1.0,
                                   model=model, boundary=boundary)
         assert np.sum(new.h) < np.sum(state.h)
 
     def test_time_advances(self):
         model = kinematic_model()
         state = SurfaceState(h=np.full(3, 0.01), time=7.0)
-        new, _ = implicit_fv_step(state, SurfaceSource(0.0), dt=2.5, dx=1.0,
+        new, _ = implicit_fv_step(state, 0.0, dt=2.5, dx=1.0,
                                   model=model, boundary=WALLS)
         assert new.time == 9.5
 
@@ -192,14 +193,14 @@ class TestImplicitStep:
         model = kinematic_model()
         state = SurfaceState(h=np.array([0.01, np.nan]))
         with pytest.raises(ValueError):
-            implicit_fv_step(state, SurfaceSource(0.0), dt=1.0, dx=1.0,
+            implicit_fv_step(state, 0.0, dt=1.0, dx=1.0,
                              model=model, boundary=WALLS)
         good = SurfaceState(h=np.array([0.01, 0.01]))
         with pytest.raises(ValueError):
-            implicit_fv_step(good, SurfaceSource(0.0), dt=0.0, dx=1.0,
+            implicit_fv_step(good, 0.0, dt=0.0, dx=1.0,
                              model=model, boundary=WALLS)
         with pytest.raises(ValueError):
-            implicit_fv_step(good, SurfaceSource(np.inf), dt=1.0, dx=1.0,
+            implicit_fv_step(good, np.inf, dt=1.0, dx=1.0,
                              model=model, boundary=WALLS)
 
     def test_newton_failure_carries_diagnostics(self, monkeypatch):
@@ -215,7 +216,7 @@ class TestImplicitStep:
         state = SurfaceState(h=np.array([1.0, 1e-8]),
                              hu=np.array([5.0, 0.0]))
         with pytest.raises(NewtonError) as info:
-            implicit_fv_step(state, SurfaceSource(0.0), dt=50.0, dx=1e-3,
+            implicit_fv_step(state, 0.0, dt=50.0, dx=1e-3,
                              model=model, boundary=WALLS)
         assert info.value.iterations >= 1
         assert info.value.residual_norm > 0.0
@@ -226,10 +227,29 @@ class TestImplicitStep:
                              hu=np.array([1e200, 0.0]))
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(NewtonError) as info:
-            implicit_fv_step(state, SurfaceSource(0.0), dt=1.0, dx=1.0,
+            implicit_fv_step(state, 0.0, dt=1.0, dx=1.0,
                              model=swe_model(), boundary=BoundarySpec())
         assert info.value.iterations == 0
         assert not np.isfinite(info.value.residual_norm)
+
+
+def reference_llf(q_left, q_right, model):
+    """The pairwise LLF flux between two sets of states, with the physical
+    flux and wave speed of each side evaluated on their own."""
+    def flux_and_speed(q):
+        h = np.maximum(q[0], 0.0)
+        if model.flavor == "swe":
+            hu = q[1]
+            u = np.where(h > 0.0, hu / np.maximum(h, 1e-300), 0.0)
+            return (np.stack([hu, hu * u + 0.5 * model.gravity * h * h]),
+                    np.abs(u) + np.sqrt(model.gravity * h))
+        speed = model.manning_speed(h)
+        return (model.flow_sign * h * speed)[None], 5.0 / 3.0 * speed
+
+    flux_left, speed_left = flux_and_speed(q_left)
+    flux_right, speed_right = flux_and_speed(q_right)
+    speed = np.maximum(speed_left, speed_right)
+    return 0.5 * (flux_left + flux_right) - 0.5 * speed * (q_right - q_left)
 
 
 def reference_boundary_flux(q_edge, kind, model, is_left):
@@ -243,20 +263,20 @@ def reference_boundary_flux(q_edge, kind, model, is_left):
     else:
         inner = outer = q_edge[:, None]
     if is_left:
-        return llf_flux(outer, inner, model)[:, 0]
-    return llf_flux(inner, outer, model)[:, 0]
+        return reference_llf(outer, inner, model)[:, 0]
+    return reference_llf(inner, outer, model)[:, 0]
 
 
-def reference_residual(flat, q_old, total, dt, dx, boundary, model):
+def reference_residual(flat, q_old, source, dt, dx, boundary, model):
     q = flat.reshape(q_old.shape)
-    faces = np.empty((model.num_components, q.shape[1] + 1))
-    faces[:, 1:-1] = llf_flux(q[:, :-1], q[:, 1:], model)
+    faces = np.empty((q.shape[0], q.shape[1] + 1))
+    faces[:, 1:-1] = reference_llf(q[:, :-1], q[:, 1:], model)
     faces[:, 0] = reference_boundary_flux(q[:, 0], boundary.left, model,
                                           is_left=True)
     faces[:, -1] = reference_boundary_flux(q[:, -1], boundary.right, model,
                                            is_left=False)
     residual = q - q_old + dt / dx * (faces[:, 1:] - faces[:, :-1])
-    residual[0] -= dt * total
+    residual[0] -= dt * source
     return residual.ravel()
 
 
@@ -291,7 +311,7 @@ def rainy_state(flavor, num_x, seed=7):
     model = swe_model() if flavor == "swe" else kinematic_model()
     h = rng.uniform(0.05, 0.3, size=num_x)
     hu = rng.normal(scale=0.05, size=num_x) if flavor == "swe" else None
-    source = SurfaceSource(rng.normal(scale=1e-4, size=num_x), rain=2e-4)
+    source = rng.normal(scale=1e-4, size=num_x) + 2e-4
     return model, SurfaceState(h=h, hu=hu), source
 
 
@@ -308,7 +328,7 @@ class TestBatchedNewton:
         implicit_fv_step(state, source, dt=0.5, dx=0.5, model=model,
                          boundary=boundary)
         q_old = state.as_vector(model)
-        args = (q_old, source.total(num_x), 0.5, 0.5, boundary, model)
+        args = (q_old, source, 0.5, 0.5, boundary, model)
         flat = q_old.ravel().copy()
         residual = reference_residual(flat, *args)
         jacobian, rhs = solves[0]
@@ -319,10 +339,11 @@ class TestBatchedNewton:
     @pytest.mark.parametrize("flavor", ["swe", "kinematic"])
     def test_one_residual_call_per_jacobian(self, monkeypatch, flavor):
         model, state, source = rainy_state(flavor, 5)
-        size = model.num_components * 5
-        shapes, llf_calls = [], []
+        size = state.as_vector(model).size
+        shapes, llf_calls, cell_calls = [], [], []
         step_residual = surface1d._step_residual
         flux = surface1d.llf_flux
+        flux_and_speed = surface1d._flux_and_speed
 
         def counting_residual(flat, *args):
             shapes.append(flat.shape)
@@ -332,8 +353,14 @@ class TestBatchedNewton:
             llf_calls.append(1)
             return flux(*args)
 
+        def counting_flux_and_speed(*args):
+            cell_calls.append(1)
+            return flux_and_speed(*args)
+
         monkeypatch.setattr(surface1d, "_step_residual", counting_residual)
         monkeypatch.setattr(surface1d, "llf_flux", counting_flux)
+        monkeypatch.setattr(surface1d, "_flux_and_speed",
+                            counting_flux_and_speed)
         _, report = implicit_fv_step(state, source, dt=5.0, dx=0.5,
                                      model=model, boundary=WALLS)
         assert report.iterations >= 2
@@ -342,6 +369,8 @@ class TestBatchedNewton:
         assert shapes.count((size,)) == 1 + report.iterations
         assert len(shapes) == 1 + 2 * report.iterations
         assert len(llf_calls) == len(shapes)
+        # f and lambda once per cell of the padded state, not per face side
+        assert len(cell_calls) == len(shapes)
 
     @pytest.mark.parametrize("reverse_first", [False, True])
     def test_line_search_failures_are_counted(self, monkeypatch,
