@@ -32,6 +32,7 @@ evaluated with principal branches for complex s with Re(s) > 0.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -131,17 +132,6 @@ def sigma(omega: float, S: float) -> float:
     return omega * S + 1.0 - omega
 
 
-def _validate_laplace(s):
-    values = np.asarray(s)
-    if not np.all(np.isfinite(values)):
-        raise ValueError("Laplace variable must be finite")
-    if np.any(np.real(values) <= 0.0):
-        raise ValueError("Laplace variable must have positive real part")
-    if np.iscomplexobj(values):
-        return values.astype(complex)
-    return values.astype(float)
-
-
 def _coth(w):
     """coth(w) for Re(w) != 0, saturating to sign(Re(w)) once |w| > 350."""
     saturated = np.where(np.real(w) >= 0.0, 1.0, -1.0)
@@ -151,24 +141,33 @@ def _coth(w):
     return np.where(inside, (1.0 + decay) / (1.0 - decay), saturated)
 
 
+def _feedback(s, c: float, k: float, length: float):
+    """The checked s as a float or complex array, and the column's feedback
+    sqrt(cK/s) coth(sqrt(cs/K) L) at it."""
+    s = np.asarray(s)
+    if not np.all(np.isfinite(s)):
+        raise ValueError("Laplace variable must be finite")
+    if np.any(np.real(s) <= 0.0):
+        raise ValueError("Laplace variable must have positive real part")
+    s = s.astype(complex if np.iscomplexobj(s) else float)
+    return s, np.sqrt(c * k / s) * _coth(np.sqrt(c * s / k) * length)
+
+
 def rho_continuous(s, omega, c: float, k: float, length: float):
     """Laplace domain convergence factor rho(s, omega)."""
-    s = _validate_laplace(s)
-    feedback = np.sqrt(c * k / s) * _coth(np.sqrt(c * s / k) * length)
+    _, feedback = _feedback(s, c, k, length)
     return (1.0 - omega - omega * feedback)[()]
 
 
 def omega_opt_continuous(s, c: float, k: float, length: float):
     """Relaxation factor that annihilates rho at the given s."""
-    s = _validate_laplace(s)
-    feedback = np.sqrt(c * k / s) * _coth(np.sqrt(c * s / k) * length)
+    _, feedback = _feedback(s, c, k, length)
     return (1.0 / (1.0 + feedback))[()]
 
 
 def laplace_height(s, c: float, k: float, length: float):
     """Laplace transform of the interface height response."""
-    s = _validate_laplace(s)
-    feedback = np.sqrt(c * k / s) * _coth(np.sqrt(c * s / k) * length)
+    s, feedback = _feedback(s, c, k, length)
     return (-k / (s + feedback))[()]
 
 
@@ -199,17 +198,10 @@ def sweep_point(c: float, k: float, dt: float, dz: float,
             "abs_S": abs(result.S), "omega_opt": result.omega_opt}
 
 
-def sweep_material(c_values, k_values, dt: float, dz: float,
-                   length: float) -> list[dict[str, float]]:
-    """Row major sweep over (c, K) at fixed resolution."""
+def sweep(c_axis, k_axis, dt_axis, dz_axis,
+          length: float) -> list[dict[str, float]]:
+    """Row major sweep over the product of the c, K, dt and dz axes."""
+    axes = [np.array(axis, dtype=float, ndmin=1)
+            for axis in (c_axis, k_axis, dt_axis, dz_axis)]
     return [sweep_point(c, k, dt, dz, length)
-            for c in np.asarray(c_values, dtype=float)
-            for k in np.asarray(k_values, dtype=float)]
-
-
-def sweep_resolution(dt_values, dz_values, c: float, k: float,
-                     length: float) -> list[dict[str, float]]:
-    """Row major sweep over (dt, dz) at fixed material."""
-    return [sweep_point(c, k, dt, dz, length)
-            for dt in np.asarray(dt_values, dtype=float)
-            for dz in np.asarray(dz_values, dtype=float)]
+            for c, k, dt, dz in itertools.product(*axes)]

@@ -54,27 +54,23 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     length = args.length
     if not 0 < length < np.inf:
         raise ConfigError("--length must be positive and finite")
-    if args.mode == "material":
-        c_axis = _axis(args.c) if args.c else analysis.default_log_grid()
-        k_axis = _axis(args.k) if args.k else analysis.default_log_grid()
-        dt_axis = _axis(args.dt) if args.dt else np.array([0.1])
-        dz_axis = _axis(args.dz) if args.dz else np.array([length / 20.0])
-        if dt_axis.size != 1 or dz_axis.size != 1:
-            raise ConfigError("material mode sweeps c/K; give single dt, dz")
-        sweep = analysis.sweep_material
-        axes = (c_axis, k_axis, dt_axis[0], dz_axis[0])
-    else:
-        dt_axis = _axis(args.dt) if args.dt else analysis.default_log_grid()
-        dz_axis = _axis(args.dz) if args.dz \
-            else analysis.default_log_grid(length / 200, length / 2, 25)
-        c_axis = _axis(args.c) if args.c else np.array([1.0])
-        k_axis = _axis(args.k) if args.k else np.array([1.0])
-        if c_axis.size != 1 or k_axis.size != 1:
-            raise ConfigError("resolution mode sweeps dt/dz; give single c, K")
-        sweep = analysis.sweep_resolution
-        axes = (dt_axis, dz_axis, c_axis[0], k_axis[0])
+    log_grid = analysis.default_log_grid
+    # per mode: the default (c, K, dt, dz) axes, where the two axes the mode
+    # does not sweep are single values, and the error for sweeping them
+    defaults, message = {
+        "material": ((log_grid(), log_grid(), 0.1, length / 20.0),
+                     "material mode sweeps c/K; give single dt, dz"),
+        "resolution": ((1.0, 1.0, log_grid(),
+                        log_grid(length / 200, length / 2, 25)),
+                       "resolution mode sweeps dt/dz; give single c, K"),
+    }[args.mode]
+    axes = [_axis(text) if text else default for text, default
+            in zip((args.c, args.k, args.dt, args.dz), defaults)]
+    if any(np.size(axis) != 1 for axis, default in zip(axes, defaults)
+           if np.size(default) == 1):
+        raise ConfigError(message)
     try:
-        rows = sweep(*axes, length)
+        rows = analysis.sweep(*axes, length)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 

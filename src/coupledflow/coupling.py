@@ -1,7 +1,9 @@
 """Partitioned, sequential coupling of the subsurface and surface solvers.
 
-Within each time step the two solvers exchange interface data in a fixed
-point loop, iteration.fixed_point (Gauss-Seidel order, subsurface first):
+The coupled state is one record: the nodal soil heads psi, the surface cell
+averages q (rows h, hu for swe, h for kinematic) and the time.  Within each
+time step the two solvers exchange interface data in a fixed point loop,
+iteration.fixed_point (Gauss-Seidel order, subsurface first):
 
   1. the surface heights of the previous iterate become Dirichlet head
      values on the soil's top boundary (map_height_to_head),
@@ -12,12 +14,13 @@ point loop, iteration.fixed_point (Gauss-Seidel order, subsurface first):
   4. the new iterate is the relaxed blend omega*h_tilde + (1-omega)*h_prev,
   5. the loop stops when res = ||h_tilde - h_prev||_2 falls below tol.
 
-The first iterate of step n is the converged height of step n-1.  Each step
-records the residual sequence, the observed contraction rate CR_n (mean of
-consecutive residual ratios, defined only when at least three residuals
-exist), and a linear-theory predictor: the spatial means c_bar, K_bar of the
-capacity and conductivity over all grid nodes are fed into the vertical
-interface operator S, giving |S| and an optimal relaxation estimate
+The first iterate of step n is the converged height of step n-1; the new
+state takes the last sweep's fields with the relaxed height in row 0 of q.
+Each step records the residual sequence, the observed contraction rate CR_n
+(mean of consecutive residual ratios, defined only when at least three
+residuals exist), and a linear-theory predictor: the spatial means c_bar,
+K_bar of the capacity and conductivity over all grid nodes are fed into the
+vertical interface operator S, giving |S| and an optimal relaxation estimate
 1/(1 - S).  Fully saturated fields make c_bar zero; the predictor then
 substitutes a 1e-30 guard so the linear model stays evaluable.
 """
@@ -30,10 +33,8 @@ import numpy as np
 
 from .analysis import LinearModelParams, discrete_S
 from .iteration import fixed_point, observed_cr
-from .richards2d import (DirichletData, Grid2D, RichardsWorkspace,
-                         SubsurfaceState, top_dirichlet)
-from .surface1d import (BoundarySpec, SurfaceModel, SurfaceState,
-                        implicit_fv_step)
+from .richards2d import DirichletData, Grid2D, RichardsWorkspace, top_dirichlet
+from .surface1d import BoundarySpec, SurfaceModel, implicit_fv_step
 
 
 @dataclass(frozen=True)
@@ -98,12 +99,11 @@ class CoupledProblem:
 
 @dataclass(frozen=True)
 class CoupledState:
-    subsurface: SubsurfaceState
-    surface: SurfaceState
+    """Nodal soil heads psi and surface cell averages q at one time."""
 
-    @property
-    def time(self) -> float:
-        return self.subsurface.time
+    psi: np.ndarray
+    q: np.ndarray
+    time: float
 
 
 @dataclass(frozen=True)
@@ -164,11 +164,11 @@ def map_height_to_head(h_cells: np.ndarray) -> np.ndarray:
     return nodes
 
 
-def predict_S(state: SubsurfaceState, grid: Grid2D, node_material,
+def predict_S(psi: np.ndarray, grid: Grid2D, node_material,
               dt: float) -> PredictedFactors:
     """Linear-theory contraction estimate from spatial coefficient means of
-    node_material, the material bound at the grid nodes."""
-    soil = node_material.at_heads(state.psi)
+    node_material, the material bound at the grid nodes, at the heads psi."""
+    soil = node_material.at_heads(psi)
     c_bar = float(np.mean(soil.capacity))
     k_bar = float(np.mean(soil.hydraulic_conductivity))
     guarded = c_bar < 1e-30
@@ -186,12 +186,12 @@ def run_coupled_step(problem: CoupledProblem, config: CouplingConfig,
     step = int(round(state.time / config.dt)) + 1
     time_new = state.time + config.dt
     rain_rate = problem.rain.at(time_new)
-    theta_old_qp = problem.workspace.theta_at_qp(state.subsurface.psi)
-    psi_new, surface_new = state.subsurface.psi, state.surface
+    theta_old_qp = problem.workspace.theta_at_qp(state.psi)
+    psi_new, q_new = state.psi, state.q
     newton_iters, clamped, failures = 0, 0.0, 0
 
     def sweep(h_iter: np.ndarray) -> np.ndarray:
-        nonlocal psi_new, surface_new, newton_iters, clamped, failures
+        nonlocal psi_new, q_new, newton_iters, clamped, failures
         dirichlet = top_dirichlet(problem.grid, map_height_to_head(h_iter))
         if problem.static_dirichlet is not None:
             dirichlet = dirichlet.merged_with(problem.static_dirichlet)
@@ -200,38 +200,37 @@ def run_coupled_step(problem: CoupledProblem, config: CouplingConfig,
             psi_new, theta_old_qp, config.dt, dirichlet)
         source = (problem.workspace.interface_flux(psi_new)
                   / problem.grid.dx + rain_rate)
-        surface_new, surf_report = implicit_fv_step(
-            state.surface, source, config.dt, problem.grid.dx,
+        q_new, surf_report = implicit_fv_step(
+            state.q, source, config.dt, problem.grid.dx,
             problem.surface_model, problem.boundary)
         newton_iters += newton_report.iterations
         clamped += surf_report.clamped_volume
         failures += (newton_report.line_search_failures
                      + surf_report.line_search_failures)
-        return surface_new.h
+        return q_new[0]
 
-    h_new, _, residuals = fixed_point(sweep, state.surface.h, config.omega,
+    h_new, _, residuals = fixed_point(sweep, state.q[0], config.omega,
                                       config.tol, config.max_iters,
                                       np.linalg.norm)
     if not residuals[-1] < config.tol:
         raise CouplingDivergedError(step, tuple(residuals))
 
-    new_sub = SubsurfaceState(psi=psi_new, time=time_new)
-    new_surf = SurfaceState(h=h_new, hu=surface_new.hu, time=time_new)
-    predicted = predict_S(new_sub, problem.grid, problem.node_material,
+    # every sweep returns a fresh q, so this leaves state.q alone
+    q_new[0] = h_new
+    predicted = predict_S(psi_new, problem.grid, problem.node_material,
                           config.dt)
     record = StepRecord(step=step, time=time_new, iterations=len(residuals),
                         converged=True, residuals=tuple(residuals),
                         cr=observed_cr(residuals), predicted=predicted,
                         newton_iterations=newton_iters,
                         clamped_volume=clamped, line_search_failures=failures)
-    return CoupledState(subsurface=new_sub, surface=new_surf), record
+    return CoupledState(psi=psi_new, q=q_new, time=time_new), record
 
 
 @dataclass(frozen=True)
 class SimulationResult:
     records: tuple[StepRecord, ...]
     snapshots: tuple[tuple[int, CoupledState], ...]
-    final_state: CoupledState
 
 
 def run_simulation(problem: CoupledProblem, config: CouplingConfig,
@@ -246,7 +245,7 @@ def run_simulation(problem: CoupledProblem, config: CouplingConfig,
         if step % config.output_every == 0 or step == config.num_steps:
             snapshots.append((step, state))
     return SimulationResult(records=tuple(records),
-                            snapshots=tuple(snapshots), final_state=state)
+                            snapshots=tuple(snapshots))
 
 
 def time_averaged_cr(records, exclude_above: float | None = None,

@@ -49,7 +49,6 @@ def observed_cr(residuals) -> float | None:
 class NewtonReport:
     iterations: int
     residual_norm: float
-    initial_residual_norm: float
     line_search_failures: int
 
 
@@ -77,8 +76,8 @@ def damped_newton(residual, direction, x: np.ndarray, target, max_iters: int,
     norm, iterations, failures = np.nan, 0, 0
     try:
         r = residual(x)
-        norm = norm0 = np.max(np.abs(r))
-        tol = target(norm0)
+        norm = np.max(np.abs(r))
+        tol = target(norm)
         while np.isfinite(norm) and not norm <= tol and iterations < max_iters:
             delta = direction(x, r)
             step = 1.0
@@ -103,4 +102,4 @@ def damped_newton(residual, direction, x: np.ndarray, target, max_iters: int,
     if not norm <= accept:
         raise NewtonError(f"Newton stalled at residual {norm:.3e} after "
                           f"{iterations} iterations", float(norm), iterations)
-    return x, NewtonReport(iterations, float(norm), float(norm0), failures)
+    return x, NewtonReport(iterations, float(norm), failures)

@@ -5,8 +5,9 @@ Richards' equation in mixed form,
     d theta(psi) / dt + div v = 0,      v = -K(psi) grad(psi + z),
 
 is discretized with bilinear quadrilateral finite elements (2x2 Gauss points
-per element, consistent mass) and implicit Euler in time.  One time step asks
-for a root of the weak residual
+per element, consistent mass) and implicit Euler in time; the state is the
+array psi of nodal pressure heads.  One time step asks for a root of the
+weak residual
 
     R_i = <theta(psi) - theta(psi_old), phi_i>
           + dt <K(psi) grad(psi + z), grad phi_i>
@@ -101,14 +102,6 @@ class Grid2D:
             self.node_index(ex + 1, ez + 1), self.node_index(ex, ez + 1)])
 
 
-@dataclass(frozen=True)
-class SubsurfaceState:
-    """Nodal pressure head field at one time level."""
-
-    psi: np.ndarray
-    time: float = 0.0
-
-
 @dataclass(eq=False, frozen=True)
 class DirichletData:
     """Prescribed head values at a set of nodes."""
@@ -171,7 +164,6 @@ class RichardsWorkspace:
 
     def __init__(self, grid: Grid2D, material):
         self.grid = grid
-        self.material = material
         self.conn = grid.connectivity()
         self.weight = grid.dx * grid.dz / 4.0
         self.shape = _shape_values(_GAUSS)
@@ -316,10 +308,8 @@ class RichardsWorkspace:
 FIELD_COLUMNS = ("x", "z", "psi", "theta", "K")
 
 
-def field_rows(state: SubsurfaceState, grid: Grid2D,
-               node_material) -> list[dict]:
+def field_rows(psi: np.ndarray, grid: Grid2D, node_material) -> list[dict]:
     """Snapshot rows (x, z, psi, theta, K) in node order from node_material."""
-    psi = state.psi
     node_x, node_z = grid.node_coords()
     soil = node_material.at_heads(psi)
     theta, cond = soil.theta, soil.hydraulic_conductivity

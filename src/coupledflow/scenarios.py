@@ -41,8 +41,8 @@ import numpy as np
 from . import coupling, richards2d, surface1d
 from .coupling import CoupledProblem, CoupledState, CouplingConfig, RainSchedule
 from .material import SOIL_PRESETS, MaterialField
-from .richards2d import DirichletData, Grid2D, SubsurfaceState
-from .surface1d import BoundarySpec, SurfaceModel, SurfaceState
+from .richards2d import DirichletData, Grid2D
+from .surface1d import BoundarySpec, SurfaceModel
 
 
 class ConfigError(ValueError):
@@ -389,11 +389,9 @@ def build_initial_state(config: ScenarioConfig, grid: Grid2D,
                         model: SurfaceModel) -> CoupledState:
     x, z = grid.node_coords()
     psi = np.asarray(config.psi0_at(x, z), dtype=float)
-    h = np.full(grid.num_x, config.h0, dtype=float)
-    hu = np.zeros(grid.num_x) if model.flavor == "swe" else None
-    return CoupledState(
-        subsurface=SubsurfaceState(psi=psi, time=0.0),
-        surface=SurfaceState(h=h, hu=hu, time=0.0))
+    q = np.zeros((model.num_components, grid.num_x))
+    q[0] = config.h0
+    return CoupledState(psi=psi, q=q, time=0.0)
 
 
 def build_all(config: ScenarioConfig,
@@ -485,11 +483,11 @@ def run_scenario(config: ScenarioConfig, out_dir: str,
     for step, snapshot in result.snapshots:
         write_csv(os.path.join(out_dir, f"field_{step:05d}.csv"),
                   richards2d.FIELD_COLUMNS,
-                  richards2d.field_rows(snapshot.subsurface, problem.grid,
+                  richards2d.field_rows(snapshot.psi, problem.grid,
                                         problem.node_material))
     if problem.surface_model.flavor == "kinematic":
         write_csv(os.path.join(out_dir, "probe.csv"), surface1d.PROBE_COLUMNS,
-                  [surface1d.outflow_probe(snapshot.surface,
+                  [surface1d.outflow_probe(snapshot.q, snapshot.time,
                                            problem.surface_model)
                    for _, snapshot in result.snapshots])
     return result

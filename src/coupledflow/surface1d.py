@@ -1,7 +1,8 @@
 """One-dimensional surface flow by an implicit finite volume method.
 
 Two flavors of the surface water balance are provided on a uniform grid of
-cells:
+cells.  A state is the array q of cell averages shaped (n_comp, cells), one
+row per component:
 
   swe        full shallow water equations for q = (h, hu), with flux
              f(q) = (hu, h u^2 + g h^2 / 2) and no bathymetry or friction
@@ -70,43 +71,16 @@ class SurfaceModel:
         if self.flow_sign not in (-1.0, 1.0):
             raise ValueError("flow_sign must be +1 or -1")
 
+    @property
+    def num_components(self) -> int:
+        """Rows of a state q: (h, hu) for swe, (h,) for kinematic."""
+        return 2 if self.flavor == "swe" else 1
+
     def manning_speed(self, h) -> np.ndarray:
         """Manning velocity magnitude for the kinematic flavor."""
         h = np.asarray(h, dtype=float)
         return (np.sqrt(self.friction_slope) / self.manning_n
                 * np.maximum(h, 0.0) ** (2.0 / 3.0))
-
-
-@dataclass(frozen=True)
-class SurfaceState:
-    """Cell averages at one time level; hu is None for the kinematic model."""
-
-    h: np.ndarray
-    hu: np.ndarray | None = None
-    time: float = 0.0
-
-    def __post_init__(self) -> None:
-        h = np.asarray(self.h, dtype=float)
-        object.__setattr__(self, "h", h)
-        if self.hu is not None:
-            hu = np.asarray(self.hu, dtype=float)
-            if hu.shape != h.shape:
-                raise ValueError("h and hu must have the same shape")
-            object.__setattr__(self, "hu", hu)
-
-    def as_vector(self, model: SurfaceModel) -> np.ndarray:
-        if model.flavor == "swe":
-            if self.hu is None:
-                raise ValueError("swe state needs hu")
-            return np.stack([self.h, self.hu])
-        return self.h[None, :]
-
-
-def state_from_vector(q: np.ndarray, model: SurfaceModel,
-                      time: float = 0.0) -> SurfaceState:
-    if model.flavor == "swe":
-        return SurfaceState(h=q[0].copy(), hu=q[1].copy(), time=time)
-    return SurfaceState(h=q[0].copy(), time=time)
 
 
 def _flux_and_speed(q: np.ndarray, model: SurfaceModel,
@@ -179,14 +153,18 @@ def _step_residual(flat: np.ndarray, q_old: np.ndarray, source,
     return residual.swapaxes(0, 1).reshape(flat.shape)
 
 
-def implicit_fv_step(state_old: SurfaceState, source, dt: float, dx: float,
+def implicit_fv_step(q_old: np.ndarray, source, dt: float, dx: float,
                      model: SurfaceModel, boundary: BoundarySpec,
-                     ) -> tuple[SurfaceState, SurfaceStepReport]:
-    """Advance one implicit Euler step of the FV scheme; source is the
+                     ) -> tuple[np.ndarray, SurfaceStepReport]:
+    """Advance the cell averages q_old, shaped (n_comp, cells), by one
+    implicit Euler step of the FV scheme into a new array; source is the
     per-cell height source [m/s], an array or a scalar."""
     if dt <= 0.0 or dx <= 0.0:
         raise ValueError("dt and dx must be positive")
-    q_old = state_old.as_vector(model)
+    q_old = np.asarray(q_old, dtype=float)
+    if q_old.ndim != 2 or len(q_old) != model.num_components:
+        raise ValueError("q_old must be shaped (2, cells) for swe, "
+                         "(1, cells) for kinematic")
     if not np.all(np.isfinite(q_old)):
         raise ValueError("previous state contains non-finite values")
     source = np.asarray(source, dtype=float)
@@ -218,17 +196,17 @@ def implicit_fv_step(state_old: SurfaceState, source, dt: float, dx: float,
         clamped_cells=int(np.count_nonzero(low)),
         clamped_volume=clamped_volume,
         line_search_failures=newton.line_search_failures)
-    return state_from_vector(q_new, model, time=state_old.time + dt), report
+    return q_new, report
 
 
-def outflow_probe(state: SurfaceState, model: SurfaceModel) -> dict:
+def outflow_probe(q: np.ndarray, time: float, model: SurfaceModel) -> dict:
     """Left-boundary depth, speed and discharge; outflow counted positive."""
-    h0 = float(state.h[0])
+    h0 = float(q[0, 0])
     if model.flavor == "swe":
-        u0 = float(state.hu[0] / h0) if h0 > 0.0 else 0.0
+        u0 = float(q[1, 0] / h0) if h0 > 0.0 else 0.0
     else:
         u0 = float(model.manning_speed(h0))
-    return {"t": state.time, "h0": h0, "u0": abs(u0), "q_out": h0 * abs(u0)}
+    return {"t": time, "h0": h0, "u0": abs(u0), "q_out": h0 * abs(u0)}
 
 
 PROBE_COLUMNS = ("t", "h0", "u0", "q_out")

@@ -18,9 +18,8 @@ from coupledflow.analysis import (
     omega_opt_continuous,
     rho_continuous,
     sigma,
-    sweep_material,
+    sweep,
     sweep_point,
-    sweep_resolution,
     toeplitz_coeffs,
 )
 
@@ -188,17 +187,15 @@ class TestSweeps:
         assert set(row) == {"c", "K", "dt", "dz", "a", "b", "alpha", "S",
                             "abs_S", "omega_opt"}
 
-    def test_material_sweep_row_major(self):
-        c_values = [0.1, 1.0]
-        k_values = [0.2, 2.0, 20.0]
-        rows = sweep_material(c_values, k_values, 0.1, 0.05, 1.0)
-        assert len(rows) == 6
-        assert [row["c"] for row in rows] == [0.1, 0.1, 0.1, 1.0, 1.0, 1.0]
-        assert [row["K"] for row in rows[:3]] == k_values
-
-    def test_resolution_sweep_row_major(self):
-        rows = sweep_resolution([0.1, 0.2], [0.5, 0.25], 1.0, 1.0, 1.0)
-        assert [row["dt"] for row in rows] == [0.1, 0.1, 0.2, 0.2]
+    @pytest.mark.parametrize("axes, outer, inner", [
+        (([0.1, 1.0], [0.2, 2.0, 20.0], 0.1, 0.05), "c", "K"),
+        ((1.0, 1.0, [0.1, 0.2], [0.5, 0.25]), "dt", "dz"),
+    ], ids=["material", "resolution"])
+    def test_sweep_row_major(self, axes, outer, inner):
+        rows = sweep(*axes, 1.0)
+        outer_axis, inner_axis = [axis for axis in axes if np.size(axis) > 1]
+        assert [(row[outer], row[inner]) for row in rows] \
+            == [(a, b) for a in outer_axis for b in inner_axis]
 
     def test_default_log_grid(self):
         grid = default_log_grid()

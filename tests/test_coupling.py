@@ -34,8 +34,8 @@ from coupledflow.coupling import (
     trace_rows,
 )
 from coupledflow.material import SOIL_PRESETS, MaterialField
-from coupledflow.richards2d import DirichletData, Grid2D, SubsurfaceState
-from coupledflow.surface1d import BoundarySpec, SurfaceModel, SurfaceState
+from coupledflow.richards2d import DirichletData, Grid2D
+from coupledflow.surface1d import BoundarySpec, SurfaceModel
 
 
 @dataclass(frozen=True)
@@ -77,8 +77,7 @@ def column_problem(cap: float, cond: float, num_z: int = 10,
     psi0 = 1.0 - node_z
     psi0[node_z >= grid.length_z - 1e-12] = 1.0
     psi0[node_z <= 1e-12] = 0.0
-    initial = CoupledState(SubsurfaceState(psi0, 0.0),
-                           SurfaceState(h=np.array([1.0])))
+    initial = CoupledState(psi=psi0, q=np.array([[1.0]]), time=0.0)
     return problem, initial
 
 
@@ -113,8 +112,8 @@ class TestPredictS:
     def test_uniform_unsaturated_field(self):
         grid = Grid2D(length_x=2.0, length_z=3.0, num_x=4, num_z=6)
         silt = MaterialField.homogeneous(SOIL_PRESETS["silt-loam"])
-        state = SubsurfaceState(np.full(grid.num_nodes, -1.0))
-        predicted = predict_S(state, grid, silt.at(grid.node_coords()[0]),
+        psi = np.full(grid.num_nodes, -1.0)
+        predicted = predict_S(psi, grid, silt.at(grid.node_coords()[0]),
                               dt=36.0)
         soil = silt.at(np.array([0.0])).at_heads(np.array([-1.0]))
         assert_allclose(predicted.c_bar, soil.capacity[0], rtol=1e-14)
@@ -127,8 +126,8 @@ class TestPredictS:
     def test_saturated_field_is_guarded(self):
         grid = Grid2D(length_x=1.0, length_z=1.0, num_x=2, num_z=4)
         clay = MaterialField.homogeneous(SOIL_PRESETS["beit-netofa-clay"])
-        state = SubsurfaceState(np.full(grid.num_nodes, 0.5))
-        predicted = predict_S(state, grid, clay.at(grid.node_coords()[0]),
+        psi = np.full(grid.num_nodes, 0.5)
+        predicted = predict_S(psi, grid, clay.at(grid.node_coords()[0]),
                               dt=36.0)
         assert predicted.c_guarded
         assert predicted.c_bar == 0.0
@@ -235,8 +234,41 @@ class TestCoupledStep:
                                 num_steps=4, output_every=2)
         result = run_simulation(problem, config, state)
         assert [step for step, _ in result.snapshots] == [0, 2, 4]
-        assert result.final_state.time == pytest.approx(0.4)
+        assert result.snapshots[-1][1].time == pytest.approx(0.4)
         assert all(record.converged for record in result.records)
+
+    def test_time_advances(self):
+        # dt = 0.25 sums exactly, so snapshot n lands on n * dt bit for bit
+        problem, state = column_problem(1e-9, 0.01)
+        config = CouplingConfig(omega=1.0, tol=1e-10, max_iters=50, dt=0.25,
+                                num_steps=4, output_every=1)
+        result = run_simulation(problem, config, state)
+        assert [snapshot.time for _, snapshot in result.snapshots] \
+            == [step * 0.25 for step, _ in result.snapshots]
+
+    def test_step_leaves_its_input_alone(self):
+        problem, coupling_config, state = scenarios.build_all(
+            scenarios.preset("trench-loam"))
+        psi, q = state.psi.copy(), state.q.copy()
+        new, _ = run_coupled_step(problem, coupling_config, state)
+        assert np.array_equal(state.psi, psi) and np.array_equal(state.q, q)
+        assert not np.array_equal(new.q, q)
+        assert state.time == 0.0 and new.time == coupling_config.dt
+
+    def test_later_steps_leave_snapshots_alone(self):
+        # copies taken as the steps are made equal the stored snapshots
+        config = replace(scenarios.preset("trench-loam"), num_steps=3,
+                         output_every=1)
+        problem, coupling_config, state = scenarios.build_all(config)
+        result = run_simulation(problem, coupling_config, state)
+        copies = [(state.psi.copy(), state.q.copy())]
+        for _ in range(3):
+            state, _ = run_coupled_step(problem, coupling_config, state)
+            copies.append((state.psi.copy(), state.q.copy()))
+        assert len(result.snapshots) == len(copies)
+        for (_, snapshot), (psi, q) in zip(result.snapshots, copies):
+            assert np.array_equal(snapshot.psi, psi)
+            assert np.array_equal(snapshot.q, q)
 
     def test_static_dirichlet_must_avoid_top(self):
         grid = Grid2D(length_x=0.5, length_z=1.0, num_x=1, num_z=4)

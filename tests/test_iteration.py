@@ -53,7 +53,6 @@ class TestDampedNewton:
                                   target=lambda norm0: 1e-14, max_iters=20,
                                   trials=5)
         assert_allclose(x, [np.sqrt(2.0)], rtol=1e-14)
-        assert report.initial_residual_norm == 1.0
         assert report.residual_norm <= 1e-14
         assert 1 <= report.iterations < 20
         assert report.line_search_failures == 0

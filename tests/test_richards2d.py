@@ -20,7 +20,6 @@ from coupledflow.richards2d import (
     DirichletData,
     Grid2D,
     RichardsWorkspace,
-    SubsurfaceState,
     field_rows,
     top_dirichlet,
 )
@@ -478,8 +477,7 @@ class TestModuleWrappers:
     def test_field_rows(self):
         grid = Grid2D(length_x=1.0, length_z=1.0, num_x=1, num_z=1)
         psi = np.array([-1.0, -1.0, -0.5, -0.5])
-        rows = field_rows(SubsurfaceState(psi), grid,
-                          SILT.at(grid.node_coords()[0]))
+        rows = field_rows(psi, grid, SILT.at(grid.node_coords()[0]))
         assert len(rows) == 4
         assert tuple(rows[0]) == FIELD_COLUMNS
         top = rows[3]

@@ -50,7 +50,8 @@ class TestPresets:
             problem, coupling_config, state = build_all(config)
             assert problem.grid.num_nodes \
                 == (config.num_x + 1) * (config.num_z + 1)
-            assert state.surface.h.size == config.num_x
+            assert state.q.shape \
+                == (2 if config.flavor == "swe" else 1, config.num_x)
             assert coupling_config.num_steps == config.num_steps
 
     def test_build_all_builds_the_grid_once(self, monkeypatch):
@@ -292,9 +293,9 @@ class TestCli:
                          "--dt", "0.01:1:4", "--dz", "0.1:0.5:3",
                          "--c", "1.0", "--k", "1.0", "--out", out_dir]) == 0
         library = str(tmp_path / "library.csv")
-        write_csv(library, analysis.SWEEP_COLUMNS, analysis.sweep_resolution(
-            analysis.default_log_grid(0.01, 1.0, 4),
-            analysis.default_log_grid(0.1, 0.5, 3), 1.0, 1.0, 1.0))
+        write_csv(library, analysis.SWEEP_COLUMNS, analysis.sweep(
+            1.0, 1.0, analysis.default_log_grid(0.01, 1.0, 4),
+            analysis.default_log_grid(0.1, 0.5, 3), 1.0))
         with open(os.path.join(out_dir, "sweep.csv"), "rb") as handle:
             cli_bytes = handle.read()
         with open(library, "rb") as handle:

@@ -11,11 +11,9 @@ from coupledflow.surface1d import (
     PROBE_COLUMNS,
     BoundarySpec,
     SurfaceModel,
-    SurfaceState,
     implicit_fv_step,
     llf_flux,
     outflow_probe,
-    state_from_vector,
 )
 
 WALLS = BoundarySpec(left="reflect", right="reflect")
@@ -87,22 +85,15 @@ class TestFluxes:
 
 
 class TestStates:
-    def test_round_trip(self):
-        model = swe_model()
-        state = SurfaceState(h=np.array([0.2, 0.4]),
-                             hu=np.array([0.01, -0.02]), time=3.0)
-        again = state_from_vector(state.as_vector(model), model, time=3.0)
-        assert np.array_equal(again.h, state.h)
-        assert np.array_equal(again.hu, state.hu)
-        assert again.time == 3.0
-
-    def test_swe_vector_needs_momentum(self):
-        with pytest.raises(ValueError):
-            SurfaceState(h=np.array([0.1])).as_vector(swe_model())
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            SurfaceState(h=np.array([0.1, 0.2]), hu=np.array([0.0]))
+    @pytest.mark.parametrize("model, q_old", [
+        (kinematic_model(), np.array([0.1, 0.2])),
+        (swe_model(), np.array([[0.1, 0.2]])),
+        (kinematic_model(), np.array([[0.1, 0.2], [0.0, 0.0]])),
+    ], ids=["one-dimensional", "swe-one-row", "kinematic-two-rows"])
+    def test_shape_must_fit_flavor(self, model, q_old):
+        with pytest.raises(ValueError, match="shaped"):
+            implicit_fv_step(q_old, 0.0, dt=1.0, dx=1.0, model=model,
+                             boundary=WALLS)
 
     def test_model_validation(self):
         with pytest.raises(ValueError):
@@ -118,84 +109,75 @@ class TestStates:
 class TestImplicitStep:
     def test_lake_at_rest_is_exact(self):
         model = swe_model()
-        state = SurfaceState(h=np.full(6, 0.3), hu=np.zeros(6))
-        new, report = implicit_fv_step(state, 0.0, dt=0.5,
+        q = np.array([np.full(6, 0.3), np.zeros(6)])
+        new, report = implicit_fv_step(q, 0.0, dt=0.5,
                                        dx=0.1, model=model, boundary=WALLS)
         assert report.iterations == 0
-        assert np.array_equal(new.h, state.h)
-        assert np.array_equal(new.hu, state.hu)
+        assert np.array_equal(new, q)
+        assert new is not q
 
     def test_uniform_rain_raises_uniformly(self):
         model = swe_model()
-        state = SurfaceState(h=np.full(5, 0.2), hu=np.zeros(5))
-        new, report = implicit_fv_step(state, 1e-3,
+        q = np.array([np.full(5, 0.2), np.zeros(5)])
+        new, report = implicit_fv_step(q, 1e-3,
                                        dt=2.0, dx=0.5, model=model,
                                        boundary=WALLS)
         assert report.clamped_cells == 0
-        assert_allclose(new.h, 0.2 + 2e-3, rtol=1e-12)
-        assert_allclose(new.hu, 0.0, atol=1e-13)
+        assert_allclose(new[0], 0.2 + 2e-3, rtol=1e-12)
+        assert_allclose(new[1], 0.0, atol=1e-13)
 
     @pytest.mark.parametrize("flavor", ["swe", "kinematic"])
     def test_walls_conserve_mass(self, flavor):
         rng = np.random.default_rng(31)
         model = swe_model() if flavor == "swe" else kinematic_model()
         h = rng.uniform(0.05, 0.3, size=8)
-        hu = rng.normal(scale=0.01, size=8) if flavor == "swe" else None
-        state = SurfaceState(h=h, hu=hu)
+        q = np.array([h, rng.normal(scale=0.01, size=8)]) \
+            if flavor == "swe" else h[None]
         dx = 0.25
         for _ in range(3):
-            state, report = implicit_fv_step(state, 0.0,
-                                             dt=0.1, dx=dx, model=model,
-                                             boundary=WALLS)
+            q, report = implicit_fv_step(q, 0.0, dt=0.1, dx=dx, model=model,
+                                         boundary=WALLS)
             assert report.clamped_cells == 0
-        assert abs(np.sum(state.h) - np.sum(h)) * dx <= 1e-12
+        assert abs(np.sum(q[0]) - np.sum(h)) * dx <= 1e-12
 
     def test_source_balance(self):
         model = kinematic_model()
         exchange = np.array([1e-4, -2e-4, 3e-4, 0.0])
-        state = SurfaceState(h=np.full(4, 0.05))
-        new, report = implicit_fv_step(state, exchange + 1e-4, dt=10.0,
+        q = np.full((1, 4), 0.05)
+        new, report = implicit_fv_step(q, exchange + 1e-4, dt=10.0,
                                        dx=2.0, model=model, boundary=WALLS)
         assert report.clamped_cells == 0
-        gained = (np.sum(new.h) - np.sum(state.h)) * 2.0
+        gained = (np.sum(new) - np.sum(q)) * 2.0
         expected = 10.0 * 2.0 * np.sum(exchange + 1e-4)
         assert_allclose(gained, expected, rtol=1e-10)
 
     def test_floor_clamp_reports_added_volume(self):
         model = kinematic_model()
-        state = SurfaceState(h=np.full(3, 1e-6))
-        new, report = implicit_fv_step(state, -1e-3, dt=1.0,
+        q = np.full((1, 3), 1e-6)
+        new, report = implicit_fv_step(q, -1e-3, dt=1.0,
                                        dx=0.5, model=model, boundary=WALLS)
         assert report.clamped_cells == 3
-        assert np.all(new.h == surface1d.H_FLOOR)
+        assert np.all(new == surface1d.H_FLOOR)
         # clamping injects exactly the reported volume
-        balance = (np.sum(new.h) - np.sum(state.h)) * 0.5 \
+        balance = (np.sum(new) - np.sum(q)) * 0.5 \
             - (-1e-3 * 1.0 * 0.5 * 3) - report.clamped_volume
         assert abs(balance) <= 1e-15
 
     def test_outflow_through_copy_boundary(self):
         # kinematic flow toward x = 0 with an open left edge loses mass
         model = kinematic_model()
-        state = SurfaceState(h=np.full(4, 0.02))
+        q = np.full((1, 4), 0.02)
         boundary = BoundarySpec(left="copy", right="reflect")
-        new, _ = implicit_fv_step(state, 0.0, dt=5.0, dx=1.0,
+        new, _ = implicit_fv_step(q, 0.0, dt=5.0, dx=1.0,
                                   model=model, boundary=boundary)
-        assert np.sum(new.h) < np.sum(state.h)
-
-    def test_time_advances(self):
-        model = kinematic_model()
-        state = SurfaceState(h=np.full(3, 0.01), time=7.0)
-        new, _ = implicit_fv_step(state, 0.0, dt=2.5, dx=1.0,
-                                  model=model, boundary=WALLS)
-        assert new.time == 9.5
+        assert np.sum(new) < np.sum(q)
 
     def test_rejects_bad_input(self):
         model = kinematic_model()
-        state = SurfaceState(h=np.array([0.01, np.nan]))
         with pytest.raises(ValueError):
-            implicit_fv_step(state, 0.0, dt=1.0, dx=1.0,
+            implicit_fv_step(np.array([[0.01, np.nan]]), 0.0, dt=1.0, dx=1.0,
                              model=model, boundary=WALLS)
-        good = SurfaceState(h=np.array([0.01, 0.01]))
+        good = np.full((1, 2), 0.01)
         with pytest.raises(ValueError):
             implicit_fv_step(good, 0.0, dt=0.0, dx=1.0,
                              model=model, boundary=WALLS)
@@ -213,21 +195,19 @@ class TestImplicitStep:
 
         monkeypatch.setattr(surface1d, "damped_newton", one_iteration)
         model = swe_model()
-        state = SurfaceState(h=np.array([1.0, 1e-8]),
-                             hu=np.array([5.0, 0.0]))
+        q = np.array([[1.0, 1e-8], [5.0, 0.0]])
         with pytest.raises(NewtonError) as info:
-            implicit_fv_step(state, 0.0, dt=50.0, dx=1e-3,
+            implicit_fv_step(q, 0.0, dt=50.0, dx=1e-3,
                              model=model, boundary=WALLS)
         assert info.value.iterations >= 1
         assert info.value.residual_norm > 0.0
 
     def test_non_finite_residual_is_a_newton_error(self):
         # hu^2 / h overflows, so the very first residual is not finite
-        state = SurfaceState(h=np.array([1e-200, 1.0]),
-                             hu=np.array([1e200, 0.0]))
+        q = np.array([[1e-200, 1.0], [1e200, 0.0]])
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(NewtonError) as info:
-            implicit_fv_step(state, 0.0, dt=1.0, dx=1.0,
+            implicit_fv_step(q, 0.0, dt=1.0, dx=1.0,
                              model=swe_model(), boundary=BoundarySpec())
         assert info.value.iterations == 0
         assert not np.isfinite(info.value.residual_norm)
@@ -310,9 +290,10 @@ def rainy_state(flavor, num_x, seed=7):
     rng = np.random.default_rng(seed)
     model = swe_model() if flavor == "swe" else kinematic_model()
     h = rng.uniform(0.05, 0.3, size=num_x)
-    hu = rng.normal(scale=0.05, size=num_x) if flavor == "swe" else None
+    q = np.array([h, rng.normal(scale=0.05, size=num_x)]) \
+        if flavor == "swe" else h[None]
     source = rng.normal(scale=1e-4, size=num_x) + 2e-4
-    return model, SurfaceState(h=h, hu=hu), source
+    return model, q, source
 
 
 class TestBatchedNewton:
@@ -322,12 +303,11 @@ class TestBatchedNewton:
     @pytest.mark.parametrize("flavor", ["swe", "kinematic"])
     def test_jacobian_matches_column_loop_bitwise(self, monkeypatch, flavor,
                                                   left, right, num_x):
-        model, state, source = rainy_state(flavor, num_x)
+        model, q_old, source = rainy_state(flavor, num_x)
         boundary = BoundarySpec(left=left, right=right)
         solves = recorded_solves(monkeypatch)
-        implicit_fv_step(state, source, dt=0.5, dx=0.5, model=model,
+        implicit_fv_step(q_old, source, dt=0.5, dx=0.5, model=model,
                          boundary=boundary)
-        q_old = state.as_vector(model)
         args = (q_old, source, 0.5, 0.5, boundary, model)
         flat = q_old.ravel().copy()
         residual = reference_residual(flat, *args)
@@ -338,8 +318,8 @@ class TestBatchedNewton:
 
     @pytest.mark.parametrize("flavor", ["swe", "kinematic"])
     def test_one_residual_call_per_jacobian(self, monkeypatch, flavor):
-        model, state, source = rainy_state(flavor, 5)
-        size = state.as_vector(model).size
+        model, q, source = rainy_state(flavor, 5)
+        size = q.size
         shapes, llf_calls, cell_calls = [], [], []
         step_residual = surface1d._step_residual
         flux = surface1d.llf_flux
@@ -361,7 +341,7 @@ class TestBatchedNewton:
         monkeypatch.setattr(surface1d, "llf_flux", counting_flux)
         monkeypatch.setattr(surface1d, "_flux_and_speed",
                             counting_flux_and_speed)
-        _, report = implicit_fv_step(state, source, dt=5.0, dx=0.5,
+        _, report = implicit_fv_step(q, source, dt=5.0, dx=0.5,
                                      model=model, boundary=WALLS)
         assert report.iterations >= 2
         # initial residual, then per iteration one batch and one full step
@@ -376,9 +356,9 @@ class TestBatchedNewton:
     def test_line_search_failures_are_counted(self, monkeypatch,
                                               reverse_first):
         # an uphill first direction fails all 20 halvings; Newton recovers
-        model, state, source = rainy_state("swe", 5)
+        model, q, source = rainy_state("swe", 5)
         recorded_solves(monkeypatch, reverse_first=reverse_first)
-        _, report = implicit_fv_step(state, source, dt=5.0, dx=0.5,
+        _, report = implicit_fv_step(q, source, dt=5.0, dx=0.5,
                                      model=model, boundary=WALLS)
         assert report.line_search_failures == int(reverse_first)
         assert report.residual_norm <= 1e-12
@@ -387,8 +367,7 @@ class TestBatchedNewton:
 class TestProbe:
     def test_kinematic_probe(self):
         model = kinematic_model()
-        state = SurfaceState(h=np.array([0.01, 0.05]), time=42.0)
-        probe = outflow_probe(state, model)
+        probe = outflow_probe(np.array([[0.01, 0.05]]), 42.0, model)
         assert tuple(probe) == PROBE_COLUMNS
         assert probe["t"] == 42.0
         assert_allclose(probe["u0"], 0.005226036332105808, rtol=1e-12)
@@ -397,10 +376,8 @@ class TestProbe:
 
     def test_swe_probe_handles_dry_edge(self):
         model = swe_model()
-        wet = outflow_probe(SurfaceState(h=np.array([0.2]),
-                                         hu=np.array([-0.04])), model)
+        wet = outflow_probe(np.array([[0.2], [-0.04]]), 0.0, model)
         assert_allclose(wet["u0"], 0.2, rtol=1e-14)
         assert_allclose(wet["q_out"], 0.04, rtol=1e-14)
-        dry = outflow_probe(SurfaceState(h=np.array([0.0]),
-                                         hu=np.array([0.0])), model)
+        dry = outflow_probe(np.zeros((2, 1)), 0.0, model)
         assert dry["u0"] == 0.0 and dry["q_out"] == 0.0
