@@ -86,15 +86,15 @@ class CoupledProblem:
     static_dirichlet: DirichletData | None = None
     workspace: RichardsWorkspace = field(init=False)
     node_material: object = field(init=False)
+    dirichlet: DirichletData = field(init=False)
 
     def __post_init__(self) -> None:
         self.workspace = RichardsWorkspace(self.grid, self.material)
         self.node_material = self.material.at(self.grid.node_coords()[0])
+        # every sweep's node set: top row, then static nodes (kept off it)
+        self.dirichlet = top_dirichlet(self.grid, 0.0)
         if self.static_dirichlet is not None:
-            top = set(self.grid.top_node_indices().tolist())
-            if top & set(self.static_dirichlet.nodes.tolist()):
-                raise ValueError("static Dirichlet nodes may not lie on the "
-                                 "coupled top boundary")
+            self.dirichlet = self.dirichlet.merged_with(self.static_dirichlet)
 
 
 @dataclass(frozen=True)
@@ -192,9 +192,9 @@ def run_coupled_step(problem: CoupledProblem, config: CouplingConfig,
 
     def sweep(h_iter: np.ndarray) -> np.ndarray:
         nonlocal psi_new, q_new, newton_iters, clamped, failures
-        dirichlet = top_dirichlet(problem.grid, map_height_to_head(h_iter))
-        if problem.static_dirichlet is not None:
-            dirichlet = dirichlet.merged_with(problem.static_dirichlet)
+        values = problem.dirichlet.values.copy()
+        values[:h_iter.size + 1] = map_height_to_head(h_iter)
+        dirichlet = problem.dirichlet.with_values(values)
         # warm start from the previous sweep's field
         psi_new, newton_report = problem.workspace.newton_step(
             psi_new, theta_old_qp, config.dt, dirichlet)

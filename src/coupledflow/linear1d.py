@@ -17,14 +17,16 @@ diagonal a and off diagonal b from the analysis module, the coupling vector
 is (0, ..., 0, b), and M_GG + dt A_GG = a / 2.  Under relaxation omega the
 interface map is affine with slope Sigma(omega) = omega S + 1 - omega, which
 is what the testbench demonstrates through iteration.fixed_point.
+The interior matrix is factored once per run (LAPACK dpttrf in build_system)
+and each sweep back-substitutes (dpttrs): the arithmetic of a dptsv solve.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import linalg as spla
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .analysis import (AnalysisResult, LinearModelParams, discrete_S, sigma,
                        toeplitz_coeffs)
@@ -37,7 +39,8 @@ class Linear1DSystem:
 
     The coupling column of the full system has exactly one nonzero entry,
     equal to ``off_diag``, in the last interior slot; the interface diagonal
-    block is ``diag / 2``.
+    block is ``diag / 2``.  ``factor`` is dpttrf's ``(d, e, info)`` (None for
+    one interior unknown); ``rhs_old`` is M_II psi_I_old + M_IG psi_G_old.
     """
 
     params: LinearModelParams
@@ -45,6 +48,16 @@ class Linear1DSystem:
     off_diag: float
     psi_interior_old: np.ndarray
     psi_gamma_old: float
+    factor: tuple[np.ndarray, np.ndarray, int] | None
+    rhs_old: np.ndarray = field(init=False)
+
+    def __post_init__(self) -> None:
+        c_dz = self.params.c * self.params.dz
+        rhs = 2.0 / 3.0 * c_dz * self.psi_interior_old
+        rhs[1:] += c_dz / 6.0 * self.psi_interior_old[:-1]
+        rhs[:-1] += c_dz / 6.0 * self.psi_interior_old[1:]
+        rhs[-1] += c_dz / 6.0 * self.psi_gamma_old
+        object.__setattr__(self, "rhs_old", rhs)
 
     @property
     def num_interior(self) -> int:
@@ -106,54 +119,38 @@ def build_system(p: LinearModelParams,
     if psi_interior_old.shape != (p.num_elements - 1,):
         raise ValueError("previous interior state has the wrong length")
     a, b = toeplitz_coeffs(p)
+    n = p.num_elements - 1
+    factor = dpttrf(np.full(n, a), np.full(n - 1, b)) if n > 1 else None
     return Linear1DSystem(params=p, diag=a, off_diag=b,
                           psi_interior_old=psi_interior_old,
-                          psi_gamma_old=float(psi_gamma_old))
-
-
-def _mass_apply(sys: Linear1DSystem, vector: np.ndarray) -> np.ndarray:
-    """Interior mass matrix (consistent, scaled by c dz) times a vector."""
-    c_dz = sys.params.c * sys.params.dz
-    out = 2.0 / 3.0 * c_dz * vector
-    out[1:] += c_dz / 6.0 * vector[:-1]
-    out[:-1] += c_dz / 6.0 * vector[1:]
-    return out
-
-
-def _interior_rhs(sys: Linear1DSystem, psi_gamma_prev_iter: float) -> np.ndarray:
-    rhs = _mass_apply(sys, sys.psi_interior_old)
-    c_dz = sys.params.c * sys.params.dz
-    rhs[-1] += c_dz / 6.0 * sys.psi_gamma_old
-    rhs[-1] -= sys.off_diag * psi_gamma_prev_iter
-    return rhs
+                          psi_gamma_old=float(psi_gamma_old), factor=factor)
 
 
 def subsurface_solve(sys: Linear1DSystem,
                      psi_gamma_prev_iter: float) -> np.ndarray:
     """Solve the interior tridiagonal system for a frozen interface value."""
-    rhs = _interior_rhs(sys, psi_gamma_prev_iter)
+    rhs = sys.rhs_old.copy()
+    rhs[-1] -= sys.off_diag * psi_gamma_prev_iter
+    if not np.isfinite(rhs).all():
+        raise ValueError("interior right-hand side must be finite")
     if sys.num_interior == 1:
         # scipy's tridiagonal path rejects 1x1 systems
         if sys.diag <= 0.0:
             raise ValueError("interior matrix is not positive definite")
         solution = rhs / sys.diag
     else:
-        bands = np.zeros((2, sys.num_interior))
-        bands[0, 1:] = sys.off_diag
-        bands[1, :] = sys.diag
-        try:
-            solution = spla.solveh_banded(bands, rhs)
-        except np.linalg.LinAlgError as err:
-            raise ValueError(
-                "interior matrix is not positive definite") from err
+        d, e, info = sys.factor
+        if info > 0:
+            raise ValueError("interior matrix is not positive definite")
+        solution = dpttrs(d, e, rhs)[0]
     residual = sys.diag * solution - rhs
     residual[1:] += sys.off_diag * solution[:-1]
     residual[:-1] += sys.off_diag * solution[1:]
     # backward stable solves guarantee residual ~ eps |A| |x|, not eps |rhs|
-    scale = max(np.max(np.abs(rhs), initial=0.0),
+    scale = max(np.abs(rhs).max(initial=0.0),
                 (abs(sys.diag) + 2.0 * abs(sys.off_diag))
-                * np.max(np.abs(solution), initial=0.0))
-    if np.max(np.abs(residual), initial=0.0) > 1e-12 * scale:
+                * np.abs(solution).max(initial=0.0))
+    if np.abs(residual).max(initial=0.0) > 1e-12 * scale:
         raise RuntimeError("banded solve failed its residual check")
     return solution
 

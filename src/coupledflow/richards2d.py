@@ -36,6 +36,7 @@ bit for bit the matrix a COO -> CSR -> "+ diags" -> CSC chain gives spsolve.
 
 from __future__ import annotations
 
+import copy
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -111,15 +112,22 @@ class DirichletData:
 
     def __post_init__(self) -> None:
         nodes = np.asarray(self.nodes, dtype=int)
-        values = np.asarray(self.values, dtype=float)
-        if nodes.shape != values.shape or nodes.ndim != 1:
-            raise ValueError("nodes and values must be matching 1d arrays")
-        if nodes.size != np.unique(nodes).size:
-            raise ValueError("duplicate Dirichlet nodes")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("Dirichlet values must be finite")
+        if nodes.ndim != 1 or nodes.size != np.unique(nodes).size:
+            raise ValueError("Dirichlet nodes must be distinct, in a 1d array")
         object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", self._checked(self.values))
+
+    def _checked(self, values) -> np.ndarray:
+        values = np.asarray(values, dtype=float)
+        if values.shape != self.nodes.shape or not np.isfinite(values).all():
+            raise ValueError("Dirichlet values must be finite, one per node")
+        return values
+
+    def with_values(self, values) -> "DirichletData":
+        """The same, already checked nodes with new (checked) values."""
+        out = copy.copy(self)
+        object.__setattr__(out, "values", self._checked(values))
+        return out
 
     def merged_with(self, other: "DirichletData") -> "DirichletData":
         return DirichletData(np.concatenate([self.nodes, other.nodes]),

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from coupledflow import linear1d, richards2d, scenarios
+from coupledflow import coupling, linear1d, richards2d, scenarios
 from coupledflow.analysis import LinearModelParams, alpha_sum, toeplitz_coeffs
 from coupledflow.coupling import (
     SUMMARY_COLUMNS,
@@ -34,7 +34,7 @@ from coupledflow.coupling import (
     trace_rows,
 )
 from coupledflow.material import SOIL_PRESETS, MaterialField
-from coupledflow.richards2d import DirichletData, Grid2D
+from coupledflow.richards2d import DirichletData, Grid2D, top_dirichlet
 from coupledflow.surface1d import BoundarySpec, SurfaceModel
 
 
@@ -273,7 +273,7 @@ class TestCoupledStep:
     def test_static_dirichlet_must_avoid_top(self):
         grid = Grid2D(length_x=0.5, length_z=1.0, num_x=1, num_z=4)
         top_node = grid.node_index(0, grid.num_z)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="distinct"):
             CoupledProblem(
                 grid=grid, material=LinMaterial(0.1, 0.01),
                 surface_model=SurfaceModel(flavor="kinematic",
@@ -298,6 +298,62 @@ class TestCoupledStep:
             CouplingConfig(num_steps=0)
         with pytest.raises(ValueError):
             CouplingConfig(output_every=0)
+
+
+class TestSweepDirichlet:
+    @pytest.mark.parametrize("name", ["trench-mixed", "hillslope-silt"])
+    def test_equals_top_then_static(self, monkeypatch, name):
+        # each sweep's data equals top_dirichlet(...).merged_with(static),
+        # the per-sweep build it replaced, element for element
+        problem, config, state = scenarios.build_all(scenarios.preset(name))
+        assert (problem.static_dirichlet is None) == (name == "hillslope-silt")
+        used, heights = [], []
+        newton_step = problem.workspace.newton_step
+        to_head = coupling.map_height_to_head
+
+        def recording_newton(psi, theta_old_qp, dt, dirichlet):
+            used.append(dirichlet)
+            return newton_step(psi, theta_old_qp, dt, dirichlet)
+
+        def recording_heights(h_cells):
+            heights.append(h_cells.copy())
+            return to_head(h_cells)
+
+        monkeypatch.setattr(problem.workspace, "newton_step",
+                            recording_newton)
+        monkeypatch.setattr(coupling, "map_height_to_head", recording_heights)
+        for _ in range(2):
+            state, _ = run_coupled_step(problem, config, state)
+        assert len(used) == len(heights) >= 4
+        assert any(np.any(h != heights[0]) for h in heights)
+        for dirichlet, h_cells in zip(used, heights):
+            expected = top_dirichlet(problem.grid, to_head(h_cells))
+            if problem.static_dirichlet is not None:
+                expected = expected.merged_with(problem.static_dirichlet)
+            assert np.array_equal(dirichlet.nodes, expected.nodes)
+            assert np.array_equal(dirichlet.values, expected.values)
+
+    def test_node_set_is_checked_once_per_problem(self, monkeypatch):
+        problem, config, state = scenarios.build_all(
+            scenarios.preset("trench-mixed"))
+        calls = []
+        post_init = DirichletData.__post_init__
+
+        def counting(data):
+            calls.append(data)
+            post_init(data)
+
+        monkeypatch.setattr(DirichletData, "__post_init__", counting)
+        run_coupled_step(problem, config, state)
+        assert calls == []
+
+    def test_nan_height_rejected(self):
+        problem, config, state = scenarios.build_all(
+            scenarios.preset("trench-mixed"))
+        q = state.q.copy()
+        q[0, 3] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            run_coupled_step(problem, config, replace(state, q=q))
 
 
 def fake_record(step: int, cr: float | None) -> StepRecord:

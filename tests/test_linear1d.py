@@ -1,14 +1,20 @@
 """Tests for the linearized column testbench.
 
 The single step solve is checked against a dense assembly of the same
-system; the iteration behaviour against the affine interface map
+system and, bit for bit, against the unfactored banded solve it replaced;
+the iteration behaviour against the affine interface map
 psi -> S psi + tail, whose slope the analysis module predicts.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.linalg import solveh_banded
+from scipy.linalg.lapack import dpttrf
 
+from coupledflow import linear1d
 from coupledflow.analysis import LinearModelParams, discrete_S, sigma
 from coupledflow.iteration import observed_cr
 from coupledflow.linear1d import (
@@ -54,6 +60,30 @@ def dense_solve_oracle(p: LinearModelParams, psi_old: np.ndarray,
     return np.linalg.solve(matrix, rhs)
 
 
+def banded_solve_oracle(sys, psi_gamma_prev_iter: float) -> np.ndarray:
+    """The solve before the factor was kept: the whole right-hand side and
+    the band array built per call, then scipy's solveh_banded (dptsv)."""
+    c_dz = sys.params.c * sys.params.dz
+    vector = sys.psi_interior_old
+    rhs = 2.0 / 3.0 * c_dz * vector
+    rhs[1:] += c_dz / 6.0 * vector[:-1]
+    rhs[:-1] += c_dz / 6.0 * vector[1:]
+    rhs[-1] += c_dz / 6.0 * sys.psi_gamma_old
+    rhs[-1] -= sys.off_diag * psi_gamma_prev_iter
+    if sys.num_interior == 1:
+        return rhs / sys.diag
+    bands = np.zeros((2, sys.num_interior))
+    bands[0, 1:] = sys.off_diag
+    bands[1, :] = sys.diag
+    return solveh_banded(bands, rhs)
+
+
+FACTOR_CASES = [(num_elements, c, k, dt)
+                for num_elements in (2, 3, 7, 40)
+                for c, k, dt in ((1.0, 1.0, 0.05), (0.7, 0.25, 0.3),
+                                 (0.2, 2.0, 0.5), (3.0, 1e-3, 0.01))]
+
+
 class TestInitialState:
     def test_linear_profile(self):
         p = LinearModelParams(c=1.0, k=1.0, length=2.0, dt=0.1,
@@ -91,6 +121,83 @@ class TestSubsurfaceSolve:
         b = c_dz / 6.0 - 0.5 * 0.2 / 0.5
         rhs = 2.0 / 3.0 * c_dz * 0.3 + c_dz / 6.0 * 0.1 - b * 0.7
         assert_allclose(subsurface_solve(sys, 0.7), [rhs / a], rtol=1e-14)
+
+
+class TestFactoredSolve:
+    @pytest.mark.parametrize("num_elements,c,k,dt", FACTOR_CASES)
+    def test_bitwise_equal_to_banded_solve(self, num_elements, c, k, dt):
+        rng = np.random.default_rng(num_elements)
+        p = standard_params(num_elements=num_elements, c=c, k=k, dt=dt)
+        sys = build_system(p, rng.normal(size=num_elements - 1), rng.normal())
+        for gamma in (0.0, *rng.normal(size=5, scale=3.0)):
+            assert np.array_equal(subsurface_solve(sys, gamma),
+                                  banded_solve_oracle(sys, gamma))
+
+    @pytest.mark.parametrize("num_elements,c,k,dt", FACTOR_CASES)
+    def test_run_bitwise_equal_to_banded_run(self, monkeypatch, num_elements,
+                                             c, k, dt):
+        p = standard_params(num_elements=num_elements, c=c, k=k, dt=dt,
+                            omega=0.6)
+        factored = run_simulation(p, num_steps=6, tol=1e-12)
+        monkeypatch.setattr(linear1d, "subsurface_solve",
+                            banded_solve_oracle)
+        banded = run_simulation(p, num_steps=6, tol=1e-12)
+        assert trace_rows(factored) == trace_rows(banded)
+        assert summary_rows(factored) == summary_rows(banded)
+        for left, right in zip(factored.steps, banded.steps):
+            assert np.array_equal(left.psi_interior, right.psi_interior)
+
+    def test_factors_once_per_build_and_solves_once_per_sweep(
+            self, monkeypatch):
+        calls = {"dpttrf": 0, "dpttrs": 0}
+
+        def counting(name):
+            original = getattr(linear1d, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(linear1d, name, counting(name))
+        trace = run_simulation(standard_params(omega=0.5), num_steps=5,
+                               tol=1e-12)
+        assert calls["dpttrf"] == 1
+        assert calls["dpttrs"] == sum(step.iterations for step in trace.steps)
+        build_system(standard_params())
+        assert calls["dpttrf"] == 2
+
+    @pytest.mark.parametrize("num_elements", [2, 7])
+    @pytest.mark.parametrize("gamma", [np.nan, np.inf, -np.inf])
+    def test_non_finite_interface_value_rejected(self, num_elements, gamma):
+        sys = build_system(standard_params(num_elements=num_elements))
+        with pytest.raises(ValueError, match="finite"):
+            subsurface_solve(sys, gamma)
+
+    def test_not_positive_definite_rejected(self):
+        sys = build_system(standard_params(num_elements=5))
+        bad = replace(sys, factor=dpttrf(np.full(4, -1.0), np.full(3, 0.1)))
+        with pytest.raises(ValueError, match="not positive definite"):
+            subsurface_solve(bad, 0.0)
+        single = replace(build_system(standard_params(num_elements=2)),
+                         diag=-1.0)
+        with pytest.raises(ValueError, match="not positive definite"):
+            subsurface_solve(single, 0.0)
+
+    def test_residual_check_catches_a_wrong_factor(self):
+        sys = build_system(standard_params(num_elements=5))
+        other = replace(sys, factor=dpttrf(np.full(4, 2.0 * sys.diag),
+                                           np.full(3, sys.off_diag)))
+        with pytest.raises(RuntimeError, match="residual check"):
+            subsurface_solve(other, 0.5)
+
+    def test_next_step_keeps_the_factor(self):
+        sys = build_system(standard_params(num_elements=7))
+        later = sys.with_previous_state(np.ones(6), 0.25)
+        assert later.factor is sys.factor
+        assert np.array_equal(later.rhs_old, build_system(
+            standard_params(num_elements=7), np.ones(6), 0.25).rhs_old)
 
 
 class TestInterfaceMap:
