@@ -129,14 +129,17 @@ def cmd_linrun(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     if args.config is None and args.scenario is None:
         raise ConfigError("give --scenario NAME or --config PATH")
+    threshold = args.cr_exclude_threshold
+    if threshold is not None and not 0 < threshold < np.inf:
+        raise ConfigError("--cr-exclude-threshold must be positive, finite")
     config = scenarios.load_config(path=args.config,
                                    overrides=args.override or (),
                                    base=args.scenario)
     out_dir = args.out or os.path.join("runs", config.name)
     result = scenarios.run_scenario(
-        config, out_dir, cr_exclude_threshold=args.cr_exclude_threshold)
+        config, out_dir, cr_exclude_threshold=threshold)
     mean_cr, undefined = coupling.time_averaged_cr(
-        result.records, exclude_above=args.cr_exclude_threshold)
+        result.records, exclude_above=threshold)
     cr_text = "undefined" if mean_cr is None else f"{mean_cr:.6e}"
     print(f"{config.name}: {len(result.records)} steps, "
           f"time averaged CR = {cr_text} ({undefined} undefined), "

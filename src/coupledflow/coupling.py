@@ -34,7 +34,7 @@ import numpy as np
 from .analysis import LinearModelParams, discrete_S
 from .iteration import fixed_point, observed_cr
 from .richards2d import DirichletData, Grid2D, RichardsWorkspace, top_dirichlet
-from .surface1d import BoundarySpec, SurfaceModel, implicit_fv_step
+from .surface1d import SurfaceModel, implicit_fv_step
 
 
 @dataclass(frozen=True)
@@ -81,7 +81,6 @@ class CoupledProblem:
     grid: Grid2D
     material: object
     surface_model: SurfaceModel
-    boundary: BoundarySpec
     rain: RainSchedule = RainSchedule()
     static_dirichlet: DirichletData | None = None
     workspace: RichardsWorkspace = field(init=False)
@@ -112,7 +111,6 @@ class PredictedFactors:
     k_bar: float
     abs_s: float
     omega_opt: float
-    c_guarded: bool
 
 
 @dataclass(frozen=True)
@@ -171,13 +169,12 @@ def predict_S(psi: np.ndarray, grid: Grid2D, node_material,
     soil = node_material.at_heads(psi)
     c_bar = float(np.mean(soil.capacity))
     k_bar = float(np.mean(soil.hydraulic_conductivity))
-    guarded = c_bar < 1e-30
     params = LinearModelParams(c=max(c_bar, 1e-30), k=k_bar,
                                length=grid.length_z, dt=dt,
                                num_elements=grid.num_z)
     result = discrete_S(params)
     return PredictedFactors(c_bar=c_bar, k_bar=k_bar, abs_s=abs(result.S),
-                            omega_opt=result.omega_opt, c_guarded=guarded)
+                            omega_opt=result.omega_opt)
 
 
 def run_coupled_step(problem: CoupledProblem, config: CouplingConfig,
@@ -200,11 +197,11 @@ def run_coupled_step(problem: CoupledProblem, config: CouplingConfig,
             psi_new, theta_old_qp, config.dt, dirichlet)
         source = (problem.workspace.interface_flux(psi_new)
                   / problem.grid.dx + rain_rate)
-        q_new, surf_report = implicit_fv_step(
+        q_new, surf_report, clamped_volume = implicit_fv_step(
             state.q, source, config.dt, problem.grid.dx,
-            problem.surface_model, problem.boundary)
+            problem.surface_model)
         newton_iters += newton_report.iterations
-        clamped += surf_report.clamped_volume
+        clamped += clamped_volume
         failures += (newton_report.line_search_failures
                      + surf_report.line_search_failures)
         return q_new[0]

@@ -207,21 +207,15 @@ def blend_weight(x, f: MaterialField):
 
 def params_at(x, f: MaterialField) -> VanGenuchtenParams:
     """Parameter set at position x (array valued fields for array input)."""
-    if not f.is_blended:
-        if np.ndim(x) == 0:
-            return f.left
-        shape = np.shape(np.asarray(x, dtype=float))
-        return VanGenuchtenParams(
-            *(np.full(shape, getattr(f.left, name))
-              for name in ("alpha", "n", "theta_r", "theta_s", "k_s")))
     beta = blend_weight(x, f)
+    right = f.right if f.is_blended else f.left  # weight 0: exactly f.left
 
     def blend(a, b):
         return (1.0 - beta) * a + beta * b
 
     return VanGenuchtenParams(
-        alpha=blend(f.left.alpha, f.right.alpha),
-        n=blend(f.left.n, f.right.n),
-        theta_r=blend(f.left.theta_r, f.right.theta_r),
-        theta_s=blend(f.left.theta_s, f.right.theta_s),
-        k_s=blend(f.left.k_s, f.right.k_s))
+        alpha=blend(f.left.alpha, right.alpha),
+        n=blend(f.left.n, right.n),
+        theta_r=blend(f.left.theta_r, right.theta_r),
+        theta_s=blend(f.left.theta_s, right.theta_s),
+        k_s=blend(f.left.k_s, right.k_s))

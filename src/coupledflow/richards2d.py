@@ -198,14 +198,8 @@ class RichardsWorkspace:
         self._indptr = np.searchsorted(keys, nodes * num_nodes).astype(np.intc)
         self._diag = np.searchsorted(keys, nodes[:-1] * (num_nodes + 1))
         # top-edge midpoints for the interface flux
-        ex = np.arange(grid.num_x)
-        self._top = {
-            "tl": grid.node_index(ex, grid.num_z),
-            "tr": grid.node_index(ex + 1, grid.num_z),
-            "bl": grid.node_index(ex, grid.num_z - 1),
-            "br": grid.node_index(ex + 1, grid.num_z - 1),
-        }
-        self._top_bound = material.at((ex + 0.5) * grid.dx)
+        self._top = grid.top_node_indices()
+        self._top_bound = material.at((np.arange(grid.num_x) + 0.5) * grid.dx)
 
     # ── assembly ─────────────────────────────────────────────────────────
 
@@ -305,9 +299,9 @@ class RichardsWorkspace:
 
     def interface_flux(self, psi: np.ndarray) -> np.ndarray:
         """Outward normal flux integral over each top cell [m^2/s]."""
-        top = self._top
-        psi_mid = 0.5 * (psi[top["tl"]] + psi[top["tr"]])
-        psi_below = 0.5 * (psi[top["bl"]] + psi[top["br"]])
+        top, below = self._top, self._top - (self.grid.num_x + 1)
+        psi_mid = 0.5 * (psi[top[:-1]] + psi[top[1:]])
+        psi_below = 0.5 * (psi[below[:-1]] + psi[below[1:]])
         gradient = (psi_mid - psi_below) / self.grid.dz
         cond = self._top_bound.at_heads(psi_mid).hydraulic_conductivity
         return -cond * (gradient + 1.0) * self.grid.dx

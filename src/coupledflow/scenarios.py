@@ -18,10 +18,10 @@ a preset (``[scenario] base = ...``) and overrides fields.  Unknown sections
 or keys are rejected rather than ignored.  All stored values are SI; inputs
 quoted per minute or per hour are converted on ingestion (``_UNITS``).
 ``load_config`` only parses.  Each value is checked once, by the runtime
-object that uses it (grid, material, surface model, boundary, rain, coupling
-config); ``build_all`` is the one place that builds those objects, once
-each, checks only what none of them owns and assembles the run.  Any
-failure is a ``ConfigError``.
+object that uses it (grid, material, surface model, rain, coupling config);
+``build_all`` is the one place that builds those objects, once each, checks
+only what none of them owns and assembles the run.  Any failure is a
+``ConfigError``.
 
 CSV writers emit a single header row and ``%.17g`` floats so repeated runs
 of the same config are byte identical.
@@ -42,7 +42,7 @@ from . import coupling, richards2d, surface1d
 from .coupling import CoupledProblem, CoupledState, CouplingConfig, RainSchedule
 from .material import SOIL_PRESETS, MaterialField
 from .richards2d import DirichletData, Grid2D
-from .surface1d import BoundarySpec, SurfaceModel
+from .surface1d import SurfaceModel
 
 
 class ConfigError(ValueError):
@@ -417,9 +417,9 @@ def build_all(config: ScenarioConfig,
         model = SurfaceModel(flavor=config.flavor, gravity=config.gravity,
                              manning_n=config.manning_n,
                              friction_slope=config.friction_slope,
-                             flow_sign=config.flow_sign)
-        boundary = BoundarySpec(left=config.boundary_left,
-                                right=config.boundary_right)
+                             flow_sign=config.flow_sign,
+                             boundary_left=config.boundary_left,
+                             boundary_right=config.boundary_right)
         rain = RainSchedule(rate=config.rain_rate, cutoff=config.rain_cutoff)
         coupling_config = CouplingConfig(
             omega=config.omega, tol=config.tol, max_iters=config.max_iters,
@@ -433,8 +433,7 @@ def build_all(config: ScenarioConfig,
             and not 0 < config.side_dirichlet_below <= config.length_z:
         raise ConfigError("side_dirichlet_below must lie in (0, L_z]")
     problem = CoupledProblem(grid=grid, material=material,
-                             surface_model=model, boundary=boundary,
-                             rain=rain,
+                             surface_model=model, rain=rain,
                              static_dirichlet=side_dirichlet(config, grid))
     return problem, coupling_config, build_initial_state(config, grid, model)
 

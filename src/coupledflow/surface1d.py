@@ -26,9 +26,10 @@ by the shared damped Newton (iteration.damped_newton); the source s [m/s]
 component only.  The dense finite difference Jacobian comes from one
 residual call on the batch of all column-bumped states.  Each residual takes
 every face flux from one llf_flux call, which pads the state with a ghost
-cell per side and evaluates f and lambda once per cell.  After the solve,
-depths below H_FLOOR are raised to H_FLOOR and the added volume is
-reported.
+cell per side, of the kinds SurfaceModel.boundary_left and boundary_right,
+and evaluates f and lambda once per cell.  After the solve, depths below
+H_FLOOR are raised to H_FLOOR; the added volume is returned next to
+damped_newton's report.
 """
 
 from __future__ import annotations
@@ -37,17 +38,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .iteration import damped_newton
+from .iteration import NewtonReport, damped_newton
 
 H_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
 class SurfaceModel:
-    """Flavor and physical constants of the surface solver.
+    """Flavor, physical constants and end closures of the surface solver.
 
     manning_n is in SI units (m^(1/3) s).  flow_sign fixes the direction of
     the kinematic flux: +1 sends water toward growing x, -1 toward x = 0.
+    boundary_left (x = 0) and boundary_right each close one end with
+      copy     a zero-gradient ghost (outflow / homogeneous Neumann), or
+      reflect  mirrored h with negated hu (a zero-discharge wall; the LLF
+               mass flux through it cancels exactly); zero face flux for
+               kinematic.
     """
 
     flavor: str
@@ -55,6 +61,8 @@ class SurfaceModel:
     manning_n: float | None = None
     friction_slope: float | None = None
     flow_sign: float = 1.0
+    boundary_left: str = "copy"
+    boundary_right: str = "copy"
 
     def __post_init__(self) -> None:
         if self.flavor not in ("swe", "kinematic"):
@@ -70,6 +78,9 @@ class SurfaceModel:
             raise ValueError("gravity must be positive")
         if self.flow_sign not in (-1.0, 1.0):
             raise ValueError("flow_sign must be +1 or -1")
+        for side in (self.boundary_left, self.boundary_right):
+            if side not in ("copy", "reflect"):
+                raise ValueError(f"unknown boundary kind {side!r}")
 
     @property
     def num_components(self) -> int:
@@ -96,31 +107,12 @@ def _flux_and_speed(q: np.ndarray, model: SurfaceModel,
     return (model.flow_sign * h * speed)[None], 5.0 / 3.0 * speed
 
 
-# Boundary kinds:
-#   copy     zero-gradient ghost (outflow / homogeneous Neumann)
-#   reflect  mirrored h with negated hu (a zero-discharge wall; the LLF mass
-#            flux through it cancels exactly); zero face flux for kinematic
-_BOUNDARY_KINDS = ("copy", "reflect")
-
-
-@dataclass(frozen=True)
-class BoundarySpec:
-    left: str = "copy"
-    right: str = "copy"
-
-    def __post_init__(self) -> None:
-        for side in (self.left, self.right):
-            if side not in _BOUNDARY_KINDS:
-                raise ValueError(f"unknown boundary kind {side!r}")
-
-
-def llf_flux(q: np.ndarray, boundary: BoundarySpec,
-             model: SurfaceModel) -> np.ndarray:
+def llf_flux(q: np.ndarray, model: SurfaceModel) -> np.ndarray:
     """Local Lax-Friedrichs fluxes on the cells + 1 faces of q, which is
     shaped (n_comp, ..., cells); a ghost cell per side closes the ends."""
     padded = np.concatenate([q[..., :1], q, q[..., -1:]], axis=-1)
-    walls = [end for kind, end in ((boundary.left, 0), (boundary.right, -1))
-             if kind == "reflect"]
+    kinds = (model.boundary_left, model.boundary_right)
+    walls = [end for kind, end in zip(kinds, (0, -1)) if kind == "reflect"]
     if model.flavor == "swe":
         padded[1, ..., walls] = -padded[1, ..., walls]
     flux, speed = _flux_and_speed(padded, model)
@@ -132,21 +124,11 @@ def llf_flux(q: np.ndarray, boundary: BoundarySpec,
     return faces
 
 
-@dataclass(frozen=True)
-class SurfaceStepReport:
-    iterations: int
-    residual_norm: float
-    clamped_cells: int
-    clamped_volume: float
-    line_search_failures: int
-
-
 def _step_residual(flat: np.ndarray, q_old: np.ndarray, source,
-                   dt: float, dx: float, boundary: BoundarySpec,
-                   model: SurfaceModel) -> np.ndarray:
+                   dt: float, dx: float, model: SurfaceModel) -> np.ndarray:
     """Residual of one flat state, or of each row of a (B, size) batch."""
     q = flat.reshape(-1, *q_old.shape).swapaxes(0, 1)
-    faces = llf_flux(q, boundary, model)
+    faces = llf_flux(q, model)
     residual = q - q_old[:, None] + dt / dx * (faces[..., 1:]
                                                - faces[..., :-1])
     residual[0] -= dt * source
@@ -154,11 +136,12 @@ def _step_residual(flat: np.ndarray, q_old: np.ndarray, source,
 
 
 def implicit_fv_step(q_old: np.ndarray, source, dt: float, dx: float,
-                     model: SurfaceModel, boundary: BoundarySpec,
-                     ) -> tuple[np.ndarray, SurfaceStepReport]:
+                     model: SurfaceModel,
+                     ) -> tuple[np.ndarray, NewtonReport, float]:
     """Advance the cell averages q_old, shaped (n_comp, cells), by one
     implicit Euler step of the FV scheme into a new array; source is the
-    per-cell height source [m/s], an array or a scalar."""
+    per-cell height source [m/s], an array or a scalar.  Also returns the
+    Newton report and the volume [m^2] the H_FLOOR clamp added."""
     if dt <= 0.0 or dx <= 0.0:
         raise ValueError("dt and dx must be positive")
     q_old = np.asarray(q_old, dtype=float)
@@ -175,7 +158,7 @@ def implicit_fv_step(q_old: np.ndarray, source, dt: float, dx: float,
     scale = max(1.0, np.max(np.abs(flat)))
 
     def residual(trial: np.ndarray) -> np.ndarray:
-        return _step_residual(trial, q_old, source, dt, dx, boundary, model)
+        return _step_residual(trial, q_old, source, dt, dx, model)
 
     def direction(point: np.ndarray, res: np.ndarray) -> np.ndarray:
         eps = 1e-8 * np.maximum(1.0, np.abs(point))
@@ -191,12 +174,7 @@ def implicit_fv_step(q_old: np.ndarray, source, dt: float, dx: float,
     low = q_new[0] < H_FLOOR
     clamped_volume = float(np.sum((H_FLOOR - q_new[0][low]) * dx))
     q_new[0][low] = H_FLOOR
-    report = SurfaceStepReport(
-        iterations=newton.iterations, residual_norm=newton.residual_norm,
-        clamped_cells=int(np.count_nonzero(low)),
-        clamped_volume=clamped_volume,
-        line_search_failures=newton.line_search_failures)
-    return q_new, report
+    return q_new, newton, clamped_volume
 
 
 def outflow_probe(q: np.ndarray, time: float, model: SurfaceModel) -> dict:

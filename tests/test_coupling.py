@@ -35,7 +35,7 @@ from coupledflow.coupling import (
 )
 from coupledflow.material import SOIL_PRESETS, MaterialField
 from coupledflow.richards2d import DirichletData, Grid2D, top_dirichlet
-from coupledflow.surface1d import BoundarySpec, SurfaceModel
+from coupledflow.surface1d import SurfaceModel
 
 
 @dataclass(frozen=True)
@@ -68,11 +68,10 @@ def column_problem(cap: float, cond: float, num_z: int = 10,
     grid = Grid2D(length_x=0.5, length_z=1.0, num_x=1, num_z=num_z)
     bottom = DirichletData(np.array([0, 1]), np.array([0.0, 0.0]))
     model = SurfaceModel(flavor="kinematic", manning_n=0.1,
-                         friction_slope=1e-3)
+                         friction_slope=1e-3, boundary_left="reflect",
+                         boundary_right="reflect")
     problem = CoupledProblem(grid=grid, material=LinMaterial(cap, cond),
-                             surface_model=model,
-                             boundary=BoundarySpec("reflect", "reflect"),
-                             static_dirichlet=bottom)
+                             surface_model=model, static_dirichlet=bottom)
     _, node_z = grid.node_coords()
     psi0 = 1.0 - node_z
     psi0[node_z >= grid.length_z - 1e-12] = 1.0
@@ -119,7 +118,6 @@ class TestPredictS:
         assert_allclose(predicted.c_bar, soil.capacity[0], rtol=1e-14)
         assert_allclose(predicted.k_bar, soil.hydraulic_conductivity[0],
                         rtol=1e-14)
-        assert not predicted.c_guarded
         assert_allclose(predicted.omega_opt,
                         1.0 / (1.0 + predicted.abs_s), rtol=1e-12)
 
@@ -129,9 +127,9 @@ class TestPredictS:
         psi = np.full(grid.num_nodes, 0.5)
         predicted = predict_S(psi, grid, clay.at(grid.node_coords()[0]),
                               dt=36.0)
-        assert predicted.c_guarded
         assert predicted.c_bar == 0.0
         assert np.isfinite(predicted.abs_s)
+        assert np.isfinite(predicted.omega_opt)
 
 
 class TestLinearEquivalence:
@@ -278,8 +276,9 @@ class TestCoupledStep:
                 grid=grid, material=LinMaterial(0.1, 0.01),
                 surface_model=SurfaceModel(flavor="kinematic",
                                            manning_n=0.1,
-                                           friction_slope=1e-3),
-                boundary=BoundarySpec("reflect", "reflect"),
+                                           friction_slope=1e-3,
+                                           boundary_left="reflect",
+                                           boundary_right="reflect"),
                 static_dirichlet=DirichletData(np.array([top_node]),
                                                np.array([0.0])))
 
@@ -358,7 +357,7 @@ class TestSweepDirichlet:
 
 def fake_record(step: int, cr: float | None) -> StepRecord:
     predicted = PredictedFactors(c_bar=0.01, k_bar=1e-6, abs_s=1e-3,
-                                 omega_opt=0.999, c_guarded=False)
+                                 omega_opt=0.999)
     return StepRecord(step=step, time=step * 36.0, iterations=3,
                       converged=True, residuals=(1e-3, 1e-5, 1e-7),
                       cr=cr, predicted=predicted, newton_iterations=5,

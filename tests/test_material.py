@@ -169,6 +169,16 @@ class TestMaterialField:
         psi = np.array([-1.0, -1.0, -1.0])
         assert_allclose(a.at_heads(psi).theta, closures(-1.0, SILT).theta)
 
+    @pytest.mark.parametrize("soil", sorted(SOIL_PRESETS))
+    def test_homogeneous_params_equal_full_bitwise(self, soil):
+        # a homogeneous field blends its soil with itself at weight 0
+        p = SOIL_PRESETS[soil]
+        x = np.linspace(-1.0, 3.0, 7)
+        params = params_at(x, MaterialField.homogeneous(p))
+        for name in ("alpha", "n", "theta_r", "theta_s", "k_s"):
+            want = np.full(x.shape, getattr(p, name))
+            assert same_bits(getattr(params, name), want), name
+
     def test_blend_weight_golden(self):
         field = MaterialField.blended(left=SILT, right=CLAY,
                                       center_x=1.0, steepness=4.0)

@@ -350,6 +350,14 @@ class TestCli:
          "--override", "surface.gravity=-1"],
         ["simulate", "--scenario", "trench-loam",
          "--override", "rain.rate=-1"],
+        ["simulate", "--scenario", "trench-loam",
+         "--cr-exclude-threshold", "nan"],
+        ["simulate", "--scenario", "trench-loam",
+         "--cr-exclude-threshold", "inf"],
+        ["simulate", "--scenario", "trench-loam",
+         "--cr-exclude-threshold", "0"],
+        ["simulate", "--scenario", "trench-loam",
+         "--cr-exclude-threshold", "-1"],
     ])
     def test_out_of_range_numeric_flag_is_a_config_error(self, argv,
                                                          tmp_path, capsys):

@@ -8,26 +8,25 @@ from coupledflow import surface1d
 from coupledflow.iteration import NewtonError
 from coupledflow.scenarios import manning_minutes_to_si
 from coupledflow.surface1d import (
+    H_FLOOR,
     PROBE_COLUMNS,
-    BoundarySpec,
     SurfaceModel,
     implicit_fv_step,
     llf_flux,
     outflow_probe,
 )
 
-WALLS = BoundarySpec(left="reflect", right="reflect")
-COPY = BoundarySpec()
+WALLS = {"boundary_left": "reflect", "boundary_right": "reflect"}
 
 
-def swe_model() -> SurfaceModel:
-    return SurfaceModel(flavor="swe", gravity=9.81)
+def swe_model(**boundary) -> SurfaceModel:
+    return SurfaceModel(flavor="swe", gravity=9.81, **boundary)
 
 
-def kinematic_model() -> SurfaceModel:
+def kinematic_model(**boundary) -> SurfaceModel:
     return SurfaceModel(flavor="kinematic",
                         manning_n=manning_minutes_to_si(3.31e-3),
-                        friction_slope=5e-4, flow_sign=-1.0)
+                        friction_slope=5e-4, flow_sign=-1.0, **boundary)
 
 
 def uniform(q, num_cells=3):
@@ -41,7 +40,7 @@ class TestFluxes:
         # every face of a uniform state with copy walls carries f(q)
         for q, flux in (([1.0, 0.0], [0.0, 4.905]),
                         ([1.0, 2.0], [2.0, 4.0 + 4.905])):
-            assert_allclose(llf_flux(uniform(q), COPY, model),
+            assert_allclose(llf_flux(uniform(q), model),
                             uniform(flux, 4), rtol=1e-15)
 
     def test_manning_speed_golden(self):
@@ -50,19 +49,18 @@ class TestFluxes:
                         rtol=1e-12)
 
     def test_kinematic_flux_follows_fall_line(self):
-        faces = llf_flux(uniform([0.01]), COPY, kinematic_model())
+        faces = llf_flux(uniform([0.01]), kinematic_model())
         assert_allclose(faces, -0.01 * 0.005226036332105808, rtol=1e-12)
 
     def test_wave_speeds(self):
         # LLF dissipates with the larger speed: |u| + sqrt(g h) of the
         # moving state here, (5/3) u against a dry neighbour
         speed = 2.0 + np.sqrt(9.81 * 4.0)
-        faces = llf_flux(np.array([[4.0, 4.0], [8.0, 0.0]]), COPY,
-                         swe_model())
+        faces = llf_flux(np.array([[4.0, 4.0], [8.0, 0.0]]), swe_model())
         assert_allclose(faces[1, 1], 8.0 + 0.5 * 9.81 * 16.0 + 4.0 * speed,
                         rtol=1e-14)
         u = 0.005226036332105808
-        faces = llf_flux(np.array([[0.01, 0.0]]), COPY, kinematic_model())
+        faces = llf_flux(np.array([[0.01, 0.0]]), kinematic_model())
         assert_allclose(faces[0, 1], -0.005 * u + 0.005 * 5.0 / 3.0 * u,
                         rtol=1e-12)
 
@@ -71,13 +69,12 @@ class TestFluxes:
         for model, q, flux in (
                 (swe, [0.7, 0.21], [0.21, 0.21 * 0.3 + 0.5 * 9.81 * 0.49]),
                 (kin, [0.04], [-0.04 * kin.manning_speed(0.04)])):
-            assert_allclose(llf_flux(uniform(q), COPY, model),
+            assert_allclose(llf_flux(uniform(q), model),
                             uniform(flux, 4), rtol=1e-15)
 
     def test_llf_hand_value(self):
         # the middle face of a two-cell state
-        faces = llf_flux(np.array([[1.0, 0.5], [0.0, 0.1]]), COPY,
-                         swe_model())
+        faces = llf_flux(np.array([[1.0, 0.5], [0.0, 0.1]]), swe_model())
         # the still deep state carries the larger speed sqrt(g)
         assert_allclose(faces[0, 1], 0.05 + 0.25 * np.sqrt(9.81), rtol=1e-14)
         assert_allclose(faces[1, 1], 3.075625 - 0.05 * np.sqrt(9.81),
@@ -86,14 +83,13 @@ class TestFluxes:
 
 class TestStates:
     @pytest.mark.parametrize("model, q_old", [
-        (kinematic_model(), np.array([0.1, 0.2])),
-        (swe_model(), np.array([[0.1, 0.2]])),
-        (kinematic_model(), np.array([[0.1, 0.2], [0.0, 0.0]])),
+        (kinematic_model(**WALLS), np.array([0.1, 0.2])),
+        (swe_model(**WALLS), np.array([[0.1, 0.2]])),
+        (kinematic_model(**WALLS), np.array([[0.1, 0.2], [0.0, 0.0]])),
     ], ids=["one-dimensional", "swe-one-row", "kinematic-two-rows"])
     def test_shape_must_fit_flavor(self, model, q_old):
         with pytest.raises(ValueError, match="shaped"):
-            implicit_fv_step(q_old, 0.0, dt=1.0, dx=1.0, model=model,
-                             boundary=WALLS)
+            implicit_fv_step(q_old, 0.0, dt=1.0, dx=1.0, model=model)
 
     def test_model_validation(self):
         with pytest.raises(ValueError):
@@ -102,88 +98,83 @@ class TestStates:
             SurfaceModel(flavor="kinematic", manning_n=0.1986)
         with pytest.raises(ValueError):
             SurfaceModel(flavor="swe", flow_sign=0.5)
-        with pytest.raises(ValueError):
-            BoundarySpec(left="open")
+        with pytest.raises(ValueError, match="unknown boundary kind 'open'"):
+            SurfaceModel(flavor="swe", boundary_left="open")
+        with pytest.raises(ValueError, match="unknown boundary kind 'open'"):
+            SurfaceModel(flavor="swe", boundary_right="open")
 
 
 class TestImplicitStep:
     def test_lake_at_rest_is_exact(self):
-        model = swe_model()
+        model = swe_model(**WALLS)
         q = np.array([np.full(6, 0.3), np.zeros(6)])
-        new, report = implicit_fv_step(q, 0.0, dt=0.5,
-                                       dx=0.1, model=model, boundary=WALLS)
-        assert report.iterations == 0
+        new, newton, _ = implicit_fv_step(q, 0.0, dt=0.5, dx=0.1, model=model)
+        assert newton.iterations == 0
         assert np.array_equal(new, q)
         assert new is not q
 
     def test_uniform_rain_raises_uniformly(self):
-        model = swe_model()
+        model = swe_model(**WALLS)
         q = np.array([np.full(5, 0.2), np.zeros(5)])
-        new, report = implicit_fv_step(q, 1e-3,
-                                       dt=2.0, dx=0.5, model=model,
-                                       boundary=WALLS)
-        assert report.clamped_cells == 0
+        new, _, _ = implicit_fv_step(q, 1e-3, dt=2.0, dx=0.5, model=model)
+        assert not np.any(new[0] == H_FLOOR)
         assert_allclose(new[0], 0.2 + 2e-3, rtol=1e-12)
         assert_allclose(new[1], 0.0, atol=1e-13)
 
     @pytest.mark.parametrize("flavor", ["swe", "kinematic"])
     def test_walls_conserve_mass(self, flavor):
         rng = np.random.default_rng(31)
-        model = swe_model() if flavor == "swe" else kinematic_model()
+        model = swe_model(**WALLS) if flavor == "swe" \
+            else kinematic_model(**WALLS)
         h = rng.uniform(0.05, 0.3, size=8)
         q = np.array([h, rng.normal(scale=0.01, size=8)]) \
             if flavor == "swe" else h[None]
         dx = 0.25
         for _ in range(3):
-            q, report = implicit_fv_step(q, 0.0, dt=0.1, dx=dx, model=model,
-                                         boundary=WALLS)
-            assert report.clamped_cells == 0
+            q, _, _ = implicit_fv_step(q, 0.0, dt=0.1, dx=dx, model=model)
+            assert not np.any(q[0] == H_FLOOR)
         assert abs(np.sum(q[0]) - np.sum(h)) * dx <= 1e-12
 
     def test_source_balance(self):
-        model = kinematic_model()
+        model = kinematic_model(**WALLS)
         exchange = np.array([1e-4, -2e-4, 3e-4, 0.0])
         q = np.full((1, 4), 0.05)
-        new, report = implicit_fv_step(q, exchange + 1e-4, dt=10.0,
-                                       dx=2.0, model=model, boundary=WALLS)
-        assert report.clamped_cells == 0
+        new, _, _ = implicit_fv_step(q, exchange + 1e-4, dt=10.0, dx=2.0,
+                                     model=model)
+        assert not np.any(new[0] == H_FLOOR)
         gained = (np.sum(new) - np.sum(q)) * 2.0
         expected = 10.0 * 2.0 * np.sum(exchange + 1e-4)
         assert_allclose(gained, expected, rtol=1e-10)
 
     def test_floor_clamp_reports_added_volume(self):
-        model = kinematic_model()
+        model = kinematic_model(**WALLS)
         q = np.full((1, 3), 1e-6)
-        new, report = implicit_fv_step(q, -1e-3, dt=1.0,
-                                       dx=0.5, model=model, boundary=WALLS)
-        assert report.clamped_cells == 3
-        assert np.all(new == surface1d.H_FLOOR)
+        new, _, clamped_volume = implicit_fv_step(q, -1e-3, dt=1.0, dx=0.5,
+                                                  model=model)
+        assert np.count_nonzero(new[0] == H_FLOOR) == 3
+        assert np.all(new == H_FLOOR)
         # clamping injects exactly the reported volume
         balance = (np.sum(new) - np.sum(q)) * 0.5 \
-            - (-1e-3 * 1.0 * 0.5 * 3) - report.clamped_volume
+            - (-1e-3 * 1.0 * 0.5 * 3) - clamped_volume
         assert abs(balance) <= 1e-15
 
     def test_outflow_through_copy_boundary(self):
         # kinematic flow toward x = 0 with an open left edge loses mass
-        model = kinematic_model()
+        model = kinematic_model(boundary_right="reflect")
         q = np.full((1, 4), 0.02)
-        boundary = BoundarySpec(left="copy", right="reflect")
-        new, _ = implicit_fv_step(q, 0.0, dt=5.0, dx=1.0,
-                                  model=model, boundary=boundary)
+        new, _, _ = implicit_fv_step(q, 0.0, dt=5.0, dx=1.0, model=model)
         assert np.sum(new) < np.sum(q)
 
     def test_rejects_bad_input(self):
-        model = kinematic_model()
+        model = kinematic_model(**WALLS)
         with pytest.raises(ValueError):
             implicit_fv_step(np.array([[0.01, np.nan]]), 0.0, dt=1.0, dx=1.0,
-                             model=model, boundary=WALLS)
+                             model=model)
         good = np.full((1, 2), 0.01)
         with pytest.raises(ValueError):
-            implicit_fv_step(good, 0.0, dt=0.0, dx=1.0,
-                             model=model, boundary=WALLS)
+            implicit_fv_step(good, 0.0, dt=0.0, dx=1.0, model=model)
         with pytest.raises(ValueError):
-            implicit_fv_step(good, np.inf, dt=1.0, dx=1.0,
-                             model=model, boundary=WALLS)
+            implicit_fv_step(good, np.inf, dt=1.0, dx=1.0, model=model)
 
     def test_newton_failure_carries_diagnostics(self, monkeypatch):
         # one Newton iteration cannot solve this step
@@ -194,11 +185,10 @@ class TestImplicitStep:
             return newton(residual, direction, x, target, 1, *rest, **kwargs)
 
         monkeypatch.setattr(surface1d, "damped_newton", one_iteration)
-        model = swe_model()
+        model = swe_model(**WALLS)
         q = np.array([[1.0, 1e-8], [5.0, 0.0]])
         with pytest.raises(NewtonError) as info:
-            implicit_fv_step(q, 0.0, dt=50.0, dx=1e-3,
-                             model=model, boundary=WALLS)
+            implicit_fv_step(q, 0.0, dt=50.0, dx=1e-3, model=model)
         assert info.value.iterations >= 1
         assert info.value.residual_norm > 0.0
 
@@ -207,8 +197,7 @@ class TestImplicitStep:
         q = np.array([[1e-200, 1.0], [1e200, 0.0]])
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(NewtonError) as info:
-            implicit_fv_step(q, 0.0, dt=1.0, dx=1.0,
-                             model=swe_model(), boundary=BoundarySpec())
+            implicit_fv_step(q, 0.0, dt=1.0, dx=1.0, model=swe_model())
         assert info.value.iterations == 0
         assert not np.isfinite(info.value.residual_norm)
 
@@ -247,14 +236,14 @@ def reference_boundary_flux(q_edge, kind, model, is_left):
     return reference_llf(inner, outer, model)[:, 0]
 
 
-def reference_residual(flat, q_old, source, dt, dx, boundary, model):
+def reference_residual(flat, q_old, source, dt, dx, model):
     q = flat.reshape(q_old.shape)
     faces = np.empty((q.shape[0], q.shape[1] + 1))
     faces[:, 1:-1] = reference_llf(q[:, :-1], q[:, 1:], model)
-    faces[:, 0] = reference_boundary_flux(q[:, 0], boundary.left, model,
-                                          is_left=True)
-    faces[:, -1] = reference_boundary_flux(q[:, -1], boundary.right, model,
-                                           is_left=False)
+    faces[:, 0] = reference_boundary_flux(q[:, 0], model.boundary_left,
+                                          model, is_left=True)
+    faces[:, -1] = reference_boundary_flux(q[:, -1], model.boundary_right,
+                                           model, is_left=False)
     residual = q - q_old + dt / dx * (faces[:, 1:] - faces[:, :-1])
     residual[0] -= dt * source
     return residual.ravel()
@@ -286,9 +275,10 @@ def recorded_solves(monkeypatch, reverse_first=False):
     return solves
 
 
-def rainy_state(flavor, num_x, seed=7):
+def rainy_state(flavor, num_x, seed=7, **boundary):
     rng = np.random.default_rng(seed)
-    model = swe_model() if flavor == "swe" else kinematic_model()
+    model = swe_model(**boundary) if flavor == "swe" \
+        else kinematic_model(**boundary)
     h = rng.uniform(0.05, 0.3, size=num_x)
     q = np.array([h, rng.normal(scale=0.05, size=num_x)]) \
         if flavor == "swe" else h[None]
@@ -303,12 +293,11 @@ class TestBatchedNewton:
     @pytest.mark.parametrize("flavor", ["swe", "kinematic"])
     def test_jacobian_matches_column_loop_bitwise(self, monkeypatch, flavor,
                                                   left, right, num_x):
-        model, q_old, source = rainy_state(flavor, num_x)
-        boundary = BoundarySpec(left=left, right=right)
+        model, q_old, source = rainy_state(flavor, num_x, boundary_left=left,
+                                           boundary_right=right)
         solves = recorded_solves(monkeypatch)
-        implicit_fv_step(q_old, source, dt=0.5, dx=0.5, model=model,
-                         boundary=boundary)
-        args = (q_old, source, 0.5, 0.5, boundary, model)
+        implicit_fv_step(q_old, source, dt=0.5, dx=0.5, model=model)
+        args = (q_old, source, 0.5, 0.5, model)
         flat = q_old.ravel().copy()
         residual = reference_residual(flat, *args)
         jacobian, rhs = solves[0]
@@ -318,7 +307,7 @@ class TestBatchedNewton:
 
     @pytest.mark.parametrize("flavor", ["swe", "kinematic"])
     def test_one_residual_call_per_jacobian(self, monkeypatch, flavor):
-        model, q, source = rainy_state(flavor, 5)
+        model, q, source = rainy_state(flavor, 5, **WALLS)
         size = q.size
         shapes, llf_calls, cell_calls = [], [], []
         step_residual = surface1d._step_residual
@@ -341,13 +330,13 @@ class TestBatchedNewton:
         monkeypatch.setattr(surface1d, "llf_flux", counting_flux)
         monkeypatch.setattr(surface1d, "_flux_and_speed",
                             counting_flux_and_speed)
-        _, report = implicit_fv_step(q, source, dt=5.0, dx=0.5,
-                                     model=model, boundary=WALLS)
-        assert report.iterations >= 2
+        _, newton, _ = implicit_fv_step(q, source, dt=5.0, dx=0.5,
+                                        model=model)
+        assert newton.iterations >= 2
         # initial residual, then per iteration one batch and one full step
-        assert shapes.count((size, size)) == report.iterations
-        assert shapes.count((size,)) == 1 + report.iterations
-        assert len(shapes) == 1 + 2 * report.iterations
+        assert shapes.count((size, size)) == newton.iterations
+        assert shapes.count((size,)) == 1 + newton.iterations
+        assert len(shapes) == 1 + 2 * newton.iterations
         assert len(llf_calls) == len(shapes)
         # f and lambda once per cell of the padded state, not per face side
         assert len(cell_calls) == len(shapes)
@@ -356,12 +345,12 @@ class TestBatchedNewton:
     def test_line_search_failures_are_counted(self, monkeypatch,
                                               reverse_first):
         # an uphill first direction fails all 20 halvings; Newton recovers
-        model, q, source = rainy_state("swe", 5)
+        model, q, source = rainy_state("swe", 5, **WALLS)
         recorded_solves(monkeypatch, reverse_first=reverse_first)
-        _, report = implicit_fv_step(q, source, dt=5.0, dx=0.5,
-                                     model=model, boundary=WALLS)
-        assert report.line_search_failures == int(reverse_first)
-        assert report.residual_norm <= 1e-12
+        _, newton, _ = implicit_fv_step(q, source, dt=5.0, dx=0.5,
+                                        model=model)
+        assert newton.line_search_failures == int(reverse_first)
+        assert newton.residual_norm <= 1e-12
 
 
 class TestProbe:
