@@ -88,9 +88,9 @@ def cmd_linrun(args: argparse.Namespace) -> int:
         predicted = analysis.discrete_S(base)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    if args.steps < 1 or args.max_iters < 1 or not args.tol > 0:
-        raise ConfigError(
-            "--steps and --max-iters must be at least 1, --tol positive")
+    if args.steps < 1 or args.max_iters < 1 or not 0 < args.tol < np.inf:
+        raise ConfigError("--steps and --max-iters must be at least 1, "
+                          "--tol positive and finite")
     try:
         omega = predicted.omega_opt if args.omega == "opt" \
             else float(args.omega)
@@ -130,8 +130,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.config is None and args.scenario is None:
         raise ConfigError("give --scenario NAME or --config PATH")
     threshold = args.cr_exclude_threshold
-    if threshold is not None and not 0 < threshold < np.inf:
-        raise ConfigError("--cr-exclude-threshold must be positive, finite")
     config = scenarios.load_config(path=args.config,
                                    overrides=args.override or (),
                                    base=args.scenario)

@@ -1,7 +1,9 @@
 """Van Genuchten / Mualem soil hydraulics and spatially varying material fields.
 
-Each closure is written once, as an attribute of the evaluator that
-``MaterialField.at(x).at_heads(psi)`` returns: theta at construction, c, K
+A soil is one scalar ``VanGenuchtenParams``; ``MaterialField`` is the one
+field type, homogeneous when its ``right`` soil is None and tanh blended
+otherwise.  Each closure is written once, as an attribute of the evaluator
+that ``MaterialField.at(x).at_heads(psi)`` returns: theta at construction, c, K
 and K' on first use, all from the shared x = alpha*|psi| and x^n and from
 parameter factors fixed per binding; scalar psi gives 0-d arrays.  Units are
 SI (meters, seconds).  The closures (van Genuchten 1980, Mualem 1976) are:
@@ -58,18 +60,16 @@ class VanGenuchtenParams:
     k_s: float
 
     def __post_init__(self) -> None:
-        # np.all keeps the checks valid for array-valued fields produced by
-        # blended material fields.
-        if not np.all(np.asarray(self.alpha) > 0.0):
+        # each test is written so that NaN fails it
+        if not self.alpha > 0.0:
             raise ValueError("alpha must be positive")
-        if not np.all(np.asarray(self.n) > 1.0):
+        if not self.n > 1.0:
             raise ValueError("n must exceed 1")
-        if not (np.all(np.asarray(self.theta_r) >= 0.0)
-                and np.all(np.asarray(self.theta_r) < np.asarray(self.theta_s))):
+        if not 0.0 <= self.theta_r < self.theta_s:
             raise ValueError("need 0 <= theta_r < theta_s")
-        if not np.all(np.asarray(self.theta_s) <= 1.0):
+        if not self.theta_s <= 1.0:
             raise ValueError("theta_s must not exceed 1")
-        if not np.all(np.asarray(self.k_s) > 0.0):
+        if not self.k_s > 0.0:
             raise ValueError("k_s must be positive")
 
 
@@ -87,16 +87,18 @@ SOIL_PRESETS: dict[str, VanGenuchtenParams] = {
 
 
 class _BoundMaterial:
-    """A parameter set with the closures' parameter-only factors."""
+    """Parameters at fixed positions with the closures' parameter-only
+    factors."""
 
-    def __init__(self, p: VanGenuchtenParams):
-        n, self.params = p.n, p
-        self.span, self.dry = p.theta_s - p.theta_r, 1.0 - p.theta_s
+    def __init__(self, alpha, n, theta_r, theta_s, k_s):
+        self.alpha, self.n, self.k_s = alpha, n, k_s
+        self.theta_r, self.theta_s = theta_r, theta_s
+        self.span, self.dry = theta_s - theta_r, 1.0 - theta_s
         self.n_minus_one, self.saturation_exponent = n - 1.0, -(n - 1.0) / n
         self.pore = n / (n - 1.0)
         self.m = 1.0 / self.pore
         self.pore_minus_one, self.m_minus_one = self.pore - 1.0, self.m - 1.0
-        self.capacity_prefix = p.alpha * self.span * (n - 1.0)
+        self.capacity_prefix = alpha * self.span * (n - 1.0)
         self.capacity_exponent = 1.0 / n - 2.0
 
     def at_heads(self, psi) -> "_Closures":
@@ -108,15 +110,15 @@ class _Closures:
     """theta at one head field, and c, K and K' there on first use."""
 
     def __init__(self, bound: _BoundMaterial, psi):
-        p, self._bound = bound.params, bound
+        self._bound = bound
         self.psi = np.asarray(psi, dtype=float)
-        self._x = p.alpha * np.abs(self.psi)
+        self._x = bound.alpha * np.abs(self.psi)
         with np.errstate(over="ignore"):
-            self._x_n = self._x ** p.n
+            self._x_n = self._x ** bound.n
         self._base = 1.0 + self._x_n
-        self._wet_theta = p.theta_r + bound.span * (
+        self._wet_theta = bound.theta_r + bound.span * (
             self._base ** bound.saturation_exponent)
-        self.theta = np.where(self.psi > 0.0, p.theta_s, self._wet_theta)
+        self.theta = np.where(self.psi > 0.0, bound.theta_s, self._wet_theta)
 
     @cached_property
     def capacity(self):
@@ -133,8 +135,8 @@ class _Closures:
     def hydraulic_conductivity(self):
         b, wc = self._bound, self._wet_theta
         bracket = 1.0 - (1.0 - wc ** b.pore) ** b.m
-        value = b.params.k_s * np.sqrt(wc) * bracket ** 2
-        return np.where(self.psi > 0.0, b.params.k_s, value)
+        value = b.k_s * np.sqrt(wc) * bracket ** 2
+        return np.where(self.psi > 0.0, b.k_s, value)
 
     @cached_property
     def conductivity_derivative(self):
@@ -147,10 +149,10 @@ class _Closures:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             wet_deficit = -np.expm1(-b.m * np.log1p(self._x_n))
             one_minus_theta = b.dry + b.span * wet_deficit
-            wc = b.params.theta_s - b.span * wet_deficit
+            wc = b.theta_s - b.span * wet_deficit
             one_minus_tp = -np.expm1(b.pore * np.log1p(-one_minus_theta))
             bracket = 1.0 - one_minus_tp ** b.m
-            dk_dtheta = b.params.k_s * (
+            dk_dtheta = b.k_s * (
                 bracket ** 2 / (2.0 * np.sqrt(wc))
                 + 2.0 * np.sqrt(wc) * bracket
                 * wc ** b.pore_minus_one * one_minus_tp ** b.m_minus_one)
@@ -163,12 +165,13 @@ class _Closures:
 class MaterialField:
     """Horizontally homogeneous or tanh blended soil distribution.
 
-    A blended field mixes two parameter sets with the weight
+    ``MaterialField(soil)`` is homogeneous (``right is None``);
+    ``MaterialField(left, right, center_x, steepness)`` mixes two soils with
+    the weight
 
         beta(x) = (tanh(steepness * (x - center_x)) + 1) / 2
 
-    applied to every parameter individually; beta is identically 0 for
-    homogeneous fields.
+    applied to every parameter individually.
     """
 
     left: VanGenuchtenParams
@@ -176,46 +179,20 @@ class MaterialField:
     center_x: float = 0.0
     steepness: float = 0.0
 
-    @classmethod
-    def homogeneous(cls, p: VanGenuchtenParams) -> "MaterialField":
-        return cls(left=p)
-
-    @classmethod
-    def blended(cls, left: VanGenuchtenParams, right: VanGenuchtenParams,
-                center_x: float, steepness: float) -> "MaterialField":
-        if steepness <= 0.0:
+    def __post_init__(self) -> None:
+        if self.right is not None and not self.steepness > 0.0:
             raise ValueError("steepness must be positive")
-        return cls(left=left, right=right, center_x=center_x,
-                   steepness=steepness)
-
-    @property
-    def is_blended(self) -> bool:
-        return self.right is not None
 
     def at(self, x) -> _BoundMaterial:
         """Bind the field to fixed positions for repeated psi evaluations."""
-        return _BoundMaterial(params_at(x, self))
-
-
-def blend_weight(x, f: MaterialField):
-    """Mixing weight beta(x) of the right hand soil; 0 for homogeneous fields."""
-    x = np.asarray(x, dtype=float)
-    if not f.is_blended:
-        return np.zeros_like(x)[()]
-    return ((np.tanh(f.steepness * (x - f.center_x)) + 1.0) / 2.0)[()]
-
-
-def params_at(x, f: MaterialField) -> VanGenuchtenParams:
-    """Parameter set at position x (array valued fields for array input)."""
-    beta = blend_weight(x, f)
-    right = f.right if f.is_blended else f.left  # weight 0: exactly f.left
-
-    def blend(a, b):
-        return (1.0 - beta) * a + beta * b
-
-    return VanGenuchtenParams(
-        alpha=blend(f.left.alpha, right.alpha),
-        n=blend(f.left.n, right.n),
-        theta_r=blend(f.left.theta_r, right.theta_r),
-        theta_s=blend(f.left.theta_s, right.theta_s),
-        k_s=blend(f.left.k_s, right.k_s))
+        x = np.asarray(x, dtype=float)
+        left, right = self.left, self.right
+        if right is None:  # weight 0: exactly the left soil
+            right, beta = left, np.zeros_like(x)[()]
+        else:
+            beta = ((np.tanh(self.steepness * (x - self.center_x)) + 1.0)
+                    / 2.0)[()]
+        return _BoundMaterial(*((1.0 - beta) * getattr(left, name)
+                                + beta * getattr(right, name)
+                                for name in ("alpha", "n", "theta_r",
+                                             "theta_s", "k_s")))

@@ -357,12 +357,12 @@ def build_material(config: ScenarioConfig) -> MaterialField:
         params = SOIL_PRESETS[config.soil]
         if config.k_s is not None:
             params = dataclasses.replace(params, k_s=config.k_s)
-        return MaterialField.homogeneous(params)
+        return MaterialField(params)
     if config.k_s is not None:
         raise ConfigError("k_s override only applies to homogeneous soils")
-    return MaterialField.blended(
-        left=SOIL_PRESETS[config.soil], right=SOIL_PRESETS[config.soil_right],
-        center_x=config.blend_center, steepness=config.blend_steepness)
+    return MaterialField(SOIL_PRESETS[config.soil],
+                         SOIL_PRESETS[config.soil_right],
+                         config.blend_center, config.blend_steepness)
 
 
 def side_dirichlet(config: ScenarioConfig,
@@ -376,8 +376,8 @@ def side_dirichlet(config: ScenarioConfig,
         return None
     x, z = grid.node_coords()
     on_wall = np.isclose(x, 0.0) | np.isclose(x, grid.length_x)
-    select = on_wall & (z < config.side_dirichlet_below) \
-        & (z < grid.length_z)  # never touch the coupled top row
+    select = on_wall & (z < config.side_dirichlet_below)
+    select[grid.top_node_indices()] = False  # never the coupled top row
     nodes = np.flatnonzero(select)
     if nodes.size == 0:
         return None
@@ -470,6 +470,10 @@ def run_scenario(config: ScenarioConfig, out_dir: str,
     field_NNNNN.csv snapshots at the output cadence, and probe.csv with the
     outlet hydrograph for kinematic scenarios.
     """
+    if cr_exclude_threshold is not None \
+            and not 0 < cr_exclude_threshold < np.inf:
+        raise ConfigError("cr_exclude_threshold must be positive and finite, "
+                          f"got {cr_exclude_threshold}")
     problem, coupling_config, state = build_all(config)
     result = coupling.run_simulation(problem, coupling_config, state)
 

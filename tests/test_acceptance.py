@@ -326,7 +326,7 @@ class TestConservationSuite:
         psi = np.linspace(-3.0, -0.05, 40)
         step = 1e-6 * np.maximum(np.abs(psi), 1.0)
         for params in SOIL_PRESETS.values():
-            bound = MaterialField.homogeneous(params).at(0.0)
+            bound = MaterialField(params).at(0.0)
             derivative = (bound.at_heads(psi + step).theta
                           - bound.at_heads(psi - step).theta) / (2.0 * step)
             capacity = bound.at_heads(psi).capacity
@@ -339,7 +339,7 @@ class TestConservationSuite:
         # assembled Jacobian against directional finite differences
         grid = Grid2D(1.5, 1.0, 3, 4)
         workspace = RichardsWorkspace(
-            grid, MaterialField.homogeneous(SOIL_PRESETS["silt-loam"]))
+            grid, MaterialField(SOIL_PRESETS["silt-loam"]))
         rng = np.random.default_rng(405)
         psi_old = rng.uniform(-3.0, -0.5, grid.num_nodes)
         psi_new = rng.uniform(-3.0, -0.5, grid.num_nodes)

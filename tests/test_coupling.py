@@ -110,7 +110,7 @@ class TestRainSchedule:
 class TestPredictS:
     def test_uniform_unsaturated_field(self):
         grid = Grid2D(length_x=2.0, length_z=3.0, num_x=4, num_z=6)
-        silt = MaterialField.homogeneous(SOIL_PRESETS["silt-loam"])
+        silt = MaterialField(SOIL_PRESETS["silt-loam"])
         psi = np.full(grid.num_nodes, -1.0)
         predicted = predict_S(psi, grid, silt.at(grid.node_coords()[0]),
                               dt=36.0)
@@ -123,7 +123,7 @@ class TestPredictS:
 
     def test_saturated_field_is_guarded(self):
         grid = Grid2D(length_x=1.0, length_z=1.0, num_x=2, num_z=4)
-        clay = MaterialField.homogeneous(SOIL_PRESETS["beit-netofa-clay"])
+        clay = MaterialField(SOIL_PRESETS["beit-netofa-clay"])
         psi = np.full(grid.num_nodes, 0.5)
         predicted = predict_S(psi, grid, clay.at(grid.node_coords()[0]),
                               dt=36.0)

@@ -12,8 +12,6 @@ from coupledflow.material import (
     SOIL_PRESETS,
     MaterialField,
     VanGenuchtenParams,
-    blend_weight,
-    params_at,
 )
 
 CLAY = SOIL_PRESETS["beit-netofa-clay"]
@@ -23,7 +21,7 @@ SANDY = SOIL_PRESETS["sandy-loam"]
 
 def closures(psi, soil):
     """The closures of one soil at psi, bound with scalar parameters."""
-    return MaterialField.homogeneous(soil).at(0.0).at_heads(psi)
+    return MaterialField(soil).at(0.0).at_heads(psi)
 
 
 def peak_capacity(soil):
@@ -153,6 +151,9 @@ class TestConductivityDerivative:
         assert_allclose(values, fd, rtol=2e-4, atol=1e-30)
 
 
+BLEND = MaterialField(SILT, CLAY, center_x=1.0, steepness=4.0)
+
+
 class TestValidation:
     def test_rejects_bad_parameters(self):
         good = dict(alpha=0.4, n=2.0, theta_r=0.1, theta_s=0.4, k_s=1e-6)
@@ -160,11 +161,19 @@ class TestValidation:
                              ("theta_s", 1.5), ("k_s", -1.0)]:
             with pytest.raises(ValueError):
                 VanGenuchtenParams(**{**good, field: value})
+        for field in good:
+            with pytest.raises(ValueError):
+                VanGenuchtenParams(**{**good, field: np.nan})
+
+    @pytest.mark.parametrize("steepness", [0.0, -1.0, np.nan])
+    def test_blend_rejects_bad_steepness(self, steepness):
+        with pytest.raises(ValueError, match="steepness must be positive"):
+            MaterialField(SILT, CLAY, 1.0, steepness)
 
 
 class TestMaterialField:
     def test_homogeneous_ignores_position(self):
-        field = MaterialField.homogeneous(SILT)
+        field = MaterialField(SILT)
         a = field.at(np.array([0.0, 1.0, 5.0]))
         psi = np.array([-1.0, -1.0, -1.0])
         assert_allclose(a.at_heads(psi).theta, closures(-1.0, SILT).theta)
@@ -174,40 +183,36 @@ class TestMaterialField:
         # a homogeneous field blends its soil with itself at weight 0
         p = SOIL_PRESETS[soil]
         x = np.linspace(-1.0, 3.0, 7)
-        params = params_at(x, MaterialField.homogeneous(p))
+        params = MaterialField(p).at(x)
         for name in ("alpha", "n", "theta_r", "theta_s", "k_s"):
             want = np.full(x.shape, getattr(p, name))
             assert same_bits(getattr(params, name), want), name
 
+    @staticmethod
+    def weight(x):
+        """beta(x), read back from k_s = (1 - beta) k_left + beta k_right."""
+        return (BLEND.at(x).k_s - SILT.k_s) / (CLAY.k_s - SILT.k_s)
+
     def test_blend_weight_golden(self):
-        field = MaterialField.blended(left=SILT, right=CLAY,
-                                      center_x=1.0, steepness=4.0)
-        assert_allclose(blend_weight(2.0, field), 0.99966464986953352,
-                        rtol=1e-14)
+        assert_allclose(self.weight(2.0), 0.99966464986953352, rtol=1e-14)
 
     def test_blend_saturates_far_from_center(self):
         """steepness * offset >= 15 puts the blend within 1e-12 of a pure
         soil on either side."""
-        field = MaterialField.blended(left=SILT, right=CLAY,
-                                      center_x=1.0, steepness=4.0)
         offset = 15.0 / 4.0
-        assert blend_weight(1.0 - offset, field) < 1e-12
-        assert blend_weight(1.0 + offset, field) > 1 - 1e-12
+        assert self.weight(1.0 - offset) < 1e-12
+        assert self.weight(1.0 + offset) > 1 - 1e-12
 
     def test_blend_endpoints_recover_presets(self):
-        field = MaterialField.blended(left=SILT, right=CLAY,
-                                      center_x=1.0, steepness=4.0)
-        far_left = params_at(-100.0, field)
-        far_right = params_at(100.0, field)
+        far_left = BLEND.at(-100.0)
+        far_right = BLEND.at(100.0)
         assert_allclose(far_left.k_s, SILT.k_s, rtol=1e-12)
         assert_allclose(far_right.k_s, CLAY.k_s, rtol=1e-12)
         assert_allclose(far_left.n, SILT.n, rtol=1e-12)
         assert_allclose(far_right.alpha, CLAY.alpha, rtol=1e-12)
 
     def test_blend_midpoint_averages(self):
-        field = MaterialField.blended(left=SILT, right=CLAY,
-                                      center_x=1.0, steepness=4.0)
-        mid = params_at(1.0, field)
+        mid = BLEND.at(1.0)
         assert_allclose(mid.k_s, 0.5 * (SILT.k_s + CLAY.k_s), rtol=1e-12)
 
 
@@ -275,11 +280,9 @@ ORACLES = {"theta": oracle_theta, "capacity": oracle_capacity,
 HEADS = np.concatenate([-np.geomspace(1e-6, 1e3, 10_000),
                         np.linspace(-5.0, 5.0, 10_201),
                         [0.0, -0.0, 1e300, -1e300, 1e-320, -1e-320]])
-BLEND = MaterialField.blended(left=SILT, right=CLAY, center_x=1.0,
-                              steepness=4.0)
-FIELDS = {"silt-loam": MaterialField.homogeneous(SILT),
-          "beit-netofa-clay": MaterialField.homogeneous(CLAY),
-          "sandy-loam": MaterialField.homogeneous(SANDY),
+FIELDS = {"silt-loam": MaterialField(SILT),
+          "beit-netofa-clay": MaterialField(CLAY),
+          "sandy-loam": MaterialField(SANDY),
           "blended": BLEND}
 
 
@@ -294,8 +297,8 @@ class TestEvaluator:
     def test_bound_matches_oracle_bitwise(self, name):
         # per point parameter arrays, as the solver binds them
         x = np.linspace(-1.0, 3.0, HEADS.size)
-        soil = FIELDS[name].at(x).at_heads(HEADS)
-        params = params_at(x, FIELDS[name])
+        params = FIELDS[name].at(x)
+        soil = params.at_heads(HEADS)
         for closure, oracle in ORACLES.items():
             assert same_bits(getattr(soil, closure), oracle(HEADS, params)), \
                 closure

@@ -24,8 +24,8 @@ from coupledflow.richards2d import (
     top_dirichlet,
 )
 
-SILT = MaterialField.homogeneous(SOIL_PRESETS["silt-loam"])
-CLAY = MaterialField.homogeneous(SOIL_PRESETS["beit-netofa-clay"])
+SILT = MaterialField(SOIL_PRESETS["silt-loam"])
+CLAY = MaterialField(SOIL_PRESETS["beit-netofa-clay"])
 
 
 def small_grid() -> Grid2D:
@@ -165,7 +165,7 @@ class TestResidual:
 
     def test_oracle_with_blended_material(self):
         grid = small_grid()
-        material = MaterialField.blended(
+        material = MaterialField(
             SOIL_PRESETS["silt-loam"], SOIL_PRESETS["beit-netofa-clay"],
             center_x=0.75, steepness=4.0)
         rng = np.random.default_rng(18)

@@ -123,6 +123,17 @@ class TestSideDirichlet:
         assert problem.static_dirichlet is None
         assert side_dirichlet(config, problem.grid) is None
 
+    def test_never_selects_the_top_row(self):
+        # 3 * (0.9 / 3) rounds below 0.9, so a float test on z would let
+        # the two top corners through
+        config = dataclasses.replace(preset("trench-loam"), length_z=0.9,
+                                     num_z=3, side_dirichlet_below=0.9)
+        grid = Grid2D(length_x=config.length_x, length_z=config.length_z,
+                      num_x=config.num_x, num_z=config.num_z)
+        data = side_dirichlet(config, grid)
+        assert data.nodes.size == 6
+        assert not set(data.nodes) & set(grid.top_node_indices())
+
 
 class TestValidation:
     def test_bad_values_rejected(self):
@@ -358,12 +369,30 @@ class TestCli:
          "--cr-exclude-threshold", "0"],
         ["simulate", "--scenario", "trench-loam",
          "--cr-exclude-threshold", "-1"],
+        ["linrun", "--tol", "inf"],
     ])
     def test_out_of_range_numeric_flag_is_a_config_error(self, argv,
                                                          tmp_path, capsys):
         assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 2
         assert "configuration error" in capsys.readouterr().err
         assert not os.path.exists(str(tmp_path / "out"))
+
+    @pytest.mark.parametrize("threshold", [np.nan, np.inf, 0.0, -1.0])
+    def test_run_scenario_rejects_bad_threshold(self, threshold, tmp_path):
+        config = dataclasses.replace(preset("trench-loam"), num_steps=5)
+        out = str(tmp_path / "out")
+        with pytest.raises(ConfigError, match="cr_exclude_threshold"):
+            scenarios.run_scenario(config, out,
+                                   cr_exclude_threshold=threshold)
+        assert not os.path.exists(out)
+
+    def test_simulate_side_wall_up_to_the_top_row(self, tmp_path):
+        assert cli.main(["simulate", "--scenario", "trench-loam",
+                         "--override", "grid.length_z=0.9",
+                         "--override", "grid.num_z=3",
+                         "--override", "subsurface.side_dirichlet_below=0.9",
+                         "--override", "coupling.num_steps=2",
+                         "--out", str(tmp_path / "top")]) == 0
 
     def test_import_leaves_out_optimize_and_multiprocessing(self):
         src = os.path.dirname(os.path.dirname(coupledflow.__file__))
