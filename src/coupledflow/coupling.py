@@ -37,63 +37,55 @@ from .richards2d import DirichletData, Grid2D, RichardsWorkspace, top_dirichlet
 from .surface1d import SurfaceModel, implicit_fv_step
 
 
-@dataclass(frozen=True)
-class CouplingConfig:
-    """Relaxation, tolerance and stepping controls of the coupled loop."""
+@dataclass(eq=False)
+class CoupledProblem:
+    """Geometry, materials, forcing and coupling controls of one scenario.
 
+    Rain falls at rain_rate [m/s] until rain_cutoff; omega, tol and
+    max_iters control the fixed point loop, dt, num_steps and output_every
+    the time stepping.
+    """
+
+    grid: Grid2D
+    material: object
+    surface_model: SurfaceModel
+    static_dirichlet: DirichletData | None = None
+    rain_rate: float = 0.0
+    rain_cutoff: float = float("inf")
     omega: float = 1.0
     tol: float = 1e-8
     max_iters: int = 100
     dt: float = 36.0
     num_steps: int = 300
     output_every: int = 10
+    workspace: RichardsWorkspace = field(init=False)
+    node_material: object = field(init=False)
+    dirichlet: DirichletData = field(init=False)
 
     def __post_init__(self) -> None:
+        if not (self.rain_rate >= 0.0 and self.rain_cutoff >= 0.0):
+            raise ValueError("rain rate and cutoff must be nonnegative")
         if not 0.0 < self.omega <= 1.0:
             raise ValueError("omega must lie in (0, 1]")
         if self.tol <= 0.0 or self.dt <= 0.0:
             raise ValueError("tol and dt must be positive")
         if self.max_iters < 1 or self.num_steps < 1 or self.output_every < 1:
             raise ValueError("iteration and step counts must be positive")
-
-
-@dataclass(frozen=True)
-class RainSchedule:
-    """Constant rainfall rate [m/s] switched off after the cutoff time."""
-
-    rate: float = 0.0
-    cutoff: float = float("inf")
-
-    def __post_init__(self) -> None:
-        if not (self.rate >= 0.0 and self.cutoff >= 0.0):
-            raise ValueError("rain rate and cutoff must be nonnegative")
-
-    def at(self, time: float) -> float:
-        # implicit stepping samples sources at the end of the step; keep the
-        # step that lands exactly on the cutoff inside the rainy window
-        return self.rate if time <= self.cutoff * (1.0 + 1e-12) else 0.0
-
-
-@dataclass(eq=False)
-class CoupledProblem:
-    """Geometry, materials and solver settings for one scenario."""
-
-    grid: Grid2D
-    material: object
-    surface_model: SurfaceModel
-    rain: RainSchedule = RainSchedule()
-    static_dirichlet: DirichletData | None = None
-    workspace: RichardsWorkspace = field(init=False)
-    node_material: object = field(init=False)
-    dirichlet: DirichletData = field(init=False)
-
-    def __post_init__(self) -> None:
+        if self.grid.num_z < 2:
+            raise ValueError("num_z must be at least 2: the contraction "
+                             "predictor's column needs two elements")
         self.workspace = RichardsWorkspace(self.grid, self.material)
         self.node_material = self.material.at(self.grid.node_coords()[0])
         # every sweep's node set: top row, then static nodes (kept off it)
         self.dirichlet = top_dirichlet(self.grid, 0.0)
         if self.static_dirichlet is not None:
             self.dirichlet = self.dirichlet.merged_with(self.static_dirichlet)
+
+    def rain_at(self, time: float) -> float:
+        # implicit stepping samples sources at the end of the step; keep the
+        # step that lands exactly on the cutoff inside the rainy window
+        return self.rain_rate if time <= self.rain_cutoff * (1.0 + 1e-12) \
+            else 0.0
 
 
 @dataclass(frozen=True)
@@ -177,12 +169,12 @@ def predict_S(psi: np.ndarray, grid: Grid2D, node_material,
                             omega_opt=result.omega_opt)
 
 
-def run_coupled_step(problem: CoupledProblem, config: CouplingConfig,
-                     state: CoupledState) -> tuple[CoupledState, StepRecord]:
+def run_coupled_step(problem: CoupledProblem, state: CoupledState,
+                     ) -> tuple[CoupledState, StepRecord]:
     """Advance the coupled system by one time step."""
-    step = int(round(state.time / config.dt)) + 1
-    time_new = state.time + config.dt
-    rain_rate = problem.rain.at(time_new)
+    step = int(round(state.time / problem.dt)) + 1
+    time_new = state.time + problem.dt
+    rain_rate = problem.rain_at(time_new)
     theta_old_qp = problem.workspace.theta_at_qp(state.psi)
     psi_new, q_new = state.psi, state.q
     newton_iters, clamped, failures = 0, 0.0, 0
@@ -194,11 +186,11 @@ def run_coupled_step(problem: CoupledProblem, config: CouplingConfig,
         dirichlet = problem.dirichlet.with_values(values)
         # warm start from the previous sweep's field
         psi_new, newton_report = problem.workspace.newton_step(
-            psi_new, theta_old_qp, config.dt, dirichlet)
+            psi_new, theta_old_qp, problem.dt, dirichlet)
         source = (problem.workspace.interface_flux(psi_new)
                   / problem.grid.dx + rain_rate)
         q_new, surf_report, clamped_volume = implicit_fv_step(
-            state.q, source, config.dt, problem.grid.dx,
+            state.q, source, problem.dt, problem.grid.dx,
             problem.surface_model)
         newton_iters += newton_report.iterations
         clamped += clamped_volume
@@ -206,16 +198,16 @@ def run_coupled_step(problem: CoupledProblem, config: CouplingConfig,
                      + surf_report.line_search_failures)
         return q_new[0]
 
-    h_new, _, residuals = fixed_point(sweep, state.q[0], config.omega,
-                                      config.tol, config.max_iters,
+    h_new, _, residuals = fixed_point(sweep, state.q[0], problem.omega,
+                                      problem.tol, problem.max_iters,
                                       np.linalg.norm)
-    if not residuals[-1] < config.tol:
+    if not residuals[-1] < problem.tol:
         raise CouplingDivergedError(step, tuple(residuals))
 
     # every sweep returns a fresh q, so this leaves state.q alone
     q_new[0] = h_new
     predicted = predict_S(psi_new, problem.grid, problem.node_material,
-                          config.dt)
+                          problem.dt)
     record = StepRecord(step=step, time=time_new, iterations=len(residuals),
                         converged=True, residuals=tuple(residuals),
                         cr=observed_cr(residuals), predicted=predicted,
@@ -230,16 +222,16 @@ class SimulationResult:
     snapshots: tuple[tuple[int, CoupledState], ...]
 
 
-def run_simulation(problem: CoupledProblem, config: CouplingConfig,
+def run_simulation(problem: CoupledProblem,
                    initial: CoupledState) -> SimulationResult:
     """March num_steps coupled steps, keeping periodic state snapshots."""
     state = initial
     records = []
     snapshots = [(0, state)]
-    for step in range(1, config.num_steps + 1):
-        state, record = run_coupled_step(problem, config, state)
+    for step in range(1, problem.num_steps + 1):
+        state, record = run_coupled_step(problem, state)
         records.append(record)
-        if step % config.output_every == 0 or step == config.num_steps:
+        if step % problem.output_every == 0 or step == problem.num_steps:
             snapshots.append((step, state))
     return SimulationResult(records=tuple(records),
                             snapshots=tuple(snapshots))

@@ -18,7 +18,7 @@ a preset (``[scenario] base = ...``) and overrides fields.  Unknown sections
 or keys are rejected rather than ignored.  All stored values are SI; inputs
 quoted per minute or per hour are converted on ingestion (``_UNITS``).
 ``load_config`` only parses.  Each value is checked once, by the runtime
-object that uses it (grid, material, surface model, rain, coupling config);
+object that uses it (grid, material, surface model, coupled problem);
 ``build_all`` is the one place that builds those objects, once each, checks
 only what none of them owns and assembles the run.  Any failure is a
 ``ConfigError``.
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import coupling, richards2d, surface1d
-from .coupling import CoupledProblem, CoupledState, CouplingConfig, RainSchedule
+from .coupling import CoupledProblem, CoupledState
 from .material import SOIL_PRESETS, MaterialField
 from .richards2d import DirichletData, Grid2D
 from .surface1d import SurfaceModel
@@ -394,8 +394,7 @@ def build_initial_state(config: ScenarioConfig, grid: Grid2D,
     return CoupledState(psi=psi, q=q, time=0.0)
 
 
-def build_all(config: ScenarioConfig,
-              ) -> tuple[CoupledProblem, CouplingConfig, CoupledState]:
+def build_all(config: ScenarioConfig) -> tuple[CoupledProblem, CoupledState]:
     """Check config and build each runtime object from it once.
 
     The runtime objects check their own values; this adds only the rules
@@ -410,32 +409,30 @@ def build_all(config: ScenarioConfig,
         if soil not in SOIL_PRESETS:
             known = ", ".join(sorted(SOIL_PRESETS))
             raise ConfigError(f"unknown soil {soil!r} (known: {known})")
+    if config.h0 < 0:
+        raise ConfigError("h0 must be nonnegative")
+    if config.side_dirichlet_below is not None \
+            and not 0 < config.side_dirichlet_below <= config.length_z:
+        raise ConfigError("side_dirichlet_below must lie in (0, L_z]")
     try:
         grid = Grid2D(length_x=config.length_x, length_z=config.length_z,
                       num_x=config.num_x, num_z=config.num_z)
-        material = build_material(config)
         model = SurfaceModel(flavor=config.flavor, gravity=config.gravity,
                              manning_n=config.manning_n,
                              friction_slope=config.friction_slope,
                              flow_sign=config.flow_sign,
                              boundary_left=config.boundary_left,
                              boundary_right=config.boundary_right)
-        rain = RainSchedule(rate=config.rain_rate, cutoff=config.rain_cutoff)
-        coupling_config = CouplingConfig(
+        problem = CoupledProblem(
+            grid=grid, material=build_material(config), surface_model=model,
+            static_dirichlet=side_dirichlet(config, grid),
+            rain_rate=config.rain_rate, rain_cutoff=config.rain_cutoff,
             omega=config.omega, tol=config.tol, max_iters=config.max_iters,
             dt=config.dt, num_steps=config.num_steps,
             output_every=config.output_every)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    if config.h0 < 0:
-        raise ConfigError("h0 must be nonnegative")
-    if config.side_dirichlet_below is not None \
-            and not 0 < config.side_dirichlet_below <= config.length_z:
-        raise ConfigError("side_dirichlet_below must lie in (0, L_z]")
-    problem = CoupledProblem(grid=grid, material=material,
-                             surface_model=model, rain=rain,
-                             static_dirichlet=side_dirichlet(config, grid))
-    return problem, coupling_config, build_initial_state(config, grid, model)
+    return problem, build_initial_state(config, grid, model)
 
 
 # ---------------------------------------------------------------------------
@@ -474,8 +471,8 @@ def run_scenario(config: ScenarioConfig, out_dir: str,
             and not 0 < cr_exclude_threshold < np.inf:
         raise ConfigError("cr_exclude_threshold must be positive and finite, "
                           f"got {cr_exclude_threshold}")
-    problem, coupling_config, state = build_all(config)
-    result = coupling.run_simulation(problem, coupling_config, state)
+    problem, state = build_all(config)
+    result = coupling.run_simulation(problem, state)
 
     os.makedirs(out_dir, exist_ok=True)
     write_csv(os.path.join(out_dir, "trace.csv"), coupling.TRACE_COLUMNS,

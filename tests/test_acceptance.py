@@ -39,9 +39,9 @@ TRENCH_SOILS = ("trench-loam", "trench-clay", "trench-mixed")
 
 def timed_simulation(name: str, **changes):
     config = dataclasses.replace(preset(name), **changes)
-    problem, coupling_config, state = build_all(config)
+    problem, state = build_all(config)
     start = time.perf_counter()
-    result = run_simulation(problem, coupling_config, state)
+    result = run_simulation(problem, state)
     return result, problem, time.perf_counter() - start
 
 

@@ -20,10 +20,8 @@ from coupledflow.coupling import (
     TRACE_COLUMNS,
     CoupledProblem,
     CoupledState,
-    CouplingConfig,
     CouplingDivergedError,
     PredictedFactors,
-    RainSchedule,
     StepRecord,
     map_height_to_head,
     predict_S,
@@ -63,7 +61,7 @@ class LinMaterial:
         return LinBound(self.cap, self.cond)
 
 
-def column_problem(cap: float, cond: float, num_z: int = 10,
+def column_problem(cap: float, cond: float, num_z: int = 10, **settings,
                    ) -> tuple[CoupledProblem, CoupledState]:
     grid = Grid2D(length_x=0.5, length_z=1.0, num_x=1, num_z=num_z)
     bottom = DirichletData(np.array([0, 1]), np.array([0.0, 0.0]))
@@ -71,7 +69,8 @@ def column_problem(cap: float, cond: float, num_z: int = 10,
                          friction_slope=1e-3, boundary_left="reflect",
                          boundary_right="reflect")
     problem = CoupledProblem(grid=grid, material=LinMaterial(cap, cond),
-                             surface_model=model, static_dirichlet=bottom)
+                             surface_model=model, static_dirichlet=bottom,
+                             **settings)
     _, node_z = grid.node_coords()
     psi0 = 1.0 - node_z
     psi0[node_z >= grid.length_z - 1e-12] = 1.0
@@ -92,19 +91,21 @@ class TestMaps:
 
 class TestRainSchedule:
     def test_cutoff_is_inclusive(self):
-        rain = RainSchedule(rate=0.1, cutoff=7200.0)
-        assert rain.at(0.0) == 0.1
-        assert rain.at(7200.0) == 0.1
-        assert rain.at(7200.0 * (1.0 + 1e-9)) == 0.0
+        problem, _ = column_problem(0.1, 0.01, rain_rate=0.1,
+                                    rain_cutoff=7200.0)
+        assert problem.rain_at(0.0) == 0.1
+        assert problem.rain_at(7200.0) == 0.1
+        assert problem.rain_at(7200.0 * (1.0 + 1e-9)) == 0.0
 
     def test_default_never_stops(self):
-        assert RainSchedule(rate=2e-5).at(1e12) == 2e-5
+        problem, _ = column_problem(0.1, 0.01, rain_rate=2e-5)
+        assert problem.rain_at(1e12) == 2e-5
 
     def test_rejects_negative_rate_or_cutoff(self):
-        with pytest.raises(ValueError):
-            RainSchedule(rate=-1e-6)
-        with pytest.raises(ValueError):
-            RainSchedule(rate=1e-6, cutoff=-1.0)
+        with pytest.raises(ValueError, match="nonnegative"):
+            column_problem(0.1, 0.01, rain_rate=-1e-6)
+        with pytest.raises(ValueError, match="nonnegative"):
+            column_problem(0.1, 0.01, rain_rate=1e-6, rain_cutoff=-1.0)
 
 
 class TestPredictS:
@@ -149,11 +150,11 @@ class TestLinearEquivalence:
             reference.append(np.asarray(step.residuals))
             psi_interior, psi_gamma = step.psi_interior, step.psi_gamma
 
-        problem, state = column_problem(cap, cond)
-        config = CouplingConfig(omega=omega, tol=1e-10, max_iters=50,
-                                dt=0.1, num_steps=3)
+        problem, state = column_problem(cap, cond,
+                                        omega=omega, tol=1e-10, max_iters=50,
+                                        dt=0.1, num_steps=3)
         for expected in reference:
-            state, record = run_coupled_step(problem, config, state)
+            state, record = run_coupled_step(problem, state)
             got = np.asarray(record.residuals)
             assert got.size == expected.size
             assert np.max(np.abs(got - expected)) <= 1e-9
@@ -162,10 +163,10 @@ class TestLinearEquivalence:
         """At O(1) capacity the observed rate equals |dt K / dz (1 + b a)|
         built from the interior solve, the midpoint flux being linear."""
         cap, cond = 0.5, 0.01
-        problem, state = column_problem(cap, cond)
-        config = CouplingConfig(omega=1.0, tol=1e-12, max_iters=60,
-                                dt=0.1, num_steps=1)
-        _, record = run_coupled_step(problem, config, state)
+        problem, state = column_problem(cap, cond,
+                                        omega=1.0, tol=1e-12, max_iters=60,
+                                        dt=0.1, num_steps=1)
+        _, record = run_coupled_step(problem, state)
         p = LinearModelParams(c=cap, k=cond, length=1.0, dt=0.1,
                               num_elements=10)
         a, b = toeplitz_coeffs(p)
@@ -177,11 +178,11 @@ class TestLinearEquivalence:
 
 class TestCoupledStep:
     def test_divergence_reports_history(self):
-        problem, state = column_problem(0.5, 0.01)
-        config = CouplingConfig(omega=1.0, tol=1e-14, max_iters=2, dt=0.1,
-                                num_steps=1)
+        problem, state = column_problem(0.5, 0.01,
+                                        omega=1.0, tol=1e-14, max_iters=2,
+                                        dt=0.1, num_steps=1)
         with pytest.raises(CouplingDivergedError) as info:
-            run_coupled_step(problem, config, state)
+            run_coupled_step(problem, state)
         assert info.value.step == 1
         assert len(info.value.residuals) == 2
 
@@ -203,10 +204,10 @@ class TestCoupledStep:
                             flipping(richards2d.spsolve, "richards"))
         monkeypatch.setattr(np.linalg, "solve",
                             flipping(np.linalg.solve, "surface"))
-        problem, state = column_problem(0.5, 0.01)
-        config = CouplingConfig(omega=1.0, tol=1e-10, max_iters=50, dt=0.1,
-                                num_steps=1)
-        _, record = run_coupled_step(problem, config, state)
+        problem, state = column_problem(0.5, 0.01,
+                                        omega=1.0, tol=1e-10, max_iters=50,
+                                        dt=0.1, num_steps=1)
+        _, record = run_coupled_step(problem, state)
         assert calls["richards"] >= 2 and calls["surface"] >= 2
         assert record.line_search_failures == 2 * int(reverse_first)
 
@@ -227,41 +228,41 @@ class TestCoupledStep:
         assert sum(record.iterations for record in result.records) > 3
 
     def test_snapshot_cadence(self):
-        problem, state = column_problem(1e-9, 0.01)
-        config = CouplingConfig(omega=1.0, tol=1e-10, max_iters=50, dt=0.1,
-                                num_steps=4, output_every=2)
-        result = run_simulation(problem, config, state)
+        problem, state = column_problem(1e-9, 0.01,
+                                        omega=1.0, tol=1e-10, max_iters=50,
+                                        dt=0.1, num_steps=4, output_every=2)
+        result = run_simulation(problem, state)
         assert [step for step, _ in result.snapshots] == [0, 2, 4]
         assert result.snapshots[-1][1].time == pytest.approx(0.4)
         assert all(record.converged for record in result.records)
 
     def test_time_advances(self):
         # dt = 0.25 sums exactly, so snapshot n lands on n * dt bit for bit
-        problem, state = column_problem(1e-9, 0.01)
-        config = CouplingConfig(omega=1.0, tol=1e-10, max_iters=50, dt=0.25,
-                                num_steps=4, output_every=1)
-        result = run_simulation(problem, config, state)
+        problem, state = column_problem(1e-9, 0.01,
+                                        omega=1.0, tol=1e-10, max_iters=50,
+                                        dt=0.25, num_steps=4, output_every=1)
+        result = run_simulation(problem, state)
         assert [snapshot.time for _, snapshot in result.snapshots] \
             == [step * 0.25 for step, _ in result.snapshots]
 
     def test_step_leaves_its_input_alone(self):
-        problem, coupling_config, state = scenarios.build_all(
+        problem, state = scenarios.build_all(
             scenarios.preset("trench-loam"))
         psi, q = state.psi.copy(), state.q.copy()
-        new, _ = run_coupled_step(problem, coupling_config, state)
+        new, _ = run_coupled_step(problem, state)
         assert np.array_equal(state.psi, psi) and np.array_equal(state.q, q)
         assert not np.array_equal(new.q, q)
-        assert state.time == 0.0 and new.time == coupling_config.dt
+        assert state.time == 0.0 and new.time == problem.dt
 
     def test_later_steps_leave_snapshots_alone(self):
         # copies taken as the steps are made equal the stored snapshots
         config = replace(scenarios.preset("trench-loam"), num_steps=3,
                          output_every=1)
-        problem, coupling_config, state = scenarios.build_all(config)
-        result = run_simulation(problem, coupling_config, state)
+        problem, state = scenarios.build_all(config)
+        result = run_simulation(problem, state)
         copies = [(state.psi.copy(), state.q.copy())]
         for _ in range(3):
-            state, _ = run_coupled_step(problem, coupling_config, state)
+            state, _ = run_coupled_step(problem, state)
             copies.append((state.psi.copy(), state.q.copy()))
         assert len(result.snapshots) == len(copies)
         for (_, snapshot), (psi, q) in zip(result.snapshots, copies):
@@ -283,20 +284,12 @@ class TestCoupledStep:
                                                np.array([0.0])))
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            CouplingConfig(omega=0.0)
-        with pytest.raises(ValueError):
-            CouplingConfig(omega=1.2)
-        with pytest.raises(ValueError):
-            CouplingConfig(tol=0.0)
-        with pytest.raises(ValueError):
-            CouplingConfig(dt=-1.0)
-        with pytest.raises(ValueError):
-            CouplingConfig(max_iters=0)
-        with pytest.raises(ValueError):
-            CouplingConfig(num_steps=0)
-        with pytest.raises(ValueError):
-            CouplingConfig(output_every=0)
+        # num_z = 1: the predictor's linear column needs two elements
+        for setting in ({"omega": 0.0}, {"omega": 1.2}, {"tol": 0.0},
+                        {"dt": -1.0}, {"max_iters": 0}, {"num_steps": 0},
+                        {"output_every": 0}, {"num_z": 1}):
+            with pytest.raises(ValueError):
+                column_problem(0.1, 0.01, **setting)
 
 
 class TestSweepDirichlet:
@@ -304,7 +297,7 @@ class TestSweepDirichlet:
     def test_equals_top_then_static(self, monkeypatch, name):
         # each sweep's data equals top_dirichlet(...).merged_with(static),
         # the per-sweep build it replaced, element for element
-        problem, config, state = scenarios.build_all(scenarios.preset(name))
+        problem, state = scenarios.build_all(scenarios.preset(name))
         assert (problem.static_dirichlet is None) == (name == "hillslope-silt")
         used, heights = [], []
         newton_step = problem.workspace.newton_step
@@ -322,7 +315,7 @@ class TestSweepDirichlet:
                             recording_newton)
         monkeypatch.setattr(coupling, "map_height_to_head", recording_heights)
         for _ in range(2):
-            state, _ = run_coupled_step(problem, config, state)
+            state, _ = run_coupled_step(problem, state)
         assert len(used) == len(heights) >= 4
         assert any(np.any(h != heights[0]) for h in heights)
         for dirichlet, h_cells in zip(used, heights):
@@ -333,7 +326,7 @@ class TestSweepDirichlet:
             assert np.array_equal(dirichlet.values, expected.values)
 
     def test_node_set_is_checked_once_per_problem(self, monkeypatch):
-        problem, config, state = scenarios.build_all(
+        problem, state = scenarios.build_all(
             scenarios.preset("trench-mixed"))
         calls = []
         post_init = DirichletData.__post_init__
@@ -343,16 +336,16 @@ class TestSweepDirichlet:
             post_init(data)
 
         monkeypatch.setattr(DirichletData, "__post_init__", counting)
-        run_coupled_step(problem, config, state)
+        run_coupled_step(problem, state)
         assert calls == []
 
     def test_nan_height_rejected(self):
-        problem, config, state = scenarios.build_all(
+        problem, state = scenarios.build_all(
             scenarios.preset("trench-mixed"))
         q = state.q.copy()
         q[0, 3] = np.nan
         with pytest.raises(ValueError, match="finite"):
-            run_coupled_step(problem, config, replace(state, q=q))
+            run_coupled_step(problem, replace(state, q=q))
 
 
 def fake_record(step: int, cr: float | None) -> StepRecord:

@@ -9,10 +9,11 @@ import sys
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.sparse.linalg import MatrixRankWarning
 
 import coupledflow
 from coupledflow import analysis, cli, scenarios
-from coupledflow.coupling import TRACE_COLUMNS
+from coupledflow.coupling import TRACE_COLUMNS, CoupledProblem
 from coupledflow.iteration import NewtonError
 from coupledflow.material import SOIL_PRESETS
 from coupledflow.richards2d import Grid2D
@@ -47,12 +48,26 @@ class TestPresets:
         assert len(PRESETS) == 6
         for name, config in PRESETS.items():
             assert config.name == name
-            problem, coupling_config, state = build_all(config)
+            problem, state = build_all(config)
             assert problem.grid.num_nodes \
                 == (config.num_x + 1) * (config.num_z + 1)
             assert state.q.shape \
                 == (2 if config.flavor == "swe" else 1, config.num_x)
-            assert coupling_config.num_steps == config.num_steps
+            assert problem.num_steps == config.num_steps
+
+    def test_build_all_copies_every_run_setting(self):
+        # each value differs from both the preset's and the problem's
+        # default, so a setting dropped on the way leaves a different value
+        settings = dict(rain_rate=3e-5, rain_cutoff=5000.0, omega=0.7,
+                        tol=1e-9, max_iters=42, dt=12.0, num_steps=17,
+                        output_every=3)
+        base = preset("trench-loam")
+        defaults = {item.name: item.default
+                    for item in dataclasses.fields(CoupledProblem)}
+        problem, _ = build_all(dataclasses.replace(base, **settings))
+        for name, value in settings.items():
+            assert getattr(base, name) != value != defaults[name]
+            assert getattr(problem, name) == value
 
     def test_build_all_builds_the_grid_once(self, monkeypatch):
         built = []
@@ -63,7 +78,7 @@ class TestPresets:
             check(grid)
 
         monkeypatch.setattr(Grid2D, "__post_init__", counting)
-        problem, _, _ = build_all(preset("trench-loam"))
+        problem, _ = build_all(preset("trench-loam"))
         assert built == [problem.grid]
 
     def test_simulate_with_overrides_builds_the_grid_once(self, monkeypatch,
@@ -107,7 +122,7 @@ class TestPresets:
 class TestSideDirichlet:
     def test_trench_wall_nodes(self):
         config = preset("trench-loam")
-        problem, _, _ = build_all(config)
+        problem, _ = build_all(config)
         data = problem.static_dirichlet
         # walls are pinned strictly below 1 m: rows z = 0, 0.375, 0.75
         assert data.nodes.size == 6
@@ -119,7 +134,7 @@ class TestSideDirichlet:
     def test_disabled_when_none(self):
         config = dataclasses.replace(preset("trench-loam"),
                                      side_dirichlet_below=None)
-        problem, _, _ = build_all(config)
+        problem, _ = build_all(config)
         assert problem.static_dirichlet is None
         assert side_dirichlet(config, problem.grid) is None
 
@@ -386,6 +401,17 @@ class TestCli:
                                    cr_exclude_threshold=threshold)
         assert not os.path.exists(out)
 
+    def test_simulate_single_element_column_is_a_config_error(self, tmp_path,
+                                                              capsys):
+        # the contraction predictor's linear column needs two elements
+        out = str(tmp_path / "flat")
+        assert cli.main(["simulate", "--scenario", "trench-loam",
+                         "--override", "grid.num_z=1",
+                         "--override", "coupling.num_steps=1",
+                         "--out", out]) == 2
+        assert "num_z" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     def test_simulate_side_wall_up_to_the_top_row(self, tmp_path):
         assert cli.main(["simulate", "--scenario", "trench-loam",
                          "--override", "grid.length_z=0.9",
@@ -490,10 +516,12 @@ class TestCli:
     def test_simulate_non_finite_newton_trial_exit_code(self, tmp_path,
                                                         capsys):
         # the Jacobian overflows (its RuntimeWarnings are expected), spsolve
-        # returns nan and the trial's water content is non-finite
-        code = cli.main(["simulate", "--scenario", "trench-loam",
-                         "--override", "soil.k_s=1e308",
-                         "--override", "coupling.num_steps=2",
-                         "--out", str(tmp_path / "ks")])
+        # finds it singular and returns nan, and the trial's water content
+        # is non-finite
+        with pytest.warns(MatrixRankWarning, match="singular"):
+            code = cli.main(["simulate", "--scenario", "trench-loam",
+                             "--override", "soil.k_s=1e308",
+                             "--override", "coupling.num_steps=2",
+                             "--out", str(tmp_path / "ks")])
         assert code == 4
         assert "non-finite water content" in capsys.readouterr().err
