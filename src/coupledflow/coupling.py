@@ -7,10 +7,11 @@ iteration.fixed_point (Gauss-Seidel order, subsurface first):
 
   1. the surface heights of the previous iterate become Dirichlet head
      values on the soil's top boundary (map_height_to_head),
-  2. the subsurface step is solved; its top-edge Darcy flux integrals
-     [m^2/s], divided by the cell width, plus the rain rate are the per-cell
-     surface source [m/s] (water leaving the soil adds to the surface),
-  3. the surface step is solved for a height proposal h_tilde,
+  2. the subsurface step is solved from the fields the last sweep returned
+     (at first at_qp(psi_old)); its top-edge Darcy flux integrals [m^2/s],
+     divided by the cell width, plus the rain rate are the per-cell surface
+     source [m/s] (water leaving the soil adds to the surface),
+  3. the surface step is solved from the step's StepStart for h_tilde,
   4. the new iterate is the relaxed blend omega*h_tilde + (1-omega)*h_prev,
   5. the loop stops when res = ||h_tilde - h_prev||_2 falls below tol.
 
@@ -34,7 +35,7 @@ import numpy as np
 from .analysis import LinearModelParams, discrete_S
 from .iteration import fixed_point, observed_cr
 from .richards2d import DirichletData, Grid2D, RichardsWorkspace, top_dirichlet
-from .surface1d import SurfaceModel, implicit_fv_step
+from .surface1d import StepStart, SurfaceModel, implicit_fv_step
 
 
 @dataclass(eq=False)
@@ -175,23 +176,23 @@ def run_coupled_step(problem: CoupledProblem, state: CoupledState,
     step = int(round(state.time / problem.dt)) + 1
     time_new = state.time + problem.dt
     rain_rate = problem.rain_at(time_new)
-    theta_old_qp = problem.workspace.theta_at_qp(state.psi)
-    psi_new, q_new = state.psi, state.q
-    newton_iters, clamped, failures = 0, 0.0, 0
+    fields = problem.workspace.at_qp(state.psi)
+    theta_old_qp = fields.soil.theta
+    surface = StepStart(state.q, problem.dt, problem.grid.dx,
+                        problem.surface_model)
+    q_new, newton_iters, clamped, failures = state.q, 0, 0.0, 0
 
     def sweep(h_iter: np.ndarray) -> np.ndarray:
-        nonlocal psi_new, q_new, newton_iters, clamped, failures
+        nonlocal fields, q_new, newton_iters, clamped, failures
         values = problem.dirichlet.values.copy()
         values[:h_iter.size + 1] = map_height_to_head(h_iter)
         dirichlet = problem.dirichlet.with_values(values)
-        # warm start from the previous sweep's field
-        psi_new, newton_report = problem.workspace.newton_step(
-            psi_new, theta_old_qp, problem.dt, dirichlet)
-        source = (problem.workspace.interface_flux(psi_new)
+        # warm start from the previous sweep's field and its closures
+        fields, newton_report = problem.workspace.newton_step(
+            fields, theta_old_qp, problem.dt, dirichlet)
+        source = (problem.workspace.interface_flux(fields.psi)
                   / problem.grid.dx + rain_rate)
-        q_new, surf_report, clamped_volume = implicit_fv_step(
-            state.q, source, problem.dt, problem.grid.dx,
-            problem.surface_model)
+        q_new, surf_report, clamped_volume = implicit_fv_step(surface, source)
         newton_iters += newton_report.iterations
         clamped += clamped_volume
         failures += (newton_report.line_search_failures
@@ -206,14 +207,14 @@ def run_coupled_step(problem: CoupledProblem, state: CoupledState,
 
     # every sweep returns a fresh q, so this leaves state.q alone
     q_new[0] = h_new
-    predicted = predict_S(psi_new, problem.grid, problem.node_material,
+    predicted = predict_S(fields.psi, problem.grid, problem.node_material,
                           problem.dt)
     record = StepRecord(step=step, time=time_new, iterations=len(residuals),
                         converged=True, residuals=tuple(residuals),
                         cr=observed_cr(residuals), predicted=predicted,
                         newton_iterations=newton_iters,
                         clamped_volume=clamped, line_search_failures=failures)
-    return CoupledState(psi=psi_new, q=q_new, time=time_new), record
+    return CoupledState(psi=fields.psi, q=q_new, time=time_new), record
 
 
 @dataclass(frozen=True)

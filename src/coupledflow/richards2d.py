@@ -19,8 +19,9 @@ stops at a max-norm residual of max(NEWTON_ABS_TOL, NEWTON_REL_TOL * initial
 norm), halves each step at most NEWTON_TRIALS - 1 times and fails after
 NEWTON_MAX_ITERS iterations.  Each iterate is interpolated and its closures
 evaluated once (at_qp): the Jacobian reuses the fields of the trial whose
-residual the line search accepted.  The surface coupling reads the normal
-Darcy flux at the midpoint of every top cell edge,
+residual the line search accepted, and newton_step takes and returns fields
+so that a sweep hands its result's fields to the next.  The surface coupling
+reads the normal Darcy flux at the midpoint of every top cell edge,
 
     flux_l = -K(psi_mid) (d_z psi_mid + 1) * dx,
 
@@ -217,13 +218,9 @@ class RichardsWorkspace:
         return QuadratureFields(psi, psi_el @ self.grad_x.T,
                                 psi_el @ self.grad_z.T, soil)
 
-    def theta_at_qp(self, psi: np.ndarray) -> np.ndarray:
-        """Water content at every quadrature point (elements x 4)."""
-        return self.bound.at_heads(psi[self.conn] @ self.shape.T).theta
-
     def residual(self, fields: QuadratureFields, theta_old_qp: np.ndarray,
                  dt: float, dirichlet: DirichletData | None) -> np.ndarray:
-        """Weak residual at at_qp(psi_new); theta_old_qp from theta_at_qp."""
+        """Weak residual at at_qp(psi_new); theta_old_qp is theta(psi_old)."""
         psi_new, dpsi_dx, dpsi_dz, soil = fields
         cond_qp = soil.hydraulic_conductivity
         element_res = self.weight * (
@@ -273,29 +270,30 @@ class RichardsWorkspace:
 
     # ── solves ───────────────────────────────────────────────────────────
 
-    def newton_step(self, psi: np.ndarray, theta_old_qp: np.ndarray,
+    def newton_step(self, start: QuadratureFields, theta_old_qp: np.ndarray,
                     dt: float, dirichlet: DirichletData,
-                    ) -> tuple[np.ndarray, NewtonReport]:
-        """Advance one implicit Euler step from the start iterate psi;
-        theta_old_qp is theta_at_qp of the previous step's field."""
-        psi = np.array(psi, dtype=float)
-        if not np.all(np.isfinite(psi)):
+                    ) -> tuple[QuadratureFields, NewtonReport]:
+        """One implicit Euler step from the fields at_qp(psi) of the start
+        iterate to those of the new one; theta_old_qp is theta(psi_old)."""
+        if not np.all(np.isfinite(start.psi)):
             raise ValueError("start field contains non-finite values")
         if dt <= 0.0:
             raise ValueError("dt must be positive")
-        latest = None
+        latest = start
 
         def residual(trial: np.ndarray) -> np.ndarray:
             nonlocal latest
-            latest = self.at_qp(trial)
+            if trial is not latest.psi:
+                latest = self.at_qp(trial)
             return self.residual(latest, theta_old_qp, dt, dirichlet)
 
-        # latest is at_qp(x) for direction(x, r), as damped_newton promises
-        return damped_newton(
+        # latest is at_qp(x) in direction(x, r) and for the x returned
+        _, report = damped_newton(
             residual, lambda trial, res: spsolve(
-                self.jacobian(latest, dt, dirichlet), -res),
-            psi, lambda norm0: max(NEWTON_ABS_TOL, NEWTON_REL_TOL * norm0),
+                self.jacobian(latest, dt, dirichlet), -res), start.psi,
+            lambda norm0: max(NEWTON_ABS_TOL, NEWTON_REL_TOL * norm0),
             NEWTON_MAX_ITERS, NEWTON_TRIALS)
+        return latest, report
 
     def interface_flux(self, psi: np.ndarray) -> np.ndarray:
         """Outward normal flux integral over each top cell [m^2/s]."""

@@ -23,18 +23,20 @@ solves the implicit Euler balance
 
 by the shared damped Newton (iteration.damped_newton); the source s [m/s]
 (soil exchange plus rain, per cell or one scalar) enters the height
-component only.  The dense finite difference Jacobian comes from one
-residual call on the batch of all column-bumped states.  Each residual takes
-every face flux from one llf_flux call, which pads the state with a ghost
-cell per side, of the kinds SurfaceModel.boundary_left and boundary_right,
-and evaluates f and lambda once per cell.  After the solve, depths below
-H_FLOOR are raised to H_FLOOR; the added volume is returned next to
-damped_newton's report.
+component only, and last.  The dense finite difference Jacobian comes from
+one residual call on the batch of all column-bumped states; the solves from
+one StepStart share the source-free residuals at q_old and its bumps.  Each
+residual takes every face flux from one llf_flux call, which pads the state
+with a ghost cell per side, of the kinds SurfaceModel.boundary_left and
+boundary_right, and evaluates f and lambda once per cell.  After the solve,
+depths below H_FLOOR are raised to H_FLOOR; the added volume is returned
+next to damped_newton's report.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -124,64 +126,86 @@ def llf_flux(q: np.ndarray, model: SurfaceModel) -> np.ndarray:
     return faces
 
 
-def _step_residual(flat: np.ndarray, q_old: np.ndarray, source,
-                   dt: float, dx: float, model: SurfaceModel) -> np.ndarray:
-    """Residual of one flat state, or of each row of a (B, size) batch."""
-    q = flat.reshape(-1, *q_old.shape).swapaxes(0, 1)
-    faces = llf_flux(q, model)
-    residual = q - q_old[:, None] + dt / dx * (faces[..., 1:]
-                                               - faces[..., :-1])
-    residual[0] -= dt * source
-    return residual.swapaxes(0, 1).reshape(flat.shape)
+class StepStart:
+    """The checked start of one surface step and what its solves share."""
 
+    def __init__(self, q_old: np.ndarray, dt: float, dx: float,
+                 model: SurfaceModel):
+        if dt <= 0.0 or dx <= 0.0:
+            raise ValueError("dt and dx must be positive")
+        q_old = np.asarray(q_old, dtype=float)
+        if q_old.ndim != 2 or len(q_old) != model.num_components:
+            raise ValueError("q_old must be shaped (2, cells) for swe, "
+                             "(1, cells) for kinematic")
+        if not np.all(np.isfinite(q_old)):
+            raise ValueError("previous state contains non-finite values")
+        self.q_old, self.dt, self.dx, self.model = q_old, dt, dx, model
+        self.flat = q_old.ravel()
+        self.scale = max(1.0, np.max(np.abs(self.flat)))
 
-def implicit_fv_step(q_old: np.ndarray, source, dt: float, dx: float,
-                     model: SurfaceModel,
-                     ) -> tuple[np.ndarray, NewtonReport, float]:
-    """Advance the cell averages q_old, shaped (n_comp, cells), by one
-    implicit Euler step of the FV scheme into a new array; source is the
-    per-cell height source [m/s], an array or a scalar.  Also returns the
-    Newton report and the volume [m^2] the H_FLOOR clamp added."""
-    if dt <= 0.0 or dx <= 0.0:
-        raise ValueError("dt and dx must be positive")
-    q_old = np.asarray(q_old, dtype=float)
-    if q_old.ndim != 2 or len(q_old) != model.num_components:
-        raise ValueError("q_old must be shaped (2, cells) for swe, "
-                         "(1, cells) for kinematic")
-    if not np.all(np.isfinite(q_old)):
-        raise ValueError("previous state contains non-finite values")
-    source = np.asarray(source, dtype=float)
-    if not np.all(np.isfinite(source)):
-        raise ValueError("source contains non-finite values")
+    def free_residual(self, flat: np.ndarray) -> np.ndarray:
+        """q - q_old + dt/dx (F_l - F_{l-1}) of a flat state or (B, size)."""
+        q = flat.reshape(-1, *self.q_old.shape).swapaxes(0, 1)
+        faces = llf_flux(q, self.model)
+        residual = q - self.q_old[:, None] + self.dt / self.dx * (
+            faces[..., 1:] - faces[..., :-1])
+        return residual.swapaxes(0, 1).reshape(flat.shape)
 
-    flat = q_old.ravel().copy()
-    scale = max(1.0, np.max(np.abs(flat)))
-
-    def residual(trial: np.ndarray) -> np.ndarray:
-        return _step_residual(trial, q_old, source, dt, dx, model)
-
-    def direction(point: np.ndarray, res: np.ndarray) -> np.ndarray:
+    def bumps(self, point: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Sizes eps and free residuals of point's column bumps, by row."""
         eps = 1e-8 * np.maximum(1.0, np.abs(point))
         bumped = np.tile(point, (point.size, 1))
         bumped[np.diag_indices(point.size)] += eps
-        jacobian = ((residual(bumped) - res) / eps[:, None]).T
+        return eps, self.free_residual(bumped)
+
+    @cached_property
+    def at_start(self) -> np.ndarray:
+        return self.free_residual(self.flat)
+
+    @cached_property
+    def at_bumps(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.bumps(self.flat)
+
+
+def implicit_fv_step(start: StepStart, source,
+                     ) -> tuple[np.ndarray, NewtonReport, float]:
+    """Advance start.q_old, shaped (n_comp, cells), by one implicit Euler
+    step of the FV scheme into a new array; source is the per-cell height
+    source [m/s], an array or a scalar.  Also returns the Newton report and
+    the volume [m^2] the H_FLOOR clamp added."""
+    source = np.asarray(source, dtype=float)
+    if not np.all(np.isfinite(source)):
+        raise ValueError("source contains non-finite values")
+    # dt * source on the height rows; x - 0.0 is x for every other entry
+    shift = np.zeros(start.flat.size)
+    shift[:start.q_old.shape[1]] = start.dt * source
+
+    # damped_newton asks first for the residual and direction at start.flat
+    def residual(trial: np.ndarray) -> np.ndarray:
+        return (start.at_start if trial is start.flat
+                else start.free_residual(trial)) - shift
+
+    def direction(x: np.ndarray, res: np.ndarray) -> np.ndarray:
+        eps, bumps = start.at_bumps if x is start.flat else start.bumps(x)
+        jacobian = ((bumps - shift - res) / eps[:, None]).T
         return np.linalg.solve(jacobian, -res)
 
-    flat, newton = damped_newton(residual, direction, flat,
-                                 lambda norm0: 1e-13 * scale, 30, 20,
-                                 accept=1e-12 * scale)
-    q_new = flat.reshape(q_old.shape)
+    flat, newton = damped_newton(residual, direction, start.flat,
+                                 lambda norm0: 1e-13 * start.scale, 30, 20,
+                                 accept=1e-12 * start.scale)
+    q_new = flat.reshape(start.q_old.shape).copy()  # never q_old itself
     low = q_new[0] < H_FLOOR
-    clamped_volume = float(np.sum((H_FLOOR - q_new[0][low]) * dx))
+    clamped_volume = float(np.sum((H_FLOOR - q_new[0][low]) * start.dx))
     q_new[0][low] = H_FLOOR
     return q_new, newton, clamped_volume
 
 
 def outflow_probe(q: np.ndarray, time: float, model: SurfaceModel) -> dict:
-    """Left-boundary depth, speed and discharge; outflow counted positive."""
-    h0 = float(q[0, 0])
+    """Depth, speed and discharge (outflow positive) at the outlet cell."""
+    end = -1 if model.flavor == "kinematic" and model.flow_sign > 0 else 0
+    h0 = float(q[0, end])
     if model.flavor == "swe":
-        u0 = float(q[1, 0] / h0) if h0 > 0.0 else 0.0
+        u0 = float(q[1, end] / h0) if h0 > 0.0 else 0.0
     else:
         u0 = float(model.manning_speed(h0))
     return {"t": time, "h0": h0, "u0": abs(u0), "q_out": h0 * abs(u0)}

@@ -29,6 +29,7 @@ from coupledflow.material import SOIL_PRESETS, MaterialField
 from coupledflow.richards2d import Grid2D, RichardsWorkspace
 from coupledflow.scenarios import build_all, preset
 from coupledflow.surface1d import (
+    StepStart,
     SurfaceModel,
     implicit_fv_step,
     outflow_probe,
@@ -315,8 +316,8 @@ class TestConservationSuite:
             dx = 0.25
             volume = np.sum(h) * dx
             for _ in range(3):
-                q, _, _ = implicit_fv_step(q, np.zeros(8), dt=0.05, dx=dx,
-                                           model=model)
+                q, _, _ = implicit_fv_step(StepStart(q, 0.05, dx, model),
+                                           np.zeros(8))
             drift = abs(np.sum(q[0]) * dx - volume)
             worst_mass = max(worst_mass, drift / volume)
         assert worst_mass <= 1e-12
@@ -346,7 +347,7 @@ class TestConservationSuite:
         jacobian = workspace.jacobian(workspace.at_qp(psi_new), 1e5,
                                       None).toarray()
         worst_jacobian = 0.0
-        theta_old = workspace.theta_at_qp(psi_old)
+        theta_old = workspace.at_qp(psi_old).soil.theta
         for _ in range(3):
             direction = rng.standard_normal(grid.num_nodes)
             direction /= np.linalg.norm(direction)

@@ -211,21 +211,28 @@ class TestCoupledStep:
         assert calls["richards"] >= 2 and calls["surface"] >= 2
         assert record.line_search_failures == 2 * int(reverse_first)
 
-    def test_old_water_content_is_evaluated_once_per_step(self, monkeypatch):
-        # every sweep of a step starts from the same theta(psi_old)
+    def test_closures_are_evaluated_once_per_iterate(self, monkeypatch):
+        # at_qp(psi_old) once per step; every sweep's Newton starts from the
+        # fields the previous one returned, so only its trials need at_qp
         calls = []
-        theta_at_qp = richards2d.RichardsWorkspace.theta_at_qp
+        work = richards2d.RichardsWorkspace
+        at_qp, residual = work.at_qp, work.residual
 
-        def counting(work, psi):
-            calls.append(psi)
-            return theta_at_qp(work, psi)
+        def counting(name, method):
+            def wrapped(self, *args):
+                calls.append(name)
+                return method(self, *args)
+            return wrapped
 
-        monkeypatch.setattr(richards2d.RichardsWorkspace, "theta_at_qp",
-                            counting)
-        config = replace(scenarios.preset("trench-loam"), num_steps=3)
-        result = run_simulation(*scenarios.build_all(config))
-        assert len(calls) == 3
-        assert sum(record.iterations for record in result.records) > 3
+        monkeypatch.setattr(work, "at_qp", counting("at_qp", at_qp))
+        monkeypatch.setattr(work, "residual", counting("residual", residual))
+        problem, state = scenarios.build_all(scenarios.preset("trench-loam"))
+        for _ in range(3):
+            calls.clear()
+            state, record = run_coupled_step(problem, state)
+            assert record.iterations >= 2
+            assert calls.count("at_qp") \
+                == calls.count("residual") - record.iterations + 1
 
     def test_snapshot_cadence(self):
         problem, state = column_problem(1e-9, 0.01,
@@ -303,9 +310,9 @@ class TestSweepDirichlet:
         newton_step = problem.workspace.newton_step
         to_head = coupling.map_height_to_head
 
-        def recording_newton(psi, theta_old_qp, dt, dirichlet):
+        def recording_newton(start, theta_old_qp, dt, dirichlet):
             used.append(dirichlet)
-            return newton_step(psi, theta_old_qp, dt, dirichlet)
+            return newton_step(start, theta_old_qp, dt, dirichlet)
 
         def recording_heights(h_cells):
             heights.append(h_cells.copy())

@@ -157,8 +157,9 @@ class TestResidual:
         psi_old = rng.uniform(-2.0, 0.5, grid.num_nodes)
         work = RichardsWorkspace(grid, SILT)
         dt = 1.0e5
-        got = work.residual(work.at_qp(psi_new), work.theta_at_qp(psi_old),
-                            dt, dirichlet=None)
+        theta_old = work.at_qp(psi_old).soil.theta
+        got = work.residual(work.at_qp(psi_new), theta_old, dt,
+                            dirichlet=None)
         want = residual_oracle(grid, SILT, psi_new, psi_old, dt)
         assert_allclose(got, want, rtol=1e-11,
                         atol=1e-14 * np.max(np.abs(want)))
@@ -172,8 +173,9 @@ class TestResidual:
         psi_new = rng.uniform(-2.0, 0.2, grid.num_nodes)
         psi_old = rng.uniform(-2.0, 0.2, grid.num_nodes)
         work = RichardsWorkspace(grid, material)
-        got = work.residual(work.at_qp(psi_new), work.theta_at_qp(psi_old),
-                            3.0e4, dirichlet=None)
+        theta_old = work.at_qp(psi_old).soil.theta
+        got = work.residual(work.at_qp(psi_new), theta_old, 3.0e4,
+                            dirichlet=None)
         want = residual_oracle(grid, material, psi_new, psi_old, 3.0e4)
         assert_allclose(got, want, rtol=1e-11,
                         atol=1e-14 * np.max(np.abs(want)))
@@ -184,8 +186,9 @@ class TestResidual:
         _, z = grid.node_coords()
         psi = 0.5 - z
         work = RichardsWorkspace(grid, SILT)
-        residual = work.residual(work.at_qp(psi), work.theta_at_qp(psi),
-                                 dt=1.0e6, dirichlet=None)
+        fields = work.at_qp(psi)
+        residual = work.residual(fields, fields.soil.theta, dt=1.0e6,
+                                 dirichlet=None)
         assert np.max(np.abs(residual)) <= 1e-14
 
     def test_dirichlet_rows_replace_equations(self):
@@ -193,8 +196,8 @@ class TestResidual:
         psi = np.full(grid.num_nodes, -1.0)
         data = top_dirichlet(grid, -0.25)
         work = RichardsWorkspace(grid, SILT)
-        residual = work.residual(work.at_qp(psi), work.theta_at_qp(psi),
-                                 10.0, data)
+        fields = work.at_qp(psi)
+        residual = work.residual(fields, fields.soil.theta, 10.0, data)
         assert_allclose(residual[data.nodes], -0.75, rtol=1e-15)
 
     def test_mass_identity_without_constraints(self):
@@ -211,10 +214,10 @@ class TestResidual:
             psi_old = rng.uniform(-3.0, 1.0, grid.num_nodes)
             dt = 10.0 ** rng.uniform(0, 6)
             residual = work.residual(work.at_qp(psi_new),
-                                     work.theta_at_qp(psi_old), dt,
+                                     work.at_qp(psi_old).soil.theta, dt,
                                      dirichlet=None)
-            change = (work.weight * np.sum(work.theta_at_qp(psi_new))
-                      - work.weight * np.sum(work.theta_at_qp(psi_old)))
+            change = (work.weight * np.sum(work.at_qp(psi_new).soil.theta)
+                      - work.weight * np.sum(work.at_qp(psi_old).soil.theta))
             scale = np.sum(np.abs(residual)) + abs(change)
             assert abs(np.sum(residual) - change) <= 1e-13 * scale
 
@@ -233,7 +236,8 @@ class TestResidual:
         rng = np.random.default_rng(20)
         work = RichardsWorkspace(grid, SILT)
         psi_new = rng.uniform(-3.0, 1.0, grid.num_nodes)
-        theta_old = work.theta_at_qp(rng.uniform(-3.0, 1.0, grid.num_nodes))
+        psi_old = rng.uniform(-3.0, 1.0, grid.num_nodes)
+        theta_old = work.at_qp(psi_old).soil.theta
         dt = 1.0e4
         soil = work.bound.at_heads(psi_new[work.conn] @ work.shape.T)
         cond_qp = soil.hydraulic_conductivity
@@ -293,7 +297,7 @@ class TestJacobian:
         work = RichardsWorkspace(grid, SILT)
         dt = 1.0e5
         matrix = work.jacobian(work.at_qp(psi), dt, dirichlet=None)
-        theta_old = work.theta_at_qp(psi_old)
+        theta_old = work.at_qp(psi_old).soil.theta
         for trial in range(3):
             direction = rng.normal(size=grid.num_nodes)
             direction /= np.max(np.abs(direction))
@@ -337,11 +341,12 @@ class TestNewtonStep:
         work = RichardsWorkspace(grid, CLAY)
         psi_old = np.full(grid.num_nodes, 2.0)
         values = 2.0 + 0.1 * np.linspace(-1.0, 1.0, grid.num_x + 1)
-        psi, report = work.newton_step(psi_old, work.theta_at_qp(psi_old),
-                                       36.0, top_dirichlet(grid, values))
+        old = work.at_qp(psi_old)
+        fields, report = work.newton_step(old, old.soil.theta, 36.0,
+                                          top_dirichlet(grid, values))
         assert report.iterations == 1
         assert report.residual_norm <= 1e-12
-        assert np.all(psi > 0.0)
+        assert np.all(fields.psi > 0.0)
 
     @pytest.mark.parametrize("reverse_first", [False, True])
     def test_line_search_failures_are_counted(self, monkeypatch,
@@ -361,8 +366,9 @@ class TestNewtonStep:
         work = RichardsWorkspace(grid, CLAY)
         psi_old = np.full(grid.num_nodes, 2.0)
         values = 2.0 + 0.1 * np.linspace(-1.0, 1.0, grid.num_x + 1)
-        _, report = work.newton_step(psi_old, work.theta_at_qp(psi_old),
-                                     36.0, top_dirichlet(grid, values))
+        old = work.at_qp(psi_old)
+        _, report = work.newton_step(old, old.soil.theta, 36.0,
+                                     top_dirichlet(grid, values))
         assert report.line_search_failures == int(reverse_first)
         assert report.iterations == 1 + int(reverse_first)
 
@@ -396,8 +402,9 @@ class TestNewtonStep:
         grid = small_grid()
         work = RichardsWorkspace(grid, SILT)
         psi_old = np.full(grid.num_nodes, -1.0)
-        _, report = work.newton_step(psi_old, work.theta_at_qp(psi_old),
-                                     100.0, top_dirichlet(grid, -0.2))
+        old = work.at_qp(psi_old)
+        _, report = work.newton_step(old, old.soil.theta, 100.0,
+                                     top_dirichlet(grid, -0.2))
         assert report.line_search_failures == int(reverse_first)
         assembled = [i for i, call in enumerate(calls)
                      if call[0] == "jacobian"]
@@ -406,16 +413,45 @@ class TestNewtonStep:
             latest = [call for call in calls[:i] if call[0] == "residual"][-1]
             assert calls[i][1] is latest[1]
 
+    @pytest.mark.parametrize("reverse_first", [False, True])
+    def test_returns_the_fields_of_its_result(self, monkeypatch,
+                                              reverse_first):
+        # the fields handed to the next sweep are at_qp of the new heads,
+        # also when the last line search failed and took its last trial
+        solves = []
+        spsolve = richards2d.spsolve
+
+        def flipping_spsolve(matrix, rhs):
+            solves.append(1)
+            delta = spsolve(matrix, rhs)
+            return -delta if reverse_first and len(solves) == 1 else delta
+
+        monkeypatch.setattr(richards2d, "spsolve", flipping_spsolve)
+        grid = small_grid()
+        work = RichardsWorkspace(grid, SILT)
+        old = work.at_qp(np.full(grid.num_nodes, -1.0))
+        fields, report = work.newton_step(old, old.soil.theta, 100.0,
+                                          top_dirichlet(grid, -0.2))
+        assert report.iterations >= 2
+        assert report.line_search_failures == int(reverse_first)
+        want = work.at_qp(fields.psi.copy())
+        for got, expected in zip(fields[:3], want[:3]):
+            assert np.array_equal(got, expected)
+        for name in ("theta", "capacity", "hydraulic_conductivity",
+                     "conductivity_derivative"):
+            assert np.array_equal(getattr(fields.soil, name),
+                                  getattr(want.soil, name))
+
     def test_hydrostatic_rest_is_converged_immediately(self):
         grid = Grid2D(length_x=1.0, length_z=2.0, num_x=2, num_z=4)
         _, z = grid.node_coords()
         psi_old = 0.5 - z
         data = top_dirichlet(grid, psi_old[grid.top_node_indices()])
         work = RichardsWorkspace(grid, SILT)
-        psi, report = work.newton_step(psi_old, work.theta_at_qp(psi_old),
-                                       1.0e4, data)
-        assert report.iterations == 0
-        assert_allclose(psi, psi_old, rtol=1e-15)
+        old = work.at_qp(psi_old)
+        fields, report = work.newton_step(old, old.soil.theta, 1.0e4, data)
+        assert report.iterations == 0 and fields is old
+        assert_allclose(fields.psi, psi_old, rtol=1e-15)
 
     def test_reports_failure_with_residual(self, monkeypatch):
         monkeypatch.setattr(richards2d, "NEWTON_MAX_ITERS", 1)
@@ -424,7 +460,8 @@ class TestNewtonStep:
         work = RichardsWorkspace(grid, SILT)
         psi_old = np.full(grid.num_nodes, -10.0)
         with pytest.raises(NewtonError) as info:
-            work.newton_step(psi_old, work.theta_at_qp(psi_old), 1000.0,
+            old = work.at_qp(psi_old)
+            work.newton_step(old, old.soil.theta, 1000.0,
                              top_dirichlet(grid, 0.5))
         assert info.value.iterations == 1
         assert info.value.residual_norm > 0.0
@@ -435,11 +472,13 @@ class TestNewtonStep:
         good = np.full(grid.num_nodes, -1.0)
         bad = good.copy()
         bad[0] = np.inf
-        with pytest.raises(ValueError):
-            work.newton_step(bad, work.theta_at_qp(good), 1.0,
+        # a +inf head passes at_qp's checks, so newton_step checks its start
+        start, old = work.at_qp(bad), work.at_qp(good)
+        with pytest.raises(ValueError, match="non-finite"):
+            work.newton_step(start, old.soil.theta, 1.0,
                              top_dirichlet(grid, 0.0))
-        with pytest.raises(ValueError):
-            work.newton_step(good, work.theta_at_qp(good), 0.0,
+        with pytest.raises(ValueError, match="dt"):
+            work.newton_step(old, old.soil.theta, 0.0,
                              top_dirichlet(grid, 0.0))
 
 
@@ -469,7 +508,7 @@ class TestDiagnostics:
         work = RichardsWorkspace(grid, SILT)
         theta_s = SOIL_PRESETS["silt-loam"].theta_s
         volume = work.weight * np.sum(
-            work.theta_at_qp(np.full(grid.num_nodes, 1.0)))
+            work.at_qp(np.full(grid.num_nodes, 1.0)).soil.theta)
         assert_allclose(volume, theta_s * 1.5 * 1.0, rtol=1e-13)
 
 

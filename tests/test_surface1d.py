@@ -10,6 +10,7 @@ from coupledflow.scenarios import manning_minutes_to_si
 from coupledflow.surface1d import (
     H_FLOOR,
     PROBE_COLUMNS,
+    StepStart,
     SurfaceModel,
     implicit_fv_step,
     llf_flux,
@@ -89,7 +90,7 @@ class TestStates:
     ], ids=["one-dimensional", "swe-one-row", "kinematic-two-rows"])
     def test_shape_must_fit_flavor(self, model, q_old):
         with pytest.raises(ValueError, match="shaped"):
-            implicit_fv_step(q_old, 0.0, dt=1.0, dx=1.0, model=model)
+            StepStart(q_old, 1.0, 1.0, model)
 
     def test_model_validation(self):
         with pytest.raises(ValueError):
@@ -108,7 +109,7 @@ class TestImplicitStep:
     def test_lake_at_rest_is_exact(self):
         model = swe_model(**WALLS)
         q = np.array([np.full(6, 0.3), np.zeros(6)])
-        new, newton, _ = implicit_fv_step(q, 0.0, dt=0.5, dx=0.1, model=model)
+        new, newton, _ = implicit_fv_step(StepStart(q, 0.5, 0.1, model), 0.0)
         assert newton.iterations == 0
         assert np.array_equal(new, q)
         assert new is not q
@@ -116,7 +117,7 @@ class TestImplicitStep:
     def test_uniform_rain_raises_uniformly(self):
         model = swe_model(**WALLS)
         q = np.array([np.full(5, 0.2), np.zeros(5)])
-        new, _, _ = implicit_fv_step(q, 1e-3, dt=2.0, dx=0.5, model=model)
+        new, _, _ = implicit_fv_step(StepStart(q, 2.0, 0.5, model), 1e-3)
         assert not np.any(new[0] == H_FLOOR)
         assert_allclose(new[0], 0.2 + 2e-3, rtol=1e-12)
         assert_allclose(new[1], 0.0, atol=1e-13)
@@ -131,7 +132,7 @@ class TestImplicitStep:
             if flavor == "swe" else h[None]
         dx = 0.25
         for _ in range(3):
-            q, _, _ = implicit_fv_step(q, 0.0, dt=0.1, dx=dx, model=model)
+            q, _, _ = implicit_fv_step(StepStart(q, 0.1, dx, model), 0.0)
             assert not np.any(q[0] == H_FLOOR)
         assert abs(np.sum(q[0]) - np.sum(h)) * dx <= 1e-12
 
@@ -139,8 +140,8 @@ class TestImplicitStep:
         model = kinematic_model(**WALLS)
         exchange = np.array([1e-4, -2e-4, 3e-4, 0.0])
         q = np.full((1, 4), 0.05)
-        new, _, _ = implicit_fv_step(q, exchange + 1e-4, dt=10.0, dx=2.0,
-                                     model=model)
+        new, _, _ = implicit_fv_step(StepStart(q, 10.0, 2.0, model),
+                                     exchange + 1e-4)
         assert not np.any(new[0] == H_FLOOR)
         gained = (np.sum(new) - np.sum(q)) * 2.0
         expected = 10.0 * 2.0 * np.sum(exchange + 1e-4)
@@ -149,8 +150,8 @@ class TestImplicitStep:
     def test_floor_clamp_reports_added_volume(self):
         model = kinematic_model(**WALLS)
         q = np.full((1, 3), 1e-6)
-        new, _, clamped_volume = implicit_fv_step(q, -1e-3, dt=1.0, dx=0.5,
-                                                  model=model)
+        new, _, clamped_volume = implicit_fv_step(
+            StepStart(q, 1.0, 0.5, model), -1e-3)
         assert np.count_nonzero(new[0] == H_FLOOR) == 3
         assert np.all(new == H_FLOOR)
         # clamping injects exactly the reported volume
@@ -162,19 +163,20 @@ class TestImplicitStep:
         # kinematic flow toward x = 0 with an open left edge loses mass
         model = kinematic_model(boundary_right="reflect")
         q = np.full((1, 4), 0.02)
-        new, _, _ = implicit_fv_step(q, 0.0, dt=5.0, dx=1.0, model=model)
+        new, _, _ = implicit_fv_step(StepStart(q, 5.0, 1.0, model), 0.0)
         assert np.sum(new) < np.sum(q)
 
     def test_rejects_bad_input(self):
         model = kinematic_model(**WALLS)
         with pytest.raises(ValueError):
-            implicit_fv_step(np.array([[0.01, np.nan]]), 0.0, dt=1.0, dx=1.0,
-                             model=model)
+            StepStart(np.array([[0.01, np.nan]]), 1.0, 1.0, model)
         good = np.full((1, 2), 0.01)
         with pytest.raises(ValueError):
-            implicit_fv_step(good, 0.0, dt=0.0, dx=1.0, model=model)
+            StepStart(good, 0.0, 1.0, model)
         with pytest.raises(ValueError):
-            implicit_fv_step(good, np.inf, dt=1.0, dx=1.0, model=model)
+            StepStart(good, 1.0, 0.0, model)
+        with pytest.raises(ValueError):
+            implicit_fv_step(StepStart(good, 1.0, 1.0, model), np.inf)
 
     def test_newton_failure_carries_diagnostics(self, monkeypatch):
         # one Newton iteration cannot solve this step
@@ -188,7 +190,7 @@ class TestImplicitStep:
         model = swe_model(**WALLS)
         q = np.array([[1.0, 1e-8], [5.0, 0.0]])
         with pytest.raises(NewtonError) as info:
-            implicit_fv_step(q, 0.0, dt=50.0, dx=1e-3, model=model)
+            implicit_fv_step(StepStart(q, 50.0, 1e-3, model), 0.0)
         assert info.value.iterations >= 1
         assert info.value.residual_norm > 0.0
 
@@ -197,7 +199,7 @@ class TestImplicitStep:
         q = np.array([[1e-200, 1.0], [1e200, 0.0]])
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(NewtonError) as info:
-            implicit_fv_step(q, 0.0, dt=1.0, dx=1.0, model=swe_model())
+            implicit_fv_step(StepStart(q, 1.0, 1.0, swe_model()), 0.0)
         assert info.value.iterations == 0
         assert not np.isfinite(info.value.residual_norm)
 
@@ -296,7 +298,7 @@ class TestBatchedNewton:
         model, q_old, source = rainy_state(flavor, num_x, boundary_left=left,
                                            boundary_right=right)
         solves = recorded_solves(monkeypatch)
-        implicit_fv_step(q_old, source, dt=0.5, dx=0.5, model=model)
+        implicit_fv_step(StepStart(q_old, 0.5, 0.5, model), source)
         args = (q_old, source, 0.5, 0.5, model)
         flat = q_old.ravel().copy()
         residual = reference_residual(flat, *args)
@@ -309,37 +311,35 @@ class TestBatchedNewton:
     def test_one_residual_call_per_jacobian(self, monkeypatch, flavor):
         model, q, source = rainy_state(flavor, 5, **WALLS)
         size = q.size
-        shapes, llf_calls, cell_calls = [], [], []
-        step_residual = surface1d._step_residual
+        batches, cell_calls = [], []
         flux = surface1d.llf_flux
         flux_and_speed = surface1d._flux_and_speed
 
-        def counting_residual(flat, *args):
-            shapes.append(flat.shape)
-            return step_residual(flat, *args)
-
-        def counting_flux(*args):
-            llf_calls.append(1)
-            return flux(*args)
+        def counting_flux(states, model):
+            batches.append(states.shape[1])
+            return flux(states, model)
 
         def counting_flux_and_speed(*args):
             cell_calls.append(1)
             return flux_and_speed(*args)
 
-        monkeypatch.setattr(surface1d, "_step_residual", counting_residual)
         monkeypatch.setattr(surface1d, "llf_flux", counting_flux)
         monkeypatch.setattr(surface1d, "_flux_and_speed",
                             counting_flux_and_speed)
-        _, newton, _ = implicit_fv_step(q, source, dt=5.0, dx=0.5,
-                                        model=model)
-        assert newton.iterations >= 2
-        # initial residual, then per iteration one batch and one full step
-        assert shapes.count((size, size)) == newton.iterations
-        assert shapes.count((size,)) == 1 + newton.iterations
-        assert len(shapes) == 1 + 2 * newton.iterations
-        assert len(llf_calls) == len(shapes)
-        # f and lambda once per cell of the padded state, not per face side
-        assert len(cell_calls) == len(shapes)
+        start = StepStart(q, 5.0, 0.5, model)
+        # a fresh record evaluates every residual; a reused one takes the
+        # residuals at the start and at its bumps from the first solve
+        for reused, factor in ((0, 1.0), (1, 2.0)):
+            batches.clear()
+            cell_calls.clear()
+            _, newton, _ = implicit_fv_step(start, factor * source)
+            assert newton.iterations >= 2
+            # initial residual, then per iteration one batch and one step
+            assert batches.count(size) == newton.iterations - reused
+            assert batches.count(1) == 1 + newton.iterations - reused
+            assert len(batches) == 1 + 2 * newton.iterations - 2 * reused
+            # f and lambda once per cell of the padded state
+            assert len(cell_calls) == len(batches)
 
     @pytest.mark.parametrize("reverse_first", [False, True])
     def test_line_search_failures_are_counted(self, monkeypatch,
@@ -347,10 +347,60 @@ class TestBatchedNewton:
         # an uphill first direction fails all 20 halvings; Newton recovers
         model, q, source = rainy_state("swe", 5, **WALLS)
         recorded_solves(monkeypatch, reverse_first=reverse_first)
-        _, newton, _ = implicit_fv_step(q, source, dt=5.0, dx=0.5,
-                                        model=model)
+        _, newton, _ = implicit_fv_step(StepStart(q, 5.0, 0.5, model), source)
         assert newton.line_search_failures == int(reverse_first)
         assert newton.residual_norm <= 1e-12
+
+
+class TestStepStart:
+    @pytest.mark.parametrize("right", ["copy", "reflect"])
+    @pytest.mark.parametrize("left", ["copy", "reflect"])
+    @pytest.mark.parametrize("flavor", ["swe", "kinematic"])
+    def test_shared_start_solves_as_fresh_bitwise(self, monkeypatch, flavor,
+                                                  left, right):
+        model, q_old, source = rainy_state(flavor, 6, boundary_left=left,
+                                           boundary_right=right)
+        solves = recorded_solves(monkeypatch)
+        shared = StepStart(q_old, 0.5, 0.5, model)
+        # the last source drains every cell below H_FLOOR
+        for rate in (source, 3.0 * source - 1e-4, np.full(6, -1.0)):
+            solves.clear()
+            got = implicit_fv_step(shared, rate)
+            got_solves = list(solves)
+            solves.clear()
+            want = implicit_fv_step(StepStart(q_old.copy(), 0.5, 0.5, model),
+                                    rate)
+            assert np.array_equal(got[0], want[0])
+            assert got[1] == want[1] and got[2] == want[2]
+            assert len(got_solves) == len(solves) >= 1
+            for (matrix, rhs), (want_matrix, want_rhs) in zip(got_solves,
+                                                              solves):
+                assert np.array_equal(matrix, want_matrix)
+                assert np.array_equal(rhs, want_rhs)
+        assert got[2] > 0.0
+        assert np.array_equal(shared.q_old, q_old)
+
+    @pytest.mark.parametrize("flavor", ["swe", "kinematic"])
+    def test_start_fluxes_are_evaluated_once(self, monkeypatch, flavor):
+        model, q_old, source = rainy_state(flavor, 5, **WALLS)
+        flat = q_old.ravel()
+        bumps = np.tile(flat, (flat.size, 1))
+        bumps[np.diag_indices(flat.size)] += 1e-8 * np.maximum(1.0,
+                                                               np.abs(flat))
+        seen = []
+        flux = surface1d.llf_flux
+
+        def recording_flux(states, model):
+            seen.append(states.swapaxes(0, 1).reshape(states.shape[1], -1))
+            return flux(states, model)
+
+        monkeypatch.setattr(surface1d, "llf_flux", recording_flux)
+        start = StepStart(q_old, 5.0, 0.5, model)
+        for factor in (1.0, 2.0, 0.5):
+            _, newton, _ = implicit_fv_step(start, factor * source)
+            assert newton.iterations >= 1
+        assert sum(np.array_equal(states, flat[None]) for states in seen) == 1
+        assert sum(np.array_equal(states, bumps) for states in seen) == 1
 
 
 class TestProbe:
@@ -362,6 +412,16 @@ class TestProbe:
         assert_allclose(probe["u0"], 0.005226036332105808, rtol=1e-12)
         assert_allclose(probe["q_out"], 0.01 * 0.005226036332105808,
                         rtol=1e-12)
+
+    def test_kinematic_probe_reads_downstream_end(self):
+        # flow toward growing x leaves through the last cell
+        model = SurfaceModel(flavor="kinematic",
+                             manning_n=manning_minutes_to_si(3.31e-3),
+                             friction_slope=5e-4, flow_sign=1.0)
+        probe = outflow_probe(np.array([[0.01, 0.05]]), 0.0, model)
+        assert probe["h0"] == 0.05
+        assert probe["u0"] == float(model.manning_speed(0.05))
+        assert probe["q_out"] == 0.05 * probe["u0"]
 
     def test_swe_probe_handles_dry_edge(self):
         model = swe_model()
