@@ -32,18 +32,21 @@ horizontally (they are baked in per quadrature point at workspace setup).
 The Jacobian is assembled straight into a CSC pattern fixed at setup: one
 bincount sums the element matrices (duplicates in element order), Dirichlet
 rows become identity rows and a constrained matrix drops its exact zeros,
-bit for bit the matrix a COO -> CSR -> "+ diags" -> CSC chain gives spsolve.
+bit for bit the matrix a COO -> CSR -> "+ diags" -> CSC chain gives.  Its
+arrays (data, indices, indptr) go to SuperLU's gssv exactly as
+scipy.sparse.linalg.spsolve would pass them, without a sparse matrix object.
 """
 
 from __future__ import annotations
 
 import copy
+import warnings
 from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import MatrixRankWarning
+from scipy.sparse.linalg._dsolve import _superlu
 
 from .iteration import NewtonReport, damped_newton
 
@@ -140,6 +143,21 @@ def top_dirichlet(grid: Grid2D, values) -> DirichletData:
     nodes = grid.top_node_indices()
     return DirichletData(nodes, np.broadcast_to(
         np.asarray(values, dtype=float), nodes.shape).copy())
+
+
+def spsolve(matrix: tuple[np.ndarray, np.ndarray, np.ndarray],
+            rhs: np.ndarray) -> np.ndarray:
+    """Solve the square CSC system (data, indices, indptr) for rhs by the
+    gssv call of scipy.sparse.linalg.spsolve, with its arguments; an exactly
+    singular matrix warns MatrixRankWarning and gives NaN, as there."""
+    data, indices, indptr = matrix
+    x, info = _superlu.gssv(len(indptr) - 1, len(data), data, indices,
+                            indptr, rhs, 1, options=dict(ColPerm="COLAMD"))
+    if info != 0:
+        warnings.warn("Matrix is exactly singular", MatrixRankWarning,
+                      stacklevel=2)
+        x.fill(np.nan)
+    return x
 
 
 QuadratureFields = namedtuple("QuadratureFields", "psi dpsi_dx dpsi_dz soil")
@@ -248,14 +266,17 @@ class RichardsWorkspace:
                                 self.grad_outer)))
 
     def jacobian(self, fields: QuadratureFields, dt: float,
-                 dirichlet: DirichletData | None) -> sparse.csc_matrix:
+                 dirichlet: DirichletData | None,
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The CSC arrays (data, indices, indptr) of the Jacobian at
+        fields."""
         # duplicates are summed in element order
         data = np.bincount(self._slot,
                            self._element_jacobians(fields, dt).ravel(),
                            len(self._rows))
-        rows, indptr, n = self._rows, self._indptr, self.grid.num_nodes
+        rows, indptr = self._rows, self._indptr
         if dirichlet is not None:
-            constrained = np.zeros(n, dtype=bool)
+            constrained = np.zeros(self.grid.num_nodes, dtype=bool)
             constrained[dirichlet.nodes] = True
             data[constrained[rows]] = 0.0
             data[self._diag[dirichlet.nodes]] = 1.0
@@ -266,7 +287,7 @@ class RichardsWorkspace:
             kept = np.zeros(len(keep) + 1, dtype=np.intc)
             np.cumsum(keep, out=kept[1:])
             indptr = kept[indptr]
-        return sparse.csc_matrix((data, rows, indptr), shape=(n, n))
+        return data, rows, indptr
 
     # ── solves ───────────────────────────────────────────────────────────
 

@@ -26,11 +26,14 @@ by the shared damped Newton (iteration.damped_newton); the source s [m/s]
 component only, and last.  The dense finite difference Jacobian comes from
 one residual call on the batch of all column-bumped states; the solves from
 one StepStart share the source-free residuals at q_old and its bumps.  Each
-residual takes every face flux from one llf_flux call, which pads the state
-with a ghost cell per side, of the kinds SurfaceModel.boundary_left and
-boundary_right, and evaluates f and lambda once per cell.  After the solve,
-depths below H_FLOOR are raised to H_FLOOR; the added volume is returned
-next to damped_newton's report.
+residual takes every face flux from one llf_flux call.  It copies the state
+into one preallocated array with a ghost cell per side, of the kinds
+SurfaceModel.boundary_left and boundary_right (the reflect ends,
+SurfaceModel.walls, are found once per model), and evaluates f and lambda
+once per cell, writing the rows of f into one preallocated array; the
+arithmetic is that of concatenating and stacking, bit for bit.  After the
+solve, depths below H_FLOOR are raised to H_FLOOR; the added volume is
+returned next to damped_newton's report.
 """
 
 from __future__ import annotations
@@ -89,6 +92,14 @@ class SurfaceModel:
         """Rows of a state q: (h, hu) for swe, (h,) for kinematic."""
         return 2 if self.flavor == "swe" else 1
 
+    @cached_property
+    def walls(self) -> tuple[int, ...]:
+        """The ends closed by a reflect wall: 0 for x = 0, -1 for the
+        other."""
+        kinds = (self.boundary_left, self.boundary_right)
+        return tuple(end for kind, end in zip(kinds, (0, -1))
+                     if kind == "reflect")
+
     def manning_speed(self, h) -> np.ndarray:
         """Manning velocity magnitude for the kinematic flavor."""
         h = np.asarray(h, dtype=float)
@@ -103,8 +114,10 @@ def _flux_and_speed(q: np.ndarray, model: SurfaceModel,
     if model.flavor == "swe":
         hu = q[1]
         u = np.where(h > 0.0, hu / np.maximum(h, 1e-300), 0.0)
-        return (np.stack([hu, hu * u + 0.5 * model.gravity * h * h]),
-                np.abs(u) + np.sqrt(model.gravity * h))
+        flux = np.empty_like(q)
+        flux[0] = hu
+        flux[1] = hu * u + 0.5 * model.gravity * h * h
+        return flux, np.abs(u) + np.sqrt(model.gravity * h)
     speed = model.manning_speed(h)
     return (model.flow_sign * h * speed)[None], 5.0 / 3.0 * speed
 
@@ -112,17 +125,20 @@ def _flux_and_speed(q: np.ndarray, model: SurfaceModel,
 def llf_flux(q: np.ndarray, model: SurfaceModel) -> np.ndarray:
     """Local Lax-Friedrichs fluxes on the cells + 1 faces of q, which is
     shaped (n_comp, ..., cells); a ghost cell per side closes the ends."""
-    padded = np.concatenate([q[..., :1], q, q[..., -1:]], axis=-1)
-    kinds = (model.boundary_left, model.boundary_right)
-    walls = [end for kind, end in zip(kinds, (0, -1)) if kind == "reflect"]
+    padded = np.empty((*q.shape[:-1], q.shape[-1] + 2))
+    padded[..., 1:-1] = q
+    padded[..., 0] = q[..., 0]
+    padded[..., -1] = q[..., -1]
     if model.flavor == "swe":
-        padded[1, ..., walls] = -padded[1, ..., walls]
+        for end in model.walls:
+            padded[1, ..., end] = -padded[1, ..., end]
     flux, speed = _flux_and_speed(padded, model)
     faces = (0.5 * (flux[..., :-1] + flux[..., 1:])
              - 0.5 * np.maximum(speed[..., :-1], speed[..., 1:])
              * (padded[..., 1:] - padded[..., :-1]))
     if model.flavor == "kinematic":
-        faces[..., walls] = 0.0
+        for end in model.walls:
+            faces[..., end] = 0.0
     return faces
 
 

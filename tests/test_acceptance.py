@@ -11,6 +11,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from coupledflow.analysis import (
     LinearModelParams,
@@ -344,8 +345,9 @@ class TestConservationSuite:
         rng = np.random.default_rng(405)
         psi_old = rng.uniform(-3.0, -0.5, grid.num_nodes)
         psi_new = rng.uniform(-3.0, -0.5, grid.num_nodes)
-        jacobian = workspace.jacobian(workspace.at_qp(psi_new), 1e5,
-                                      None).toarray()
+        jacobian = sparse.csc_matrix(
+            workspace.jacobian(workspace.at_qp(psi_new), 1e5, None),
+            shape=(grid.num_nodes, grid.num_nodes)).toarray()
         worst_jacobian = 0.0
         theta_old = workspace.at_qp(psi_old).soil.theta
         for _ in range(3):

@@ -12,8 +12,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy import sparse
+from scipy.sparse.linalg import spsolve
+from test_surface1d import reference_llf_flux
 
-from coupledflow import coupling, linear1d, richards2d, scenarios
+from coupledflow import coupling, linear1d, richards2d, scenarios, surface1d
 from coupledflow.analysis import LinearModelParams, alpha_sum, toeplitz_coeffs
 from coupledflow.coupling import (
     SUMMARY_COLUMNS,
@@ -210,6 +213,34 @@ class TestCoupledStep:
         _, record = run_coupled_step(problem, state)
         assert calls["richards"] >= 2 and calls["surface"] >= 2
         assert record.line_search_failures == 2 * int(reverse_first)
+
+    @pytest.mark.parametrize("name, settings", [
+        ("trench-mixed", {"tol": 1e-10}), ("hillslope-silt", {})])
+    def test_direct_kernels_match_scipy_and_reference_bitwise(
+            self, monkeypatch, name, settings):
+        """The gssv call on the CSC arrays and the preallocated llf_flux
+        give the run that scipy's spsolve on a csc_matrix of the same
+        arrays and the concatenate/stack llf_flux give, bit for bit."""
+        config = replace(scenarios.preset(name), num_steps=20, **settings)
+
+        def run():
+            result = run_simulation(*scenarios.build_all(config))
+            final = result.snapshots[-1][1]
+            return repr(trace_rows(result.records)), final.psi, final.q
+
+        direct = run()
+
+        def scipy_spsolve(arrays, rhs):
+            n = len(arrays[2]) - 1
+            return spsolve(sparse.csc_matrix(arrays, shape=(n, n)), rhs)
+
+        monkeypatch.setattr(richards2d, "spsolve", scipy_spsolve)
+        monkeypatch.setattr(surface1d, "llf_flux", reference_llf_flux)
+        reference = run()
+        assert direct[0] == reference[0]
+        for got, want in zip(direct[1:], reference[1:]):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
     def test_closures_are_evaluated_once_per_iterate(self, monkeypatch):
         # at_qp(psi_old) once per step; every sweep's Newton starts from the

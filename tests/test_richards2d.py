@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy import sparse
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import MatrixRankWarning, spsolve
 
 from coupledflow import richards2d, scenarios
 from coupledflow.iteration import NewtonError
@@ -272,21 +272,38 @@ class TestJacobian:
         psi = rng.uniform(low, high, grid.num_nodes)
         got = work.jacobian(work.at_qp(psi), 36.0, dirichlet)
         want = coo_assembly(work, psi, 36.0, dirichlet)
-        for name in ("data", "indices", "indptr"):
-            assert_bitwise_equal(getattr(got, name), getattr(want, name))
+        for array, name in zip(got, ("data", "indices", "indptr")):
+            assert_bitwise_equal(array, getattr(want, name))
+        # the direct gssv call solves as scipy's spsolve on the chain
         rhs = rng.normal(size=grid.num_nodes)
-        assert_bitwise_equal(spsolve(got, rhs), spsolve(want, rhs))
+        assert_bitwise_equal(richards2d.spsolve(got, rhs), spsolve(want, rhs))
+
+    def test_singular_solve_warns_and_gives_nan_as_scipy(self):
+        """At saturation the capacity vanishes, so with dt = 0 every entry
+        of the unconstrained CLAY Jacobian is an exact zero.  (With dt > 0
+        its rows sum to zero only up to rounding, and SuperLU finds no zero
+        pivot.)"""
+        work = RichardsWorkspace(small_grid(), CLAY)
+        n = work.grid.num_nodes
+        arrays = work.jacobian(work.at_qp(np.full(n, 2.0)), 0.0, None)
+        rhs = np.random.default_rng(31).normal(size=n)
+        with pytest.warns(MatrixRankWarning, match="singular"):
+            got = richards2d.spsolve(arrays, rhs)
+        with pytest.warns(MatrixRankWarning, match="singular"):
+            want = spsolve(sparse.csc_matrix(arrays, shape=(n, n)), rhs)
+        assert np.all(np.isnan(got)) and np.all(np.isnan(want))
+        assert got.shape == want.shape == (n,)
 
     def test_saturated_cancellations_are_dropped(self):
         """Exact zeros stay in the full pattern, which is what the assembly
         stores without constraints; a constrained system stores none."""
         work = RichardsWorkspace(cancelling_grid(), SILT)
         psi = np.full(work.grid.num_nodes, 0.5)
-        full = work.jacobian(work.at_qp(psi), 36.0, None)
-        assert np.count_nonzero(full.data == 0.0) > 0
-        constrained = work.jacobian(work.at_qp(psi), 36.0,
-                                    top_dirichlet(work.grid, 0.1))
-        assert np.all(constrained.data != 0.0)
+        full, _, _ = work.jacobian(work.at_qp(psi), 36.0, None)
+        assert np.count_nonzero(full == 0.0) > 0
+        constrained, _, _ = work.jacobian(work.at_qp(psi), 36.0,
+                                          top_dirichlet(work.grid, 0.1))
+        assert np.all(constrained != 0.0)
 
     def test_directional_finite_difference(self):
         grid = small_grid()
@@ -296,7 +313,9 @@ class TestJacobian:
         psi_old = rng.uniform(-3.0, -0.5, grid.num_nodes)
         work = RichardsWorkspace(grid, SILT)
         dt = 1.0e5
-        matrix = work.jacobian(work.at_qp(psi), dt, dirichlet=None)
+        matrix = sparse.csc_matrix(
+            work.jacobian(work.at_qp(psi), dt, dirichlet=None),
+            shape=(grid.num_nodes, grid.num_nodes))
         theta_old = work.at_qp(psi_old).soil.theta
         for trial in range(3):
             direction = rng.normal(size=grid.num_nodes)
@@ -316,7 +335,9 @@ class TestJacobian:
         psi = np.full(grid.num_nodes, 2.0)
         work = RichardsWorkspace(grid, CLAY)
         dt = 50.0
-        matrix = work.jacobian(work.at_qp(psi), dt, dirichlet=None).toarray()
+        matrix = sparse.csc_matrix(
+            work.jacobian(work.at_qp(psi), dt, dirichlet=None),
+            shape=(grid.num_nodes, grid.num_nodes)).toarray()
         assert np.max(np.abs(matrix - matrix.T)) <= 1e-12 * np.max(
             np.abs(matrix))
         # saturated capacity vanishes, so rows sum to zero as well
@@ -328,7 +349,9 @@ class TestJacobian:
         psi = np.full(grid.num_nodes, -0.5)
         data = top_dirichlet(grid, 0.1)
         work = RichardsWorkspace(grid, SILT)
-        matrix = work.jacobian(work.at_qp(psi), 1.0, data).toarray()
+        matrix = sparse.csc_matrix(
+            work.jacobian(work.at_qp(psi), 1.0, data),
+            shape=(grid.num_nodes, grid.num_nodes)).toarray()
         for node in data.nodes:
             row = np.zeros(grid.num_nodes)
             row[node] = 1.0

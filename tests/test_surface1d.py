@@ -403,6 +403,76 @@ class TestStepStart:
         assert sum(np.array_equal(states, bumps) for states in seen) == 1
 
 
+def reference_flux_and_speed(q, model):
+    """_flux_and_speed with np.stack: the oracle of the preallocated
+    flux rows."""
+    # Newton trial states may dip below zero; clamping h keeps f defined
+    h = np.maximum(q[0], 0.0)
+    if model.flavor == "swe":
+        hu = q[1]
+        u = np.where(h > 0.0, hu / np.maximum(h, 1e-300), 0.0)
+        return (np.stack([hu, hu * u + 0.5 * model.gravity * h * h]),
+                np.abs(u) + np.sqrt(model.gravity * h))
+    speed = model.manning_speed(h)
+    return (model.flow_sign * h * speed)[None], 5.0 / 3.0 * speed
+
+
+def reference_llf_flux(q, model):
+    """llf_flux with np.concatenate and per-call wall ends: the oracle of
+    the preallocated padding."""
+    padded = np.concatenate([q[..., :1], q, q[..., -1:]], axis=-1)
+    kinds = (model.boundary_left, model.boundary_right)
+    walls = [end for kind, end in zip(kinds, (0, -1)) if kind == "reflect"]
+    if model.flavor == "swe":
+        padded[1, ..., walls] = -padded[1, ..., walls]
+    flux, speed = reference_flux_and_speed(padded, model)
+    faces = (0.5 * (flux[..., :-1] + flux[..., 1:])
+             - 0.5 * np.maximum(speed[..., :-1], speed[..., 1:])
+             * (padded[..., 1:] - padded[..., :-1]))
+    if model.flavor == "kinematic":
+        faces[..., walls] = 0.0
+    return faces
+
+
+def assert_same_bytes(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+class TestFluxOracle:
+    @pytest.mark.parametrize("num_x", [1, 2, 6])
+    @pytest.mark.parametrize("right", ["copy", "reflect"])
+    @pytest.mark.parametrize("left", ["copy", "reflect"])
+    @pytest.mark.parametrize("flavor", ["swe", "kinematic"])
+    def test_matches_concatenate_and_stack_bitwise(self, flavor, left, right,
+                                                   num_x):
+        model, q, _ = rainy_state(flavor, num_x, boundary_left=left,
+                                  boundary_right=right)
+        # Newton trials: negative and zero depths next to wet cells
+        q[0, ::3] = -0.02
+        q[0, 1::3] = 0.0
+        flat = q.ravel()
+        bumps = np.tile(flat, (flat.size, 1))
+        bumps[np.diag_indices(flat.size)] -= 0.1
+        # (n_comp, cells), (n_comp, B, cells) as StepStart passes the bumps
+        # (a strided view) and the same batch contiguous
+        batch = bumps.reshape(-1, *q.shape).swapaxes(0, 1)
+        for states in (q, batch, np.ascontiguousarray(batch)):
+            assert_same_bytes(llf_flux(states, model),
+                              reference_llf_flux(states, model))
+            padded = np.concatenate(
+                [states[..., :1], states, states[..., -1:]], axis=-1)
+            for got, want in zip(surface1d._flux_and_speed(padded, model),
+                                 reference_flux_and_speed(padded, model)):
+                assert_same_bytes(got, want)
+
+    def test_leaves_its_input_alone(self):
+        model, q, _ = rainy_state("swe", 4, **WALLS)
+        before = q.copy()
+        llf_flux(q, model)
+        assert np.array_equal(q, before)
+
+
 class TestProbe:
     def test_kinematic_probe(self):
         model = kinematic_model()
