@@ -32,9 +32,17 @@ horizontally (they are baked in per quadrature point at workspace setup).
 The Jacobian is assembled straight into a CSC pattern fixed at setup: one
 bincount sums the element matrices (duplicates in element order), Dirichlet
 rows become identity rows and a constrained matrix drops its exact zeros,
-bit for bit the matrix a COO -> CSR -> "+ diags" -> CSC chain gives.  Its
-arrays (data, indices, indptr) go to SuperLU's gssv exactly as
-scipy.sparse.linalg.spsolve would pass them, without a sparse matrix object.
+bit for bit the matrix a COO -> CSR -> "+ diags" -> CSC chain gives.  The
+pattern work is done once per Dirichlet node set (a SolvePlan): the slots a
+constrained matrix keeps, and the column order SuperLU's gssv gives that
+pattern (COLAMD, then its column etree postorder; both read the pattern
+only).  Each solve then hands SuperLU the matrix already in that order, rows
+and columns alike, and asks for no ordering of its own: the factorization
+does the same arithmetic as scipy.sparse.linalg.spsolve on the matrix,
+without a sparse matrix object, and gives the same bits.  A kept entry that
+cancels to an exact zero (saturated soil on some grids) leaves the fixed
+pattern; that Jacobian is compacted to its nonzeros as scipy stores it and
+solved by scipy's own gssv call, which orders it afresh.
 """
 
 from __future__ import annotations
@@ -145,14 +153,37 @@ def top_dirichlet(grid: Grid2D, values) -> DirichletData:
         np.asarray(values, dtype=float), nodes.shape).copy())
 
 
-def spsolve(matrix: tuple[np.ndarray, np.ndarray, np.ndarray],
-            rhs: np.ndarray) -> np.ndarray:
-    """Solve the square CSC system (data, indices, indptr) for rhs by the
-    gssv call of scipy.sparse.linalg.spsolve, with its arguments; an exactly
-    singular matrix warns MatrixRankWarning and gives NaN, as there."""
-    data, indices, indptr = matrix
-    x, info = _superlu.gssv(len(indptr) - 1, len(data), data, indices,
-                            indptr, rhs, 1, options=dict(ColPerm="COLAMD"))
+# The pattern work of the Jacobian for one Dirichlet node set.  slots picks
+# the kept entries of the full pattern (all but the off-diagonals of
+# constrained rows), indices and indptr are their CSC pattern and diagonal
+# the data position of each constrained diagonal.  perm_c is the final column
+# order gssv gives that pattern and inverse its inverse; ordered gathers the
+# data of P^T A P, whose pattern is ordered_indices and ordered_indptr.
+SolvePlan = namedtuple("SolvePlan", "slots indices indptr diagonal perm_c "
+                       "inverse ordered ordered_indices ordered_indptr")
+# The CSC arrays of a Jacobian and the SolvePlan that solves them, or None
+Jacobian = namedtuple("Jacobian", "data indices indptr plan")
+
+
+def spsolve(matrix: Jacobian, rhs: np.ndarray) -> np.ndarray:
+    """Solve the square CSC system for rhs, bit for bit as the gssv call of
+    scipy.sparse.linalg.spsolve; an exactly singular matrix warns
+    MatrixRankWarning and gives NaN, as there."""
+    data, indices, indptr, plan = matrix
+    size = len(indptr) - 1
+    if plan is None:
+        x, info = _superlu.gssv(size, len(data), data, indices, indptr, rhs,
+                                1, options=dict(ColPerm="COLAMD"))
+    else:
+        # P^T A P is already in gssv's order, so SuperLU's own ordering is
+        # the identity.  Rows are relabelled with the columns because the
+        # pivot search prefers each column's diagonal; each column keeps the
+        # stored order of its rows, which SuperLU visits in that order.
+        y, info = _superlu.gssv(
+            size, len(data), data[plan.ordered], plan.ordered_indices,
+            plan.ordered_indptr, rhs[plan.inverse], 1,
+            options=dict(ColPerm="NATURAL"))
+        x = y[plan.perm_c]
     if info != 0:
         warnings.warn("Matrix is exactly singular", MatrixRankWarning,
                       stacklevel=2)
@@ -216,6 +247,8 @@ class RichardsWorkspace:
         nodes = np.arange(num_nodes + 1)
         self._indptr = np.searchsorted(keys, nodes * num_nodes).astype(np.intc)
         self._diag = np.searchsorted(keys, nodes[:-1] * (num_nodes + 1))
+        # one SolvePlan per Dirichlet node set, keyed by its node bytes
+        self._plans: dict[bytes | None, SolvePlan] = {}
         # top-edge midpoints for the interface flux
         self._top = grid.top_node_indices()
         self._top_bound = material.at((np.arange(grid.num_x) + 0.5) * grid.dx)
@@ -265,29 +298,62 @@ class RichardsWorkspace:
                     + np.einsum("eq,qab->eab", soil.hydraulic_conductivity,
                                 self.grad_outer)))
 
+    def _plan(self, dirichlet: DirichletData | None) -> SolvePlan:
+        """The SolvePlan of the node set of dirichlet, made on first use."""
+        key = None if dirichlet is None else dirichlet.nodes.tobytes()
+        if key in self._plans:
+            return self._plans[key]
+        nodes = np.empty(0, int) if dirichlet is None else dirichlet.nodes
+        num_nodes = self.grid.num_nodes
+        constrained = np.zeros(num_nodes, dtype=bool)
+        constrained[nodes] = True
+        keep = ~constrained[self._rows]
+        keep[self._diag[nodes]] = True
+        position = np.zeros(len(keep) + 1, dtype=np.intc)
+        np.cumsum(keep, out=position[1:])
+        slots = np.flatnonzero(keep)
+        indices, indptr = self._rows[slots], position[self._indptr]
+        diagonal = position[self._diag]
+        # gssv's column order depends on the pattern only, so factoring any
+        # nonsingular values gives it: here strictly diagonally dominant
+        # columns (the copy lets the factorization go)
+        counts = np.diff(indptr)
+        stand_in = np.full(len(indices), -1.0)
+        stand_in[diagonal] = counts
+        perm_c = _superlu.gstrf(
+            num_nodes, len(indices), stand_in, indices, indptr,
+            csc_construct_func=None,
+            options=dict(ColPerm="COLAMD")).perm_c.copy()
+        inverse = np.argsort(perm_c)
+        ordered_counts = counts[inverse]
+        ordered_indptr = np.zeros(num_nodes + 1, dtype=np.intc)
+        np.cumsum(ordered_counts, out=ordered_indptr[1:])
+        ordered = (np.repeat(indptr[inverse] - ordered_indptr[:-1],
+                             ordered_counts) + np.arange(len(indices)))
+        plan = self._plans[key] = SolvePlan(
+            slots, indices, indptr, diagonal[nodes], perm_c, inverse,
+            ordered, perm_c[indices[ordered]], ordered_indptr)
+        return plan
+
     def jacobian(self, fields: QuadratureFields, dt: float,
-                 dirichlet: DirichletData | None,
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                 dirichlet: DirichletData | None) -> Jacobian:
         """The CSC arrays (data, indices, indptr) of the Jacobian at
-        fields."""
+        fields, with the plan that solves them (None once compacted)."""
+        plan = self._plan(dirichlet)
         # duplicates are summed in element order
         data = np.bincount(self._slot,
                            self._element_jacobians(fields, dt).ravel(),
-                           len(self._rows))
-        rows, indptr = self._rows, self._indptr
-        if dirichlet is not None:
-            constrained = np.zeros(self.grid.num_nodes, dtype=bool)
-            constrained[dirichlet.nodes] = True
-            data[constrained[rows]] = 0.0
-            data[self._diag[dirichlet.nodes]] = 1.0
-            # SuperLU orders columns by the stored pattern: keep it to the
-            # nonzeros, as scipy's canonical sparse sum "+ diags" stores
+                           len(self._rows))[plan.slots]
+        data[plan.diagonal] = 1.0
+        if dirichlet is not None and not data.all():
+            # an exact cancellation: keep the matrix to its nonzeros, as
+            # scipy's canonical sparse sum "+ diags" stores it
             keep = data != 0.0
-            data, rows = data[keep], rows[keep]
             kept = np.zeros(len(keep) + 1, dtype=np.intc)
             np.cumsum(keep, out=kept[1:])
-            indptr = kept[indptr]
-        return data, rows, indptr
+            return Jacobian(data[keep], plan.indices[keep],
+                            kept[plan.indptr], None)
+        return Jacobian(data, plan.indices, plan.indptr, plan)
 
     # ── solves ───────────────────────────────────────────────────────────
 

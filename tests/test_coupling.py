@@ -215,12 +215,14 @@ class TestCoupledStep:
         assert record.line_search_failures == 2 * int(reverse_first)
 
     @pytest.mark.parametrize("name, settings", [
-        ("trench-mixed", {"tol": 1e-10}), ("hillslope-silt", {})])
+        ("trench-mixed", {"tol": 1e-10}), ("hillslope-silt", {}),
+        ("trench-loam", {"tol": 1e-10}), ("trench-clay", {}),
+        ("hillslope-sandy", {})])
     def test_direct_kernels_match_scipy_and_reference_bitwise(
             self, monkeypatch, name, settings):
-        """The gssv call on the CSC arrays and the preallocated llf_flux
-        give the run that scipy's spsolve on a csc_matrix of the same
-        arrays and the concatenate/stack llf_flux give, bit for bit."""
+        """The planned gssv call on the CSC arrays and the preallocated
+        llf_flux give the run that scipy's spsolve on a csc_matrix of the
+        same arrays and the concatenate/stack llf_flux give, bit for bit."""
         config = replace(scenarios.preset(name), num_steps=20, **settings)
 
         def run():
@@ -232,7 +234,8 @@ class TestCoupledStep:
 
         def scipy_spsolve(arrays, rhs):
             n = len(arrays[2]) - 1
-            return spsolve(sparse.csc_matrix(arrays, shape=(n, n)), rhs)
+            return spsolve(sparse.csc_matrix(arrays[:3], shape=(n, n)),
+                           rhs)
 
         monkeypatch.setattr(richards2d, "spsolve", scipy_spsolve)
         monkeypatch.setattr(surface1d, "llf_flux", reference_llf_flux)

@@ -6,13 +6,17 @@ and the implicit step against regimes with known behaviour (hydrostatic
 rest, fully saturated linear flow).
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy import sparse
 from scipy.sparse.linalg import MatrixRankWarning, spsolve
+from scipy.sparse.linalg._dsolve import _superlu
 
 from coupledflow import richards2d, scenarios
+from coupledflow.coupling import run_simulation
 from coupledflow.iteration import NewtonError
 from coupledflow.material import SOIL_PRESETS, MaterialField
 from coupledflow.richards2d import (
@@ -290,20 +294,81 @@ class TestJacobian:
         with pytest.warns(MatrixRankWarning, match="singular"):
             got = richards2d.spsolve(arrays, rhs)
         with pytest.warns(MatrixRankWarning, match="singular"):
-            want = spsolve(sparse.csc_matrix(arrays, shape=(n, n)), rhs)
+            want = spsolve(sparse.csc_matrix(arrays[:3], shape=(n, n)), rhs)
         assert np.all(np.isnan(got)) and np.all(np.isnan(want))
         assert got.shape == want.shape == (n,)
 
     def test_saturated_cancellations_are_dropped(self):
         """Exact zeros stay in the full pattern, which is what the assembly
-        stores without constraints; a constrained system stores none."""
+        stores without constraints; a constrained system stores none: it
+        leaves its plan and solves as scipy's spsolve on the chain."""
         work = RichardsWorkspace(cancelling_grid(), SILT)
         psi = np.full(work.grid.num_nodes, 0.5)
-        full, _, _ = work.jacobian(work.at_qp(psi), 36.0, None)
-        assert np.count_nonzero(full == 0.0) > 0
-        constrained, _, _ = work.jacobian(work.at_qp(psi), 36.0,
-                                          top_dirichlet(work.grid, 0.1))
-        assert np.all(constrained != 0.0)
+        full = work.jacobian(work.at_qp(psi), 36.0, None)
+        assert np.count_nonzero(full.data == 0.0) > 0
+        assert full.plan is not None
+        dirichlet = top_dirichlet(work.grid, 0.1)
+        constrained = work.jacobian(work.at_qp(psi), 36.0, dirichlet)
+        assert np.all(constrained.data != 0.0)
+        assert constrained.plan is None
+        assert len(constrained.data) < len(work._plan(dirichlet).indices)
+        want = coo_assembly(work, psi, 36.0, dirichlet)
+        for array, name in zip(constrained, ("data", "indices", "indptr")):
+            assert_bitwise_equal(array, getattr(want, name))
+        rhs = np.random.default_rng(41).normal(size=work.grid.num_nodes)
+        assert_bitwise_equal(richards2d.spsolve(constrained, rhs),
+                             spsolve(want, rhs))
+
+    @pytest.mark.parametrize("soil", ["silt", "trench-mixed"])
+    def test_one_workspace_plans_each_node_set(self, soil):
+        """Node sets interleaved on one workspace each get their own plan;
+        every Jacobian and solve is the COO chain's, bit for bit."""
+        if soil == "silt":
+            work = RichardsWorkspace(cancelling_grid(), SILT)
+        else:
+            work = scenarios.build_all(
+                scenarios.preset("trench-mixed"))[0].workspace
+        grid = work.grid
+        top = top_dirichlet(grid, 0.1)
+        cases = {"none": None, "top": top,
+                 "top+walls": top.merged_with(wall_dirichlet(grid))}
+        rng = np.random.default_rng(37)
+        for name in ("top", "none", "top+walls", "top", "top+walls", "none",
+                     "top"):
+            dirichlet = cases[name]
+            psi = rng.uniform(-3.0, -0.05, grid.num_nodes)
+            got = work.jacobian(work.at_qp(psi), 36.0, dirichlet)
+            assert got.plan is work._plan(dirichlet)
+            want = coo_assembly(work, psi, 36.0, dirichlet)
+            for array, field in zip(got, ("data", "indices", "indptr")):
+                assert_bitwise_equal(array, getattr(want, field))
+            rhs = rng.normal(size=grid.num_nodes)
+            assert_bitwise_equal(richards2d.spsolve(got, rhs),
+                                 spsolve(want, rhs))
+        assert len(work._plans) == 3
+
+    def test_run_orders_its_pattern_once(self, monkeypatch):
+        """20 coupled steps factor the stand-in values once and never ask
+        gssv for a column ordering."""
+        calls = {"gstrf": 0, "gssv": 0, "ordering": 0}
+        gstrf, gssv = _superlu.gstrf, _superlu.gssv
+
+        def counting_gstrf(*args, **kwargs):
+            calls["gstrf"] += 1
+            return gstrf(*args, **kwargs)
+
+        def counting_gssv(*args, options):
+            calls["gssv"] += 1
+            calls["ordering"] += options.get("ColPerm", "COLAMD") != "NATURAL"
+            return gssv(*args, options=options)
+
+        monkeypatch.setattr(_superlu, "gstrf", counting_gstrf)
+        monkeypatch.setattr(_superlu, "gssv", counting_gssv)
+        config = replace(scenarios.preset("trench-mixed"), num_steps=20)
+        result = run_simulation(*scenarios.build_all(config))
+        assert all(record.converged for record in result.records)
+        assert calls["gstrf"] == 1 and calls["ordering"] == 0
+        assert calls["gssv"] >= 40
 
     def test_directional_finite_difference(self):
         grid = small_grid()
@@ -314,7 +379,7 @@ class TestJacobian:
         work = RichardsWorkspace(grid, SILT)
         dt = 1.0e5
         matrix = sparse.csc_matrix(
-            work.jacobian(work.at_qp(psi), dt, dirichlet=None),
+            work.jacobian(work.at_qp(psi), dt, dirichlet=None)[:3],
             shape=(grid.num_nodes, grid.num_nodes))
         theta_old = work.at_qp(psi_old).soil.theta
         for trial in range(3):
@@ -336,7 +401,7 @@ class TestJacobian:
         work = RichardsWorkspace(grid, CLAY)
         dt = 50.0
         matrix = sparse.csc_matrix(
-            work.jacobian(work.at_qp(psi), dt, dirichlet=None),
+            work.jacobian(work.at_qp(psi), dt, dirichlet=None)[:3],
             shape=(grid.num_nodes, grid.num_nodes)).toarray()
         assert np.max(np.abs(matrix - matrix.T)) <= 1e-12 * np.max(
             np.abs(matrix))
@@ -350,7 +415,7 @@ class TestJacobian:
         data = top_dirichlet(grid, 0.1)
         work = RichardsWorkspace(grid, SILT)
         matrix = sparse.csc_matrix(
-            work.jacobian(work.at_qp(psi), 1.0, data),
+            work.jacobian(work.at_qp(psi), 1.0, data)[:3],
             shape=(grid.num_nodes, grid.num_nodes)).toarray()
         for node in data.nodes:
             row = np.zeros(grid.num_nodes)

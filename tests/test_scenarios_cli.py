@@ -288,7 +288,8 @@ class TestCsv:
     def test_single_header(self, tmp_path):
         path = str(tmp_path / "t.csv")
         write_csv(path, ("a", "b"), [{"a": 1, "b": 2}, {"a": 3, "b": 4}])
-        lines = open(path).read().splitlines()
+        with open(path) as handle:
+            lines = handle.read().splitlines()
         assert lines == ["a,b", "1,2", "3,4"]
 
 
