@@ -20,6 +20,8 @@ scenarios
     Presets, INI ingestion and CSV writers for the benchmark runs.
 cli
     ``coupledflow`` command line entry point.
+_compiled
+    scipy's compiled SuperLU and LAPACK modules, without scipy's packages.
 """
 
 __version__ = "0.1.0"

@@ -19,6 +19,7 @@ interface map is affine with slope Sigma(omega) = omega S + 1 - omega, which
 is what the testbench demonstrates through iteration.fixed_point.
 The interior matrix is factored once per run (LAPACK dpttrf in build_system)
 and each sweep back-substitutes (dpttrs): the arithmetic of a dptsv solve.
+Both come from scipy's compiled _flapack, loaded without scipy.linalg.
 """
 
 from __future__ import annotations
@@ -26,11 +27,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg.lapack import dpttrf, dpttrs
 
+from ._compiled import extension
 from .analysis import (AnalysisResult, LinearModelParams, discrete_S, sigma,
                        toeplitz_coeffs)
 from .iteration import fixed_point, observed_cr
+
+_flapack = extension("scipy.linalg._flapack")
+dpttrf, dpttrs = _flapack.dpttrf, _flapack.dpttrs
 
 
 @dataclass(frozen=True)

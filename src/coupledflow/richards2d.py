@@ -42,7 +42,11 @@ does the same arithmetic as scipy.sparse.linalg.spsolve on the matrix,
 without a sparse matrix object, and gives the same bits.  A kept entry that
 cancels to an exact zero (saturated soil on some grids) leaves the fixed
 pattern; that Jacobian is compacted to its nonzeros as scipy stores it and
-solved by scipy's own gssv call, which orders it afresh.
+solved by scipy's own gssv call, which orders it afresh.  SuperLU's _superlu
+is loaded on its own (_compiled.extension), without scipy.sparse;
+MatrixRankWarning is imported only when a solve finds the matrix singular.
+Building a workspace frees one untouched 16 MiB block so that glibc keeps
+SuperLU's per-solve workspace on the heap (see RichardsWorkspace).
 """
 
 from __future__ import annotations
@@ -53,10 +57,11 @@ from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import MatrixRankWarning
-from scipy.sparse.linalg._dsolve import _superlu
 
+from ._compiled import extension
 from .iteration import NewtonReport, damped_newton
+
+_superlu = extension("scipy.sparse.linalg._dsolve._superlu")
 
 NEWTON_ABS_TOL = 1e-10
 NEWTON_REL_TOL = 1e-8
@@ -185,6 +190,7 @@ def spsolve(matrix: Jacobian, rhs: np.ndarray) -> np.ndarray:
             options=dict(ColPerm="NATURAL"))
         x = y[plan.perm_c]
     if info != 0:
+        from scipy.sparse.linalg import MatrixRankWarning
         warnings.warn("Matrix is exactly singular", MatrixRankWarning,
                       stacklevel=2)
         x.fill(np.nan)
@@ -234,6 +240,12 @@ class RichardsWorkspace:
         node_x, _ = grid.node_coords()
         self.qp_x = node_x[self.conn] @ self.shape.T
         self.bound = material.at(self.qp_x)
+        # Freeing a block that malloc mapped raises glibc's mmap threshold to
+        # its size and the trim threshold to twice that (mallopt(3), dynamic
+        # mmap threshold).  This untouched 16 MiB block therefore keeps
+        # SuperLU's per-solve LU workspace on the heap: without it each gssv
+        # call maps, faults in and unmaps that workspace afresh.
+        np.empty(1 << 21)
         # CSC pattern of the assembled Jacobian: the data slot of each of the
         # 16 entries per element, the row of each slot, the column starts
         # and the slot of each diagonal entry (C int indices, as SuperLU's)

@@ -6,6 +6,10 @@ and the implicit step against regimes with known behaviour (hydrostatic
 rest, fully saturated linear flow).
 """
 
+import os
+import platform
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -369,6 +373,36 @@ class TestJacobian:
         assert all(record.converged for record in result.records)
         assert calls["gstrf"] == 1 and calls["ordering"] == 0
         assert calls["gssv"] >= 40
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="glibc's dynamic mmap threshold")
+    def test_solves_keep_superlu_workspace_on_the_heap(self):
+        """In a fresh interpreter, twenty solves of the 1,365-node
+        trench-loam Jacobian fault in under five pages each on average:
+        building the workspace keeps SuperLU's LU workspace on the heap;
+        without its 16 MiB block every solve maps the workspace afresh and
+        faults in about 220 pages."""
+        code = """
+import resource
+import numpy as np
+from coupledflow import richards2d, scenarios
+problem, state = scenarios.build_all(scenarios.load_config(
+    base="trench-loam", overrides=["grid.num_x=20", "grid.num_z=64"]))
+work = problem.workspace
+assert work.grid.num_nodes == 1365
+matrix = work.jacobian(work.at_qp(state.psi), problem.dt, problem.dirichlet)
+rhs = np.random.default_rng(43).normal(size=1365)
+richards2d.spsolve(matrix, rhs)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(20):
+    richards2d.spsolve(matrix, rhs)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
+"""
+        src = os.path.dirname(os.path.dirname(richards2d.__file__))
+        run = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=src))
+        assert float(run.stdout) < 5.0
 
     def test_directional_finite_difference(self):
         grid = small_grid()

@@ -35,6 +35,13 @@ from coupledflow.scenarios import (
 )
 
 
+def fresh_python(*args: str) -> subprocess.CompletedProcess:
+    """python with args, in a new interpreter that finds this package."""
+    src = os.path.dirname(os.path.dirname(coupledflow.__file__))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src))
+
+
 class TestUnits:
     def test_direction_of_conversion(self):
         assert_allclose(per_hour_to_si(0.1), 0.1 / 3600.0, rtol=1e-15)
@@ -422,13 +429,68 @@ class TestCli:
                          "--out", str(tmp_path / "top")]) == 0
 
     def test_import_leaves_out_optimize_and_multiprocessing(self):
-        src = os.path.dirname(os.path.dirname(coupledflow.__file__))
-        env = dict(os.environ, PYTHONPATH=src)
+        """Nor does it run scipy's sparse or linalg packages: the solvers
+        load only scipy's compiled SuperLU and LAPACK modules."""
         code = ("import coupledflow.cli, sys; print(sorted(name for name in "
-                "('scipy.optimize', 'multiprocessing') if name in sys.modules))")
-        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                             capture_output=True, text=True).stdout
-        assert out.strip() == "[]"
+                "('scipy.optimize', 'multiprocessing', 'scipy.sparse', "
+                "'scipy.sparse.linalg', 'scipy.linalg', 'numpy.f2py') "
+                "if name in sys.modules))")
+        assert fresh_python("-c", code).stdout.strip() == "[]"
+
+    def test_solver_modules_loaded_before_scipy_match_bitwise(self,
+                                                              tmp_path):
+        """The suite's MatrixRankWarning filter imports scipy before any
+        test, so only a fresh interpreter loads SuperLU and LAPACK on their
+        own: its runs give the bytes of the same runs here, and scipy,
+        imported afterwards, shares the modules and still solves."""
+        runs = {"sim": ["simulate", "--scenario", "trench-mixed",
+                        "--override", "coupling.num_steps=20",
+                        "--override", "coupling.tol=1e-10"],
+                "lin": ["linrun", "--omega", "0.5", "--steps", "20"]}
+        code = f"""
+import os, sys
+from coupledflow import cli, linear1d, richards2d
+assert not {{'scipy.sparse', 'scipy.linalg'}} & set(sys.modules)
+for name, argv in {runs!r}.items():
+    assert cli.main(argv + ["--out", os.path.join(sys.argv[1], name)]) == 0
+import numpy as np
+from scipy.linalg.lapack import dpttrf
+from scipy.sparse import csc_matrix
+from scipy.sparse.linalg import splu, spsolve
+from scipy.sparse.linalg._dsolve import _superlu
+from scipy.linalg import _flapack
+assert _superlu is richards2d._superlu and _flapack is linear1d._flapack
+matrix = csc_matrix(np.diag([4.0] * 3) + np.diag([1.0] * 2, 1)
+                    + np.diag([1.0] * 2, -1))
+rhs = np.array([5.0, 6.0, 5.0])
+assert np.allclose(spsolve(matrix, rhs), 1.0)
+assert np.allclose(splu(matrix).solve(rhs), 1.0)
+d, e, info = dpttrf(np.full(3, 4.0), np.full(2, 1.0))
+assert info == 0 and np.allclose(d[0], 4.0)
+print("shared")
+"""
+        fresh = fresh_python("-c", code, str(tmp_path / "fresh"))
+        assert fresh.returncode == 0, fresh.stderr
+        assert fresh.stdout.split()[-1] == "shared"
+        for name, argv in runs.items():
+            here = tmp_path / "here" / name
+            assert cli.main(argv + ["--out", str(here)]) == 0
+            files = sorted(os.listdir(here))
+            assert sorted(os.listdir(tmp_path / "fresh" / name)) == files
+            for file in files:
+                assert ((tmp_path / "fresh" / name / file).read_bytes()
+                        == (here / file).read_bytes()), file
+
+    def test_singular_solve_in_a_fresh_process_warns_and_exits_4(self,
+                                                                 tmp_path):
+        """The standalone SuperLU path still warns scipy's warning."""
+        run = fresh_python("-m", "coupledflow.cli", "simulate",
+                           "--scenario", "trench-loam",
+                           "--override", "soil.k_s=1e308",
+                           "--override", "coupling.num_steps=2",
+                           "--out", str(tmp_path / "ks"))
+        assert run.returncode == 4
+        assert "MatrixRankWarning: Matrix is exactly singular" in run.stderr
 
     def test_linrun_reports_rate(self, tmp_path, capsys):
         code = cli.main(["linrun", "--omega", "0.5", "--tol", "1e-10",
