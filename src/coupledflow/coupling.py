@@ -1,17 +1,17 @@
 """Partitioned, sequential coupling of the subsurface and surface solvers.
 
 The coupled state is one record: the nodal soil heads psi, the surface cell
-averages q (rows h, hu for swe, h for kinematic) and the time.  Within each
-time step the two solvers exchange interface data in a fixed point loop,
-iteration.fixed_point (Gauss-Seidel order, subsurface first):
+averages q (rows h, hu for swe, h for kinematic) and the time.  A step runs
+iteration.fixed_point (Gauss-Seidel, subsurface first) on its interface map
+StepMap(problem, state), h -> h_tilde, set up once from at_qp(psi_old), the
+rain rate and the surface StepStart; a call does 1-3, the loop 4-5:
 
-  1. the surface heights of the previous iterate become Dirichlet head
-     values on the soil's top boundary (map_height_to_head),
-  2. the subsurface step is solved from the fields the last sweep returned
-     (at first at_qp(psi_old)); its top-edge Darcy flux integrals [m^2/s],
-     divided by the cell width, plus the rain rate are the per-cell surface
-     source [m/s] (water leaving the soil adds to the surface),
-  3. the surface step is solved from the step's StepStart for h_tilde,
+  1. maps the heights h to top Dirichlet heads (map_height_to_head),
+  2. solves the subsurface step from the fields the previous call returned;
+     its top-edge Darcy flux integrals [m^2/s], divided by the cell width,
+     plus the rain rate are the per-cell surface source [m/s] (water
+     leaving the soil adds to the surface),
+  3. solves the surface step from the StepStart for h_tilde = q[0],
   4. the new iterate is the relaxed blend omega*h_tilde + (1-omega)*h_prev,
   5. the loop stops when res = ||h_tilde - h_prev||_2 falls below tol.
 
@@ -170,51 +170,63 @@ def predict_S(psi: np.ndarray, grid: Grid2D, node_material,
                             omega_opt=result.omega_opt)
 
 
+class StepMap:
+    """The interface map h -> h_tilde of one coupled time step.
+
+    Each call warm-starts the soil step from the previous call's fields and
+    keeps the new fields, a fresh q and the summed counts on the map: call
+    copy.copy(step_map) at heights of your own to leave them be.
+    """
+
+    def __init__(self, problem: CoupledProblem, state: CoupledState):
+        self.problem = problem
+        self.time = state.time + problem.dt
+        self.rain_rate = problem.rain_at(self.time)
+        self.fields = problem.workspace.at_qp(state.psi)
+        self.theta_old_qp = self.fields.soil.theta
+        self.surface = StepStart(state.q, problem.dt, problem.grid.dx,
+                                 problem.surface_model)
+        self.q = state.q
+        self.newton_iterations, self.clamped_volume = 0, 0.0
+        self.line_search_failures = 0
+
+    def __call__(self, h: np.ndarray) -> np.ndarray:
+        problem = self.problem
+        values = problem.dirichlet.values.copy()
+        values[:h.size + 1] = map_height_to_head(h)
+        dirichlet = problem.dirichlet.with_values(values)
+        self.fields, newton_report = problem.workspace.newton_step(
+            self.fields, self.theta_old_qp, problem.dt, dirichlet)
+        source = (problem.workspace.interface_flux(self.fields.psi)
+                  / problem.grid.dx + self.rain_rate)
+        self.q, surf_report, clamped = implicit_fv_step(self.surface, source)
+        self.newton_iterations += newton_report.iterations
+        self.clamped_volume += clamped
+        self.line_search_failures += (newton_report.line_search_failures
+                                      + surf_report.line_search_failures)
+        return self.q[0]
+
+
 def run_coupled_step(problem: CoupledProblem, state: CoupledState,
                      ) -> tuple[CoupledState, StepRecord]:
     """Advance the coupled system by one time step."""
     step = int(round(state.time / problem.dt)) + 1
-    time_new = state.time + problem.dt
-    rain_rate = problem.rain_at(time_new)
-    fields = problem.workspace.at_qp(state.psi)
-    theta_old_qp = fields.soil.theta
-    surface = StepStart(state.q, problem.dt, problem.grid.dx,
-                        problem.surface_model)
-    q_new, newton_iters, clamped, failures = state.q, 0, 0.0, 0
-
-    def sweep(h_iter: np.ndarray) -> np.ndarray:
-        nonlocal fields, q_new, newton_iters, clamped, failures
-        values = problem.dirichlet.values.copy()
-        values[:h_iter.size + 1] = map_height_to_head(h_iter)
-        dirichlet = problem.dirichlet.with_values(values)
-        # warm start from the previous sweep's field and its closures
-        fields, newton_report = problem.workspace.newton_step(
-            fields, theta_old_qp, problem.dt, dirichlet)
-        source = (problem.workspace.interface_flux(fields.psi)
-                  / problem.grid.dx + rain_rate)
-        q_new, surf_report, clamped_volume = implicit_fv_step(surface, source)
-        newton_iters += newton_report.iterations
-        clamped += clamped_volume
-        failures += (newton_report.line_search_failures
-                     + surf_report.line_search_failures)
-        return q_new[0]
-
-    h_new, _, residuals = fixed_point(sweep, state.q[0], problem.omega,
+    step_map = StepMap(problem, state)
+    h_new, _, residuals = fixed_point(step_map, state.q[0], problem.omega,
                                       problem.tol, problem.max_iters,
                                       np.linalg.norm)
     if not residuals[-1] < problem.tol:
         raise CouplingDivergedError(step, tuple(residuals))
-
-    # every sweep returns a fresh q, so this leaves state.q alone
-    q_new[0] = h_new
-    predicted = predict_S(fields.psi, problem.grid, problem.node_material,
-                          problem.dt)
-    record = StepRecord(step=step, time=time_new, iterations=len(residuals),
-                        converged=True, residuals=tuple(residuals),
-                        cr=observed_cr(residuals), predicted=predicted,
-                        newton_iterations=newton_iters,
-                        clamped_volume=clamped, line_search_failures=failures)
-    return CoupledState(psi=fields.psi, q=q_new, time=time_new), record
+    step_map.q[0] = h_new
+    psi = step_map.fields.psi
+    predicted = predict_S(psi, problem.grid, problem.node_material, problem.dt)
+    record = StepRecord(
+        step=step, time=step_map.time, iterations=len(residuals),
+        converged=True, residuals=tuple(residuals), cr=observed_cr(residuals),
+        predicted=predicted, newton_iterations=step_map.newton_iterations,
+        clamped_volume=step_map.clamped_volume,
+        line_search_failures=step_map.line_search_failures)
+    return CoupledState(psi=psi, q=step_map.q, time=step_map.time), record
 
 
 @dataclass(frozen=True)

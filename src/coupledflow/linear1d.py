@@ -43,8 +43,9 @@ class Linear1DSystem:
 
     The coupling column of the full system has exactly one nonzero entry,
     equal to ``off_diag``, in the last interior slot; the interface diagonal
-    block is ``diag / 2``.  ``factor`` is dpttrf's ``(d, e, info)`` (None for
-    one interior unknown); ``rhs_old`` is M_II psi_I_old + M_IG psi_G_old.
+    block is ``diag / 2``; ``rhs_old`` is M_II psi_I_old + M_IG psi_G_old.
+    ``factor`` is dpttrf's ``(d, e, info)``, None for one interior unknown:
+    dpttrf rejects the empty off-diagonal of a 1x1 system.
     """
 
     params: LinearModelParams
@@ -138,7 +139,7 @@ def subsurface_solve(sys: Linear1DSystem,
     if not np.isfinite(rhs).all():
         raise ValueError("interior right-hand side must be finite")
     if sys.num_interior == 1:
-        # scipy's tridiagonal path rejects 1x1 systems
+        # dpttrf rejects the empty off-diagonal of a 1x1 system
         if sys.diag <= 0.0:
             raise ValueError("interior matrix is not positive definite")
         solution = rhs / sys.diag

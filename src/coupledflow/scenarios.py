@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import coupling, richards2d, surface1d
-from .coupling import CoupledProblem, CoupledState
+from .coupling import CoupledProblem, CoupledState, map_height_to_head
 from .material import SOIL_PRESETS, MaterialField
 from .richards2d import DirichletData, Grid2D
 from .surface1d import SurfaceModel
@@ -388,9 +388,12 @@ def side_dirichlet(config: ScenarioConfig,
 def build_initial_state(config: ScenarioConfig, grid: Grid2D,
                         model: SurfaceModel) -> CoupledState:
     x, z = grid.node_coords()
-    psi = np.asarray(config.psi0_at(x, z), dtype=float)
     q = np.zeros((model.num_components, grid.num_x))
     q[0] = config.h0
+    with np.errstate(over="ignore", invalid="ignore"):
+        psi = np.asarray(config.psi0_at(x, z), dtype=float)
+        if not np.isfinite(np.append(psi, map_height_to_head(q[0]))).all():
+            raise ConfigError("initial soil and top heads must be finite")
     return CoupledState(psi=psi, q=q, time=0.0)
 
 

@@ -6,7 +6,11 @@ sequences of the dedicated linearized column model, and its contraction
 rate must follow the closed-form slope of the interface update.
 """
 
+import copy
+import importlib
+import importlib.util
 from dataclasses import dataclass, replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -25,6 +29,7 @@ from coupledflow.coupling import (
     CoupledState,
     CouplingDivergedError,
     PredictedFactors,
+    StepMap,
     StepRecord,
     map_height_to_head,
     predict_S,
@@ -34,6 +39,7 @@ from coupledflow.coupling import (
     time_averaged_cr,
     trace_rows,
 )
+from coupledflow.iteration import fixed_point, observed_cr
 from coupledflow.material import SOIL_PRESETS, MaterialField
 from coupledflow.richards2d import DirichletData, Grid2D, top_dirichlet
 from coupledflow.surface1d import SurfaceModel
@@ -387,6 +393,89 @@ class TestSweepDirichlet:
         q[0, 3] = np.nan
         with pytest.raises(ValueError, match="finite"):
             run_coupled_step(problem, replace(state, q=q))
+
+
+class TestStepMap:
+    """Central differences through the public map StepMap of one step."""
+
+    @staticmethod
+    def converged_map(name: str, step: int, **settings):
+        config = replace(scenarios.preset(name), **settings)
+        problem, state = scenarios.build_all(config)
+        for _ in range(step - 1):
+            state, _ = run_coupled_step(problem, state)
+        step_map = StepMap(problem, state)
+        h, _, residuals = fixed_point(step_map, state.q[0], problem.omega,
+                                      problem.tol, problem.max_iters,
+                                      np.linalg.norm)
+        # omega = 1: the map's Jacobian is the loop's iteration matrix
+        assert residuals[-1] < problem.tol and problem.omega == 1.0
+        return step_map, h, residuals
+
+    @staticmethod
+    def spectral_radius(step_map: StepMap, h: np.ndarray,
+                        eps: float = 1e-5) -> float:
+        # each evaluation runs on a copy: the map keeps its warm start
+        kept = (step_map.fields, step_map.q, step_map.newton_iterations,
+                step_map.clamped_volume, step_map.line_search_failures)
+        columns = []
+        for j in range(h.size):
+            bump = np.zeros_like(h)
+            bump[j] = eps
+            columns.append((copy.copy(step_map)(h + bump)
+                            - copy.copy(step_map)(h - bump)) / (2.0 * eps))
+        assert step_map.fields is kept[0] and step_map.q is kept[1]
+        assert (step_map.newton_iterations, step_map.clamped_volume,
+                step_map.line_search_failures) == kept[2:]
+        return float(np.max(np.abs(np.linalg.eigvals(
+            np.column_stack(columns)))))
+
+    def test_radius_equals_observed_rate(self):
+        step_map, h, residuals = self.converged_map("trench-loam", 20,
+                                                    tol=1e-10)
+        cr = observed_cr(residuals)
+        assert cr is not None
+        assert_allclose(self.spectral_radius(step_map, h), cr, rtol=1e-3)
+
+    def test_radius_defined_where_observed_rate_is_not(self):
+        step_map, h, residuals = self.converged_map("hillslope-silt", 100)
+        assert len(residuals) == 2 and observed_cr(residuals) is None
+        radius = self.spectral_radius(step_map, h)
+        assert np.isfinite(radius) and radius > 0.0
+
+    def test_step_reads_the_map(self):
+        # run_coupled_step is fixed_point on StepMap, read off the map
+        problem, state = scenarios.build_all(scenarios.preset("trench-mixed"))
+        new, record = run_coupled_step(problem, state)
+        step_map = StepMap(problem, state)
+        h, _, residuals = fixed_point(step_map, state.q[0], problem.omega,
+                                      problem.tol, problem.max_iters,
+                                      np.linalg.norm)
+        assert tuple(residuals) == record.residuals
+        assert step_map.fields.psi.tobytes() == new.psi.tobytes()
+        assert h.tobytes() == new.q[0].tobytes()
+        assert step_map.q[1:].tobytes() == new.q[1:].tobytes()
+        assert (step_map.newton_iterations, step_map.clamped_volume,
+                step_map.line_search_failures) == (
+            record.newton_iterations, record.clamped_volume,
+            record.line_search_failures)
+
+
+class TestPerfbenchHooks:
+    def test_step_functions_resolve_in_the_package(self):
+        # perfbench times each step through these names; a refactor that
+        # renames a step function would silently drop the step timings
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "unit.py"
+        spec = importlib.util.spec_from_file_location("perfbench_unit", path)
+        unit = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(unit)
+        expected = {"coupling.run_coupled_step": coupling.run_coupled_step,
+                    "linear1d.run_time_step": linear1d.run_time_step}
+        assert set(unit.STEP_FUNCTION.values()) == set(expected)
+        for name in unit.STEP_FUNCTION.values():
+            module_name, attribute = unit.LAYER_FUNCTIONS[name]
+            module = importlib.import_module(f"coupledflow.{module_name}")
+            assert getattr(module, attribute) is expected[name]
 
 
 def fake_record(step: int, cr: float | None) -> StepRecord:

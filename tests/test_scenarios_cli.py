@@ -393,6 +393,12 @@ class TestCli:
         ["simulate", "--scenario", "trench-loam",
          "--cr-exclude-threshold", "-1"],
         ["linrun", "--tol", "inf"],
+        ["simulate", "--scenario", "trench-loam",
+         "--override", "initial.psi_z=1e308",
+         "--override", "coupling.num_steps=2"],
+        ["simulate", "--scenario", "trench-loam",
+         "--override", "initial.h=1e308",
+         "--override", "coupling.num_steps=2"],
     ])
     def test_out_of_range_numeric_flag_is_a_config_error(self, argv,
                                                          tmp_path, capsys):
