@@ -30,20 +30,19 @@ quadrature points from the interpolated psi, and material parameters may vary
 horizontally (they are baked in per quadrature point at workspace setup).
 
 The Jacobian is assembled straight into a CSC pattern fixed at setup: one
-bincount sums the element matrices (duplicates in element order), Dirichlet
-rows become identity rows and a constrained matrix drops its exact zeros,
-bit for bit the matrix a COO -> CSR -> "+ diags" -> CSC chain gives.  The
-pattern work is done once per Dirichlet node set (a SolvePlan): the slots a
-constrained matrix keeps, and the column order SuperLU's gssv gives that
-pattern (COLAMD, then its column etree postorder; both read the pattern
-only).  Each solve then hands SuperLU the matrix already in that order, rows
-and columns alike, and asks for no ordering of its own: the factorization
-does the same arithmetic as scipy.sparse.linalg.spsolve on the matrix,
-without a sparse matrix object, and gives the same bits.  A kept entry that
-cancels to an exact zero (saturated soil on some grids) leaves the fixed
-pattern; that Jacobian is compacted to its nonzeros as scipy stores it and
-solved by scipy's own gssv call, which orders it afresh.  SuperLU's _superlu
-is loaded on its own (_compiled.extension), without scipy.sparse;
+bincount sums the element matrices (duplicates in element order) and
+Dirichlet rows become identity rows, the matrix a COO -> CSR -> "+ diags" ->
+CSC chain gives.  The pattern work is done once per Dirichlet node set (a
+SolvePlan): the slots a constrained matrix keeps, and the column order
+SuperLU's gssv gives that pattern (COLAMD, then its column etree postorder;
+both read the pattern only).  Each solve then hands SuperLU the matrix
+already in that order, rows and columns alike, and asks for no ordering of
+its own: the factorization does the same arithmetic as
+scipy.sparse.linalg.spsolve on the same CSC arrays, without a sparse matrix
+object, and gives the same bits.  A kept entry that cancels to an exact zero
+(saturated soil on some grids) stays in the fixed pattern as a stored zero,
+where the chain would drop it.  SuperLU's _superlu is loaded on its own
+(_compiled.extension), without scipy.sparse;
 MatrixRankWarning is imported only when a solve finds the matrix singular.
 Building a workspace frees one untouched 16 MiB block so that glibc keeps
 SuperLU's per-solve workspace on the heap (see RichardsWorkspace).
@@ -166,29 +165,24 @@ def top_dirichlet(grid: Grid2D, values) -> DirichletData:
 # data of P^T A P, whose pattern is ordered_indices and ordered_indptr.
 SolvePlan = namedtuple("SolvePlan", "slots indices indptr diagonal perm_c "
                        "inverse ordered ordered_indices ordered_indptr")
-# The CSC arrays of a Jacobian and the SolvePlan that solves them, or None
+# A Jacobian's CSC arrays in its fixed pattern (exact zeros kept), its plan
 Jacobian = namedtuple("Jacobian", "data indices indptr plan")
 
 
 def spsolve(matrix: Jacobian, rhs: np.ndarray) -> np.ndarray:
-    """Solve the square CSC system for rhs, bit for bit as the gssv call of
-    scipy.sparse.linalg.spsolve; an exactly singular matrix warns
-    MatrixRankWarning and gives NaN, as there."""
-    data, indices, indptr, plan = matrix
-    size = len(indptr) - 1
-    if plan is None:
-        x, info = _superlu.gssv(size, len(data), data, indices, indptr, rhs,
-                                1, options=dict(ColPerm="COLAMD"))
-    else:
-        # P^T A P is already in gssv's order, so SuperLU's own ordering is
-        # the identity.  Rows are relabelled with the columns because the
-        # pivot search prefers each column's diagonal; each column keeps the
-        # stored order of its rows, which SuperLU visits in that order.
-        y, info = _superlu.gssv(
-            size, len(data), data[plan.ordered], plan.ordered_indices,
-            plan.ordered_indptr, rhs[plan.inverse], 1,
-            options=dict(ColPerm="NATURAL"))
-        x = y[plan.perm_c]
+    """Solve the CSC system for rhs, stored zeros included, bit for bit as
+    scipy.sparse.linalg.spsolve on the same arrays; an exactly singular
+    matrix warns MatrixRankWarning and gives NaN, as there."""
+    data, _, indptr, plan = matrix
+    # P^T A P is already in gssv's order, so SuperLU's own ordering is the
+    # identity.  Rows are relabelled with the columns because the pivot
+    # search prefers each column's diagonal; each column keeps the stored
+    # order of its rows, which SuperLU visits in that order.
+    y, info = _superlu.gssv(
+        len(indptr) - 1, len(data), data[plan.ordered], plan.ordered_indices,
+        plan.ordered_indptr, rhs[plan.inverse], 1,
+        options=dict(ColPerm="NATURAL"))
+    x = y[plan.perm_c]
     if info != 0:
         from scipy.sparse.linalg import MatrixRankWarning
         warnings.warn("Matrix is exactly singular", MatrixRankWarning,
@@ -349,22 +343,14 @@ class RichardsWorkspace:
 
     def jacobian(self, fields: QuadratureFields, dt: float,
                  dirichlet: DirichletData | None) -> Jacobian:
-        """The CSC arrays (data, indices, indptr) of the Jacobian at
-        fields, with the plan that solves them (None once compacted)."""
+        """The Jacobian at fields: CSC arrays in the node set's fixed
+        pattern, exact zeros kept, with the plan that solves them."""
         plan = self._plan(dirichlet)
         # duplicates are summed in element order
         data = np.bincount(self._slot,
                            self._element_jacobians(fields, dt).ravel(),
                            len(self._rows))[plan.slots]
         data[plan.diagonal] = 1.0
-        if dirichlet is not None and not data.all():
-            # an exact cancellation: keep the matrix to its nonzeros, as
-            # scipy's canonical sparse sum "+ diags" stores it
-            keep = data != 0.0
-            kept = np.zeros(len(keep) + 1, dtype=np.intc)
-            np.cumsum(keep, out=kept[1:])
-            return Jacobian(data[keep], plan.indices[keep],
-                            kept[plan.indptr], None)
         return Jacobian(data, plan.indices, plan.indptr, plan)
 
     # ── solves ───────────────────────────────────────────────────────────

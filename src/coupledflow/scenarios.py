@@ -365,12 +365,12 @@ def build_material(config: ScenarioConfig) -> MaterialField:
                          config.blend_center, config.blend_steepness)
 
 
-def side_dirichlet(config: ScenarioConfig,
-                   grid: Grid2D) -> DirichletData | None:
+def side_dirichlet(config: ScenarioConfig, grid: Grid2D,
+                   psi0: np.ndarray) -> DirichletData | None:
     """Head boundary on both vertical walls below the configured height.
 
-    Pinned values follow the initial profile, so for the trench the walls
-    hold psi = 1 - z for z < 1 m throughout the run.
+    Pinned values are the initial heads psi0 there, so for the trench the
+    walls hold psi = 1 - z for z < 1 m throughout the run.
     """
     if config.side_dirichlet_below is None:
         return None
@@ -381,8 +381,7 @@ def side_dirichlet(config: ScenarioConfig,
     nodes = np.flatnonzero(select)
     if nodes.size == 0:
         return None
-    return DirichletData(nodes=nodes,
-                         values=config.psi0_at(x[nodes], z[nodes]))
+    return DirichletData(nodes=nodes, values=psi0[nodes])
 
 
 def build_initial_state(config: ScenarioConfig, grid: Grid2D,
@@ -426,16 +425,17 @@ def build_all(config: ScenarioConfig) -> tuple[CoupledProblem, CoupledState]:
                              flow_sign=config.flow_sign,
                              boundary_left=config.boundary_left,
                              boundary_right=config.boundary_right)
+        state = build_initial_state(config, grid, model)
         problem = CoupledProblem(
             grid=grid, material=build_material(config), surface_model=model,
-            static_dirichlet=side_dirichlet(config, grid),
+            static_dirichlet=side_dirichlet(config, grid, state.psi),
             rain_rate=config.rain_rate, rain_cutoff=config.rain_cutoff,
             omega=config.omega, tol=config.tol, max_iters=config.max_iters,
             dt=config.dt, num_steps=config.num_steps,
             output_every=config.output_every)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    return problem, build_initial_state(config, grid, model)
+    return problem, state
 
 
 # ---------------------------------------------------------------------------

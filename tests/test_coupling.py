@@ -462,13 +462,18 @@ class TestStepMap:
 
 
 class TestPerfbenchHooks:
-    def test_step_functions_resolve_in_the_package(self):
-        # perfbench times each step through these names; a refactor that
-        # renames a step function would silently drop the step timings
+    @staticmethod
+    def perfbench_unit():
         path = Path(__file__).resolve().parents[1] / "perfbench" / "unit.py"
         spec = importlib.util.spec_from_file_location("perfbench_unit", path)
         unit = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(unit)
+        return unit
+
+    def test_step_functions_resolve_in_the_package(self):
+        # perfbench times each step through these names; a refactor that
+        # renames a step function would silently drop the step timings
+        unit = self.perfbench_unit()
         expected = {"coupling.run_coupled_step": coupling.run_coupled_step,
                     "linear1d.run_time_step": linear1d.run_time_step}
         assert set(unit.STEP_FUNCTION.values()) == set(expected)
@@ -476,6 +481,26 @@ class TestPerfbenchHooks:
             module_name, attribute = unit.LAYER_FUNCTIONS[name]
             module = importlib.import_module(f"coupledflow.{module_name}")
             assert getattr(module, attribute) is expected[name]
+
+    def test_layer_functions_resolve_as_the_tracer_installs_them(self):
+        # perfbench reports a layer function it cannot find as absent, with
+        # 0 calls; only the five material names are, since the closures
+        # became attributes of the material evaluator
+        unit = self.perfbench_unit()
+        absent = set()
+        for name, (module_name, path) in unit.LAYER_FUNCTIONS.items():
+            module = importlib.import_module(f"coupledflow.{module_name}")
+            owner, _, attribute = path.rpartition(".")
+            if owner:
+                found = getattr(module, owner).__dict__.get(attribute)
+            else:
+                found = getattr(module, attribute, None)
+            if not callable(found):
+                absent.add(name)
+        assert absent == {"material.theta", "material.capacity",
+                          "material.hydraulic_conductivity",
+                          "material.conductivity_derivative",
+                          "material.params_at"}
 
 
 def fake_record(step: int, cr: float | None) -> StepRecord:

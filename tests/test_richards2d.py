@@ -20,7 +20,7 @@ from scipy.sparse.linalg import MatrixRankWarning, spsolve
 from scipy.sparse.linalg._dsolve import _superlu
 
 from coupledflow import richards2d, scenarios
-from coupledflow.coupling import run_simulation
+from coupledflow.coupling import CoupledProblem, CoupledState, run_simulation
 from coupledflow.iteration import NewtonError
 from coupledflow.material import SOIL_PRESETS, MaterialField
 from coupledflow.richards2d import (
@@ -31,6 +31,7 @@ from coupledflow.richards2d import (
     field_rows,
     top_dirichlet,
 )
+from coupledflow.surface1d import SurfaceModel
 
 SILT = MaterialField(SOIL_PRESETS["silt-loam"])
 CLAY = MaterialField(SOIL_PRESETS["beit-netofa-clay"])
@@ -111,6 +112,15 @@ def coo_assembly(work: RichardsWorkspace, psi: np.ndarray, dt: float,
 def assert_bitwise_equal(got: np.ndarray, want: np.ndarray) -> None:
     assert got.dtype == want.dtype and got.shape == want.shape
     assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
+
+
+def assert_kept_zeros_match(got, want: sparse.csc_matrix,
+                            rhs: np.ndarray) -> None:
+    """got, which stores zeros the chain's want drops, is want densely, bit
+    for bit, and solves as scipy's spsolve on a matrix of got's arrays."""
+    stored = sparse.csc_matrix(got[:3], shape=want.shape)
+    assert_bitwise_equal(stored.toarray(order="C"), want.toarray(order="C"))
+    assert_bitwise_equal(richards2d.spsolve(got, rhs), spsolve(stored, rhs))
 
 
 class TestGrid:
@@ -280,10 +290,15 @@ class TestJacobian:
         psi = rng.uniform(low, high, grid.num_nodes)
         got = work.jacobian(work.at_qp(psi), 36.0, dirichlet)
         want = coo_assembly(work, psi, 36.0, dirichlet)
+        rhs = rng.normal(size=grid.num_nodes)
+        if soil == "silt" and constraints != "none" and field == "saturated":
+            # the chain drops the cancelled entries the fixed pattern keeps
+            assert np.count_nonzero(got.data == 0.0) > 0
+            assert_kept_zeros_match(got, want, rhs)
+            return
         for array, name in zip(got, ("data", "indices", "indptr")):
             assert_bitwise_equal(array, getattr(want, name))
         # the direct gssv call solves as scipy's spsolve on the chain
-        rhs = rng.normal(size=grid.num_nodes)
         assert_bitwise_equal(richards2d.spsolve(got, rhs), spsolve(want, rhs))
 
     def test_singular_solve_warns_and_gives_nan_as_scipy(self):
@@ -302,26 +317,24 @@ class TestJacobian:
         assert np.all(np.isnan(got)) and np.all(np.isnan(want))
         assert got.shape == want.shape == (n,)
 
-    def test_saturated_cancellations_are_dropped(self):
-        """Exact zeros stay in the full pattern, which is what the assembly
-        stores without constraints; a constrained system stores none: it
-        leaves its plan and solves as scipy's spsolve on the chain."""
+    def test_saturated_cancellations_stay_in_the_pattern(self):
+        """Exact zeros stay in the node set's fixed pattern, with or without
+        constraints: the constrained system keeps its plan, equals the chain
+        densely and solves as scipy's spsolve on the same arrays."""
         work = RichardsWorkspace(cancelling_grid(), SILT)
         psi = np.full(work.grid.num_nodes, 0.5)
         full = work.jacobian(work.at_qp(psi), 36.0, None)
         assert np.count_nonzero(full.data == 0.0) > 0
-        assert full.plan is not None
+        assert full.plan is work._plan(None)
         dirichlet = top_dirichlet(work.grid, 0.1)
         constrained = work.jacobian(work.at_qp(psi), 36.0, dirichlet)
-        assert np.all(constrained.data != 0.0)
-        assert constrained.plan is None
-        assert len(constrained.data) < len(work._plan(dirichlet).indices)
-        want = coo_assembly(work, psi, 36.0, dirichlet)
-        for array, name in zip(constrained, ("data", "indices", "indptr")):
-            assert_bitwise_equal(array, getattr(want, name))
+        assert np.count_nonzero(constrained.data == 0.0) > 0
+        plan = constrained.plan
+        assert plan is work._plan(dirichlet)
+        assert len(constrained.data) == len(plan.indices)
         rhs = np.random.default_rng(41).normal(size=work.grid.num_nodes)
-        assert_bitwise_equal(richards2d.spsolve(constrained, rhs),
-                             spsolve(want, rhs))
+        assert_kept_zeros_match(constrained, coo_assembly(
+            work, psi, 36.0, dirichlet), rhs)
 
     @pytest.mark.parametrize("soil", ["silt", "trench-mixed"])
     def test_one_workspace_plans_each_node_set(self, soil):
@@ -353,7 +366,8 @@ class TestJacobian:
 
     def test_run_orders_its_pattern_once(self, monkeypatch):
         """20 coupled steps factor the stand-in values once and never ask
-        gssv for a column ordering."""
+        gssv for a column ordering; nor do 5 saturated steps on the
+        cancelling grid, whose Jacobians store exact zeros."""
         calls = {"gstrf": 0, "gssv": 0, "ordering": 0}
         gstrf, gssv = _superlu.gstrf, _superlu.gssv
 
@@ -373,6 +387,16 @@ class TestJacobian:
         assert all(record.converged for record in result.records)
         assert calls["gstrf"] == 1 and calls["ordering"] == 0
         assert calls["gssv"] >= 40
+        calls.update(gstrf=0, gssv=0)
+        grid = cancelling_grid()
+        problem = CoupledProblem(grid, SILT, SurfaceModel("swe"),
+                                 rain_rate=1e-5, tol=1e-10, dt=36.0,
+                                 num_steps=5)
+        state = CoupledState(psi=np.full(grid.num_nodes, 0.5),
+                             q=np.array([[0.01] * 3, [0.0] * 3]), time=0.0)
+        result = run_simulation(problem, state)
+        assert all(record.converged for record in result.records)
+        assert calls["gstrf"] == 1 and calls["ordering"] == 0
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
                         reason="glibc's dynamic mmap threshold")

@@ -141,9 +141,9 @@ class TestSideDirichlet:
     def test_disabled_when_none(self):
         config = dataclasses.replace(preset("trench-loam"),
                                      side_dirichlet_below=None)
-        problem, _ = build_all(config)
+        problem, state = build_all(config)
         assert problem.static_dirichlet is None
-        assert side_dirichlet(config, problem.grid) is None
+        assert side_dirichlet(config, problem.grid, state.psi) is None
 
     def test_never_selects_the_top_row(self):
         # 3 * (0.9 / 3) rounds below 0.9, so a float test on z would let
@@ -152,7 +152,8 @@ class TestSideDirichlet:
                                      num_z=3, side_dirichlet_below=0.9)
         grid = Grid2D(length_x=config.length_x, length_z=config.length_z,
                       num_x=config.num_x, num_z=config.num_z)
-        data = side_dirichlet(config, grid)
+        data = side_dirichlet(config, grid,
+                              config.psi0_at(*grid.node_coords()))
         assert data.nodes.size == 6
         assert not set(data.nodes) & set(grid.top_node_indices())
 
@@ -394,6 +395,10 @@ class TestCli:
          "--cr-exclude-threshold", "-1"],
         ["linrun", "--tol", "inf"],
         ["simulate", "--scenario", "trench-loam",
+         "--override", "initial.psi_z=1e308",
+         "--override", "coupling.num_steps=2"],
+        ["simulate", "--scenario", "trench-loam",
+         "--override", "initial.psi_x=1e308",
          "--override", "initial.psi_z=1e308",
          "--override", "coupling.num_steps=2"],
         ["simulate", "--scenario", "trench-loam",
