@@ -32,8 +32,10 @@ evaluated with principal branches for complex s with Re(s) > 0.
 
 from __future__ import annotations
 
-import itertools
+import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -95,21 +97,35 @@ class AnalysisResult:
 
 
 def toeplitz_coeffs(p: LinearModelParams) -> tuple[float, float]:
-    """Diagonal and off diagonal entries (a, b) of the interior system."""
+    """Diagonal and off diagonal entries (a, b) of the interior system; p
+    needs only c, k, dt and dz, as floats or as arrays of points."""
     a = 2.0 / 3.0 * p.c * p.dz + 2.0 * p.k * p.dt / p.dz
     b = 1.0 / 6.0 * p.c * p.dz - p.k * p.dt / p.dz
     return a, b
 
 
-def alpha_sum(a: float, b: float, num_elements: int, dz: float,
-              length: float) -> float:
-    """Corner entry of the inverse interior matrix via the eigenvalue sum."""
-    j = np.arange(1, num_elements)
-    angles = j * np.pi * dz / length
-    denominators = a / 2.0 - b * np.cos(angles)
-    if np.any(denominators <= 0.0):
-        raise ValueError("interior matrix is not positive definite")
-    return float(dz / length * np.sum(np.sin(angles) ** 2 / denominators))
+def alpha_sum(a, b, num_elements: int, dz: float, length: float):
+    """Corner entry of the inverse interior matrix via the eigenvalue sum.
+
+    a and b are scalars, or 1-D arrays of points that share num_elements
+    (and so dz).  The sum runs over the last axis of the points' terms, at
+    most SWEEP_CHUNK of them (or one point's) at a time.
+    """
+    angles = np.arange(1, num_elements) * np.pi * dz / length
+    cosines = np.cos(angles)
+    numerators = np.square(np.sin(angles, out=angles), out=angles)
+    half_a, b = np.divide(a, 2.0)[..., None], np.asarray(b)[..., None]
+    rows = max(1, SWEEP_CHUNK // cosines.size)
+    sums = []
+    for start in range(0, len(b), rows):
+        terms = b[start:start + rows] * cosines
+        np.subtract(half_a[start:start + rows], terms, out=terms)
+        if (terms <= 0.0).any():
+            raise ValueError("interior matrix is not positive definite")
+        np.divide(numerators, terms, out=terms)
+        sums.append(np.add.reduce(terms, axis=-1))
+    # concatenate cannot join the 0-d sum of scalar a and b
+    return dz / length * (sums[0] if len(sums) == 1 else np.concatenate(sums))
 
 
 def discrete_S(p: LinearModelParams) -> AnalysisResult:
@@ -117,9 +133,9 @@ def discrete_S(p: LinearModelParams) -> AnalysisResult:
     a, b = toeplitz_coeffs(p)
     # subnormal denominators overflow the sum, huge b overflows b^2
     with np.errstate(over="ignore", invalid="ignore"):
-        alpha = alpha_sum(a, b, p.num_elements, p.dz, p.length)
+        alpha = float(alpha_sum(a, b, p.num_elements, p.dz, p.length))
         S = b * b * alpha - a / 2.0
-    if not (np.isfinite(alpha) and np.isfinite(S)):
+    if not (math.isfinite(alpha) and math.isfinite(S)):
         raise ValueError(f"S = b^2 alpha - a/2 is not finite (alpha = "
                          f"{alpha:g}, S = {S:g}); c, k, dt or dz is out of "
                          f"range")
@@ -175,6 +191,9 @@ def laplace_height(s, c: float, k: float, length: float):
 
 SWEEP_COLUMNS = ("c", "K", "dt", "dz", "a", "b", "alpha", "S", "abs_S",
                  "omega_opt")
+# Points per sweep_point call, and elements per eigenvalue-sum block in it:
+# the sweep's working arrays keep this size however large the grid.
+SWEEP_CHUNK = 1 << 14
 
 
 def default_log_grid(low: float = 1e-3, high: float = 1e3,
@@ -183,25 +202,71 @@ def default_log_grid(low: float = 1e-3, high: float = 1e3,
     return np.geomspace(low, high, count)
 
 
-def sweep_point(c: float, k: float, dt: float, dz: float,
-                length: float) -> dict[str, float]:
-    """One sweep row; dz is snapped to the nearest admissible grid spacing."""
+def _check_point(c: float, k: float, dt: float, dz: float,
+                 length: float) -> None:
+    """The checks of one sweep point in order; raises at the first failing."""
     count = length / float(dz)
     if not count < np.inf:
         raise ValueError(f"dz = {dz:g} is too small for length {length:g}")
-    num_elements = max(2, round(count))
-    p = LinearModelParams(c=c, k=k, length=length, dt=dt,
-                          num_elements=num_elements)
-    result = discrete_S(p)
-    return {"c": c, "K": k, "dt": dt, "dz": p.dz, "a": result.a,
-            "b": result.b, "alpha": result.alpha_sum, "S": result.S,
-            "abs_S": abs(result.S), "omega_opt": result.omega_opt}
+    discrete_S(LinearModelParams(c=c, k=k, length=length, dt=dt,
+                                 num_elements=max(2, round(count))))
+
+
+def sweep_point(c: np.ndarray, k: np.ndarray, dt: np.ndarray, dz: np.ndarray,
+                length: float) -> dict[str, np.ndarray]:
+    """The SWEEP_COLUMNS of the points (c[i], k[i], dt[i], dz[i]) as arrays.
+
+    Each dz is snapped to the nearest admissible grid spacing, length / M
+    with M = max(2, round(length / dz)); alpha_sum runs once per M.  A point
+    that fails a check raises the ValueError discrete_S raises for it alone;
+    the first such point in order wins.
+    """
+    with np.errstate(all="ignore"):
+        count = length / dz
+        elements = np.maximum(2.0, np.rint(count))  # half to even, as round
+        points = SimpleNamespace(c=c, k=k, dt=dt, dz=length / elements)
+        a, b = toeplitz_coeffs(points)
+        failed = ~((count < np.inf) & (elements <= 10**6)
+                   & (0.0 < length < np.inf))
+        for value in (c, k, dt, points.dz):
+            failed |= ~((0.0 < value) & (value < np.inf))
+        alpha = np.full(c.shape, np.nan)
+        for num_elements in np.unique(elements[~failed]).astype(int):
+            group = np.flatnonzero((elements == num_elements) & ~failed)
+            try:
+                alpha[group] = alpha_sum(a[group], b[group], num_elements,
+                                         length / num_elements, length)
+            except ValueError:
+                failed[group] = True
+        S = b * b * alpha - a / 2.0
+        failed |= ~(np.isfinite(alpha) & np.isfinite(S))
+        omega_opt = 1.0 / (1.0 - S)
+    if failed.any():
+        # a flagged M may hold good points too; these pass their checks
+        for i in np.flatnonzero(failed):
+            _check_point(c[i], k[i], dt[i], dz[i], length)
+        raise AssertionError("flagged sweep points passed their checks")
+    return {"c": c, "K": k, "dt": dt, "dz": points.dz, "a": a, "b": b,
+            "alpha": alpha, "S": S, "abs_S": np.abs(S),
+            "omega_opt": omega_opt}
 
 
 def sweep(c_axis, k_axis, dt_axis, dz_axis,
-          length: float) -> list[dict[str, float]]:
-    """Row major sweep over the product of the c, K, dt and dz axes."""
+          length: float) -> Iterator[dict[str, float]]:
+    """Row major sweep over the product of the c, K, dt and dz axes.
+
+    Every point is computed and checked, SWEEP_CHUNK at a time, before this
+    returns; the rows are then made one at a time as they are read.
+    """
     axes = [np.array(axis, dtype=float, ndmin=1)
             for axis in (c_axis, k_axis, dt_axis, dz_axis)]
-    return [sweep_point(c, k, dt, dz, length)
-            for c, k, dt, dz in itertools.product(*axes)]
+    shape = [axis.size for axis in axes]
+    total = math.prod(shape)
+    chunks = []
+    for start in range(0, total, SWEEP_CHUNK):
+        indices = np.unravel_index(
+            np.arange(start, min(start + SWEEP_CHUNK, total)), shape)
+        chunks.append(sweep_point(
+            *(axis[index] for axis, index in zip(axes, indices)), length))
+    return (dict(zip(SWEEP_COLUMNS, row)) for chunk in chunks
+            for row in zip(*(chunk[name].tolist() for name in SWEEP_COLUMNS)))

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 
@@ -77,7 +78,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "sweep.csv")
     scenarios.write_csv(path, analysis.SWEEP_COLUMNS, rows)
-    print(f"wrote {len(rows)} rows to {path}")
+    print(f"wrote {math.prod(map(np.size, axes))} rows to {path}")
     return 0
 
 

@@ -3,11 +3,13 @@
 The coupled state is one record: the nodal soil heads psi, the surface cell
 averages q (rows h, hu for swe, h for kinematic) and the time.  A step runs
 iteration.fixed_point (Gauss-Seidel, subsurface first) on its interface map
-StepMap(problem, state), h -> h_tilde, set up once from at_qp(psi_old), the
-rain rate and the surface StepStart; a call does 1-3, the loop 4-5:
+StepMap(problem, state), h -> h_tilde, set up once from at_qp(psi_old)
+(run_simulation hands on the previous step's last fields, which are that),
+the rain rate and the surface StepStart; a call does 1-3, the loop 4-5:
 
   1. maps the heights h to top Dirichlet heads (map_height_to_head),
-  2. solves the subsurface step from the fields the previous call returned;
+  2. solves the subsurface step from the fields and free residual the
+     previous call returned;
      its top-edge Darcy flux integrals [m^2/s], divided by the cell width,
      plus the rain rate are the per-cell surface source [m/s] (water
      leaving the soil adds to the surface),
@@ -28,13 +30,15 @@ substitutes a 1e-30 guard so the linear model stays evaluable.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .analysis import LinearModelParams, discrete_S
 from .iteration import fixed_point, observed_cr
-from .richards2d import DirichletData, Grid2D, RichardsWorkspace, top_dirichlet
+from .richards2d import (DirichletData, Grid2D, QuadratureFields,
+                         RichardsWorkspace, top_dirichlet)
 from .surface1d import StepStart, SurfaceModel, implicit_fv_step
 
 
@@ -174,16 +178,23 @@ class StepMap:
     """The interface map h -> h_tilde of one coupled time step.
 
     Each call warm-starts the soil step from the previous call's fields and
-    keeps the new fields, a fresh q and the summed counts on the map: call
-    copy.copy(step_map) at heights of your own to leave them be.
+    free residual and keeps the new ones, a fresh q and the summed counts on
+    the map: call copy.copy(step_map) at heights of your own to leave them
+    be.  fields, when given, must be at_qp(state.psi).  The free residual is
+    the soil's weak residual before its Dirichlet rows are overwritten; it
+    sums to the integral of theta - theta_old, the shape functions summing
+    to 1.
     """
 
-    def __init__(self, problem: CoupledProblem, state: CoupledState):
+    def __init__(self, problem: CoupledProblem, state: CoupledState,
+                 fields: QuadratureFields | None = None):
         self.problem = problem
         self.time = state.time + problem.dt
         self.rain_rate = problem.rain_at(self.time)
-        self.fields = problem.workspace.at_qp(state.psi)
+        self.fields = problem.workspace.at_qp(state.psi) if fields is None \
+            else fields
         self.theta_old_qp = self.fields.soil.theta
+        self.free_residual = None
         self.surface = StepStart(state.q, problem.dt, problem.grid.dx,
                                  problem.surface_model)
         self.q = state.q
@@ -195,8 +206,10 @@ class StepMap:
         values = problem.dirichlet.values.copy()
         values[:h.size + 1] = map_height_to_head(h)
         dirichlet = problem.dirichlet.with_values(values)
-        self.fields, newton_report = problem.workspace.newton_step(
-            self.fields, self.theta_old_qp, problem.dt, dirichlet)
+        self.fields, self.free_residual, newton_report = \
+            problem.workspace.newton_step(self.fields, self.theta_old_qp,
+                                          problem.dt, dirichlet,
+                                          self.free_residual)
         source = (problem.workspace.interface_flux(self.fields.psi)
                   / problem.grid.dx + self.rain_rate)
         self.q, surf_report, clamped = implicit_fv_step(self.surface, source)
@@ -208,10 +221,16 @@ class StepMap:
 
 
 def run_coupled_step(problem: CoupledProblem, state: CoupledState,
+                     _fields: list | None = None,
                      ) -> tuple[CoupledState, StepRecord]:
-    """Advance the coupled system by one time step."""
+    """Advance the coupled system by one time step.
+
+    run_simulation hands the soil fields from step to step in _fields, a
+    one-item list: at_qp(state.psi) or None on entry, the fields at the new
+    state's psi on return.
+    """
     step = int(round(state.time / problem.dt)) + 1
-    step_map = StepMap(problem, state)
+    step_map = StepMap(problem, state, None if _fields is None else _fields[0])
     h_new, _, residuals = fixed_point(step_map, state.q[0], problem.omega,
                                       problem.tol, problem.max_iters,
                                       np.linalg.norm)
@@ -219,6 +238,8 @@ def run_coupled_step(problem: CoupledProblem, state: CoupledState,
         raise CouplingDivergedError(step, tuple(residuals))
     step_map.q[0] = h_new
     psi = step_map.fields.psi
+    if _fields is not None:
+        _fields[0] = step_map.fields
     predicted = predict_S(psi, problem.grid, problem.node_material, problem.dt)
     record = StepRecord(
         step=step, time=step_map.time, iterations=len(residuals),
@@ -241,8 +262,9 @@ def run_simulation(problem: CoupledProblem,
     state = initial
     records = []
     snapshots = [(0, state)]
+    fields = [None]
     for step in range(1, problem.num_steps + 1):
-        state, record = run_coupled_step(problem, state)
+        state, record = run_coupled_step(problem, state, _fields=fields)
         records.append(record)
         if step % problem.output_every == 0 or step == problem.num_steps:
             snapshots.append((step, state))
@@ -270,18 +292,14 @@ TRACE_COLUMNS = ("n", "t", "K_n", "res_first", "res_last", "CR_n",
                  "c_bar", "K_bar", "abs_S_pred", "omega_opt_pred")
 
 
-def trace_rows(records) -> list[dict]:
-    rows = []
-    for r in records:
-        rows.append({
-            "n": r.step, "t": r.time, "K_n": r.iterations,
-            "res_first": r.residuals[0], "res_last": r.residuals[-1],
-            "CR_n": "" if r.cr is None else r.cr,
-            "c_bar": r.predicted.c_bar, "K_bar": r.predicted.k_bar,
-            "abs_S_pred": r.predicted.abs_s,
-            "omega_opt_pred": r.predicted.omega_opt,
-        })
-    return rows
+def trace_rows(records) -> Iterator[dict]:
+    """One row per step record, made one at a time as they are read."""
+    return ({"n": r.step, "t": r.time, "K_n": r.iterations,
+             "res_first": r.residuals[0], "res_last": r.residuals[-1],
+             "CR_n": "" if r.cr is None else r.cr,
+             "c_bar": r.predicted.c_bar, "K_bar": r.predicted.k_bar,
+             "abs_S_pred": r.predicted.abs_s,
+             "omega_opt_pred": r.predicted.omega_opt} for r in records)
 
 
 SUMMARY_COLUMNS = ("scenario", "CR", "undefined_count")

@@ -24,6 +24,7 @@ Both come from scipy's compiled _flapack, loaded without scipy.linalg.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -217,12 +218,14 @@ TRACE_COLUMNS = ("n", "k", "psi_gamma", "residual")
 SUMMARY_COLUMNS = ("n", "K_n", "CR_n", "S", "sigma_omega")
 
 
-def trace_rows(trace: Linear1DTrace) -> list[dict]:
-    """Per iterate rows (n, k, psi_gamma, residual), 1 based indices."""
-    return [{"n": n, "k": k, "psi_gamma": psi, "residual": res}
+def trace_rows(trace: Linear1DTrace) -> Iterator[dict]:
+    """Per iterate rows (n, k, psi_gamma, residual), 1 based indices, made
+    one at a time as they are read."""
+    return ({"n": n, "k": k, "psi_gamma": psi, "residual": res}
             for n, step in enumerate(trace.steps, start=1)
-            for k, (psi, res) in enumerate(
-                zip(step.iterates, step.residuals), start=1)]
+            for k, (psi, res) in enumerate(zip(step.iterates.tolist(),
+                                               step.residuals.tolist()),
+                                           start=1))
 
 
 def summary_rows(trace: Linear1DTrace) -> list[dict]:

@@ -20,7 +20,9 @@ norm), halves each step at most NEWTON_TRIALS - 1 times and fails after
 NEWTON_MAX_ITERS iterations.  Each iterate is interpolated and its closures
 evaluated once (at_qp): the Jacobian reuses the fields of the trial whose
 residual the line search accepted, and newton_step takes and returns fields
-so that a sweep hands its result's fields to the next.  The surface coupling
+so that a sweep hands its result's fields to the next, together with their
+free residual (the residual before the Dirichlet rows are overwritten),
+which holds while theta_old and dt stay the same.  The surface coupling
 reads the normal Darcy flux at the midpoint of every top cell edge,
 
     flux_l = -K(psi_mid) (d_z psi_mid + 1) * dx,
@@ -357,28 +359,42 @@ class RichardsWorkspace:
 
     def newton_step(self, start: QuadratureFields, theta_old_qp: np.ndarray,
                     dt: float, dirichlet: DirichletData,
-                    ) -> tuple[QuadratureFields, NewtonReport]:
+                    start_free: np.ndarray | None = None,
+                    ) -> tuple[QuadratureFields, np.ndarray, NewtonReport]:
         """One implicit Euler step from the fields at_qp(psi) of the start
-        iterate to those of the new one; theta_old_qp is theta(psi_old)."""
+        iterate to those of the new one; theta_old_qp is theta(psi_old).
+
+        Also returns the free residual at the new fields: the weak residual
+        before its Dirichlet rows are overwritten, which depends on
+        theta_old_qp and dt but not on the Dirichlet values.  start_free,
+        the free residual at start for the same theta_old_qp and dt, spares
+        its recomputation.
+        """
         if not np.all(np.isfinite(start.psi)):
             raise ValueError("start field contains non-finite values")
         if dt <= 0.0:
             raise ValueError("dt must be positive")
-        latest = start
+        latest, free = start, start_free
+        nodes = dirichlet.nodes
 
         def residual(trial: np.ndarray) -> np.ndarray:
-            nonlocal latest
+            nonlocal latest, free
             if trial is not latest.psi:
-                latest = self.at_qp(trial)
-            return self.residual(latest, theta_old_qp, dt, dirichlet)
+                latest, free = self.at_qp(trial), None
+            if free is None:
+                free = self.residual(latest, theta_old_qp, dt, None)
+            out = free.copy()
+            out[nodes] = trial[nodes] - dirichlet.values
+            return out
 
-        # latest is at_qp(x) in direction(x, r) and for the x returned
+        # latest is at_qp(x) in direction(x, r) and for the x returned, free
+        # its free residual
         _, report = damped_newton(
             residual, lambda trial, res: spsolve(
                 self.jacobian(latest, dt, dirichlet), -res), start.psi,
             lambda norm0: max(NEWTON_ABS_TOL, NEWTON_REL_TOL * norm0),
             NEWTON_MAX_ITERS, NEWTON_TRIALS)
-        return latest, report
+        return latest, free, report
 
     def interface_flux(self, psi: np.ndarray) -> np.ndarray:
         """Outward normal flux integral over each top cell [m^2/s]."""

@@ -442,23 +442,31 @@ def build_all(config: ScenarioConfig) -> tuple[CoupledProblem, CoupledState]:
 # CSV output
 
 
+def _format_bool(value) -> str:
+    return "true" if value else "false"
+
+
+_format_float = "%.17g".__mod__
+# the formatter of each cell type the program writes
+_CELL_FORMATS = {float: _format_float, np.float64: _format_float,
+                 int: str, np.int64: str, bool: _format_bool,
+                 np.bool_: _format_bool, str: str}
+
+
 def format_value(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value)).lower()
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return "%.17g" % float(value)
-    return str(value)
+    """A CSV cell, by one lookup of its type: floats round-trip ("%.17g"),
+    bools are true/false; a type without a format raises KeyError."""
+    return _CELL_FORMATS[type(value)](value)
 
 
 def write_csv(path: str, columns: Sequence[str],
               rows: Iterable[Mapping]) -> None:
+    """Write the header and then each row as it is read from rows."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow([format_value(row[column]) for column in columns])
+        writer.writerows([format_value(row[column]) for column in columns]
+                         for row in rows)
 
 
 def run_scenario(config: ScenarioConfig, out_dir: str,

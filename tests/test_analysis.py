@@ -5,11 +5,16 @@ The discrete quantities are checked against dense linear algebra oracles
 against 50 digit mpmath evaluations frozen as literals.
 """
 
+import itertools
+import timeit
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from coupledflow.analysis import (
+    SWEEP_COLUMNS,
+    AnalysisResult,
     LinearModelParams,
     alpha_sum,
     default_log_grid,
@@ -181,11 +186,14 @@ class TestContinuous:
 
 class TestSweeps:
     def test_point_snaps_dz(self):
-        row = sweep_point(1.0, 1.0, 0.1, 0.3, 1.0)
-        # 1/0.3 rounds to 3 elements
-        assert_allclose(row["dz"], 1.0 / 3.0, rtol=1e-15)
-        assert set(row) == {"c", "K", "dt", "dz", "a", "b", "alpha", "S",
-                            "abs_S", "omega_opt"}
+        ones = np.ones(3)
+        columns = sweep_point(ones, ones, 0.1 * ones,
+                              np.array([0.3, 0.4, 0.8]), 1.0)
+        # 1/0.3 rounds to 3 elements, 1/0.4 = 2.5 to 2 (half to even) and
+        # 1/0.8 to the 2 elements at least
+        assert_allclose(columns["dz"], 0.5 / ones - [1.0 / 6.0, 0.0, 0.0],
+                        rtol=1e-15)
+        assert tuple(columns) == SWEEP_COLUMNS
 
     @pytest.mark.parametrize("axes, outer, inner", [
         (([0.1, 1.0], [0.2, 2.0, 20.0], 0.1, 0.05), "c", "K"),
@@ -202,6 +210,129 @@ class TestSweeps:
         assert grid.size == 25
         assert_allclose(grid[0], 1e-3, rtol=1e-12)
         assert_allclose(grid[-1], 1e3, rtol=1e-12)
+
+
+def point_by_point_alpha(a, b, num_elements, dz, length):
+    """The eigenvalue sum of one point, as alpha_sum was before it took
+    arrays of points."""
+    j = np.arange(1, num_elements)
+    angles = j * np.pi * dz / length
+    denominators = a / 2.0 - b * np.cos(angles)
+    if np.any(denominators <= 0.0):
+        raise ValueError("interior matrix is not positive definite")
+    return float(dz / length * np.sum(np.sin(angles) ** 2 / denominators))
+
+
+def point_by_point_discrete_S(p):
+    """discrete_S as it was before alpha_sum took arrays of points."""
+    a, b = toeplitz_coeffs(p)
+    with np.errstate(over="ignore", invalid="ignore"):
+        alpha = point_by_point_alpha(a, b, p.num_elements, p.dz, p.length)
+        S = b * b * alpha - a / 2.0
+    if not (np.isfinite(alpha) and np.isfinite(S)):
+        raise ValueError(f"S = b^2 alpha - a/2 is not finite (alpha = "
+                         f"{alpha:g}, S = {S:g}); c, k, dt or dz is out of "
+                         f"range")
+    return AnalysisResult(a=a, b=b, alpha_sum=alpha, S=S,
+                          omega_opt=1.0 / (1.0 - S))
+
+
+def point_by_point_row(c, k, dt, dz, length):
+    """One sweep row, as sweep_point made it before it took arrays."""
+    count = length / float(dz)
+    if not count < np.inf:
+        raise ValueError(f"dz = {dz:g} is too small for length {length:g}")
+    p = LinearModelParams(c=c, k=k, length=length, dt=dt,
+                          num_elements=max(2, round(count)))
+    result = point_by_point_discrete_S(p)
+    return {"c": c, "K": k, "dt": dt, "dz": p.dz, "a": result.a,
+            "b": result.b, "alpha": result.alpha_sum, "S": result.S,
+            "abs_S": abs(result.S), "omega_opt": result.omega_opt}
+
+
+def assert_columns_bitwise(rows, want_rows):
+    assert len(rows) == len(want_rows)
+    for name in SWEEP_COLUMNS:
+        got = np.array([row[name] for row in rows], dtype=float)
+        want = np.array([row[name] for row in want_rows], dtype=float)
+        assert got.tobytes() == want.tobytes(), name
+
+
+GRID = default_log_grid
+RNG = np.random.default_rng(21)
+# 200 points, log-uniform in c, K, dt and dz: M from 2 to about 3000
+RANDOM_POINTS = 10.0 ** RNG.uniform([-3, -3, -3, -3.5], [3, 3, 3, 0],
+                                    size=(200, 4))
+
+
+class TestSweepOracle:
+    """The array kernel against the point-by-point chain it replaced, bit
+    for bit in every column."""
+
+    @pytest.mark.parametrize("axes", [
+        (GRID(), GRID(), 0.1, 1.0 / 20.0),
+        (1.0, 1.0, GRID(), GRID(1.0 / 200, 1.0 / 2, 25)),
+        (GRID(1e-3, 1e3, 50), GRID(1e-3, 1e3, 50), 0.1, 1.0 / 20.0),
+        ([1.0, 2.0, 3.0], 1.0, 0.1, 1e-6),
+    ], ids=["material", "resolution", "perfbench-material", "finest"])
+    def test_grid(self, axes):
+        points = list(itertools.product(
+            *(np.array(axis, dtype=float, ndmin=1) for axis in axes)))
+        assert_columns_bitwise(list(sweep(*axes, 1.0)),
+                               [point_by_point_row(*point, 1.0)
+                                for point in points])
+
+    def test_resolution_grid_crosses_the_pairwise_block(self):
+        # numpy sums blocks of 128 terms pairwise: M - 1 runs across that
+        rows = sweep(1.0, 1.0, 0.1, GRID(1.0 / 200, 1.0 / 2, 25), 1.0)
+        counts = sorted(round(1.0 / row["dz"]) for row in rows)
+        assert counts[0] == 2 and counts[-1] == 200
+        assert any(count - 1 < 128 < count - 1 + 40 for count in counts)
+
+    def test_random_points(self):
+        c, k, dt, dz = RANDOM_POINTS.T
+        columns = sweep_point(c, k, dt, dz, 1.0)
+        want = [point_by_point_row(*point, 1.0) for point in RANDOM_POINTS]
+        assert_columns_bitwise(
+            [dict(zip(columns, row)) for row in zip(*columns.values())],
+            want)
+        for point, row in zip(RANDOM_POINTS, want):
+            p = LinearModelParams(c=point[0], k=point[1], length=1.0,
+                                  dt=point[2],
+                                  num_elements=round(1.0 / row["dz"]))
+            assert discrete_S(p) == point_by_point_discrete_S(p)
+
+    @pytest.mark.parametrize("order", [[0, 1, 2, 3, 4], [4, 3, 2, 1, 0],
+                                       [2, 0, 4, 1, 3], [3, 2, 0, 1, 4],
+                                       [1, 4, 3, 0, 2]])
+    def test_first_failing_point_raises_its_own_error(self, order):
+        # after 40 good points, one point per check: dz too small, too many
+        # elements, an interior matrix that is not positive definite (its M
+        # = 2 shared with good points), an infinite alpha and an S whose
+        # b^2 overflows
+        bad = np.array([[1.0, 1.0, 0.1, 1e-320], [1.0, 1.0, 0.1, 5e-7],
+                        [5e-324, 5e-324, 0.1, 0.5],
+                        [1e-320, 1e-320, 0.1, 0.5], [1e300, 1.0, 0.1, 0.05]])
+        points = np.vstack([RANDOM_POINTS[:40], bad[order],
+                            RANDOM_POINTS[40:80]])
+        with pytest.raises(ValueError) as want:
+            for point in points:
+                point_by_point_row(*point, 1.0)
+        with pytest.raises(ValueError) as got:
+            sweep_point(*points.T, 1.0)
+        assert str(got.value) == str(want.value)
+
+    def test_discrete_S_is_no_slower_than_the_point_by_point_chain(self):
+        # predict_S runs discrete_S every coupled step; interleaved batches
+        # see the same machine load
+        p = LinearModelParams(c=0.3, k=1e-6, length=3.0, dt=36.0,
+                              num_elements=30)
+        times = {discrete_S: [], point_by_point_discrete_S: []}
+        for _ in range(41):
+            for function, batch in times.items():
+                batch.append(timeit.timeit(lambda: function(p), number=50))
+        assert np.median(times[discrete_S]) \
+            <= 1.25 * np.median(times[point_by_point_discrete_S])
 
 
 class TestValidation:

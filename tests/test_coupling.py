@@ -234,7 +234,7 @@ class TestCoupledStep:
         def run():
             result = run_simulation(*scenarios.build_all(config))
             final = result.snapshots[-1][1]
-            return repr(trace_rows(result.records)), final.psi, final.q
+            return repr(list(trace_rows(result.records))), final.psi, final.q
 
         direct = run()
 
@@ -253,7 +253,9 @@ class TestCoupledStep:
 
     def test_closures_are_evaluated_once_per_iterate(self, monkeypatch):
         # at_qp(psi_old) once per step; every sweep's Newton starts from the
-        # fields the previous one returned, so only its trials need at_qp
+        # fields the previous one returned, so only its trials need at_qp,
+        # and from their free residual, so only the first sweep's start and
+        # the trials need a residual
         calls = []
         work = richards2d.RichardsWorkspace
         at_qp, residual = work.at_qp, work.residual
@@ -271,8 +273,7 @@ class TestCoupledStep:
             calls.clear()
             state, record = run_coupled_step(problem, state)
             assert record.iterations >= 2
-            assert calls.count("at_qp") \
-                == calls.count("residual") - record.iterations + 1
+            assert calls.count("at_qp") == calls.count("residual")
 
     def test_snapshot_cadence(self):
         problem, state = column_problem(1e-9, 0.01,
@@ -350,9 +351,9 @@ class TestSweepDirichlet:
         newton_step = problem.workspace.newton_step
         to_head = coupling.map_height_to_head
 
-        def recording_newton(start, theta_old_qp, dt, dirichlet):
+        def recording_newton(start, theta_old_qp, dt, dirichlet, free):
             used.append(dirichlet)
-            return newton_step(start, theta_old_qp, dt, dirichlet)
+            return newton_step(start, theta_old_qp, dt, dirichlet, free)
 
         def recording_heights(h_cells):
             heights.append(h_cells.copy())
@@ -417,7 +418,8 @@ class TestStepMap:
                         eps: float = 1e-5) -> float:
         # each evaluation runs on a copy: the map keeps its warm start
         kept = (step_map.fields, step_map.q, step_map.newton_iterations,
-                step_map.clamped_volume, step_map.line_search_failures)
+                step_map.clamped_volume, step_map.line_search_failures,
+                step_map.free_residual)
         columns = []
         for j in range(h.size):
             bump = np.zeros_like(h)
@@ -426,7 +428,8 @@ class TestStepMap:
                             - copy.copy(step_map)(h - bump)) / (2.0 * eps))
         assert step_map.fields is kept[0] and step_map.q is kept[1]
         assert (step_map.newton_iterations, step_map.clamped_volume,
-                step_map.line_search_failures) == kept[2:]
+                step_map.line_search_failures) == kept[2:5]
+        assert step_map.free_residual is kept[5]
         return float(np.max(np.abs(np.linalg.eigvals(
             np.column_stack(columns)))))
 
@@ -459,6 +462,89 @@ class TestStepMap:
                 step_map.line_search_failures) == (
             record.newton_iterations, record.clamped_volume,
             record.line_search_failures)
+
+
+class TestHandForward:
+    """Each step's map starts from the previous step's last fields, and each
+    sweep's Newton from the previous sweep's free residual."""
+
+    @staticmethod
+    def recorded_run(monkeypatch, config, forward: bool):
+        """Bytes of every sweep's start fields and theta_old and of every
+        residual its Newton saw, with the at_qp and residual call counts."""
+        seen, counts = [], {"at_qp": 0, "residual": 0}
+        work = richards2d.RichardsWorkspace
+        newton_step, damped_newton = work.newton_step, richards2d.damped_newton
+
+        def counting(name, method):
+            def wrapped(self, *args):
+                counts[name] += 1
+                return method(self, *args)
+            return wrapped
+
+        def recording_newton_step(self, start, theta_old_qp, dt, dirichlet,
+                                  start_free=None):
+            soil = [getattr(start.soil, name) for name in (
+                "theta", "capacity", "hydraulic_conductivity",
+                "conductivity_derivative")]
+            seen.extend(array.tobytes()
+                        for array in (*start[:3], *soil, theta_old_qp))
+            return newton_step(self, start, theta_old_qp, dt, dirichlet,
+                               start_free if forward else None)
+
+        def recording_newton(residual, *args):
+            def recorded(trial):
+                out = residual(trial)
+                seen.append(out.tobytes())
+                return out
+            return damped_newton(recorded, *args)
+
+        for name in counts:
+            monkeypatch.setattr(work, name, counting(name, getattr(work,
+                                                                   name)))
+        monkeypatch.setattr(work, "newton_step", recording_newton_step)
+        monkeypatch.setattr(richards2d, "damped_newton", recording_newton)
+        problem, state = scenarios.build_all(config)
+        if forward:
+            records = run_simulation(problem, state).records
+        else:
+            records = []
+            for _ in range(config.num_steps):
+                state, record = run_coupled_step(problem, state)
+                records.append(record)
+        monkeypatch.undo()
+        return seen, counts, records
+
+    @pytest.mark.parametrize("name", ["trench-mixed", "hillslope-silt"])
+    def test_every_newton_input_is_bitwise_the_same(self, monkeypatch, name):
+        config = replace(scenarios.preset(name), num_steps=6)
+        seen, counts, records = self.recorded_run(monkeypatch, config, True)
+        want, want_counts, _ = self.recorded_run(monkeypatch, config, False)
+        assert len(seen) == len(want) and seen == want
+        # one at_qp per step after the first, one residual per sweep after
+        # each step's first, are spared
+        assert counts["at_qp"] == want_counts["at_qp"] - len(records) + 1
+        assert counts["residual"] == want_counts["residual"] - sum(
+            record.iterations - 1 for record in records)
+
+    @pytest.mark.parametrize("name", ["trench-mixed", "hillslope-sandy"])
+    def test_free_residual_sums_to_the_water_content_change(self, name):
+        problem, state = scenarios.build_all(scenarios.preset(name))
+        work = problem.workspace
+        for step in range(1, 21):
+            if step in (1, 2, 20):
+                step_map = StepMap(problem, state)
+                fixed_point(step_map, state.q[0], problem.omega, problem.tol,
+                            problem.max_iters, np.linalg.norm)
+                free = step_map.free_residual
+                assert free.tobytes() == work.residual(
+                    step_map.fields, step_map.theta_old_qp, problem.dt,
+                    None).tobytes()
+                # the shape functions sum to 1 and their gradients to 0
+                assert_allclose(free.sum(), work.weight * np.sum(
+                    step_map.fields.soil.theta - step_map.theta_old_qp),
+                    rtol=1e-12)
+            state, _ = run_coupled_step(problem, state)
 
 
 class TestPerfbenchHooks:
@@ -533,7 +619,7 @@ class TestAggregation:
         assert average is None and undefined == 1
 
     def test_trace_rows(self):
-        rows = trace_rows([fake_record(1, 0.5), fake_record(2, None)])
+        rows = list(trace_rows([fake_record(1, 0.5), fake_record(2, None)]))
         assert tuple(rows[0]) == TRACE_COLUMNS
         assert rows[0]["CR_n"] == 0.5
         assert rows[1]["CR_n"] == ""

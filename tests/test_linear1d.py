@@ -142,7 +142,7 @@ class TestFactoredSolve:
         monkeypatch.setattr(linear1d, "subsurface_solve",
                             banded_solve_oracle)
         banded = run_simulation(p, num_steps=6, tol=1e-12)
-        assert trace_rows(factored) == trace_rows(banded)
+        assert list(trace_rows(factored)) == list(trace_rows(banded))
         assert summary_rows(factored) == summary_rows(banded)
         for left, right in zip(factored.steps, banded.steps):
             assert np.array_equal(left.psi_interior, right.psi_interior)
@@ -334,7 +334,7 @@ class TestRows:
     def test_trace_rows_cover_every_iterate(self):
         trace = run_simulation(standard_params(omega=1.0), num_steps=3,
                                tol=1e-10)
-        rows = trace_rows(trace)
+        rows = list(trace_rows(trace))
         assert len(rows) == sum(step.iterations for step in trace.steps)
         assert rows[0]["n"] == 1 and rows[0]["k"] == 1
         assert set(rows[0]) == {"n", "k", "psi_gamma", "residual"}

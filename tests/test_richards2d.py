@@ -488,8 +488,8 @@ class TestNewtonStep:
         psi_old = np.full(grid.num_nodes, 2.0)
         values = 2.0 + 0.1 * np.linspace(-1.0, 1.0, grid.num_x + 1)
         old = work.at_qp(psi_old)
-        fields, report = work.newton_step(old, old.soil.theta, 36.0,
-                                          top_dirichlet(grid, values))
+        fields, _, report = work.newton_step(old, old.soil.theta, 36.0,
+                                             top_dirichlet(grid, values))
         assert report.iterations == 1
         assert report.residual_norm <= 1e-12
         assert np.all(fields.psi > 0.0)
@@ -513,8 +513,8 @@ class TestNewtonStep:
         psi_old = np.full(grid.num_nodes, 2.0)
         values = 2.0 + 0.1 * np.linspace(-1.0, 1.0, grid.num_x + 1)
         old = work.at_qp(psi_old)
-        _, report = work.newton_step(old, old.soil.theta, 36.0,
-                                     top_dirichlet(grid, values))
+        _, _, report = work.newton_step(old, old.soil.theta, 36.0,
+                                        top_dirichlet(grid, values))
         assert report.line_search_failures == int(reverse_first)
         assert report.iterations == 1 + int(reverse_first)
 
@@ -549,8 +549,8 @@ class TestNewtonStep:
         work = RichardsWorkspace(grid, SILT)
         psi_old = np.full(grid.num_nodes, -1.0)
         old = work.at_qp(psi_old)
-        _, report = work.newton_step(old, old.soil.theta, 100.0,
-                                     top_dirichlet(grid, -0.2))
+        _, _, report = work.newton_step(old, old.soil.theta, 100.0,
+                                        top_dirichlet(grid, -0.2))
         assert report.line_search_failures == int(reverse_first)
         assembled = [i for i, call in enumerate(calls)
                      if call[0] == "jacobian"]
@@ -576,8 +576,8 @@ class TestNewtonStep:
         grid = small_grid()
         work = RichardsWorkspace(grid, SILT)
         old = work.at_qp(np.full(grid.num_nodes, -1.0))
-        fields, report = work.newton_step(old, old.soil.theta, 100.0,
-                                          top_dirichlet(grid, -0.2))
+        fields, _, report = work.newton_step(old, old.soil.theta, 100.0,
+                                             top_dirichlet(grid, -0.2))
         assert report.iterations >= 2
         assert report.line_search_failures == int(reverse_first)
         want = work.at_qp(fields.psi.copy())
@@ -595,7 +595,7 @@ class TestNewtonStep:
         data = top_dirichlet(grid, psi_old[grid.top_node_indices()])
         work = RichardsWorkspace(grid, SILT)
         old = work.at_qp(psi_old)
-        fields, report = work.newton_step(old, old.soil.theta, 1.0e4, data)
+        fields, _, report = work.newton_step(old, old.soil.theta, 1.0e4, data)
         assert report.iterations == 0 and fields is old
         assert_allclose(fields.psi, psi_old, rtol=1e-15)
 

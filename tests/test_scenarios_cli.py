@@ -5,6 +5,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -282,6 +283,9 @@ class TestCsv:
         assert format_value(np.int64(7)) == "7"
         assert format_value(0.1) == "0.10000000000000001"
         assert format_value("trench") == "trench"
+        # one lookup per cell: a type the program never writes has no format
+        with pytest.raises(KeyError):
+            format_value(np.float32(0.5))
 
     def test_floats_round_trip_exactly(self, tmp_path):
         rng = np.random.default_rng(41)
@@ -410,6 +414,66 @@ class TestCli:
         assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 2
         assert "configuration error" in capsys.readouterr().err
         assert not os.path.exists(str(tmp_path / "out"))
+
+    # stderr of each analyze case above when every sweep point went through
+    # discrete_S on its own, in row major order
+    @pytest.mark.parametrize("argv, message", [
+        (["--length", "-1"], "--length must be positive and finite"),
+        (["--length", "inf"], "--length must be positive and finite"),
+        (["--mode", "resolution", "--c", "-1"],
+         "axis '-1' needs positive finite bounds and count >= 1"),
+        (["--c", "inf", "--k", "1"],
+         "axis 'inf' needs positive finite bounds and count >= 1"),
+        (["--dz", "1e-320"], "dz = 9.99989e-321 is too small for length 1"),
+        (["--mode", "resolution", "--c", "1e-320", "--k", "1e-320"],
+         "S = b^2 alpha - a/2 is not finite (alpha = inf, S = nan); c, k, "
+         "dt or dz is out of range"),
+        (["--mode", "resolution", "--c", "1e-320", "--k", "1e-320",
+          "--dt", "1", "--dz", "0.5"],
+         "S = b^2 alpha - a/2 is not finite (alpha = inf, S = nan); c, k, "
+         "dt or dz is out of range"),
+        (["--c", "1e300", "--k", "1"],
+         "S = b^2 alpha - a/2 is not finite (alpha = 3.21539e-299, S = inf);"
+         " c, k, dt or dz is out of range"),
+        (["--c", "1", "--k", "1", "--dz", "5e-7"],
+         "num_elements must be an integer in [2, 10**6]"),
+    ])
+    def test_analyze_error_is_the_first_failing_points(self, argv, message,
+                                                        tmp_path, capsys):
+        out = str(tmp_path / "out")
+        assert cli.main(["analyze", *argv, "--out", out]) == 2
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+        assert not os.path.exists(out)
+
+    def test_analyze_checks_every_chunk_before_writing(self, tmp_path,
+                                                       capsys):
+        # dt/dz only at the last of 2 x 8193 points overflows b^2
+        dt_axis = analysis.default_log_grid(1e-3, 1.37e152, 8193)
+        assert dt_axis.size * 2 > analysis.SWEEP_CHUNK
+        out = str(tmp_path / "out")
+        assert cli.main(["analyze", "--mode", "resolution",
+                         "--dt", "1e-3:1.37e152:8193", "--dz", "0.5:0.01:2",
+                         "--out", out]) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: S = b^2 alpha - a/2 is not finite (alpha ="
+            " 7.22628e-155, S = inf); c, k, dt or dz is out of range\n")
+        assert not os.path.exists(out)
+        # every other point passes
+        assert len(list(analysis.sweep(1.0, 1.0, dt_axis[:-1], [0.5, 0.01],
+                                       1.0))) == 16384
+        assert len(list(analysis.sweep(1.0, 1.0, dt_axis[-1], 0.5, 1.0))) == 1
+
+    def test_analyze_memory_does_not_grow_with_the_grid(self, tmp_path):
+        # 200 points at M = 10**6: the eigenvalue sums hold a few arrays of
+        # M - 1 doubles (8 MB each) at a time, never one per point
+        tracemalloc.start()
+        try:
+            assert cli.main(["analyze", "--dz", "1e-6", "--c", "1:10:8",
+                             "--out", str(tmp_path / "fine")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
 
     @pytest.mark.parametrize("threshold", [np.nan, np.inf, 0.0, -1.0])
     def test_run_scenario_rejects_bad_threshold(self, threshold, tmp_path):
