@@ -12,7 +12,8 @@ Subcommands:
 * ``presets``: list the built in scenarios.
 
 Exit codes: 0 on success, 2 for configuration errors, 3 when the coupling
-iteration diverges, 4 when the Richards or surface Newton raises NewtonError.
+iteration diverges (simulate hits max_iters, linrun's iterate overflows), 4
+when the Richards or surface Newton raises NewtonError.
 """
 
 from __future__ import annotations
@@ -217,7 +218,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except CouplingDivergedError as exc:
+    except (CouplingDivergedError, linear1d.NonFiniteError) as exc:
         print(f"coupling iteration diverged: {exc}", file=sys.stderr)
         return 3
     except NewtonError as exc:

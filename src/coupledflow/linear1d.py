@@ -20,22 +20,33 @@ is what the testbench demonstrates through iteration.fixed_point.
 The interior matrix is factored once per run (LAPACK dpttrf in build_system)
 and each sweep back-substitutes (dpttrs): the arithmetic of a dptsv solve.
 Both come from scipy's compiled _flapack, loaded without scipy.linalg.
+Every solve passes a residual check (check_solves): run_time_step checks
+its step's solves in batched passes, in order and before it returns or
+raises, with the same residual, scale and bound as subsurface_solve's
+single one; a batch holds at most SWEEP_CHUNK solution elements (or one
+solve), so memory stays bounded however many sweeps a step takes.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+import math
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from ._compiled import extension
-from .analysis import (AnalysisResult, LinearModelParams, discrete_S, sigma,
-                       toeplitz_coeffs)
+from .analysis import (SWEEP_CHUNK, AnalysisResult, LinearModelParams,
+                       discrete_S, sigma, toeplitz_coeffs)
 from .iteration import fixed_point, observed_cr
 
 _flapack = extension("scipy.linalg._flapack")
 dpttrf, dpttrs = _flapack.dpttrf, _flapack.dpttrs
+
+
+class NonFiniteError(ValueError):
+    """A right-hand side is not finite: a non-finite input, or an iterate
+    that overflowed."""
 
 
 @dataclass(frozen=True)
@@ -46,7 +57,8 @@ class Linear1DSystem:
     equal to ``off_diag``, in the last interior slot; the interface diagonal
     block is ``diag / 2``; ``rhs_old`` is M_II psi_I_old + M_IG psi_G_old.
     ``factor`` is dpttrf's ``(d, e, info)``, None for one interior unknown:
-    dpttrf rejects the empty off-diagonal of a 1x1 system.
+    dpttrf rejects the empty off-diagonal of a 1x1 system.  A non-finite
+    ``rhs_old`` raises NonFiniteError.
     """
 
     params: LinearModelParams
@@ -63,6 +75,8 @@ class Linear1DSystem:
         rhs[1:] += c_dz / 6.0 * self.psi_interior_old[:-1]
         rhs[:-1] += c_dz / 6.0 * self.psi_interior_old[1:]
         rhs[-1] += c_dz / 6.0 * self.psi_gamma_old
+        if not np.isfinite(rhs).all():
+            raise NonFiniteError("interior right-hand side must be finite")
         object.__setattr__(self, "rhs_old", rhs)
 
     @property
@@ -132,32 +146,54 @@ def build_system(p: LinearModelParams,
                           psi_gamma_old=float(psi_gamma_old), factor=factor)
 
 
-def subsurface_solve(sys: Linear1DSystem,
-                     psi_gamma_prev_iter: float) -> np.ndarray:
-    """Solve the interior tridiagonal system for a frozen interface value."""
+def sweep_solve(sys: Linear1DSystem,
+                psi_gamma_prev_iter: float) -> np.ndarray:
+    """Solve the interior tridiagonal system for a frozen interface value,
+    leaving the residual check to check_solves."""
     rhs = sys.rhs_old.copy()
     rhs[-1] -= sys.off_diag * psi_gamma_prev_iter
-    if not np.isfinite(rhs).all():
-        raise ValueError("interior right-hand side must be finite")
-    if sys.num_interior == 1:
+    # rhs_old is finite, so the last entry is the only one to test
+    if not math.isfinite(rhs[-1]):
+        raise NonFiniteError("interior right-hand side must be finite")
+    if sys.factor is None:
         # dpttrf rejects the empty off-diagonal of a 1x1 system
         if sys.diag <= 0.0:
             raise ValueError("interior matrix is not positive definite")
-        solution = rhs / sys.diag
-    else:
-        d, e, info = sys.factor
-        if info > 0:
-            raise ValueError("interior matrix is not positive definite")
-        solution = dpttrs(d, e, rhs)[0]
-    residual = sys.diag * solution - rhs
-    residual[1:] += sys.off_diag * solution[:-1]
-    residual[:-1] += sys.off_diag * solution[1:]
+        return rhs / sys.diag
+    d, e, info = sys.factor
+    if info > 0:
+        raise ValueError("interior matrix is not positive definite")
+    return dpttrs(d, e, rhs, overwrite_b=1)[0]
+
+
+def check_solves(sys: Linear1DSystem, psi_gammas: Sequence[float],
+                 solutions: Sequence[np.ndarray]) -> None:
+    """Residual check of sweep_solve's solutions for the given frozen
+    interface values, row by row in one pass; any failure raises."""
+    x = np.array(solutions, dtype=float).reshape(-1, sys.num_interior)
+    rhs = np.empty_like(x)
+    rhs[:] = sys.rhs_old
+    rhs[:, -1] -= sys.off_diag * np.array(psi_gammas, dtype=float)
+    coupled = sys.off_diag * x
+    residual = sys.diag * x - rhs
+    residual[:, 1:] += coupled[:, :-1]
+    residual[:, :-1] += coupled[:, 1:]
     # backward stable solves guarantee residual ~ eps |A| |x|, not eps |rhs|
-    scale = max(np.abs(rhs).max(initial=0.0),
-                (abs(sys.diag) + 2.0 * abs(sys.off_diag))
-                * np.abs(solution).max(initial=0.0))
-    if np.abs(residual).max(initial=0.0) > 1e-12 * scale:
+    rhs_scale = np.abs(rhs).max(axis=1, initial=0.0)
+    x_scale = ((abs(sys.diag) + 2.0 * abs(sys.off_diag))
+               * np.abs(x).max(axis=1, initial=0.0))
+    # the row's max(rhs_scale, x_scale), NaN handling included
+    scale = np.where(x_scale > rhs_scale, x_scale, rhs_scale)
+    if (np.abs(residual).max(axis=1, initial=0.0) > 1e-12 * scale).any():
         raise RuntimeError("banded solve failed its residual check")
+
+
+def subsurface_solve(sys: Linear1DSystem,
+                     psi_gamma_prev_iter: float) -> np.ndarray:
+    """Solve the interior tridiagonal system for a frozen interface value
+    and check its residual."""
+    solution = sweep_solve(sys, psi_gamma_prev_iter)
+    check_solves(sys, [psi_gamma_prev_iter], [solution])
     return solution
 
 
@@ -182,19 +218,31 @@ def run_time_step(sys: Linear1DSystem, omega: float, tol: float = 1e-8,
     relaxes, and stops once |psi_G_tilde - psi_G_prev| < tol.  Running out of
     iterations is reported as a non converged result carrying the residual
     history, not as an exception: divergent settings are a legitimate region
-    of parameter space.
+    of parameter space.  Every solve of the step is checked before this
+    returns or raises, in order, so the first failing solve decides the
+    error; solves wait in blocks of at most SWEEP_CHUNK elements (or one
+    solve), so a long step at a fine mesh does not hold all its solutions.
     """
-    psi_interior = sys.psi_interior_old
+    psi_gammas, solutions = [], []
+    block = max(1, SWEEP_CHUNK // sys.num_interior)
 
     def sweep(psi_gamma: float) -> float:
-        nonlocal psi_interior
-        psi_interior = subsurface_solve(sys, psi_gamma)
-        return surface_update(sys, psi_interior, psi_gamma)
+        if len(solutions) == block:
+            check_solves(sys, psi_gammas, solutions)
+            psi_gammas.clear()
+            solutions.clear()
+        solution = sweep_solve(sys, psi_gamma)
+        psi_gammas.append(psi_gamma)
+        solutions.append(solution)
+        return surface_update(sys, solution, psi_gamma)
 
-    # the iterate is a Python float; abs keeps numpy calls out of the loop
-    psi_gamma, iterates, residuals = fixed_point(
-        sweep, sys.psi_gamma_old, omega, tol, max_iters, abs)
-    return StepResult(psi_gamma=psi_gamma, psi_interior=psi_interior,
+    try:
+        # the iterate is a Python float; abs keeps numpy calls out of the loop
+        psi_gamma, iterates, residuals = fixed_point(
+            sweep, sys.psi_gamma_old, omega, tol, max_iters, abs)
+    finally:
+        check_solves(sys, psi_gammas, solutions)
+    return StepResult(psi_gamma=psi_gamma, psi_interior=solutions[-1],
                       iterates=np.asarray(iterates), iterations=len(residuals),
                       residuals=np.asarray(residuals),
                       converged=residuals[-1] < tol, cr=observed_cr(residuals))
@@ -202,15 +250,23 @@ def run_time_step(sys: Linear1DSystem, omega: float, tol: float = 1e-8,
 
 def run_simulation(p: LinearModelParams, num_steps: int, tol: float = 1e-8,
                    max_iters: int = 200) -> Linear1DTrace:
-    """March num_steps time steps, committing the last accepted iterate."""
+    """March num_steps time steps, committing the last accepted iterate.
+
+    The initial data are finite, so a non-finite right-hand side means an
+    iterate overflowed: NonFiniteError names its step.
+    """
     if num_steps < 1:
         raise ValueError("num_steps must be at least 1")
     sys = build_system(p)
     steps: list[StepResult] = []
-    for _ in range(num_steps):
-        step = run_time_step(sys, p.omega, tol=tol, max_iters=max_iters)
+    for n in range(1, num_steps + 1):
+        try:
+            step = run_time_step(sys, p.omega, tol=tol, max_iters=max_iters)
+            sys = sys.with_previous_state(step.psi_interior, step.psi_gamma)
+        except NonFiniteError as exc:
+            raise NonFiniteError(f"the iterate overflowed in step {n} "
+                                 f"({exc})") from None
         steps.append(step)
-        sys = sys.with_previous_state(step.psi_interior, step.psi_gamma)
     return Linear1DTrace(params=p, analysis=discrete_S(p), steps=steps)
 
 

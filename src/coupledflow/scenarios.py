@@ -446,27 +446,48 @@ def _format_bool(value) -> str:
     return "true" if value else "false"
 
 
-_format_float = "%.17g".__mod__
-# the formatter of each cell type the program writes
-_CELL_FORMATS = {float: _format_float, np.float64: _format_float,
-                 int: str, np.int64: str, bool: _format_bool,
-                 np.bool_: _format_bool, str: str}
+# the format of each cell type the program writes: a % spec for numbers,
+# whose text never needs csv quoting, else a function of the value
+_CELL_FORMATS = {float: "%.17g", np.float64: "%.17g", int: "%d",
+                 np.int64: "%d", bool: _format_bool, np.bool_: _format_bool,
+                 str: str}
 
 
 def format_value(value) -> str:
     """A CSV cell, by one lookup of its type: floats round-trip ("%.17g"),
     bools are true/false; a type without a format raises KeyError."""
-    return _CELL_FORMATS[type(value)](value)
+    spec = _CELL_FORMATS[type(value)]
+    return spec % value if type(spec) is str else spec(value)
+
+
+def _row_format(kinds: tuple[type, ...]) -> str | None:
+    """The % format of a row of numbers with these cell types, None for a
+    row with text or bool cells; a type without a format raises KeyError."""
+    specs = [_CELL_FORMATS[kind] for kind in kinds]
+    if all(type(spec) is str for spec in specs):
+        return ",".join(specs) + "\n"
+    return None
 
 
 def write_csv(path: str, columns: Sequence[str],
               rows: Iterable[Mapping]) -> None:
-    """Write the header and then each row as it is read from rows."""
+    """Write the header and then each row as it is read from rows.  A row of
+    numbers is one % format, built once per tuple of cell types; any other
+    row goes through the csv module's quoting."""
+    formats: dict[tuple[type, ...], str | None] = {}
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(columns)
-        writer.writerows([format_value(row[column]) for column in columns]
-                         for row in rows)
+        for row in rows:
+            cells = tuple([row[column] for column in columns])
+            kinds = tuple(map(type, cells))
+            if kinds not in formats:
+                formats[kinds] = _row_format(kinds)
+            line_format = formats[kinds]
+            if line_format is None:
+                writer.writerow(map(format_value, cells))
+            else:
+                handle.write(line_format % cells)
 
 
 def run_scenario(config: ScenarioConfig, out_dir: str,

@@ -2,29 +2,36 @@
 
 The single step solve is checked against a dense assembly of the same
 system and, bit for bit, against the unfactored banded solve it replaced;
+the step's batched residual check against the per-solve check it replaced;
 the iteration behaviour against the affine interface map
 psi -> S psi + tail, whose slope the analysis module predicts.
 """
 
+import importlib.util
+import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.linalg import solveh_banded
-from scipy.linalg.lapack import dpttrf
+from scipy.linalg.lapack import dpttrf, dpttrs
 
-from coupledflow import linear1d
+from coupledflow import cli, linear1d
 from coupledflow.analysis import LinearModelParams, discrete_S, sigma
 from coupledflow.iteration import observed_cr
 from coupledflow.linear1d import (
+    NonFiniteError,
     build_system,
+    check_solves,
     initial_state,
     run_simulation,
     run_time_step,
     subsurface_solve,
     summary_rows,
     surface_update,
+    sweep_solve,
     trace_rows,
 )
 
@@ -77,6 +84,54 @@ def banded_solve_oracle(sys, psi_gamma_prev_iter: float) -> np.ndarray:
     bands[1, :] = sys.diag
     return solveh_banded(bands, rhs)
 
+
+def checked_solve_oracle(sys, psi_gamma_prev_iter: float) -> np.ndarray:
+    """The solve before the residual check was batched per step: each
+    sweep tests its whole right-hand side and checks its own residual."""
+    rhs = sys.rhs_old.copy()
+    rhs[-1] -= sys.off_diag * psi_gamma_prev_iter
+    if not np.isfinite(rhs).all():
+        raise ValueError("interior right-hand side must be finite")
+    if sys.num_interior == 1:
+        # dpttrf rejects the empty off-diagonal of a 1x1 system
+        if sys.diag <= 0.0:
+            raise ValueError("interior matrix is not positive definite")
+        solution = rhs / sys.diag
+    else:
+        d, e, info = sys.factor
+        if info > 0:
+            raise ValueError("interior matrix is not positive definite")
+        solution = dpttrs(d, e, rhs)[0]
+    residual = sys.diag * solution - rhs
+    residual[1:] += sys.off_diag * solution[:-1]
+    residual[:-1] += sys.off_diag * solution[1:]
+    # backward stable solves guarantee residual ~ eps |A| |x|, not eps |rhs|
+    scale = max(np.abs(rhs).max(initial=0.0),
+                (abs(sys.diag) + 2.0 * abs(sys.off_diag))
+                * np.abs(solution).max(initial=0.0))
+    if np.abs(residual).max(initial=0.0) > 1e-12 * scale:
+        raise RuntimeError("banded solve failed its residual check")
+    return solution
+
+
+def with_wrong_factor(sys, relative: float):
+    """sys with the factor of its matrix's diagonal scaled by 1 + relative,
+    so each solve leaves a residual of about relative |A| |x|."""
+    n = sys.num_interior
+    return replace(sys, factor=dpttrf(np.full(n, sys.diag * (1.0 + relative)),
+                                      np.full(n - 1, sys.off_diag)))
+
+
+def perfbench_unit():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "unit.py"
+    spec = importlib.util.spec_from_file_location("perfbench_unit", path)
+    unit = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(unit)
+    return unit
+
+
+# parameters where S = -1000: the relaxed iterate overflows in step 1
+OVERFLOW = dict(c=1e-3, k=1e3, dt=1.0, num_elements=20)
 
 FACTOR_CASES = [(num_elements, c, k, dt)
                 for num_elements in (2, 3, 7, 40)
@@ -139,8 +194,7 @@ class TestFactoredSolve:
         p = standard_params(num_elements=num_elements, c=c, k=k, dt=dt,
                             omega=0.6)
         factored = run_simulation(p, num_steps=6, tol=1e-12)
-        monkeypatch.setattr(linear1d, "subsurface_solve",
-                            banded_solve_oracle)
+        monkeypatch.setattr(linear1d, "sweep_solve", banded_solve_oracle)
         banded = run_simulation(p, num_steps=6, tol=1e-12)
         assert list(trace_rows(factored)) == list(trace_rows(banded))
         assert summary_rows(factored) == summary_rows(banded)
@@ -198,6 +252,145 @@ class TestFactoredSolve:
         assert later.factor is sys.factor
         assert np.array_equal(later.rhs_old, build_system(
             standard_params(num_elements=7), np.ones(6), 0.25).rhs_old)
+
+
+class TestBatchedCheck:
+    def test_run_time_step_catches_a_wrong_factor(self):
+        sys = build_system(standard_params(num_elements=5))
+        other = replace(sys, factor=dpttrf(np.full(4, 2.0 * sys.diag),
+                                           np.full(3, sys.off_diag)))
+        with pytest.raises(RuntimeError,
+                           match="banded solve failed its residual check"):
+            run_time_step(other, omega=0.5)
+
+    def test_residual_failure_before_an_overflow_decides(self):
+        sys = build_system(standard_params(**OVERFLOW))
+        with pytest.raises(NonFiniteError, match="finite"):
+            run_time_step(sys, omega=1.0)
+        with pytest.raises(RuntimeError, match="residual check") as info:
+            run_time_step(with_wrong_factor(sys, 1.0), omega=1.0)
+        # the step went on to overflow; the earlier failed solve decides
+        assert isinstance(info.value.__context__, NonFiniteError)
+
+    def test_non_finite_previous_state_rejected(self):
+        p = standard_params(num_elements=7)
+        psi = np.ones(6)
+        psi[2] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            build_system(p, psi, 0.0)
+        sys = build_system(p)
+        with pytest.raises(ValueError, match="finite"):
+            sys.with_previous_state(psi, 0.0)
+        with pytest.raises(ValueError, match="finite"):
+            sys.with_previous_state(np.ones(6), np.inf)
+
+    @pytest.mark.parametrize("num_elements", [3, 7, 40])
+    def test_same_bound_as_each_solve(self, num_elements):
+        """A batch fails exactly when one of its solves fails the per-solve
+        check; factors wrong by a relative 1e-15 to 1e-10 straddle it."""
+        rng = np.random.default_rng(num_elements)
+        sys = build_system(standard_params(num_elements=num_elements),
+                           rng.normal(size=num_elements - 1), rng.normal())
+        gammas = [0.0, *rng.normal(size=5, scale=10.0 ** rng.integers(
+            -3, 4, size=5))]
+        outcomes = set()
+        for relative in (1e-15, 1e-13, 3e-13, 1e-12, 3e-12, 1e-11, 1e-10):
+            wrong = with_wrong_factor(sys, relative)
+            solutions, passes = [], []
+            for gamma in gammas:
+                solutions.append(sweep_solve(wrong, gamma))
+                try:
+                    expected = checked_solve_oracle(wrong, gamma)
+                except RuntimeError:
+                    passes.append(False)
+                else:
+                    passes.append(True)
+                    assert np.array_equal(expected, solutions[-1])
+                    check_solves(wrong, [gamma], solutions[-1:])
+            outcomes.update(passes)
+            if all(passes):
+                check_solves(wrong, gammas, solutions)
+            else:
+                with pytest.raises(RuntimeError, match="residual check"):
+                    check_solves(wrong, gammas, solutions)
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("num_elements", [3, 40])
+    def test_every_solve_of_a_batch_is_checked(self, num_elements):
+        sys = build_system(standard_params(num_elements=num_elements))
+        gammas = [0.1 * k for k in range(7)]
+        good = [sweep_solve(sys, gamma) for gamma in gammas]
+        wrong = with_wrong_factor(sys, 1e-10)
+        check_solves(sys, gammas, good)
+        for row, gamma in enumerate(gammas):
+            batch = list(good)
+            batch[row] = sweep_solve(wrong, gamma)
+            with pytest.raises(RuntimeError, match="residual check"):
+                check_solves(sys, gammas, batch)
+
+    @pytest.mark.parametrize("chunk", [1, 3 * 39, 1 << 14])
+    def test_blocks_of_any_size_check_every_solve(self, monkeypatch, chunk):
+        sys = build_system(standard_params(num_elements=40))
+        expected = run_time_step(sys, omega=0.6, tol=1e-12, max_iters=16)
+        monkeypatch.setattr(linear1d, "SWEEP_CHUNK", chunk)
+        step = run_time_step(sys, omega=0.6, tol=1e-12, max_iters=16)
+        assert np.array_equal(step.psi_interior, expected.psi_interior)
+        assert np.array_equal(step.residuals, expected.residuals)
+        wrong, solve = with_wrong_factor(sys, 1e-10), linear1d.sweep_solve
+        for bad in range(step.iterations):
+            calls = []
+
+            def one_wrong(sys, psi_gamma):
+                calls.append(psi_gamma)
+                return solve(wrong if len(calls) == bad + 1 else sys,
+                             psi_gamma)
+
+            monkeypatch.setattr(linear1d, "sweep_solve", one_wrong)
+            with pytest.raises(RuntimeError, match="residual check"):
+                run_time_step(sys, omega=0.6, tol=1e-12, max_iters=16)
+            monkeypatch.setattr(linear1d, "sweep_solve", solve)
+        with pytest.raises(RuntimeError, match="residual check"):
+            run_time_step(with_wrong_factor(
+                build_system(standard_params(**OVERFLOW)), 1.0), omega=1.0)
+
+    def test_solutions_of_a_long_step_are_not_held(self, tmp_path, capsys):
+        # one step of 30 sweeps at 99,999 unknowns hits --max-iters; its
+        # solutions are 24 MB and checking them as one batch peaks near
+        # 150 MB, one solve at a time about 8 MB
+        num_interior = 99_999
+        tracemalloc.start()
+        try:
+            code = cli.main(["linrun", "--num-elements",
+                             str(num_interior + 1), "--dt", "1",
+                             "--max-iters", "30", "--steps", "1",
+                             "--out", str(tmp_path / "lin")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert "warning: at least one step hit max_iters" \
+            in capsys.readouterr().out
+        assert peak < 20 * 8 * num_interior
+
+    def test_linrun_with_perfbench_arguments_equals_checked_sweeps(
+            self, monkeypatch, tmp_path):
+        (argv,) = [argv for argv in perfbench_unit().linear_commands(
+            0, str(tmp_path / "batched")) if argv[0] == "linrun"]
+        assert cli.main(argv) == 0
+        calls = []
+
+        def checked(sys, psi_gamma_prev_iter):
+            calls.append(psi_gamma_prev_iter)
+            return checked_solve_oracle(sys, psi_gamma_prev_iter)
+
+        monkeypatch.setattr(linear1d, "sweep_solve", checked)
+        out = argv.index("--out") + 1
+        argv[out] = str(tmp_path / "checked")
+        assert cli.main(argv) == 0
+        assert len(calls) > 8000
+        for name in ("trace.csv", "steps.csv"):
+            assert (tmp_path / "checked" / name).read_bytes() \
+                == (tmp_path / "batched" / "linrun" / name).read_bytes()
 
 
 class TestInterfaceMap:
@@ -307,6 +500,11 @@ class TestRunSimulation:
         for left, right in zip(first.steps, second.steps):
             assert np.array_equal(left.residuals, right.residuals)
             assert left.psi_gamma == right.psi_gamma
+
+    def test_overflow_names_its_step(self):
+        with pytest.raises(NonFiniteError,
+                           match="the iterate overflowed in step 1 "):
+            run_simulation(standard_params(**OVERFLOW), num_steps=2)
 
     def test_rejects_zero_steps(self):
         with pytest.raises(ValueError):

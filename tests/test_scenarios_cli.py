@@ -36,6 +36,32 @@ from coupledflow.scenarios import (
 )
 
 
+def _oracle_format_bool(value) -> str:
+    return "true" if value else "false"
+
+
+_oracle_format_float = "%.17g".__mod__
+_ORACLE_CELL_FORMATS = {float: _oracle_format_float,
+                        np.float64: _oracle_format_float,
+                        int: str, np.int64: str, bool: _oracle_format_bool,
+                        np.bool_: _oracle_format_bool, str: str}
+
+
+def oracle_format_value(value) -> str:
+    """format_value before rows of numbers were formatted in one call."""
+    return _ORACLE_CELL_FORMATS[type(value)](value)
+
+
+def oracle_write_csv(path, columns, rows) -> None:
+    """write_csv before rows of numbers were formatted in one call: every
+    cell through format_value, every row through the csv module."""
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([oracle_format_value(row[column])
+                          for column in columns] for row in rows)
+
+
 def fresh_python(*args: str) -> subprocess.CompletedProcess:
     """python with args, in a new interpreter that finds this package."""
     src = os.path.dirname(os.path.dirname(coupledflow.__file__))
@@ -296,6 +322,52 @@ class TestCsv:
             reader = csv.DictReader(handle)
             back = [float(row["v"]) for row in reader]
         assert back == values
+
+    @pytest.mark.parametrize("columns,cells", [
+        (("a", "b", "c"), [
+            0.1, np.float64(-2.5e-300), 7, np.int64(2**53 + 1),
+            np.int64(-(2**62) - 3), 2**70, np.nan, np.inf, -np.inf,
+            np.float64(np.nan), "", True, np.bool_(False), "x,y",
+            'say "hi"', "two\nlines", "plain", 0, -0.0, 1e300]),
+        (("v",), ["", 1.5, "", np.int64(3), "a,b", True]),
+        (("only",), []),
+    ], ids=["mixed", "one-column", "header-only"])
+    def test_bytes_equal_the_cell_by_cell_writer(self, tmp_path, columns,
+                                                 cells):
+        # a row of each cell, then random rows in runs of up to 70 of one
+        # row, so numeric rows and quoted rows interleave
+        rng = np.random.default_rng(7)
+        rows = [dict.fromkeys(columns, cell) for cell in cells]
+        while cells and len(rows) < 500:
+            picks = rng.integers(len(cells), size=len(columns))
+            row = {column: cells[pick]
+                   for column, pick in zip(columns, picks)}
+            rows.extend([row] * int(rng.integers(1, 71)))
+        written, expected = tmp_path / "new.csv", tmp_path / "oracle.csv"
+        write_csv(str(written), columns, iter(rows))
+        oracle_write_csv(str(expected), columns, rows)
+        assert written.read_bytes() == expected.read_bytes()
+        if columns == ("v",):
+            assert written.read_bytes().startswith(b'v\n""\n')
+
+    def test_a_type_without_a_format_raises(self, tmp_path):
+        for row in ({"a": np.float32(0.5), "b": 1.0},
+                    {"a": np.float32(0.5), "b": "text"}):
+            with pytest.raises(KeyError):
+                write_csv(str(tmp_path / "t.csv"), ("a", "b"),
+                          [{"a": 1.0, "b": 2.0}, row])
+
+    def test_rows_are_not_held_in_memory(self, tmp_path):
+        # 200,000 rows are 4.7 MB of text, written as they are read
+        rows = ({"n": n, "x": n / 7.0} for n in range(200_000))
+        tracemalloc.start()
+        try:
+            write_csv(str(tmp_path / "big.csv"), ("n", "x"), rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "big.csv").stat().st_size > 4e6
+        assert peak < 1e6
 
     def test_single_header(self, tmp_path):
         path = str(tmp_path / "t.csv")
@@ -583,6 +655,28 @@ print("shared")
                          "--out", str(tmp_path / "lin")])
         assert code == 0
         assert "CR_1 undefined" in capsys.readouterr().out
+
+    def test_linrun_overflow_exits_like_a_divergence(self, tmp_path,
+                                                     capsys):
+        # S = -1000: the unrelaxed iterate overflows within step 1
+        out = tmp_path / "overflow"
+        code = cli.main(["linrun", "--c", "1e-3", "--k", "1e3", "--dt", "1",
+                         "--omega", "1", "--steps", "2", "--out", str(out)])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "coupling iteration diverged: the iterate overflowed in step 1 "
+            "(interior right-hand side must be finite)"]
+        assert not out.exists()
+
+    def test_linrun_finite_divergence_warns(self, tmp_path, capsys):
+        code = cli.main(["linrun", "--num-elements", "500", "--dt", "1",
+                         "--max-iters", "5", "--steps", "2",
+                         "--out", str(tmp_path / "lin")])
+        assert code == 0
+        assert "warning: at least one step hit max_iters" \
+            in capsys.readouterr().out
+        assert (tmp_path / "lin" / "steps.csv").exists()
 
     def test_linrun_rejects_bad_omega(self, tmp_path, capsys):
         assert cli.main(["linrun", "--omega", "1.5",
