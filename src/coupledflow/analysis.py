@@ -12,11 +12,19 @@ built from the tridiagonal Toeplitz coefficients
     a = (2/3) c dz + 2 K dt / dz
     b = (1/6) c dz - K dt / dz
 
-and the corner entry of the inverse interior matrix, computed as the
-eigenvalue sum
+and alpha, the corner entry of the inverse interior matrix.  The paper
+writes alpha as the eigenvalue sum
 
     alpha = (dz / L) * sum_{j=1..M-1} sin^2(j pi dz / L)
-                                      / (a/2 - b cos(j pi dz / L)).
+                                      / (a/2 - b cos(j pi dz / L)),
+
+which the Chebyshev form of a tridiagonal Toeplitz inverse sums in closed
+form.  With q = sqrt(a^2/4 - b^2), taken as the product
+sqrt((c dz/2)(c dz/6 + 2 K dt/dz)) that does not cancel, and
+w = asinh(q / |b|),
+
+    alpha = (1 - exp(-2(M-1)w)) / ((a/2 + q)(1 - exp(-2Mw)))
+    S     = -q coth(M w).
 
 With relaxation factor omega the per sweep error reduction is
 Sigma(omega) = omega S + 1 - omega, optimal (zero) at omega_opt = 1/(1 - S).
@@ -72,8 +80,7 @@ class LinearModelParams:
     dz: float = field(init=False)
 
     def __post_init__(self) -> None:
-        # the eigenvalue sum and the linear column allocate arrays of
-        # length num_elements
+        # the linear column allocates arrays of length num_elements
         if int(self.num_elements) != self.num_elements \
                 or not 2 <= self.num_elements <= 10**6:
             raise ValueError("num_elements must be an integer in [2, 10**6]")
@@ -91,7 +98,7 @@ class AnalysisResult:
 
     a: float
     b: float
-    alpha_sum: float
+    alpha: float
     S: float
     omega_opt: float
 
@@ -104,42 +111,41 @@ def toeplitz_coeffs(p: LinearModelParams) -> tuple[float, float]:
     return a, b
 
 
-def alpha_sum(a, b, num_elements: int, dz: float, length: float):
-    """Corner entry of the inverse interior matrix via the eigenvalue sum.
+def closed_form(p):
+    """(a, b, alpha, S) of p, which needs c, k, dt, dz and num_elements as
+    floats or as arrays of points; b = 0 gives alpha = 1/a, S = -a/2."""
+    a, b = toeplitz_coeffs(p)
+    m = p.num_elements
+    cdz = p.c * p.dz
+    q = np.sqrt(cdz / 2.0 * (cdz / 6.0 + 2.0 * p.k * p.dt / p.dz))
+    w = np.arcsinh(q / np.abs(b))
+    alpha = np.expm1(-2.0 * (m - 1) * w) \
+        / ((a / 2.0 + q) * np.expm1(-2.0 * m * w))
+    return a, b, alpha, -q / np.tanh(m * w)
 
-    a and b are scalars, or 1-D arrays of points that share num_elements
-    (and so dz).  The sum runs over the last axis of the points' terms, at
-    most SWEEP_CHUNK of them (or one point's) at a time.
-    """
+
+def alpha_sum(a: float, b: float, num_elements: int, dz: float,
+              length: float) -> float:
+    """alpha as the paper's eigenvalue sum, which closed_form sums."""
     angles = np.arange(1, num_elements) * np.pi * dz / length
-    cosines = np.cos(angles)
-    numerators = np.square(np.sin(angles, out=angles), out=angles)
-    half_a, b = np.divide(a, 2.0)[..., None], np.asarray(b)[..., None]
-    rows = max(1, SWEEP_CHUNK // cosines.size)
-    sums = []
-    for start in range(0, len(b), rows):
-        terms = b[start:start + rows] * cosines
-        np.subtract(half_a[start:start + rows], terms, out=terms)
-        if (terms <= 0.0).any():
-            raise ValueError("interior matrix is not positive definite")
-        np.divide(numerators, terms, out=terms)
-        sums.append(np.add.reduce(terms, axis=-1))
-    # concatenate cannot join the 0-d sum of scalar a and b
-    return dz / length * (sums[0] if len(sums) == 1 else np.concatenate(sums))
+    denominators = a / 2.0 - b * np.cos(angles)
+    if np.any(denominators <= 0.0):
+        raise ValueError("interior matrix is not positive definite")
+    return float(dz / length * np.sum(np.sin(angles) ** 2 / denominators))
 
 
 def discrete_S(p: LinearModelParams) -> AnalysisResult:
     """Iteration factor S = b^2 alpha - a/2 and the derived optimum."""
-    a, b = toeplitz_coeffs(p)
-    # subnormal denominators overflow the sum, huge b overflows b^2
-    with np.errstate(over="ignore", invalid="ignore"):
-        alpha = float(alpha_sum(a, b, p.num_elements, p.dz, p.length))
-        S = b * b * alpha - a / 2.0
+    # b = 0 divides by zero; subnormal c and k make alpha 0/0, huge ones
+    # overflow q
+    with np.errstate(all="ignore"):
+        a, b, alpha, S = closed_form(p)
+    alpha, S = float(alpha), float(S)
     if not (math.isfinite(alpha) and math.isfinite(S)):
         raise ValueError(f"S = b^2 alpha - a/2 is not finite (alpha = "
                          f"{alpha:g}, S = {S:g}); c, k, dt or dz is out of "
                          f"range")
-    return AnalysisResult(a=a, b=b, alpha_sum=alpha, S=S,
+    return AnalysisResult(a=a, b=b, alpha=alpha, S=S,
                           omega_opt=1.0 / (1.0 - S))
 
 
@@ -191,8 +197,8 @@ def laplace_height(s, c: float, k: float, length: float):
 
 SWEEP_COLUMNS = ("c", "K", "dt", "dz", "a", "b", "alpha", "S", "abs_S",
                  "omega_opt")
-# Points per sweep_point call, and elements per eigenvalue-sum block in it:
-# the sweep's working arrays keep this size however large the grid.
+# Points per sweep_point call: the sweep's working arrays keep this size
+# however large the grid.
 SWEEP_CHUNK = 1 << 14
 
 
@@ -217,35 +223,25 @@ def sweep_point(c: np.ndarray, k: np.ndarray, dt: np.ndarray, dz: np.ndarray,
     """The SWEEP_COLUMNS of the points (c[i], k[i], dt[i], dz[i]) as arrays.
 
     Each dz is snapped to the nearest admissible grid spacing, length / M
-    with M = max(2, round(length / dz)); alpha_sum runs once per M.  A point
-    that fails a check raises the ValueError discrete_S raises for it alone;
-    the first such point in order wins.
+    with M = max(2, round(length / dz)).  Every value is the one discrete_S
+    gives for its point alone, so the first failing point in order raises
+    the ValueError discrete_S raises for it.
     """
     with np.errstate(all="ignore"):
         count = length / dz
         elements = np.maximum(2.0, np.rint(count))  # half to even, as round
-        points = SimpleNamespace(c=c, k=k, dt=dt, dz=length / elements)
-        a, b = toeplitz_coeffs(points)
-        failed = ~((count < np.inf) & (elements <= 10**6)
-                   & (0.0 < length < np.inf))
-        for value in (c, k, dt, points.dz):
-            failed |= ~((0.0 < value) & (value < np.inf))
-        alpha = np.full(c.shape, np.nan)
-        for num_elements in np.unique(elements[~failed]).astype(int):
-            group = np.flatnonzero((elements == num_elements) & ~failed)
-            try:
-                alpha[group] = alpha_sum(a[group], b[group], num_elements,
-                                         length / num_elements, length)
-            except ValueError:
-                failed[group] = True
-        S = b * b * alpha - a / 2.0
-        failed |= ~(np.isfinite(alpha) & np.isfinite(S))
+        points = SimpleNamespace(c=c, k=k, dt=dt, dz=length / elements,
+                                 num_elements=elements)
+        a, b, alpha, S = closed_form(points)
         omega_opt = 1.0 / (1.0 - S)
-    if failed.any():
-        # a flagged M may hold good points too; these pass their checks
-        for i in np.flatnonzero(failed):
-            _check_point(c[i], k[i], dt[i], dz[i], length)
-        raise AssertionError("flagged sweep points passed their checks")
+    passed = (count < np.inf) & (elements <= 10**6) & (0.0 < length < np.inf) \
+        & np.isfinite(alpha) & np.isfinite(S)
+    for value in (c, k, dt, points.dz):
+        passed &= (0.0 < value) & (value < np.inf)
+    if not passed.all():
+        i = np.argmin(passed)
+        _check_point(c[i], k[i], dt[i], dz[i], length)
+        raise AssertionError("a failing sweep point passed its checks")
     return {"c": c, "K": k, "dt": dt, "dz": points.dz, "a": a, "b": b,
             "alpha": alpha, "S": S, "abs_S": np.abs(S),
             "omega_opt": omega_opt}

@@ -1,13 +1,15 @@
 """Tests for the linearized convergence analysis.
 
 The discrete quantities are checked against dense linear algebra oracles
-(an explicitly assembled tridiagonal interior matrix); the continuous ones
-against 50 digit mpmath evaluations frozen as literals.
+(an explicitly assembled tridiagonal interior matrix) and 80 digit mpmath
+evaluations of the determinant recurrence; the continuous ones against 50
+digit mpmath evaluations frozen as literals.
 """
 
 import itertools
 import timeit
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -183,6 +185,19 @@ class TestContinuous:
         with pytest.raises(ValueError):
             laplace_height(-0.5 + 2j, self.C, self.K, self.L)
 
+    def test_discrete_S_tends_to_rho_at_second_order(self):
+        # |S| -> |rho(1/dt)| as dz -> 0, the error falling 16x per 4x
+        # refinement; the eigenvalue sum's b^2 alpha - a/2 loses 7e-6 of S
+        # to cancellation at M = 10**6
+        rho = rho_continuous(1.0 / 0.1, 1.0, 1.0, 1.0, 1.0)
+        errors = [abs(discrete_S(LinearModelParams(
+            c=1.0, k=1.0, length=1.0, dt=0.1, num_elements=count)).S / rho
+            - 1.0) for count in 16 * 4 ** np.arange(7)]
+        assert_allclose(np.divide(errors[:-1], errors[1:]), 16.0, atol=0.1)
+        assert abs(discrete_S(LinearModelParams(
+            c=1.0, k=1.0, length=1.0, dt=0.1, num_elements=10**6)).S / rho
+            - 1.0) <= 1e-12
+
 
 class TestSweeps:
     def test_point_snaps_dz(self):
@@ -233,20 +248,22 @@ def point_by_point_discrete_S(p):
         raise ValueError(f"S = b^2 alpha - a/2 is not finite (alpha = "
                          f"{alpha:g}, S = {S:g}); c, k, dt or dz is out of "
                          f"range")
-    return AnalysisResult(a=a, b=b, alpha_sum=alpha, S=S,
+    return AnalysisResult(a=a, b=b, alpha=alpha, S=S,
                           omega_opt=1.0 / (1.0 - S))
 
 
-def point_by_point_row(c, k, dt, dz, length):
-    """One sweep row, as sweep_point made it before it took arrays."""
+def point_by_point_row(c, k, dt, dz, length,
+                       evaluate=point_by_point_discrete_S):
+    """One sweep row, as sweep_point made it before it took arrays, with
+    evaluate in place of discrete_S."""
     count = length / float(dz)
     if not count < np.inf:
         raise ValueError(f"dz = {dz:g} is too small for length {length:g}")
     p = LinearModelParams(c=c, k=k, length=length, dt=dt,
                           num_elements=max(2, round(count)))
-    result = point_by_point_discrete_S(p)
+    result = evaluate(p)
     return {"c": c, "K": k, "dt": dt, "dz": p.dz, "a": result.a,
-            "b": result.b, "alpha": result.alpha_sum, "S": result.S,
+            "b": result.b, "alpha": result.alpha, "S": result.S,
             "abs_S": abs(result.S), "omega_opt": result.omega_opt}
 
 
@@ -258,69 +275,133 @@ def assert_columns_bitwise(rows, want_rows):
         assert got.tobytes() == want.tobytes(), name
 
 
+def transfer_truth(c, k, dt, dz, length):
+    """alpha, S, abs_S and omega_opt at 80 digits from the exact c, k, dt and
+    dz.  The determinants D_j of the interior matrix's leading blocks obey
+    D_j = a D_{j-1} - b^2 D_{j-2} from D_0 = 1, D_-1 = 0, so the first
+    column of [[a, -b^2], [1, 0]]^(M-1) is (D_{M-1}, D_{M-2}) and
+    alpha = D_{M-2} / D_{M-1}."""
+    with mpmath.workdps(80):
+        c, k, dt, dz = map(mpmath.mpf, (c, k, dt, dz))
+        a = 2 * c * dz / 3 + 2 * k * dt / dz
+        b = c * dz / 6 - k * dt / dz
+        power = mpmath.matrix([[a, -b * b], [1, 0]]) \
+            ** (round(length / float(dz)) - 1)
+        alpha = power[1, 0] / power[0, 0]
+        S = b * b * alpha - a / 2
+        return {"alpha": alpha, "S": S, "abs_S": abs(S),
+                "omega_opt": 1 / (1 - S)}
+
+
+def relative_errors(rows, length):
+    """Each row's relative distance from the truth, per truth column."""
+    errors = []
+    for row in rows:
+        truth = transfer_truth(row["c"], row["K"], row["dt"], row["dz"],
+                               length)
+        errors.append({name: float(abs((row[name] - value) / value))
+                       for name, value in truth.items()})
+    return errors
+
+
+def assert_near_truth(rows, parent_rows, length=1.0):
+    """Every truth cell of rows within 1e-15 relative of the truth, each
+    column's worst no worse than the parent's (the eigenvalue sum's), and a
+    cell farther than the parent's only within that 1e-15.  Returns the
+    parent's worst relative error."""
+    errors = relative_errors(rows, length)
+    parent_errors = relative_errors(parent_rows, length)
+    for name in errors[0]:
+        got = np.array([error[name] for error in errors])
+        parent = np.array([error[name] for error in parent_errors])
+        assert got.max() <= 1e-15, name
+        assert got.max() <= parent.max(), name
+        assert np.all((got <= parent) | (got <= 1e-15)), name
+    return max(max(error.values()) for error in parent_errors)
+
+
 GRID = default_log_grid
 RNG = np.random.default_rng(21)
 # 200 points, log-uniform in c, K, dt and dz: M from 2 to about 3000
 RANDOM_POINTS = 10.0 ** RNG.uniform([-3, -3, -3, -3.5], [3, 3, 3, 0],
                                     size=(200, 4))
+# the same with M up to 20,000
+FINE_POINTS = 10.0 ** RNG.uniform([-3, -3, -3, -4.3], [3, 3, 3, 0],
+                                  size=(200, 4))
 
 
 class TestSweepOracle:
-    """The array kernel against the point-by-point chain it replaced, bit
-    for bit in every column."""
+    """The array kernel against discrete_S point by point, bit for bit in
+    every column, and both against the 80 digit truth next to the
+    point-by-point eigenvalue sum they replaced."""
 
-    @pytest.mark.parametrize("axes", [
-        (GRID(), GRID(), 0.1, 1.0 / 20.0),
-        (1.0, 1.0, GRID(), GRID(1.0 / 200, 1.0 / 2, 25)),
-        (GRID(1e-3, 1e3, 50), GRID(1e-3, 1e3, 50), 0.1, 1.0 / 20.0),
-        ([1.0, 2.0, 3.0], 1.0, 0.1, 1e-6),
+    @pytest.mark.parametrize("axes, parent_worst", [
+        ((GRID(), GRID(), 0.1, 1.0 / 20.0), 5.1e-14),
+        ((1.0, 1.0, GRID(), GRID(1.0 / 200, 1.0 / 2, 25)), 3.0e-12),
+        ((GRID(1e-3, 1e3, 50), GRID(1e-3, 1e3, 50), 0.1, 1.0 / 20.0),
+         5.6e-14),
+        (([1.0, 2.0, 3.0], 1.0, 0.1, 1e-6), 7.0e-6),
     ], ids=["material", "resolution", "perfbench-material", "finest"])
-    def test_grid(self, axes):
+    def test_grid(self, axes, parent_worst):
         points = list(itertools.product(
             *(np.array(axis, dtype=float, ndmin=1) for axis in axes)))
-        assert_columns_bitwise(list(sweep(*axes, 1.0)),
-                               [point_by_point_row(*point, 1.0)
-                                for point in points])
+        rows = list(sweep(*axes, 1.0))
+        assert_columns_bitwise(rows, [point_by_point_row(*point, 1.0,
+                                                         discrete_S)
+                                      for point in points])
+        assert_allclose(assert_near_truth(
+            rows, [point_by_point_row(*point, 1.0) for point in points]),
+            parent_worst, rtol=0.05)
 
-    def test_resolution_grid_crosses_the_pairwise_block(self):
-        # numpy sums blocks of 128 terms pairwise: M - 1 runs across that
-        rows = sweep(1.0, 1.0, 0.1, GRID(1.0 / 200, 1.0 / 2, 25), 1.0)
-        counts = sorted(round(1.0 / row["dz"]) for row in rows)
-        assert counts[0] == 2 and counts[-1] == 200
-        assert any(count - 1 < 128 < count - 1 + 40 for count in counts)
+    @pytest.mark.parametrize("points, parent_worst", [
+        (RANDOM_POINTS, 5.4e-10), (FINE_POINTS, 3.3e-8)],
+        ids=["random", "fine"])
+    def test_random_points(self, points, parent_worst):
+        columns = sweep_point(*points.T, 1.0)
+        rows = [dict(zip(columns, row)) for row in zip(*columns.values())]
+        assert_columns_bitwise(rows, [point_by_point_row(*point, 1.0,
+                                                         discrete_S)
+                                      for point in points])
+        assert_allclose(assert_near_truth(
+            rows, [point_by_point_row(*point, 1.0) for point in points]),
+            parent_worst, rtol=0.05)
 
-    def test_random_points(self):
-        c, k, dt, dz = RANDOM_POINTS.T
-        columns = sweep_point(c, k, dt, dz, 1.0)
-        want = [point_by_point_row(*point, 1.0) for point in RANDOM_POINTS]
+    def test_sweep_point_is_discrete_S_bitwise(self):
+        # 20,000 points log-uniform in c, K, dt and dz, M from 2 to 10**6
+        points = 10.0 ** np.random.default_rng(23).uniform(
+            [-3, -3, -3, -6], [3, 3, 3, 0], size=(20_000, 4))
+        columns = sweep_point(*points.T, 1.0)
         assert_columns_bitwise(
             [dict(zip(columns, row)) for row in zip(*columns.values())],
-            want)
-        for point, row in zip(RANDOM_POINTS, want):
-            p = LinearModelParams(c=point[0], k=point[1], length=1.0,
-                                  dt=point[2],
-                                  num_elements=round(1.0 / row["dz"]))
-            assert discrete_S(p) == point_by_point_discrete_S(p)
+            [point_by_point_row(*point, 1.0, discrete_S)
+             for point in points])
+
+    # after 40 good points, one point per check: dz too small, too many
+    # elements, subnormal c and K whose q underflows to 0 (two of them, the
+    # first at the M = 2 of good points) and a c whose q overflows
+    BAD = np.array([[1.0, 1.0, 0.1, 1e-320], [1.0, 1.0, 0.1, 5e-7],
+                    [5e-324, 5e-324, 0.1, 0.5], [1e-320, 1e-320, 0.1, 0.5],
+                    [1e300, 1.0, 0.1, 0.05]])
+    NOT_FINITE = ("S = b^2 alpha - a/2 is not finite (alpha = {}, S = {}); "
+                  "c, k, dt or dz is out of range")
+    MESSAGES = ["dz = 9.99989e-321 is too small for length 1",
+                "num_elements must be an integer in [2, 10**6]",
+                NOT_FINITE.format("nan", "nan"),
+                NOT_FINITE.format("nan", "nan"),
+                NOT_FINITE.format(0, "-inf")]
 
     @pytest.mark.parametrize("order", [[0, 1, 2, 3, 4], [4, 3, 2, 1, 0],
                                        [2, 0, 4, 1, 3], [3, 2, 0, 1, 4],
                                        [1, 4, 3, 0, 2]])
     def test_first_failing_point_raises_its_own_error(self, order):
-        # after 40 good points, one point per check: dz too small, too many
-        # elements, an interior matrix that is not positive definite (its M
-        # = 2 shared with good points), an infinite alpha and an S whose
-        # b^2 overflows
-        bad = np.array([[1.0, 1.0, 0.1, 1e-320], [1.0, 1.0, 0.1, 5e-7],
-                        [5e-324, 5e-324, 0.1, 0.5],
-                        [1e-320, 1e-320, 0.1, 0.5], [1e300, 1.0, 0.1, 0.05]])
-        points = np.vstack([RANDOM_POINTS[:40], bad[order],
+        points = np.vstack([RANDOM_POINTS[:40], self.BAD[order],
                             RANDOM_POINTS[40:80]])
         with pytest.raises(ValueError) as want:
             for point in points:
-                point_by_point_row(*point, 1.0)
+                point_by_point_row(*point, 1.0, discrete_S)
         with pytest.raises(ValueError) as got:
             sweep_point(*points.T, 1.0)
-        assert str(got.value) == str(want.value)
+        assert str(got.value) == str(want.value) == self.MESSAGES[order[0]]
 
     def test_discrete_S_is_no_slower_than_the_point_by_point_chain(self):
         # predict_S runs discrete_S every coupled step; interleaved batches

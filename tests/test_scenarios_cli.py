@@ -498,15 +498,15 @@ class TestCli:
          "axis 'inf' needs positive finite bounds and count >= 1"),
         (["--dz", "1e-320"], "dz = 9.99989e-321 is too small for length 1"),
         (["--mode", "resolution", "--c", "1e-320", "--k", "1e-320"],
-         "S = b^2 alpha - a/2 is not finite (alpha = inf, S = nan); c, k, "
+         "S = b^2 alpha - a/2 is not finite (alpha = nan, S = nan); c, k, "
          "dt or dz is out of range"),
         (["--mode", "resolution", "--c", "1e-320", "--k", "1e-320",
           "--dt", "1", "--dz", "0.5"],
-         "S = b^2 alpha - a/2 is not finite (alpha = inf, S = nan); c, k, "
+         "S = b^2 alpha - a/2 is not finite (alpha = nan, S = nan); c, k, "
          "dt or dz is out of range"),
         (["--c", "1e300", "--k", "1"],
-         "S = b^2 alpha - a/2 is not finite (alpha = 3.21539e-299, S = inf);"
-         " c, k, dt or dz is out of range"),
+         "S = b^2 alpha - a/2 is not finite (alpha = 0, S = -inf); c, k, "
+         "dt or dz is out of range"),
         (["--c", "1", "--k", "1", "--dz", "5e-7"],
          "num_elements must be an integer in [2, 10**6]"),
     ])
@@ -519,25 +519,37 @@ class TestCli:
 
     def test_analyze_checks_every_chunk_before_writing(self, tmp_path,
                                                        capsys):
-        # dt/dz only at the last of 2 x 8193 points overflows b^2
-        dt_axis = analysis.default_log_grid(1e-3, 1.37e152, 8193)
-        assert dt_axis.size * 2 > analysis.SWEEP_CHUNK
+        # q^2 = (c dz/2)(c dz/6 + 2 K dt/dz) overflows only at the last of
+        # 16385 points, where a and b are still finite
+        dt_axis = analysis.default_log_grid(1e-3, 1.83e298, 16385)
+        assert dt_axis.size > analysis.SWEEP_CHUNK
+        out = str(tmp_path / "out")
+        assert cli.main(["analyze", "--mode", "resolution", "--c", "1e10",
+                         "--k", "1", "--dt", "1e-3:1.83e298:16385",
+                         "--dz", "0.5", "--out", out]) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: S = b^2 alpha - a/2 is not finite (alpha ="
+            " 0, S = -inf); c, k, dt or dz is out of range\n")
+        assert not os.path.exists(out)
+        # every other point passes
+        assert len(list(analysis.sweep(1e10, 1.0, dt_axis[:-1], 0.5,
+                                       1.0))) == 16384
+
+    def test_analyze_resolution_reaches_where_b_squared_overflows(
+            self, tmp_path):
+        # b^2 overflows at the last point; the closed form never squares b
         out = str(tmp_path / "out")
         assert cli.main(["analyze", "--mode", "resolution",
                          "--dt", "1e-3:1.37e152:8193", "--dz", "0.5:0.01:2",
-                         "--out", out]) == 2
-        assert capsys.readouterr().err == (
-            "configuration error: S = b^2 alpha - a/2 is not finite (alpha ="
-            " 7.22628e-155, S = inf); c, k, dt or dz is out of range\n")
-        assert not os.path.exists(out)
-        # every other point passes
-        assert len(list(analysis.sweep(1.0, 1.0, dt_axis[:-1], [0.5, 0.01],
-                                       1.0))) == 16384
-        assert len(list(analysis.sweep(1.0, 1.0, dt_axis[-1], 0.5, 1.0))) == 1
+                         "--out", out]) == 0
+        with open(os.path.join(out, "sweep.csv"), newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert len(rows) == 16386
+        assert all(np.isfinite(float(row["S"])) for row in rows)
 
     def test_analyze_memory_does_not_grow_with_the_grid(self, tmp_path):
-        # 200 points at M = 10**6: the eigenvalue sums hold a few arrays of
-        # M - 1 doubles (8 MB each) at a time, never one per point
+        # 200 points at M = 10**6: the closed form holds a few arrays of one
+        # double per point, never M - 1 doubles per point
         tracemalloc.start()
         try:
             assert cli.main(["analyze", "--dz", "1e-6", "--c", "1:10:8",
