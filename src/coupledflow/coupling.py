@@ -30,6 +30,7 @@ substitutes a 1e-30 guard so the linear model stays evaluable.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
@@ -72,8 +73,8 @@ class CoupledProblem:
             raise ValueError("rain rate and cutoff must be nonnegative")
         if not 0.0 < self.omega <= 1.0:
             raise ValueError("omega must lie in (0, 1]")
-        if self.tol <= 0.0 or self.dt <= 0.0:
-            raise ValueError("tol and dt must be positive")
+        if not (self.tol > 0.0 and 0.0 < self.dt < math.inf):
+            raise ValueError("tol must be positive, dt positive and finite")
         if self.max_iters < 1 or self.num_steps < 1 or self.output_every < 1:
             raise ValueError("iteration and step counts must be positive")
         if self.grid.num_z < 2:
@@ -164,8 +165,9 @@ def predict_S(psi: np.ndarray, grid: Grid2D, node_material,
     """Linear-theory contraction estimate from spatial coefficient means of
     node_material, the material bound at the grid nodes, at the heads psi."""
     soil = node_material.at_heads(psi)
-    c_bar = float(np.mean(soil.capacity))
-    k_bar = float(np.mean(soil.hydraulic_conductivity))
+    c_bar = float(soil.capacity.sum() / soil.capacity.size)
+    k_bar = float(soil.hydraulic_conductivity.sum()
+                  / soil.hydraulic_conductivity.size)
     params = LinearModelParams(c=max(c_bar, 1e-30), k=k_bar,
                                length=grid.length_z, dt=dt,
                                num_elements=grid.num_z)
@@ -233,7 +235,7 @@ def run_coupled_step(problem: CoupledProblem, state: CoupledState,
     step_map = StepMap(problem, state, None if _fields is None else _fields[0])
     h_new, _, residuals = fixed_point(step_map, state.q[0], problem.omega,
                                       problem.tol, problem.max_iters,
-                                      np.linalg.norm)
+                                      lambda r: math.sqrt(r.dot(r)))
     if not residuals[-1] < problem.tol:
         raise CouplingDivergedError(step, tuple(residuals))
     step_map.q[0] = h_new

@@ -42,7 +42,7 @@ def observed_cr(residuals) -> float | None:
         return None
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = residuals[1:-1] / residuals[:-2]
-    return float(np.mean(ratios))
+    return float(ratios.sum() / ratios.size)
 
 
 @dataclass(frozen=True)
@@ -76,15 +76,15 @@ def damped_newton(residual, direction, x: np.ndarray, target, max_iters: int,
     norm, iterations, failures = np.nan, 0, 0
     try:
         r = residual(x)
-        norm = np.max(np.abs(r))
+        norm = np.abs(r).max()
         tol = target(norm)
-        while np.isfinite(norm) and not norm <= tol and iterations < max_iters:
+        while norm < np.inf and not norm <= tol and iterations < max_iters:
             delta = direction(x, r)
             step = 1.0
             for _ in range(trials):
                 trial = x + step * delta
                 trial_r = residual(trial)
-                trial_norm = np.max(np.abs(trial_r))
+                trial_norm = np.abs(trial_r).max()
                 if trial_norm < norm:
                     break
                 step *= 0.5

@@ -52,7 +52,6 @@ SuperLU's per-solve workspace on the heap (see RichardsWorkspace).
 
 from __future__ import annotations
 
-import copy
 import warnings
 from collections import namedtuple
 from dataclasses import dataclass
@@ -143,7 +142,8 @@ class DirichletData:
 
     def with_values(self, values) -> "DirichletData":
         """The same, already checked nodes with new (checked) values."""
-        out = copy.copy(self)
+        out = object.__new__(DirichletData)
+        object.__setattr__(out, "nodes", self.nodes)
         object.__setattr__(out, "values", self._checked(values))
         return out
 
@@ -258,7 +258,6 @@ class RichardsWorkspace:
         # one SolvePlan per Dirichlet node set, keyed by its node bytes
         self._plans: dict[bytes | None, SolvePlan] = {}
         # top-edge midpoints for the interface flux
-        self._top = grid.top_node_indices()
         self._top_bound = material.at((np.arange(grid.num_x) + 0.5) * grid.dx)
 
     # ── assembly ─────────────────────────────────────────────────────────
@@ -270,7 +269,7 @@ class RichardsWorkspace:
         soil = self.bound.at_heads(psi_el @ self.shape.T)
         for label, values in (("water content", soil.theta),
                               ("conductivity", soil.hydraulic_conductivity)):
-            if not np.all(np.isfinite(values)):
+            if not np.isfinite(values).all():
                 element = int(np.argwhere(~np.isfinite(values))[0][0])
                 raise FloatingPointError(
                     f"non-finite {label} in element {element}")
@@ -370,9 +369,9 @@ class RichardsWorkspace:
         the free residual at start for the same theta_old_qp and dt, spares
         its recomputation.
         """
-        if not np.all(np.isfinite(start.psi)):
+        if not np.isfinite(start.psi).all():
             raise ValueError("start field contains non-finite values")
-        if dt <= 0.0:
+        if not dt > 0.0:
             raise ValueError("dt must be positive")
         latest, free = start, start_free
         nodes = dirichlet.nodes
@@ -398,9 +397,11 @@ class RichardsWorkspace:
 
     def interface_flux(self, psi: np.ndarray) -> np.ndarray:
         """Outward normal flux integral over each top cell [m^2/s]."""
-        top, below = self._top, self._top - (self.grid.num_x + 1)
-        psi_mid = 0.5 * (psi[top[:-1]] + psi[top[1:]])
-        psi_below = 0.5 * (psi[below[:-1]] + psi[below[1:]])
+        # the top row is the last num_x + 1 nodes, the row below precedes it
+        row = self.grid.num_x + 1
+        top, below = psi[-row:], psi[-2 * row:-row]
+        psi_mid = 0.5 * (top[:-1] + top[1:])
+        psi_below = 0.5 * (below[:-1] + below[1:])
         gradient = (psi_mid - psi_below) / self.grid.dz
         cond = self._top_bound.at_heads(psi_mid).hydraulic_conductivity
         return -cond * (gradient + 1.0) * self.grid.dx

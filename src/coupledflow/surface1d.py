@@ -38,6 +38,7 @@ returned next to damped_newton's report.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -103,7 +104,7 @@ class SurfaceModel:
     def manning_speed(self, h) -> np.ndarray:
         """Manning velocity magnitude for the kinematic flavor."""
         h = np.asarray(h, dtype=float)
-        return (np.sqrt(self.friction_slope) / self.manning_n
+        return (math.sqrt(self.friction_slope) / self.manning_n
                 * np.maximum(h, 0.0) ** (2.0 / 3.0))
 
 
@@ -147,17 +148,17 @@ class StepStart:
 
     def __init__(self, q_old: np.ndarray, dt: float, dx: float,
                  model: SurfaceModel):
-        if dt <= 0.0 or dx <= 0.0:
+        if not (dt > 0.0 and dx > 0.0):
             raise ValueError("dt and dx must be positive")
         q_old = np.asarray(q_old, dtype=float)
         if q_old.ndim != 2 or len(q_old) != model.num_components:
             raise ValueError("q_old must be shaped (2, cells) for swe, "
                              "(1, cells) for kinematic")
-        if not np.all(np.isfinite(q_old)):
+        if not np.isfinite(q_old).all():
             raise ValueError("previous state contains non-finite values")
         self.q_old, self.dt, self.dx, self.model = q_old, dt, dx, model
         self.flat = q_old.ravel()
-        self.scale = max(1.0, np.max(np.abs(self.flat)))
+        self.scale = max(1.0, np.abs(self.flat).max())
 
     def free_residual(self, flat: np.ndarray) -> np.ndarray:
         """q - q_old + dt/dx (F_l - F_{l-1}) of a flat state or (B, size)."""
@@ -170,8 +171,8 @@ class StepStart:
     def bumps(self, point: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Sizes eps and free residuals of point's column bumps, by row."""
         eps = 1e-8 * np.maximum(1.0, np.abs(point))
-        bumped = np.tile(point, (point.size, 1))
-        bumped[np.diag_indices(point.size)] += eps
+        bumped = point[None].repeat(point.size, axis=0)
+        bumped.flat[::point.size + 1] += eps
         return eps, self.free_residual(bumped)
 
     @cached_property
@@ -190,7 +191,7 @@ def implicit_fv_step(start: StepStart, source,
     source [m/s], an array or a scalar.  Also returns the Newton report and
     the volume [m^2] the H_FLOOR clamp added."""
     source = np.asarray(source, dtype=float)
-    if not np.all(np.isfinite(source)):
+    if not np.isfinite(source).all():
         raise ValueError("source contains non-finite values")
     # dt * source on the height rows; x - 0.0 is x for every other entry
     shift = np.zeros(start.flat.size)
@@ -211,7 +212,7 @@ def implicit_fv_step(start: StepStart, source,
                                  accept=1e-12 * start.scale)
     q_new = flat.reshape(start.q_old.shape).copy()  # never q_old itself
     low = q_new[0] < H_FLOOR
-    clamped_volume = float(np.sum((H_FLOOR - q_new[0][low]) * start.dx))
+    clamped_volume = float(((H_FLOOR - q_new[0][low]) * start.dx).sum())
     q_new[0][low] = H_FLOOR
     return q_new, newton, clamped_volume
 

@@ -131,6 +131,17 @@ class TestPredictS:
         assert_allclose(predicted.omega_opt,
                         1.0 / (1.0 + predicted.abs_s), rtol=1e-12)
 
+    def test_means_are_numpy_means_bitwise(self):
+        grid = Grid2D(length_x=2.0, length_z=3.0, num_x=5, num_z=8)
+        mixed = MaterialField(SOIL_PRESETS["silt-loam"],
+                              SOIL_PRESETS["beit-netofa-clay"], 1.0, 4.0)
+        node_material = mixed.at(grid.node_coords()[0])
+        psi = np.linspace(-3.0, 0.4, grid.num_nodes)
+        predicted = predict_S(psi, grid, node_material, dt=36.0)
+        soil = node_material.at_heads(psi)
+        assert predicted.c_bar == float(np.mean(soil.capacity))
+        assert predicted.k_bar == float(np.mean(soil.hydraulic_conductivity))
+
     def test_saturated_field_is_guarded(self):
         grid = Grid2D(length_x=1.0, length_z=1.0, num_x=2, num_z=4)
         clay = MaterialField(SOIL_PRESETS["beit-netofa-clay"])
@@ -332,12 +343,33 @@ class TestCoupledStep:
                                                np.array([0.0])))
 
     def test_config_validation(self):
-        # num_z = 1: the predictor's linear column needs two elements
+        # num_z = 1: the predictor's linear column needs two elements;
+        # unchecked, dt = nan failed in the first step's number, dt = inf in
+        # the soil Newton and tol = nan only in fixed_point
         for setting in ({"omega": 0.0}, {"omega": 1.2}, {"tol": 0.0},
-                        {"dt": -1.0}, {"max_iters": 0}, {"num_steps": 0},
+                        {"tol": np.nan}, {"dt": -1.0}, {"dt": np.nan},
+                        {"dt": np.inf}, {"max_iters": 0}, {"num_steps": 0},
                         {"output_every": 0}, {"num_z": 1}):
             with pytest.raises(ValueError):
                 column_problem(0.1, 0.01, **setting)
+
+    def test_coupling_norm_is_numpy_norm_bitwise(self, monkeypatch):
+        problem, state = scenarios.build_all(
+            scenarios.preset("trench-mixed"))
+        seen = []
+        fixed = coupling.fixed_point
+
+        def recording(sweep, x, omega, tol, max_iters, norm):
+            def checked(r):
+                seen.append((norm(r), np.linalg.norm(r)))
+                return seen[-1][0]
+            return fixed(sweep, x, omega, tol, max_iters, checked)
+
+        monkeypatch.setattr(coupling, "fixed_point", recording)
+        for _ in range(2):
+            state, _ = run_coupled_step(problem, state)
+        assert len(seen) >= 4
+        assert all(got == want for got, want in seen)
 
 
 class TestSweepDirichlet:

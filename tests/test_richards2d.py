@@ -159,6 +159,20 @@ class TestDirichlet:
         with pytest.raises(ValueError):
             DirichletData(np.array([[1]]), np.array([[0.0]]))
 
+    def test_with_values_shares_the_checked_nodes(self):
+        data = top_dirichlet(small_grid(), 0.25)
+        before = data.values.copy()
+        new = data.with_values([1.0, 2.0, 3.0, 4.0])
+        assert type(new) is DirichletData and new is not data
+        assert new.nodes is data.nodes
+        assert new.values.dtype == float
+        assert np.array_equal(new.values, [1.0, 2.0, 3.0, 4.0])
+        assert np.array_equal(data.values, before)
+        for bad in ([1.0, np.nan, 3.0, 4.0], [1.0, 2.0, 3.0]):
+            with pytest.raises(ValueError, match="Dirichlet values must be "
+                               "finite, one per node"):
+                data.with_values(np.array(bad))
+
     def test_merge(self):
         merged = DirichletData(np.array([0]), np.array([1.0])).merged_with(
             DirichletData(np.array([3]), np.array([2.0])))
@@ -493,6 +507,14 @@ class TestNewtonStep:
         assert report.iterations == 1
         assert report.residual_norm <= 1e-12
         assert np.all(fields.psi > 0.0)
+
+    def test_rejects_nan_dt(self):
+        grid = small_grid()
+        work = RichardsWorkspace(grid, CLAY)
+        old = work.at_qp(np.full(grid.num_nodes, 2.0))
+        with pytest.raises(ValueError, match="dt must be positive"):
+            work.newton_step(old, old.soil.theta, np.nan,
+                             top_dirichlet(grid, 2.0))
 
     @pytest.mark.parametrize("reverse_first", [False, True])
     def test_line_search_failures_are_counted(self, monkeypatch,

@@ -49,6 +49,15 @@ class TestFluxes:
         assert_allclose(model.manning_speed(0.01), 0.005226036332105808,
                         rtol=1e-12)
 
+    def test_manning_speed_is_numpy_sqrt_bitwise(self):
+        h = np.array([-0.02, 0.0, 1e-300, 0.013, 0.2, 3.0])
+        for slope in (5e-4, 0.02, 1.0 / 3.0):
+            model = SurfaceModel(flavor="kinematic", manning_n=0.037,
+                                 friction_slope=slope)
+            want = (np.sqrt(slope) / 0.037
+                    * np.maximum(h, 0.0) ** (2.0 / 3.0))
+            assert model.manning_speed(h).tobytes() == want.tobytes()
+
     def test_kinematic_flux_follows_fall_line(self):
         faces = llf_flux(uniform([0.01]), kinematic_model())
         assert_allclose(faces, -0.01 * 0.005226036332105808, rtol=1e-12)
@@ -175,8 +184,27 @@ class TestImplicitStep:
             StepStart(good, 0.0, 1.0, model)
         with pytest.raises(ValueError):
             StepStart(good, 1.0, 0.0, model)
+        for dt, dx in ((np.nan, 1.0), (1.0, np.nan)):
+            with pytest.raises(ValueError, match="dt and dx must be positive"):
+                StepStart(good, dt, dx, model)
         with pytest.raises(ValueError):
             implicit_fv_step(StepStart(good, 1.0, 1.0, model), np.inf)
+
+    def test_singular_jacobian_is_a_newton_error(self):
+        # bump residuals equal to the start residual: a zero Jacobian
+        model, q, source = rainy_state("swe", 5, **WALLS)
+        start = StepStart(q, 5.0, 0.5, model)
+
+        def flat_bumps(point):
+            eps = 1e-8 * np.maximum(1.0, np.abs(point))
+            return eps, np.tile(start.free_residual(point), (point.size, 1))
+
+        start.bumps = flat_bumps
+        with pytest.raises(NewtonError,
+                           match="singular Newton system") as info:
+            implicit_fv_step(start, source)
+        assert info.value.iterations == 0
+        assert info.value.residual_norm > 0.0
 
     def test_newton_failure_carries_diagnostics(self, monkeypatch):
         # one Newton iteration cannot solve this step
@@ -379,6 +407,32 @@ class TestStepStart:
                 assert np.array_equal(rhs, want_rhs)
         assert got[2] > 0.0
         assert np.array_equal(shared.q_old, q_old)
+
+    @pytest.mark.parametrize("flavor", ["swe", "kinematic"])
+    def test_bumps_equal_the_tiled_batch_bitwise(self, flavor):
+        model, q, _ = rainy_state(flavor, 6, **WALLS)
+        # Newton trials: negative and zero depths next to wet cells
+        q[0, ::3] = -0.02
+        q[0, 1::3] = 0.0
+        start = StepStart(q, 5.0, 0.5, model)
+        free_residual = start.free_residual
+        batches = []
+
+        def recording(flat):
+            batches.append(flat.copy())
+            return free_residual(flat)
+
+        start.free_residual = recording
+        for point in (start.flat, 1.5 * start.flat - 0.01):
+            eps = 1e-8 * np.maximum(1.0, np.abs(point))
+            want = np.tile(point, (point.size, 1))
+            want[np.diag_indices(point.size)] += eps
+            batches.clear()
+            got_eps, got = start.bumps(point)
+            assert len(batches) == 1
+            assert_same_bytes(batches[0], want)
+            assert_same_bytes(got_eps, eps)
+            assert_same_bytes(got, free_residual(want))
 
     @pytest.mark.parametrize("flavor", ["swe", "kinematic"])
     def test_start_fluxes_are_evaluated_once(self, monkeypatch, flavor):
