@@ -17,14 +17,15 @@ diagonal a and off diagonal b from the analysis module, the coupling vector
 is (0, ..., 0, b), and M_GG + dt A_GG = a / 2.  Under relaxation omega the
 interface map is affine with slope Sigma(omega) = omega S + 1 - omega, which
 is what the testbench demonstrates through iteration.fixed_point.
-The interior matrix is factored once per run (LAPACK dpttrf in build_system)
-and each sweep back-substitutes (dpttrs): the arithmetic of a dptsv solve.
-Both come from scipy's compiled _flapack, loaded without scipy.linalg.
-Every solve passes a residual check (check_solves): run_time_step checks
-its step's solves in batched passes, in order and before it returns or
-raises, with the same residual, scale and bound as subsurface_solve's
-single one; a batch holds at most SWEEP_CHUNK solution elements (or one
-solve), so memory stays bounded however many sweeps a step takes.
+The interior matrix is factored once per run (LAPACK dpttrf in build_system,
+which is also where a matrix that is not positive definite is rejected) and
+each sweep back-substitutes (dpttrs) in subsurface_solve, the one solve
+function: the arithmetic of a dptsv solve.  Both come from scipy's compiled
+_flapack, loaded without scipy.linalg.  Every solve passes a residual check
+(check_solves), which a non-finite solution fails: run_time_step checks its
+step's solves in batched passes, in order and before it returns or raises;
+a batch holds at most SWEEP_CHUNK solution elements (or one solve), so
+memory stays bounded however many sweeps a step takes.
 """
 
 from __future__ import annotations
@@ -140,14 +141,21 @@ def build_system(p: LinearModelParams,
         raise ValueError("previous interior state has the wrong length")
     a, b = toeplitz_coeffs(p)
     n = p.num_elements - 1
-    factor = dpttrf(np.full(n, a), np.full(n - 1, b)) if n > 1 else None
+    if n > 1:
+        factor = dpttrf(np.full(n, a), np.full(n - 1, b))
+        indefinite = factor[2] > 0
+    else:  # dpttrf rejects the empty off-diagonal of a 1x1 system
+        factor, indefinite = None, a <= 0.0
+    # the one definiteness test: the sweeps trust the factor
+    if indefinite:
+        raise ValueError("interior matrix is not positive definite")
     return Linear1DSystem(params=p, diag=a, off_diag=b,
                           psi_interior_old=psi_interior_old,
                           psi_gamma_old=float(psi_gamma_old), factor=factor)
 
 
-def sweep_solve(sys: Linear1DSystem,
-                psi_gamma_prev_iter: float) -> np.ndarray:
+def subsurface_solve(sys: Linear1DSystem,
+                     psi_gamma_prev_iter: float) -> np.ndarray:
     """Solve the interior tridiagonal system for a frozen interface value,
     leaving the residual check to check_solves."""
     rhs = sys.rhs_old.copy()
@@ -156,21 +164,21 @@ def sweep_solve(sys: Linear1DSystem,
     if not math.isfinite(rhs[-1]):
         raise NonFiniteError("interior right-hand side must be finite")
     if sys.factor is None:
-        # dpttrf rejects the empty off-diagonal of a 1x1 system
-        if sys.diag <= 0.0:
-            raise ValueError("interior matrix is not positive definite")
         return rhs / sys.diag
-    d, e, info = sys.factor
-    if info > 0:
-        raise ValueError("interior matrix is not positive definite")
+    d, e, _ = sys.factor
     return dpttrs(d, e, rhs, overwrite_b=1)[0]
 
 
 def check_solves(sys: Linear1DSystem, psi_gammas: Sequence[float],
                  solutions: Sequence[np.ndarray]) -> None:
-    """Residual check of sweep_solve's solutions for the given frozen
-    interface values, row by row in one pass; any failure raises."""
+    """Residual check of subsurface_solve's solutions for the given frozen
+    interface values, row by row in one pass; any failure raises, a
+    non-finite solution included."""
     x = np.array(solutions, dtype=float).reshape(-1, sys.num_interior)
+    x_max = np.abs(x).max(axis=1, initial=0.0)
+    # a max that is NaN fails too; tested first, as inf - inf would warn
+    if not x_max.max(initial=0.0) < math.inf:
+        raise RuntimeError("banded solve failed its residual check")
     rhs = np.empty_like(x)
     rhs[:] = sys.rhs_old
     rhs[:, -1] -= sys.off_diag * np.array(psi_gammas, dtype=float)
@@ -179,22 +187,11 @@ def check_solves(sys: Linear1DSystem, psi_gammas: Sequence[float],
     residual[:, 1:] += coupled[:, :-1]
     residual[:, :-1] += coupled[:, 1:]
     # backward stable solves guarantee residual ~ eps |A| |x|, not eps |rhs|
-    rhs_scale = np.abs(rhs).max(axis=1, initial=0.0)
-    x_scale = ((abs(sys.diag) + 2.0 * abs(sys.off_diag))
-               * np.abs(x).max(axis=1, initial=0.0))
-    # the row's max(rhs_scale, x_scale), NaN handling included
-    scale = np.where(x_scale > rhs_scale, x_scale, rhs_scale)
-    if (np.abs(residual).max(axis=1, initial=0.0) > 1e-12 * scale).any():
+    scale = np.maximum(np.abs(rhs).max(axis=1, initial=0.0),
+                       (abs(sys.diag) + 2.0 * abs(sys.off_diag)) * x_max)
+    # written so that a NaN residual or scale fails
+    if not (np.abs(residual).max(axis=1, initial=0.0) <= 1e-12 * scale).all():
         raise RuntimeError("banded solve failed its residual check")
-
-
-def subsurface_solve(sys: Linear1DSystem,
-                     psi_gamma_prev_iter: float) -> np.ndarray:
-    """Solve the interior tridiagonal system for a frozen interface value
-    and check its residual."""
-    solution = sweep_solve(sys, psi_gamma_prev_iter)
-    check_solves(sys, [psi_gamma_prev_iter], [solution])
-    return solution
 
 
 def surface_update(sys: Linear1DSystem, psi_interior_new: np.ndarray,
@@ -231,7 +228,7 @@ def run_time_step(sys: Linear1DSystem, omega: float, tol: float = 1e-8,
             check_solves(sys, psi_gammas, solutions)
             psi_gammas.clear()
             solutions.clear()
-        solution = sweep_solve(sys, psi_gamma)
+        solution = subsurface_solve(sys, psi_gamma)
         psi_gammas.append(psi_gamma)
         solutions.append(solution)
         return surface_update(sys, solution, psi_gamma)

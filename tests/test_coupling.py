@@ -9,6 +9,10 @@ rate must follow the closed-form slope of the interface update.
 import copy
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -580,6 +584,13 @@ class TestHandForward:
 
 
 class TestPerfbenchHooks:
+    # perfbench reports a layer function it cannot find as absent, with
+    # 0 calls; only the five material names are, since the closures
+    # became attributes of the material evaluator
+    ABSENT = {"material.theta", "material.capacity",
+              "material.hydraulic_conductivity",
+              "material.conductivity_derivative", "material.params_at"}
+
     @staticmethod
     def perfbench_unit():
         path = Path(__file__).resolve().parents[1] / "perfbench" / "unit.py"
@@ -601,9 +612,6 @@ class TestPerfbenchHooks:
             assert getattr(module, attribute) is expected[name]
 
     def test_layer_functions_resolve_as_the_tracer_installs_them(self):
-        # perfbench reports a layer function it cannot find as absent, with
-        # 0 calls; only the five material names are, since the closures
-        # became attributes of the material evaluator
         unit = self.perfbench_unit()
         absent = set()
         for name, (module_name, path) in unit.LAYER_FUNCTIONS.items():
@@ -615,10 +623,41 @@ class TestPerfbenchHooks:
                 found = getattr(module, attribute, None)
             if not callable(found):
                 absent.add(name)
-        assert absent == {"material.theta", "material.capacity",
-                          "material.hydraulic_conductivity",
-                          "material.conductivity_derivative",
-                          "material.params_at"}
+        assert absent == self.ABSENT
+
+    def test_every_span_records_calls(self, tmp_path):
+        # a span that resolves but that no program code calls reads 0 calls
+        # in every run; a fresh interpreter keeps the wrappers out of the
+        # other tests
+        unit_path = (Path(__file__).resolve().parents[1] / "perfbench"
+                     / "unit.py")
+        code = f"""
+import importlib.util, json
+spec = importlib.util.spec_from_file_location("perfbench_unit",
+                                              {str(unit_path)!r})
+unit = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(unit)
+from coupledflow import cli, scenarios
+tracer = unit.Tracer()
+for name, (module_name, path) in unit.LAYER_FUNCTIONS.items():
+    tracer.install(name, module_name, path)
+out = {str(tmp_path)!r}
+assert cli.main(["linrun", "--steps", "3", "--out", out + "/linrun"]) == 0
+assert cli.main(["analyze", "--c", "1", "--k", "1",
+                 "--out", out + "/analyze"]) == 0
+for base in ("trench-loam", "hillslope-silt"):
+    scenarios.run_scenario(scenarios.load_config(
+        base=base, overrides=["coupling.num_steps=2"]), out + "/" + base)
+print(json.dumps(tracer.calls))
+"""
+        src = os.path.dirname(os.path.dirname(coupling.__file__))
+        run = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=src))
+        calls = json.loads(run.stdout.splitlines()[-1])
+        silent = {name for name in self.perfbench_unit().LAYER_FUNCTIONS
+                  if calls.get(name, 0) == 0}
+        assert silent - self.ABSENT == set()
 
 
 def fake_record(step: int, cr: float | None) -> StepRecord:

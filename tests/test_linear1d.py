@@ -31,7 +31,6 @@ from coupledflow.linear1d import (
     subsurface_solve,
     summary_rows,
     surface_update,
-    sweep_solve,
     trace_rows,
 )
 
@@ -194,7 +193,8 @@ class TestFactoredSolve:
         p = standard_params(num_elements=num_elements, c=c, k=k, dt=dt,
                             omega=0.6)
         factored = run_simulation(p, num_steps=6, tol=1e-12)
-        monkeypatch.setattr(linear1d, "sweep_solve", banded_solve_oracle)
+        monkeypatch.setattr(linear1d, "subsurface_solve",
+                            banded_solve_oracle)
         banded = run_simulation(p, num_steps=6, tol=1e-12)
         assert list(trace_rows(factored)) == list(trace_rows(banded))
         assert summary_rows(factored) == summary_rows(banded)
@@ -203,7 +203,7 @@ class TestFactoredSolve:
 
     def test_factors_once_per_build_and_solves_once_per_sweep(
             self, monkeypatch):
-        calls = {"dpttrf": 0, "dpttrs": 0}
+        calls = {"dpttrf": 0, "dpttrs": 0, "subsurface_solve": 0}
 
         def counting(name):
             original = getattr(linear1d, name)
@@ -218,7 +218,8 @@ class TestFactoredSolve:
         trace = run_simulation(standard_params(omega=0.5), num_steps=5,
                                tol=1e-12)
         assert calls["dpttrf"] == 1
-        assert calls["dpttrs"] == sum(step.iterations for step in trace.steps)
+        sweeps = sum(step.iterations for step in trace.steps)
+        assert calls["dpttrs"] == calls["subsurface_solve"] == sweeps
         build_system(standard_params())
         assert calls["dpttrf"] == 2
 
@@ -229,22 +230,31 @@ class TestFactoredSolve:
         with pytest.raises(ValueError, match="finite"):
             subsurface_solve(sys, gamma)
 
-    def test_not_positive_definite_rejected(self):
-        sys = build_system(standard_params(num_elements=5))
-        bad = replace(sys, factor=dpttrf(np.full(4, -1.0), np.full(3, 0.1)))
-        with pytest.raises(ValueError, match="not positive definite"):
-            subsurface_solve(bad, 0.0)
-        single = replace(build_system(standard_params(num_elements=2)),
-                         diag=-1.0)
-        with pytest.raises(ValueError, match="not positive definite"):
-            subsurface_solve(single, 0.0)
+    def test_build_rejects_a_failed_factorization(self, monkeypatch):
+        def failing(d, e):
+            d, e, _ = dpttrf(d, e)
+            return d, e, 1
+
+        monkeypatch.setattr(linear1d, "dpttrf", failing)
+        with pytest.raises(ValueError,
+                           match="interior matrix is not positive definite"):
+            build_system(standard_params(num_elements=5))
+
+    @pytest.mark.parametrize("diag", [0.0, -1.0])
+    def test_build_rejects_a_non_positive_single_diagonal(self, monkeypatch,
+                                                          diag):
+        monkeypatch.setattr(linear1d, "toeplitz_coeffs",
+                            lambda p: (diag, 0.1))
+        with pytest.raises(ValueError,
+                           match="interior matrix is not positive definite"):
+            build_system(standard_params(num_elements=2))
 
     def test_residual_check_catches_a_wrong_factor(self):
         sys = build_system(standard_params(num_elements=5))
         other = replace(sys, factor=dpttrf(np.full(4, 2.0 * sys.diag),
                                            np.full(3, sys.off_diag)))
         with pytest.raises(RuntimeError, match="residual check"):
-            subsurface_solve(other, 0.5)
+            check_solves(other, [0.5], [subsurface_solve(other, 0.5)])
 
     def test_next_step_keeps_the_factor(self):
         sys = build_system(standard_params(num_elements=7))
@@ -298,7 +308,7 @@ class TestBatchedCheck:
             wrong = with_wrong_factor(sys, relative)
             solutions, passes = [], []
             for gamma in gammas:
-                solutions.append(sweep_solve(wrong, gamma))
+                solutions.append(subsurface_solve(wrong, gamma))
                 try:
                     expected = checked_solve_oracle(wrong, gamma)
                 except RuntimeError:
@@ -319,14 +329,46 @@ class TestBatchedCheck:
     def test_every_solve_of_a_batch_is_checked(self, num_elements):
         sys = build_system(standard_params(num_elements=num_elements))
         gammas = [0.1 * k for k in range(7)]
-        good = [sweep_solve(sys, gamma) for gamma in gammas]
+        good = [subsurface_solve(sys, gamma) for gamma in gammas]
         wrong = with_wrong_factor(sys, 1e-10)
         check_solves(sys, gammas, good)
         for row, gamma in enumerate(gammas):
             batch = list(good)
-            batch[row] = sweep_solve(wrong, gamma)
+            batch[row] = subsurface_solve(wrong, gamma)
             with pytest.raises(RuntimeError, match="residual check"):
                 check_solves(sys, gammas, batch)
+
+    @pytest.mark.parametrize("bad", ["all_nan", "one_nan", "all_inf"])
+    def test_non_finite_solutions_fail(self, bad):
+        sys = build_system(standard_params(num_elements=5))
+        x = subsurface_solve(sys, 0.3)
+        check_solves(sys, [0.3], [x])
+        if bad == "one_nan":
+            x[2] = np.nan
+        else:
+            x[:] = np.nan if bad == "all_nan" else np.inf
+        with pytest.raises(RuntimeError, match="residual check"):
+            check_solves(sys, [0.3], [x])
+        with pytest.raises(RuntimeError, match="residual check"):
+            check_solves(sys, [0.3, 0.3], [subsurface_solve(sys, 0.3), x])
+
+    def test_empty_batch_passes(self):
+        # a step that raises before its first solve checks an empty batch
+        check_solves(build_system(standard_params(num_elements=5)), [], [])
+
+    def test_non_finite_interface_value_fails(self):
+        sys = build_system(standard_params(num_elements=5))
+        with pytest.raises(RuntimeError, match="residual check"):
+            check_solves(sys, [np.nan], [subsurface_solve(sys, 0.3)])
+
+    def test_zero_pivot_fails_the_check_not_the_input(self):
+        sys = build_system(standard_params(num_elements=5))
+        _, e, _ = sys.factor
+        zero_pivot = replace(sys, factor=(np.zeros(4), e, 0))
+        with pytest.raises(RuntimeError, match="residual check") as info:
+            run_time_step(zero_pivot, omega=0.5)
+        # the sweep after the failed solve saw a non-finite interface value
+        assert isinstance(info.value.__context__, NonFiniteError)
 
     @pytest.mark.parametrize("chunk", [1, 3 * 39, 1 << 14])
     def test_blocks_of_any_size_check_every_solve(self, monkeypatch, chunk):
@@ -336,7 +378,8 @@ class TestBatchedCheck:
         step = run_time_step(sys, omega=0.6, tol=1e-12, max_iters=16)
         assert np.array_equal(step.psi_interior, expected.psi_interior)
         assert np.array_equal(step.residuals, expected.residuals)
-        wrong, solve = with_wrong_factor(sys, 1e-10), linear1d.sweep_solve
+        wrong = with_wrong_factor(sys, 1e-10)
+        solve = linear1d.subsurface_solve
         for bad in range(step.iterations):
             calls = []
 
@@ -345,10 +388,10 @@ class TestBatchedCheck:
                 return solve(wrong if len(calls) == bad + 1 else sys,
                              psi_gamma)
 
-            monkeypatch.setattr(linear1d, "sweep_solve", one_wrong)
+            monkeypatch.setattr(linear1d, "subsurface_solve", one_wrong)
             with pytest.raises(RuntimeError, match="residual check"):
                 run_time_step(sys, omega=0.6, tol=1e-12, max_iters=16)
-            monkeypatch.setattr(linear1d, "sweep_solve", solve)
+            monkeypatch.setattr(linear1d, "subsurface_solve", solve)
         with pytest.raises(RuntimeError, match="residual check"):
             run_time_step(with_wrong_factor(
                 build_system(standard_params(**OVERFLOW)), 1.0), omega=1.0)
@@ -383,7 +426,7 @@ class TestBatchedCheck:
             calls.append(psi_gamma_prev_iter)
             return checked_solve_oracle(sys, psi_gamma_prev_iter)
 
-        monkeypatch.setattr(linear1d, "sweep_solve", checked)
+        monkeypatch.setattr(linear1d, "subsurface_solve", checked)
         out = argv.index("--out") + 1
         argv[out] = str(tmp_path / "checked")
         assert cli.main(argv) == 0
