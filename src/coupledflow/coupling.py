@@ -80,12 +80,13 @@ class CoupledProblem:
         if self.grid.num_z < 2:
             raise ValueError("num_z must be at least 2: the contraction "
                              "predictor's column needs two elements")
-        self.workspace = RichardsWorkspace(self.grid, self.material)
-        self.node_material = self.material.at(self.grid.node_coords()[0])
         # every sweep's node set: top row, then static nodes (kept off it)
         self.dirichlet = top_dirichlet(self.grid, 0.0)
         if self.static_dirichlet is not None:
             self.dirichlet = self.dirichlet.merged_with(self.static_dirichlet)
+        self.workspace = RichardsWorkspace(self.grid, self.material,
+                                           self.dirichlet.nodes)
+        self.node_material = self.material.at(self.grid.node_coords()[0])
 
     def rain_at(self, time: float) -> float:
         # implicit stepping samples sources at the end of the step; keep the
@@ -207,10 +208,9 @@ class StepMap:
         problem = self.problem
         values = problem.dirichlet.values.copy()
         values[:h.size + 1] = map_height_to_head(h)
-        dirichlet = problem.dirichlet.with_values(values)
         self.fields, self.free_residual, newton_report = \
             problem.workspace.newton_step(self.fields, self.theta_old_qp,
-                                          problem.dt, dirichlet,
+                                          problem.dt, values,
                                           self.free_residual)
         source = (problem.workspace.interface_flux(self.fields.psi)
                   / problem.grid.dx + self.rain_rate)

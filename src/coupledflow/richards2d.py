@@ -31,20 +31,22 @@ positive when water leaves the soil.  Nonlinear coefficients are evaluated at
 quadrature points from the interpolated psi, and material parameters may vary
 horizontally (they are baked in per quadrature point at workspace setup).
 
-The Jacobian is assembled straight into a CSC pattern fixed at setup: one
-bincount sums the element matrices (duplicates in element order) and
-Dirichlet rows become identity rows, the matrix a COO -> CSR -> "+ diags" ->
-CSC chain gives.  The pattern work is done once per Dirichlet node set (a
-SolvePlan): the slots a constrained matrix keeps, and the column order
-SuperLU's gssv gives that pattern (COLAMD, then its column etree postorder;
-both read the pattern only).  Each solve then hands SuperLU the matrix
-already in that order, rows and columns alike, and asks for no ordering of
-its own: the factorization does the same arithmetic as
-scipy.sparse.linalg.spsolve on the same CSC arrays, without a sparse matrix
-object, and gives the same bits.  A kept entry that cancels to an exact zero
-(saturated soil on some grids) stays in the fixed pattern as a stored zero,
-where the chain would drop it.  SuperLU's _superlu is loaded on its own
-(_compiled.extension), without scipy.sparse;
+A workspace serves one Dirichlet node set, given when it is built: one
+node set per workspace, whose values change from sweep to sweep.  The
+Jacobian is assembled straight into that node set's CSC pattern: one
+bincount sums the element matrices (duplicates in element order) into the
+slots a constrained matrix keeps, the dropped off-diagonals of Dirichlet
+rows into one extra bin, and Dirichlet rows become identity rows, the
+matrix a COO -> CSR -> "+ diags" -> CSC chain gives.  The pattern and the
+column order SuperLU's gssv gives it (COLAMD, then its column etree
+postorder; both read the pattern only) are made once, with the workspace.
+Each solve then hands SuperLU the matrix already in that order, rows and
+columns alike, and asks for no ordering of its own: the factorization does
+the same arithmetic as scipy.sparse.linalg.spsolve on the same CSC arrays,
+without a sparse matrix object, and gives the same bits.  A kept entry that
+cancels to an exact zero (saturated soil on some grids) stays in the fixed
+pattern as a stored zero, where the chain would drop it.  SuperLU's
+_superlu is loaded on its own (_compiled.extension), without scipy.sparse;
 MatrixRankWarning is imported only when a solve finds the matrix singular.
 Building a workspace frees one untouched 16 MiB block so that glibc keeps
 SuperLU's per-solve workspace on the heap (see RichardsWorkspace).
@@ -79,8 +81,9 @@ class Grid2D:
     num_z: int
 
     def __post_init__(self) -> None:
-        if self.length_x <= 0.0 or self.length_z <= 0.0:
-            raise ValueError("domain lengths must be positive")
+        if not (0.0 < self.length_x < np.inf
+                and 0.0 < self.length_z < np.inf):
+            raise ValueError("domain lengths must be positive and finite")
         if self.num_x < 1 or self.num_z < 1:
             raise ValueError("need at least one element per direction")
 
@@ -131,21 +134,11 @@ class DirichletData:
         nodes = np.asarray(self.nodes, dtype=int)
         if nodes.ndim != 1 or nodes.size != np.unique(nodes).size:
             raise ValueError("Dirichlet nodes must be distinct, in a 1d array")
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "values", self._checked(self.values))
-
-    def _checked(self, values) -> np.ndarray:
-        values = np.asarray(values, dtype=float)
-        if values.shape != self.nodes.shape or not np.isfinite(values).all():
+        values = np.asarray(self.values, dtype=float)
+        if values.shape != nodes.shape or not np.isfinite(values).all():
             raise ValueError("Dirichlet values must be finite, one per node")
-        return values
-
-    def with_values(self, values) -> "DirichletData":
-        """The same, already checked nodes with new (checked) values."""
-        out = object.__new__(DirichletData)
-        object.__setattr__(out, "nodes", self.nodes)
-        object.__setattr__(out, "values", self._checked(values))
-        return out
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "values", values)
 
     def merged_with(self, other: "DirichletData") -> "DirichletData":
         return DirichletData(np.concatenate([self.nodes, other.nodes]),
@@ -159,32 +152,27 @@ def top_dirichlet(grid: Grid2D, values) -> DirichletData:
         np.asarray(values, dtype=float), nodes.shape).copy())
 
 
-# The pattern work of the Jacobian for one Dirichlet node set.  slots picks
-# the kept entries of the full pattern (all but the off-diagonals of
-# constrained rows), indices and indptr are their CSC pattern and diagonal
-# the data position of each constrained diagonal.  perm_c is the final column
-# order gssv gives that pattern and inverse its inverse; ordered gathers the
-# data of P^T A P, whose pattern is ordered_indices and ordered_indptr.
-SolvePlan = namedtuple("SolvePlan", "slots indices indptr diagonal perm_c "
-                       "inverse ordered ordered_indices ordered_indptr")
-# A Jacobian's CSC arrays in its fixed pattern (exact zeros kept), its plan
-Jacobian = namedtuple("Jacobian", "data indices indptr plan")
+# A Jacobian's CSC arrays in its workspace's fixed pattern (exact zeros
+# kept) and the column ordering its workspace solves them in: the final
+# column order perm_c gssv gives that pattern, its inverse, the gather
+# ordered that gives the data of P^T A P, and that matrix's row indices and
+# column starts.
+Jacobian = namedtuple("Jacobian", "data indices indptr ordering")
 
 
 def spsolve(matrix: Jacobian, rhs: np.ndarray) -> np.ndarray:
     """Solve the CSC system for rhs, stored zeros included, bit for bit as
     scipy.sparse.linalg.spsolve on the same arrays; an exactly singular
     matrix warns MatrixRankWarning and gives NaN, as there."""
-    data, _, indptr, plan = matrix
+    data, _, indptr, (perm_c, inverse, ordered, indices, starts) = matrix
     # P^T A P is already in gssv's order, so SuperLU's own ordering is the
     # identity.  Rows are relabelled with the columns because the pivot
     # search prefers each column's diagonal; each column keeps the stored
     # order of its rows, which SuperLU visits in that order.
     y, info = _superlu.gssv(
-        len(indptr) - 1, len(data), data[plan.ordered], plan.ordered_indices,
-        plan.ordered_indptr, rhs[plan.inverse], 1,
-        options=dict(ColPerm="NATURAL"))
-    x = y[plan.perm_c]
+        len(indptr) - 1, len(data), data[ordered], indices, starts,
+        rhs[inverse], 1, options=dict(ColPerm="NATURAL"))
+    x = y[perm_c]
     if info != 0:
         from scipy.sparse.linalg import MatrixRankWarning
         warnings.warn("Matrix is exactly singular", MatrixRankWarning,
@@ -215,15 +203,22 @@ def _shape_gradients(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class RichardsWorkspace:
-    """Precomputed assembly data for one grid / material pairing.
+    """Precomputed assembly data for one grid / material pairing and one
+    set of Dirichlet nodes (none when nodes is None).
 
     The material must provide ``at(x) -> bound``, whose ``at_heads(psi)``
     holds the arrays theta, capacity, hydraulic_conductivity and
     conductivity_derivative at psi; ``material.MaterialField`` does.
     """
 
-    def __init__(self, grid: Grid2D, material):
+    def __init__(self, grid: Grid2D, material, nodes=None):
         self.grid = grid
+        num_nodes = grid.num_nodes
+        self.nodes = np.asarray([] if nodes is None else nodes, dtype=int)
+        if self.nodes.ndim != 1 or not np.all(
+                (self.nodes >= 0) & (self.nodes < num_nodes)):
+            raise ValueError("Dirichlet nodes must be a 1d array of node "
+                             f"indices in [0, {num_nodes})")
         self.conn = grid.connectivity()
         self.weight = grid.dx * grid.dz / 4.0
         self.shape = _shape_values(_GAUSS)
@@ -242,21 +237,49 @@ class RichardsWorkspace:
         # SuperLU's per-solve LU workspace on the heap: without it each gssv
         # call maps, faults in and unmaps that workspace afresh.
         np.empty(1 << 21)
-        # CSC pattern of the assembled Jacobian: the data slot of each of the
-        # 16 entries per element, the row of each slot, the column starts
-        # and the slot of each diagonal entry (C int indices, as SuperLU's)
-        num_nodes = grid.num_nodes
+        # The full CSC pattern of the 16 entries per element (keys sorted by
+        # column, then row), of which the Jacobian keeps all but the
+        # off-diagonals of constrained rows.  _slot sends each entry to its
+        # kept data slot, or to the one extra bin _kept past them when it is
+        # dropped; _indices and _indptr are the kept pattern (C ints, as
+        # SuperLU's) and _diagonal the slots of the constrained diagonals.
         rows = np.broadcast_to(self.conn[:, :, None], (len(self.conn), 4, 4))
         cols = np.broadcast_to(self.conn[:, None, :], (len(self.conn), 4, 4))
         keys, slot = np.unique((cols * num_nodes + rows).ravel(),
                                return_inverse=True)
-        self._slot = slot.ravel()
-        self._rows = (keys % num_nodes).astype(np.intc)
-        nodes = np.arange(num_nodes + 1)
-        self._indptr = np.searchsorted(keys, nodes * num_nodes).astype(np.intc)
-        self._diag = np.searchsorted(keys, nodes[:-1] * (num_nodes + 1))
-        # one SolvePlan per Dirichlet node set, keyed by its node bytes
-        self._plans: dict[bytes | None, SolvePlan] = {}
+        all_nodes = np.arange(num_nodes + 1)
+        diagonal = np.searchsorted(keys, all_nodes[:-1] * (num_nodes + 1))
+        constrained = np.zeros(num_nodes, dtype=bool)
+        constrained[self.nodes] = True
+        keep = ~constrained[keys % num_nodes]
+        keep[diagonal[self.nodes]] = True
+        position = np.zeros(len(keep) + 1, dtype=int)
+        np.cumsum(keep, out=position[1:])
+        self._kept = int(position[-1])
+        self._slot = np.where(keep, position[:-1], self._kept)[slot.ravel()]
+        self._indices = (keys[keep] % num_nodes).astype(np.intc)
+        self._indptr = position[np.searchsorted(
+            keys, all_nodes * num_nodes)].astype(np.intc)
+        kept_diagonal = position[diagonal]
+        self._diagonal = kept_diagonal[self.nodes]
+        # gssv's column order depends on the pattern only, so factoring any
+        # nonsingular values gives it: here strictly diagonally dominant
+        # columns (the copy lets the factorization go)
+        counts = np.diff(self._indptr)
+        stand_in = np.full(self._kept, -1.0)
+        stand_in[kept_diagonal] = counts
+        perm_c = _superlu.gstrf(
+            num_nodes, self._kept, stand_in, self._indices, self._indptr,
+            csc_construct_func=None,
+            options=dict(ColPerm="COLAMD")).perm_c.copy()
+        inverse = np.argsort(perm_c)
+        ordered_counts = counts[inverse]
+        ordered_indptr = np.zeros(num_nodes + 1, dtype=np.intc)
+        np.cumsum(ordered_counts, out=ordered_indptr[1:])
+        ordered = (np.repeat(self._indptr[inverse] - ordered_indptr[:-1],
+                             ordered_counts) + np.arange(self._kept))
+        self._ordering = (perm_c, inverse, ordered,
+                          perm_c[self._indices[ordered]], ordered_indptr)
         # top-edge midpoints for the interface flux
         self._top_bound = material.at((np.arange(grid.num_x) + 0.5) * grid.dx)
 
@@ -277,19 +300,17 @@ class RichardsWorkspace:
                                 psi_el @ self.grad_z.T, soil)
 
     def residual(self, fields: QuadratureFields, theta_old_qp: np.ndarray,
-                 dt: float, dirichlet: DirichletData | None) -> np.ndarray:
-        """Weak residual at at_qp(psi_new); theta_old_qp is theta(psi_old)."""
-        psi_new, dpsi_dx, dpsi_dz, soil = fields
+                 dt: float) -> np.ndarray:
+        """Weak residual at at_qp(psi_new), Dirichlet rows not overwritten
+        (the free residual); theta_old_qp is theta(psi_old)."""
+        _, dpsi_dx, dpsi_dz, soil = fields
         cond_qp = soil.hydraulic_conductivity
         element_res = self.weight * (
             (soil.theta - theta_old_qp) @ self.shape
             + dt * ((cond_qp * dpsi_dx) @ self.grad_x
                     + (cond_qp * (dpsi_dz + 1.0)) @ self.grad_z))
-        out = np.bincount(self.conn.ravel(), element_res.ravel(),
-                          self.grid.num_nodes)
-        if dirichlet is not None:
-            out[dirichlet.nodes] = psi_new[dirichlet.nodes] - dirichlet.values
-        return out
+        return np.bincount(self.conn.ravel(), element_res.ravel(),
+                           self.grid.num_nodes)
 
     def _element_jacobians(self, fields: QuadratureFields,
                            dt: float) -> np.ndarray:
@@ -305,63 +326,27 @@ class RichardsWorkspace:
                     + np.einsum("eq,qab->eab", soil.hydraulic_conductivity,
                                 self.grad_outer)))
 
-    def _plan(self, dirichlet: DirichletData | None) -> SolvePlan:
-        """The SolvePlan of the node set of dirichlet, made on first use."""
-        key = None if dirichlet is None else dirichlet.nodes.tobytes()
-        if key in self._plans:
-            return self._plans[key]
-        nodes = np.empty(0, int) if dirichlet is None else dirichlet.nodes
-        num_nodes = self.grid.num_nodes
-        constrained = np.zeros(num_nodes, dtype=bool)
-        constrained[nodes] = True
-        keep = ~constrained[self._rows]
-        keep[self._diag[nodes]] = True
-        position = np.zeros(len(keep) + 1, dtype=np.intc)
-        np.cumsum(keep, out=position[1:])
-        slots = np.flatnonzero(keep)
-        indices, indptr = self._rows[slots], position[self._indptr]
-        diagonal = position[self._diag]
-        # gssv's column order depends on the pattern only, so factoring any
-        # nonsingular values gives it: here strictly diagonally dominant
-        # columns (the copy lets the factorization go)
-        counts = np.diff(indptr)
-        stand_in = np.full(len(indices), -1.0)
-        stand_in[diagonal] = counts
-        perm_c = _superlu.gstrf(
-            num_nodes, len(indices), stand_in, indices, indptr,
-            csc_construct_func=None,
-            options=dict(ColPerm="COLAMD")).perm_c.copy()
-        inverse = np.argsort(perm_c)
-        ordered_counts = counts[inverse]
-        ordered_indptr = np.zeros(num_nodes + 1, dtype=np.intc)
-        np.cumsum(ordered_counts, out=ordered_indptr[1:])
-        ordered = (np.repeat(indptr[inverse] - ordered_indptr[:-1],
-                             ordered_counts) + np.arange(len(indices)))
-        plan = self._plans[key] = SolvePlan(
-            slots, indices, indptr, diagonal[nodes], perm_c, inverse,
-            ordered, perm_c[indices[ordered]], ordered_indptr)
-        return plan
-
-    def jacobian(self, fields: QuadratureFields, dt: float,
-                 dirichlet: DirichletData | None) -> Jacobian:
-        """The Jacobian at fields: CSC arrays in the node set's fixed
-        pattern, exact zeros kept, with the plan that solves them."""
-        plan = self._plan(dirichlet)
-        # duplicates are summed in element order
+    def jacobian(self, fields: QuadratureFields, dt: float) -> Jacobian:
+        """The Jacobian at fields, its Dirichlet rows identity rows: CSC
+        arrays in the workspace's fixed pattern, exact zeros kept, with the
+        ordering that solves them."""
+        # duplicates are summed in element order; the last bin takes the
+        # dropped entries
         data = np.bincount(self._slot,
                            self._element_jacobians(fields, dt).ravel(),
-                           len(self._rows))[plan.slots]
-        data[plan.diagonal] = 1.0
-        return Jacobian(data, plan.indices, plan.indptr, plan)
+                           self._kept + 1)[:-1]
+        data[self._diagonal] = 1.0
+        return Jacobian(data, self._indices, self._indptr, self._ordering)
 
     # ── solves ───────────────────────────────────────────────────────────
 
     def newton_step(self, start: QuadratureFields, theta_old_qp: np.ndarray,
-                    dt: float, dirichlet: DirichletData,
+                    dt: float, values: np.ndarray,
                     start_free: np.ndarray | None = None,
                     ) -> tuple[QuadratureFields, np.ndarray, NewtonReport]:
         """One implicit Euler step from the fields at_qp(psi) of the start
-        iterate to those of the new one; theta_old_qp is theta(psi_old).
+        iterate to those of the new one; theta_old_qp is theta(psi_old)
+        and values are the heads prescribed at the workspace's nodes.
 
         Also returns the free residual at the new fields: the weak residual
         before its Dirichlet rows are overwritten, which depends on
@@ -373,24 +358,27 @@ class RichardsWorkspace:
             raise ValueError("start field contains non-finite values")
         if not dt > 0.0:
             raise ValueError("dt must be positive")
+        values = np.asarray(values, dtype=float)
+        if values.shape != self.nodes.shape or not np.isfinite(values).all():
+            raise ValueError("Dirichlet values must be finite, one per node")
         latest, free = start, start_free
-        nodes = dirichlet.nodes
+        nodes = self.nodes
 
         def residual(trial: np.ndarray) -> np.ndarray:
             nonlocal latest, free
             if trial is not latest.psi:
                 latest, free = self.at_qp(trial), None
             if free is None:
-                free = self.residual(latest, theta_old_qp, dt, None)
+                free = self.residual(latest, theta_old_qp, dt)
             out = free.copy()
-            out[nodes] = trial[nodes] - dirichlet.values
+            out[nodes] = trial[nodes] - values
             return out
 
         # latest is at_qp(x) in direction(x, r) and for the x returned, free
         # its free residual
         _, report = damped_newton(
             residual, lambda trial, res: spsolve(
-                self.jacobian(latest, dt, dirichlet), -res), start.psi,
+                self.jacobian(latest, dt), -res), start.psi,
             lambda norm0: max(NEWTON_ABS_TOL, NEWTON_REL_TOL * norm0),
             NEWTON_MAX_ITERS, NEWTON_TRIALS)
         return latest, free, report

@@ -77,11 +77,12 @@ class SurfaceModel:
             if self.manning_n is None or self.friction_slope is None:
                 raise ValueError("kinematic model needs manning_n and "
                                  "friction_slope")
-            if self.manning_n <= 0.0 or self.friction_slope <= 0.0:
+            if not (0.0 < self.manning_n < math.inf
+                    and 0.0 < self.friction_slope < math.inf):
                 raise ValueError("manning_n and friction_slope must be "
-                                 "positive")
-        if self.flavor == "swe" and self.gravity <= 0.0:
-            raise ValueError("gravity must be positive")
+                                 "positive and finite")
+        if self.flavor == "swe" and not 0.0 < self.gravity < math.inf:
+            raise ValueError("gravity must be positive and finite")
         if self.flow_sign not in (-1.0, 1.0):
             raise ValueError("flow_sign must be +1 or -1")
         for side in (self.boundary_left, self.boundary_right):

@@ -346,7 +346,7 @@ class TestConservationSuite:
         psi_old = rng.uniform(-3.0, -0.5, grid.num_nodes)
         psi_new = rng.uniform(-3.0, -0.5, grid.num_nodes)
         jacobian = sparse.csc_matrix(
-            workspace.jacobian(workspace.at_qp(psi_new), 1e5, None)[:3],
+            workspace.jacobian(workspace.at_qp(psi_new), 1e5)[:3],
             shape=(grid.num_nodes, grid.num_nodes)).toarray()
         worst_jacobian = 0.0
         theta_old = workspace.at_qp(psi_old).soil.theta
@@ -355,11 +355,9 @@ class TestConservationSuite:
             direction /= np.linalg.norm(direction)
             h = 1e-6
             plus = workspace.residual(
-                workspace.at_qp(psi_new + h * direction), theta_old, 1e5,
-                None)
+                workspace.at_qp(psi_new + h * direction), theta_old, 1e5)
             minus = workspace.residual(
-                workspace.at_qp(psi_new - h * direction), theta_old, 1e5,
-                None)
+                workspace.at_qp(psi_new - h * direction), theta_old, 1e5)
             fd = (plus - minus) / (2.0 * h)
             exact = jacobian @ direction
             worst_jacobian = max(worst_jacobian,

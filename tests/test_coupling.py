@@ -379,17 +379,18 @@ class TestCoupledStep:
 class TestSweepDirichlet:
     @pytest.mark.parametrize("name", ["trench-mixed", "hillslope-silt"])
     def test_equals_top_then_static(self, monkeypatch, name):
-        # each sweep's data equals top_dirichlet(...).merged_with(static),
-        # the per-sweep build it replaced, element for element
+        # the workspace's nodes and each sweep's values equal
+        # top_dirichlet(...).merged_with(static), a per-sweep build,
+        # element for element
         problem, state = scenarios.build_all(scenarios.preset(name))
         assert (problem.static_dirichlet is None) == (name == "hillslope-silt")
         used, heights = [], []
         newton_step = problem.workspace.newton_step
         to_head = coupling.map_height_to_head
 
-        def recording_newton(start, theta_old_qp, dt, dirichlet, free):
-            used.append(dirichlet)
-            return newton_step(start, theta_old_qp, dt, dirichlet, free)
+        def recording_newton(start, theta_old_qp, dt, values, free):
+            used.append(values)
+            return newton_step(start, theta_old_qp, dt, values, free)
 
         def recording_heights(h_cells):
             heights.append(h_cells.copy())
@@ -402,12 +403,12 @@ class TestSweepDirichlet:
             state, _ = run_coupled_step(problem, state)
         assert len(used) == len(heights) >= 4
         assert any(np.any(h != heights[0]) for h in heights)
-        for dirichlet, h_cells in zip(used, heights):
+        for values, h_cells in zip(used, heights):
             expected = top_dirichlet(problem.grid, to_head(h_cells))
             if problem.static_dirichlet is not None:
                 expected = expected.merged_with(problem.static_dirichlet)
-            assert np.array_equal(dirichlet.nodes, expected.nodes)
-            assert np.array_equal(dirichlet.values, expected.values)
+            assert np.array_equal(problem.workspace.nodes, expected.nodes)
+            assert np.array_equal(values, expected.values)
 
     def test_node_set_is_checked_once_per_problem(self, monkeypatch):
         problem, state = scenarios.build_all(
@@ -482,6 +483,25 @@ class TestStepMap:
         radius = self.spectral_radius(step_map, h)
         assert np.isfinite(radius) and radius > 0.0
 
+    def test_tight_tolerance_defines_the_rate(self):
+        """At coupling.tol=1e-11, CR_n is defined in every one of steps
+        1-150 of hillslope-silt (at the preset tolerance in none), and at
+        step 100 it is the map's radius."""
+        config = replace(scenarios.preset("hillslope-silt"), tol=1e-11)
+        problem, state = scenarios.build_all(config)
+        rates = []
+        for step in range(1, 151):
+            if step == 100:
+                step_map = StepMap(problem, state)
+                h, _, _ = fixed_point(step_map, state.q[0], problem.omega,
+                                      problem.tol, problem.max_iters,
+                                      np.linalg.norm)
+                radius = self.spectral_radius(step_map, h)
+            state, record = run_coupled_step(problem, state)
+            rates.append(record.cr)
+        assert None not in rates
+        assert_allclose(rates[99], radius, rtol=1e-3)
+
     def test_step_reads_the_map(self):
         # run_coupled_step is fixed_point on StepMap, read off the map
         problem, state = scenarios.build_all(scenarios.preset("trench-mixed"))
@@ -518,14 +538,14 @@ class TestHandForward:
                 return method(self, *args)
             return wrapped
 
-        def recording_newton_step(self, start, theta_old_qp, dt, dirichlet,
+        def recording_newton_step(self, start, theta_old_qp, dt, values,
                                   start_free=None):
             soil = [getattr(start.soil, name) for name in (
                 "theta", "capacity", "hydraulic_conductivity",
                 "conductivity_derivative")]
             seen.extend(array.tobytes()
                         for array in (*start[:3], *soil, theta_old_qp))
-            return newton_step(self, start, theta_old_qp, dt, dirichlet,
+            return newton_step(self, start, theta_old_qp, dt, values,
                                start_free if forward else None)
 
         def recording_newton(residual, *args):
@@ -574,8 +594,8 @@ class TestHandForward:
                             problem.max_iters, np.linalg.norm)
                 free = step_map.free_residual
                 assert free.tobytes() == work.residual(
-                    step_map.fields, step_map.theta_old_qp, problem.dt,
-                    None).tobytes()
+                    step_map.fields, step_map.theta_old_qp,
+                    problem.dt).tobytes()
                 # the shape functions sum to 1 and their gradients to 0
                 assert_allclose(free.sum(), work.weight * np.sum(
                     step_map.fields.soil.theta - step_map.theta_old_qp),

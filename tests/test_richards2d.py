@@ -89,10 +89,10 @@ def wall_dirichlet(grid: Grid2D) -> DirichletData:
     return DirichletData(nodes, np.full(nodes.shape, -0.5))
 
 
-def coo_assembly(work: RichardsWorkspace, psi: np.ndarray, dt: float,
-                 dirichlet: DirichletData | None) -> sparse.csc_matrix:
+def coo_assembly(work: RichardsWorkspace, psi: np.ndarray,
+                 dt: float) -> sparse.csc_matrix:
     """The scipy.sparse chain the fixed CSC pattern replaced: COO -> CSR,
-    Dirichlet rows zeroed, + diags, -> CSC."""
+    the rows of the workspace's Dirichlet nodes zeroed, + diags, -> CSC."""
     n = work.grid.num_nodes
     conn = work.conn
     rows = np.broadcast_to(conn[:, :, None], (len(conn), 4, 4)).ravel()
@@ -100,13 +100,32 @@ def coo_assembly(work: RichardsWorkspace, psi: np.ndarray, dt: float,
     matrix = sparse.coo_matrix(
         (work._element_jacobians(work.at_qp(psi), dt).ravel(), (rows, cols)),
         shape=(n, n)).tocsr()
-    if dirichlet is not None:
+    if work.nodes.size:
         constrained = np.zeros(n, dtype=bool)
-        constrained[dirichlet.nodes] = True
+        constrained[work.nodes] = True
         row_of_entry = np.repeat(np.arange(n), np.diff(matrix.indptr))
         matrix.data[constrained[row_of_entry]] = 0.0
         matrix = (matrix + sparse.diags(constrained.astype(float))).tocsr()
     return matrix.tocsc()
+
+
+def top_workspace(grid: Grid2D, material) -> RichardsWorkspace:
+    return RichardsWorkspace(grid, material, grid.top_node_indices())
+
+
+def constrained_workspace(soil: str, constraints: str) -> RichardsWorkspace:
+    """A workspace on the cancelling grid in silt ("silt") or on the
+    trench-mixed preset's grid and soil, for no Dirichlet nodes ("none"),
+    the top row ("top") or the top row and both walls ("top+walls")."""
+    if soil == "silt":
+        grid, material = cancelling_grid(), SILT
+    else:
+        problem = scenarios.build_all(scenarios.preset("trench-mixed"))[0]
+        grid, material = problem.grid, problem.material
+    nodes = {"none": None, "top": grid.top_node_indices(),
+             "top+walls": top_dirichlet(grid, 0.1).merged_with(
+                 wall_dirichlet(grid)).nodes}[constraints]
+    return RichardsWorkspace(grid, material, nodes)
 
 
 def assert_bitwise_equal(got: np.ndarray, want: np.ndarray) -> None:
@@ -143,6 +162,11 @@ class TestGrid:
             Grid2D(length_x=0.0, length_z=1.0, num_x=2, num_z=2)
         with pytest.raises(ValueError):
             Grid2D(length_x=1.0, length_z=1.0, num_x=0, num_z=2)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="positive and finite"):
+                Grid2D(bad, 1.0, 2, 2)
+            with pytest.raises(ValueError, match="positive and finite"):
+                Grid2D(1.0, bad, 2, 2)
 
 
 class TestDirichlet:
@@ -159,19 +183,18 @@ class TestDirichlet:
         with pytest.raises(ValueError):
             DirichletData(np.array([[1]]), np.array([[0.0]]))
 
-    def test_with_values_shares_the_checked_nodes(self):
-        data = top_dirichlet(small_grid(), 0.25)
-        before = data.values.copy()
-        new = data.with_values([1.0, 2.0, 3.0, 4.0])
-        assert type(new) is DirichletData and new is not data
-        assert new.nodes is data.nodes
-        assert new.values.dtype == float
-        assert np.array_equal(new.values, [1.0, 2.0, 3.0, 4.0])
-        assert np.array_equal(data.values, before)
-        for bad in ([1.0, np.nan, 3.0, 4.0], [1.0, 2.0, 3.0]):
-            with pytest.raises(ValueError, match="Dirichlet values must be "
-                               "finite, one per node"):
-                data.with_values(np.array(bad))
+    def test_workspace_rejects_nodes_outside_the_grid(self):
+        # -1 would alias the last node in every psi[nodes]
+        grid = Grid2D(length_x=1.0, length_z=1.0, num_x=2, num_z=2)
+        assert grid.num_nodes == 9
+        for nodes in ([-1, 8], [0, 9]):
+            data = DirichletData(np.array(nodes), np.zeros(2))
+            with pytest.raises(ValueError, match=r"in \[0, 9\)"):
+                RichardsWorkspace(grid, SILT, data.nodes)
+        with pytest.raises(ValueError, match="1d array"):
+            RichardsWorkspace(grid, SILT, [[0, 8]])
+        assert list(RichardsWorkspace(grid, SILT, [0, 8]).nodes) == [0, 8]
+        assert RichardsWorkspace(grid, SILT).nodes.size == 0
 
     def test_merge(self):
         merged = DirichletData(np.array([0]), np.array([1.0])).merged_with(
@@ -190,8 +213,7 @@ class TestResidual:
         work = RichardsWorkspace(grid, SILT)
         dt = 1.0e5
         theta_old = work.at_qp(psi_old).soil.theta
-        got = work.residual(work.at_qp(psi_new), theta_old, dt,
-                            dirichlet=None)
+        got = work.residual(work.at_qp(psi_new), theta_old, dt)
         want = residual_oracle(grid, SILT, psi_new, psi_old, dt)
         assert_allclose(got, want, rtol=1e-11,
                         atol=1e-14 * np.max(np.abs(want)))
@@ -206,8 +228,7 @@ class TestResidual:
         psi_old = rng.uniform(-2.0, 0.2, grid.num_nodes)
         work = RichardsWorkspace(grid, material)
         theta_old = work.at_qp(psi_old).soil.theta
-        got = work.residual(work.at_qp(psi_new), theta_old, 3.0e4,
-                            dirichlet=None)
+        got = work.residual(work.at_qp(psi_new), theta_old, 3.0e4)
         want = residual_oracle(grid, material, psi_new, psi_old, 3.0e4)
         assert_allclose(got, want, rtol=1e-11,
                         atol=1e-14 * np.max(np.abs(want)))
@@ -219,18 +240,32 @@ class TestResidual:
         psi = 0.5 - z
         work = RichardsWorkspace(grid, SILT)
         fields = work.at_qp(psi)
-        residual = work.residual(fields, fields.soil.theta, dt=1.0e6,
-                                 dirichlet=None)
+        residual = work.residual(fields, fields.soil.theta, dt=1.0e6)
         assert np.max(np.abs(residual)) <= 1e-14
 
-    def test_dirichlet_rows_replace_equations(self):
+    def test_dirichlet_rows_replace_equations(self, monkeypatch):
+        # newton_step's residual is the free one with the rows of the
+        # workspace's nodes replaced by psi_node - prescribed
         grid = small_grid()
         psi = np.full(grid.num_nodes, -1.0)
-        data = top_dirichlet(grid, -0.25)
-        work = RichardsWorkspace(grid, SILT)
+        work = top_workspace(grid, SILT)
+        residuals = []
+        damped_newton = richards2d.damped_newton
+
+        def recording(residual, *args):
+            residuals.append(residual)
+            return damped_newton(residual, *args)
+
+        monkeypatch.setattr(richards2d, "damped_newton", recording)
         fields = work.at_qp(psi)
-        residual = work.residual(fields, fields.soil.theta, 10.0, data)
-        assert_allclose(residual[data.nodes], -0.75, rtol=1e-15)
+        work.newton_step(fields, fields.soil.theta, 10.0,
+                         np.full(grid.num_x + 1, -0.25))
+        residual = residuals[0](psi.copy())
+        free = work.residual(fields, fields.soil.theta, 10.0)
+        top = grid.top_node_indices()
+        assert_allclose(residual[top], -0.75, rtol=1e-15)
+        rest = np.setdiff1d(np.arange(grid.num_nodes), top)
+        assert np.array_equal(residual[rest], free[rest])
 
     def test_mass_identity_without_constraints(self):
         """Sum of the unconstrained residual equals the storage change.
@@ -246,8 +281,7 @@ class TestResidual:
             psi_old = rng.uniform(-3.0, 1.0, grid.num_nodes)
             dt = 10.0 ** rng.uniform(0, 6)
             residual = work.residual(work.at_qp(psi_new),
-                                     work.at_qp(psi_old).soil.theta, dt,
-                                     dirichlet=None)
+                                     work.at_qp(psi_old).soil.theta, dt)
             change = (work.weight * np.sum(work.at_qp(psi_new).soil.theta)
                       - work.weight * np.sum(work.at_qp(psi_old).soil.theta))
             scale = np.sum(np.abs(residual)) + abs(change)
@@ -282,7 +316,7 @@ class TestResidual:
         want = np.zeros(grid.num_nodes)
         np.add.at(want, work.conn, element_res)
         assert_bitwise_equal(
-            work.residual(work.at_qp(psi_new), theta_old, dt, None), want)
+            work.residual(work.at_qp(psi_new), theta_old, dt), want)
 
 
 class TestJacobian:
@@ -290,20 +324,13 @@ class TestJacobian:
     @pytest.mark.parametrize("constraints", ["none", "top", "top+walls"])
     @pytest.mark.parametrize("soil", ["silt", "trench-mixed"])
     def test_matches_coo_assembly_bitwise(self, soil, constraints, field):
-        if soil == "silt":
-            work = RichardsWorkspace(cancelling_grid(), SILT)
-        else:
-            work = scenarios.build_all(
-                scenarios.preset("trench-mixed"))[0].workspace
+        work = constrained_workspace(soil, constraints)
         grid = work.grid
-        dirichlet = {"none": None, "top": top_dirichlet(grid, 0.1),
-                     "top+walls": top_dirichlet(grid, 0.1).merged_with(
-                         wall_dirichlet(grid))}[constraints]
         rng = np.random.default_rng(29)
         low, high = (-3.0, -0.05) if field == "unsaturated" else (0.1, 2.0)
         psi = rng.uniform(low, high, grid.num_nodes)
-        got = work.jacobian(work.at_qp(psi), 36.0, dirichlet)
-        want = coo_assembly(work, psi, 36.0, dirichlet)
+        got = work.jacobian(work.at_qp(psi), 36.0)
+        want = coo_assembly(work, psi, 36.0)
         rhs = rng.normal(size=grid.num_nodes)
         if soil == "silt" and constraints != "none" and field == "saturated":
             # the chain drops the cancelled entries the fixed pattern keeps
@@ -322,7 +349,7 @@ class TestJacobian:
         pivot.)"""
         work = RichardsWorkspace(small_grid(), CLAY)
         n = work.grid.num_nodes
-        arrays = work.jacobian(work.at_qp(np.full(n, 2.0)), 0.0, None)
+        arrays = work.jacobian(work.at_qp(np.full(n, 2.0)), 0.0)
         rhs = np.random.default_rng(31).normal(size=n)
         with pytest.warns(MatrixRankWarning, match="singular"):
             got = richards2d.spsolve(arrays, rhs)
@@ -333,50 +360,39 @@ class TestJacobian:
 
     def test_saturated_cancellations_stay_in_the_pattern(self):
         """Exact zeros stay in the node set's fixed pattern, with or without
-        constraints: the constrained system keeps its plan, equals the chain
-        densely and solves as scipy's spsolve on the same arrays."""
-        work = RichardsWorkspace(cancelling_grid(), SILT)
-        psi = np.full(work.grid.num_nodes, 0.5)
-        full = work.jacobian(work.at_qp(psi), 36.0, None)
-        assert np.count_nonzero(full.data == 0.0) > 0
-        assert full.plan is work._plan(None)
-        dirichlet = top_dirichlet(work.grid, 0.1)
-        constrained = work.jacobian(work.at_qp(psi), 36.0, dirichlet)
-        assert np.count_nonzero(constrained.data == 0.0) > 0
-        plan = constrained.plan
-        assert plan is work._plan(dirichlet)
-        assert len(constrained.data) == len(plan.indices)
-        rhs = np.random.default_rng(41).normal(size=work.grid.num_nodes)
-        assert_kept_zeros_match(constrained, coo_assembly(
-            work, psi, 36.0, dirichlet), rhs)
+        constraints: each Jacobian points at its workspace's ordering, and
+        the constrained one equals the chain densely and solves as scipy's
+        spsolve on the same arrays."""
+        psi = np.full(cancelling_grid().num_nodes, 0.5)
+        for constraints in ("none", "top"):
+            work = constrained_workspace("silt", constraints)
+            got = work.jacobian(work.at_qp(psi), 36.0)
+            assert np.count_nonzero(got.data == 0.0) > 0
+            assert got.ordering is work._ordering
+            assert len(got.data) == len(got.indices)
+        rhs = np.random.default_rng(41).normal(size=psi.size)
+        assert_kept_zeros_match(got, coo_assembly(work, psi, 36.0), rhs)
 
-    @pytest.mark.parametrize("soil", ["silt", "trench-mixed"])
-    def test_one_workspace_plans_each_node_set(self, soil):
-        """Node sets interleaved on one workspace each get their own plan;
-        every Jacobian and solve is the COO chain's, bit for bit."""
-        if soil == "silt":
-            work = RichardsWorkspace(cancelling_grid(), SILT)
-        else:
-            work = scenarios.build_all(
-                scenarios.preset("trench-mixed"))[0].workspace
-        grid = work.grid
-        top = top_dirichlet(grid, 0.1)
-        cases = {"none": None, "top": top,
-                 "top+walls": top.merged_with(wall_dirichlet(grid))}
+    @pytest.mark.parametrize("name", ["trench-mixed", "hillslope-silt"])
+    def test_problem_workspace_holds_its_node_set(self, name):
+        """CoupledProblem builds its workspace for its sweeps' node set,
+        the top row and then the static nodes; its Jacobians and solves are
+        the COO chain's for that node set, bit for bit."""
+        problem = scenarios.build_all(scenarios.preset(name))[0]
+        work = problem.workspace
+        assert np.array_equal(work.nodes, problem.dirichlet.nodes)
+        assert work.nodes.size > problem.grid.num_x + 1 or (
+            name == "hillslope-silt")
         rng = np.random.default_rng(37)
-        for name in ("top", "none", "top+walls", "top", "top+walls", "none",
-                     "top"):
-            dirichlet = cases[name]
-            psi = rng.uniform(-3.0, -0.05, grid.num_nodes)
-            got = work.jacobian(work.at_qp(psi), 36.0, dirichlet)
-            assert got.plan is work._plan(dirichlet)
-            want = coo_assembly(work, psi, 36.0, dirichlet)
+        for _ in range(3):
+            psi = rng.uniform(-3.0, -0.05, problem.grid.num_nodes)
+            got = work.jacobian(work.at_qp(psi), problem.dt)
+            want = coo_assembly(work, psi, problem.dt)
             for array, field in zip(got, ("data", "indices", "indptr")):
                 assert_bitwise_equal(array, getattr(want, field))
-            rhs = rng.normal(size=grid.num_nodes)
+            rhs = rng.normal(size=problem.grid.num_nodes)
             assert_bitwise_equal(richards2d.spsolve(got, rhs),
                                  spsolve(want, rhs))
-        assert len(work._plans) == 3
 
     def test_run_orders_its_pattern_once(self, monkeypatch):
         """20 coupled steps factor the stand-in values once and never ask
@@ -428,7 +444,7 @@ problem, state = scenarios.build_all(scenarios.load_config(
     base="trench-loam", overrides=["grid.num_x=20", "grid.num_z=64"]))
 work = problem.workspace
 assert work.grid.num_nodes == 1365
-matrix = work.jacobian(work.at_qp(state.psi), problem.dt, problem.dirichlet)
+matrix = work.jacobian(work.at_qp(state.psi), problem.dt)
 rhs = np.random.default_rng(43).normal(size=1365)
 richards2d.spsolve(matrix, rhs)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -451,7 +467,7 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
         work = RichardsWorkspace(grid, SILT)
         dt = 1.0e5
         matrix = sparse.csc_matrix(
-            work.jacobian(work.at_qp(psi), dt, dirichlet=None)[:3],
+            work.jacobian(work.at_qp(psi), dt)[:3],
             shape=(grid.num_nodes, grid.num_nodes))
         theta_old = work.at_qp(psi_old).soil.theta
         for trial in range(3):
@@ -459,9 +475,9 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
             direction /= np.max(np.abs(direction))
             h = 1e-6
             plus = work.residual(work.at_qp(psi + h * direction),
-                                 theta_old, dt, None)
+                                 theta_old, dt)
             minus = work.residual(work.at_qp(psi - h * direction),
-                                  theta_old, dt, None)
+                                  theta_old, dt)
             diff = (plus - minus) / (2.0 * h)
             applied = matrix @ direction
             denom = np.max(np.abs(applied))
@@ -473,7 +489,7 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
         work = RichardsWorkspace(grid, CLAY)
         dt = 50.0
         matrix = sparse.csc_matrix(
-            work.jacobian(work.at_qp(psi), dt, dirichlet=None)[:3],
+            work.jacobian(work.at_qp(psi), dt)[:3],
             shape=(grid.num_nodes, grid.num_nodes)).toarray()
         assert np.max(np.abs(matrix - matrix.T)) <= 1e-12 * np.max(
             np.abs(matrix))
@@ -484,12 +500,11 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
     def test_dirichlet_rows_become_identity(self):
         grid = small_grid()
         psi = np.full(grid.num_nodes, -0.5)
-        data = top_dirichlet(grid, 0.1)
-        work = RichardsWorkspace(grid, SILT)
+        work = top_workspace(grid, SILT)
         matrix = sparse.csc_matrix(
-            work.jacobian(work.at_qp(psi), 1.0, data)[:3],
+            work.jacobian(work.at_qp(psi), 1.0)[:3],
             shape=(grid.num_nodes, grid.num_nodes)).toarray()
-        for node in data.nodes:
+        for node in grid.top_node_indices():
             row = np.zeros(grid.num_nodes)
             row[node] = 1.0
             assert_allclose(matrix[node], row, atol=1e-15)
@@ -498,23 +513,23 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
 class TestNewtonStep:
     def test_saturated_linear_problem_needs_one_iteration(self):
         grid = small_grid()
-        work = RichardsWorkspace(grid, CLAY)
+        work = top_workspace(grid, CLAY)
         psi_old = np.full(grid.num_nodes, 2.0)
         values = 2.0 + 0.1 * np.linspace(-1.0, 1.0, grid.num_x + 1)
         old = work.at_qp(psi_old)
         fields, _, report = work.newton_step(old, old.soil.theta, 36.0,
-                                             top_dirichlet(grid, values))
+                                             values)
         assert report.iterations == 1
         assert report.residual_norm <= 1e-12
         assert np.all(fields.psi > 0.0)
 
     def test_rejects_nan_dt(self):
         grid = small_grid()
-        work = RichardsWorkspace(grid, CLAY)
+        work = top_workspace(grid, CLAY)
         old = work.at_qp(np.full(grid.num_nodes, 2.0))
         with pytest.raises(ValueError, match="dt must be positive"):
             work.newton_step(old, old.soil.theta, np.nan,
-                             top_dirichlet(grid, 2.0))
+                             np.full(grid.num_x + 1, 2.0))
 
     @pytest.mark.parametrize("reverse_first", [False, True])
     def test_line_search_failures_are_counted(self, monkeypatch,
@@ -531,12 +546,12 @@ class TestNewtonStep:
 
         monkeypatch.setattr(richards2d, "spsolve", flipping_spsolve)
         grid = small_grid()
-        work = RichardsWorkspace(grid, CLAY)
+        work = top_workspace(grid, CLAY)
         psi_old = np.full(grid.num_nodes, 2.0)
         values = 2.0 + 0.1 * np.linspace(-1.0, 1.0, grid.num_x + 1)
         old = work.at_qp(psi_old)
         _, _, report = work.newton_step(old, old.soil.theta, 36.0,
-                                        top_dirichlet(grid, values))
+                                        values)
         assert report.line_search_failures == int(reverse_first)
         assert report.iterations == 1 + int(reverse_first)
 
@@ -568,11 +583,11 @@ class TestNewtonStep:
         monkeypatch.setattr(RichardsWorkspace, "jacobian", recording_jacobian)
         monkeypatch.setattr(richards2d, "spsolve", flipping_spsolve)
         grid = small_grid()
-        work = RichardsWorkspace(grid, SILT)
+        work = top_workspace(grid, SILT)
         psi_old = np.full(grid.num_nodes, -1.0)
         old = work.at_qp(psi_old)
         _, _, report = work.newton_step(old, old.soil.theta, 100.0,
-                                        top_dirichlet(grid, -0.2))
+                                        np.full(grid.num_x + 1, -0.2))
         assert report.line_search_failures == int(reverse_first)
         assembled = [i for i, call in enumerate(calls)
                      if call[0] == "jacobian"]
@@ -596,10 +611,10 @@ class TestNewtonStep:
 
         monkeypatch.setattr(richards2d, "spsolve", flipping_spsolve)
         grid = small_grid()
-        work = RichardsWorkspace(grid, SILT)
+        work = top_workspace(grid, SILT)
         old = work.at_qp(np.full(grid.num_nodes, -1.0))
         fields, _, report = work.newton_step(old, old.soil.theta, 100.0,
-                                             top_dirichlet(grid, -0.2))
+                                             np.full(grid.num_x + 1, -0.2))
         assert report.iterations >= 2
         assert report.line_search_failures == int(reverse_first)
         want = work.at_qp(fields.psi.copy())
@@ -614,10 +629,10 @@ class TestNewtonStep:
         grid = Grid2D(length_x=1.0, length_z=2.0, num_x=2, num_z=4)
         _, z = grid.node_coords()
         psi_old = 0.5 - z
-        data = top_dirichlet(grid, psi_old[grid.top_node_indices()])
-        work = RichardsWorkspace(grid, SILT)
+        work = top_workspace(grid, SILT)
         old = work.at_qp(psi_old)
-        fields, _, report = work.newton_step(old, old.soil.theta, 1.0e4, data)
+        fields, _, report = work.newton_step(
+            old, old.soil.theta, 1.0e4, psi_old[grid.top_node_indices()])
         assert report.iterations == 0 and fields is old
         assert_allclose(fields.psi, psi_old, rtol=1e-15)
 
@@ -625,18 +640,18 @@ class TestNewtonStep:
         monkeypatch.setattr(richards2d, "NEWTON_MAX_ITERS", 1)
         monkeypatch.setattr(richards2d, "NEWTON_TRIALS", 1)
         grid = small_grid()
-        work = RichardsWorkspace(grid, SILT)
+        work = top_workspace(grid, SILT)
         psi_old = np.full(grid.num_nodes, -10.0)
         with pytest.raises(NewtonError) as info:
             old = work.at_qp(psi_old)
             work.newton_step(old, old.soil.theta, 1000.0,
-                             top_dirichlet(grid, 0.5))
+                             np.full(grid.num_x + 1, 0.5))
         assert info.value.iterations == 1
         assert info.value.residual_norm > 0.0
 
     def test_input_validation(self):
         grid = small_grid()
-        work = RichardsWorkspace(grid, SILT)
+        work = top_workspace(grid, SILT)
         good = np.full(grid.num_nodes, -1.0)
         bad = good.copy()
         bad[0] = np.inf
@@ -644,10 +659,15 @@ class TestNewtonStep:
         start, old = work.at_qp(bad), work.at_qp(good)
         with pytest.raises(ValueError, match="non-finite"):
             work.newton_step(start, old.soil.theta, 1.0,
-                             top_dirichlet(grid, 0.0))
+                             np.full(grid.num_x + 1, 0.0))
         with pytest.raises(ValueError, match="dt"):
             work.newton_step(old, old.soil.theta, 0.0,
-                             top_dirichlet(grid, 0.0))
+                             np.full(grid.num_x + 1, 0.0))
+        # the prescribed heads are checked once per sweep, one per node
+        for values in ([0.0, np.nan, 0.0, 0.0], [0.0, 0.0, 0.0]):
+            with pytest.raises(ValueError, match="Dirichlet values must be "
+                               "finite, one per node"):
+                work.newton_step(old, old.soil.theta, 1.0, np.array(values))
 
 
 class TestDiagnostics:

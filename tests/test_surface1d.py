@@ -108,6 +108,13 @@ class TestStates:
             SurfaceModel(flavor="kinematic", manning_n=0.1986)
         with pytest.raises(ValueError):
             SurfaceModel(flavor="swe", flow_sign=0.5)
+        with pytest.raises(ValueError, match="gravity"):
+            SurfaceModel(flavor="swe", gravity=np.nan)
+        for manning_n, friction_slope in ((np.nan, 5e-4), (np.inf, 5e-4),
+                                          (0.1986, np.nan)):
+            with pytest.raises(ValueError, match="positive and finite"):
+                SurfaceModel(flavor="kinematic", manning_n=manning_n,
+                             friction_slope=friction_slope)
         with pytest.raises(ValueError, match="unknown boundary kind 'open'"):
             SurfaceModel(flavor="swe", boundary_left="open")
         with pytest.raises(ValueError, match="unknown boundary kind 'open'"):
