@@ -81,9 +81,10 @@ class LinearModelParams:
 
     def __post_init__(self) -> None:
         # the linear column allocates arrays of length num_elements
-        if int(self.num_elements) != self.num_elements \
-                or not 2 <= self.num_elements <= 10**6:
+        if not (float(self.num_elements).is_integer()
+                and 2 <= self.num_elements <= 10**6):
             raise ValueError("num_elements must be an integer in [2, 10**6]")
+        object.__setattr__(self, "num_elements", int(self.num_elements))
         object.__setattr__(self, "dz", self.length / self.num_elements)
         if not all(0.0 < value < np.inf for value in
                    (self.c, self.k, self.length, self.dt, self.dz)):

@@ -7,7 +7,8 @@ StepMap(problem, state), h -> h_tilde, set up once from at_qp(psi_old)
 (run_simulation hands on the previous step's last fields, which are that),
 the rain rate and the surface StepStart; a call does 1-3, the loop 4-5:
 
-  1. maps the heights h to top Dirichlet heads (map_height_to_head),
+  1. writes the top Dirichlet heads of h (map_height_to_head) over those
+     of the head template problem.dirichlet_values; static heads stay,
   2. solves the subsurface step from the fields and free residual the
      previous call returned;
      its top-edge Darcy flux integrals [m^2/s], divided by the cell width,
@@ -38,8 +39,7 @@ import numpy as np
 
 from .analysis import LinearModelParams, discrete_S
 from .iteration import fixed_point, observed_cr
-from .richards2d import (DirichletData, Grid2D, QuadratureFields,
-                         RichardsWorkspace, top_dirichlet)
+from .richards2d import Grid2D, QuadratureFields, RichardsWorkspace
 from .surface1d import StepStart, SurfaceModel, implicit_fv_step
 
 
@@ -47,15 +47,16 @@ from .surface1d import StepStart, SurfaceModel, implicit_fv_step
 class CoupledProblem:
     """Geometry, materials, forcing and coupling controls of one scenario.
 
-    Rain falls at rain_rate [m/s] until rain_cutoff; omega, tol and
-    max_iters control the fixed point loop, dt, num_steps and output_every
-    the time stepping.
+    static_dirichlet is None or a pair (nodes, heads) held fixed off the
+    top row.  Rain falls at rain_rate [m/s] until rain_cutoff; omega, tol
+    and max_iters control the fixed point loop, dt, num_steps and
+    output_every the time stepping.
     """
 
     grid: Grid2D
     material: object
     surface_model: SurfaceModel
-    static_dirichlet: DirichletData | None = None
+    static_dirichlet: tuple[np.ndarray, np.ndarray] | None = None
     rain_rate: float = 0.0
     rain_cutoff: float = float("inf")
     omega: float = 1.0
@@ -66,7 +67,7 @@ class CoupledProblem:
     output_every: int = 10
     workspace: RichardsWorkspace = field(init=False)
     node_material: object = field(init=False)
-    dirichlet: DirichletData = field(init=False)
+    dirichlet_values: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         if not (self.rain_rate >= 0.0 and self.rain_cutoff >= 0.0):
@@ -80,12 +81,18 @@ class CoupledProblem:
         if self.grid.num_z < 2:
             raise ValueError("num_z must be at least 2: the contraction "
                              "predictor's column needs two elements")
-        # every sweep's node set: top row, then static nodes (kept off it)
-        self.dirichlet = top_dirichlet(self.grid, 0.0)
+        # every sweep's node set: top row, then static nodes (kept off it);
+        # each sweep writes its top heads over the zeros of the template
+        nodes = self.grid.top_node_indices()
+        heads = np.zeros(nodes.size)
         if self.static_dirichlet is not None:
-            self.dirichlet = self.dirichlet.merged_with(self.static_dirichlet)
-        self.workspace = RichardsWorkspace(self.grid, self.material,
-                                           self.dirichlet.nodes)
+            static_nodes, static_heads = map(np.asarray, self.static_dirichlet)
+            nodes = np.concatenate([nodes, static_nodes])
+            heads = np.concatenate([heads, static_heads])
+        if heads.shape != nodes.shape or not np.isfinite(heads).all():
+            raise ValueError("Dirichlet heads must be finite, one per node")
+        self.workspace = RichardsWorkspace(self.grid, self.material, nodes)
+        self.dirichlet_values = heads
         self.node_material = self.material.at(self.grid.node_coords()[0])
 
     def rain_at(self, time: float) -> float:
@@ -206,7 +213,7 @@ class StepMap:
 
     def __call__(self, h: np.ndarray) -> np.ndarray:
         problem = self.problem
-        values = problem.dirichlet.values.copy()
+        values = problem.dirichlet_values.copy()
         values[:h.size + 1] = map_height_to_head(h)
         self.fields, self.free_residual, newton_report = \
             problem.workspace.newton_step(self.fields, self.theta_old_qp,

@@ -31,8 +31,9 @@ positive when water leaves the soil.  Nonlinear coefficients are evaluated at
 quadrature points from the interpolated psi, and material parameters may vary
 horizontally (they are baked in per quadrature point at workspace setup).
 
-A workspace serves one Dirichlet node set, given when it is built: one
-node set per workspace, whose values change from sweep to sweep.  The
+A workspace serves one Dirichlet node set, given when it is built and
+checked there only (a 1d array of distinct integer node indices): one node
+set per workspace, whose values newton_step takes each sweep.  The
 Jacobian is assembled straight into that node set's CSC pattern: one
 bincount sums the element matrices (duplicates in element order) into the
 slots a constrained matrix keeps, the dropped off-diagonals of Dirichlet
@@ -84,8 +85,12 @@ class Grid2D:
         if not (0.0 < self.length_x < np.inf
                 and 0.0 < self.length_z < np.inf):
             raise ValueError("domain lengths must be positive and finite")
-        if self.num_x < 1 or self.num_z < 1:
-            raise ValueError("need at least one element per direction")
+        for name in ("num_x", "num_z"):
+            count = getattr(self, name)
+            if not (float(count).is_integer() and count >= 1):
+                raise ValueError("need a whole number of at least one "
+                                 "element per direction")
+            object.__setattr__(self, name, int(count))
 
     @property
     def dx(self) -> float:
@@ -121,35 +126,6 @@ class Grid2D:
         return np.column_stack([
             self.node_index(ex, ez), self.node_index(ex + 1, ez),
             self.node_index(ex + 1, ez + 1), self.node_index(ex, ez + 1)])
-
-
-@dataclass(eq=False, frozen=True)
-class DirichletData:
-    """Prescribed head values at a set of nodes."""
-
-    nodes: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        nodes = np.asarray(self.nodes, dtype=int)
-        if nodes.ndim != 1 or nodes.size != np.unique(nodes).size:
-            raise ValueError("Dirichlet nodes must be distinct, in a 1d array")
-        values = np.asarray(self.values, dtype=float)
-        if values.shape != nodes.shape or not np.isfinite(values).all():
-            raise ValueError("Dirichlet values must be finite, one per node")
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "values", values)
-
-    def merged_with(self, other: "DirichletData") -> "DirichletData":
-        return DirichletData(np.concatenate([self.nodes, other.nodes]),
-                             np.concatenate([self.values, other.values]))
-
-
-def top_dirichlet(grid: Grid2D, values) -> DirichletData:
-    """Dirichlet data on the full top boundary (scalar or per node values)."""
-    nodes = grid.top_node_indices()
-    return DirichletData(nodes, np.broadcast_to(
-        np.asarray(values, dtype=float), nodes.shape).copy())
 
 
 # A Jacobian's CSC arrays in its workspace's fixed pattern (exact zeros
@@ -214,11 +190,13 @@ class RichardsWorkspace:
     def __init__(self, grid: Grid2D, material, nodes=None):
         self.grid = grid
         num_nodes = grid.num_nodes
-        self.nodes = np.asarray([] if nodes is None else nodes, dtype=int)
-        if self.nodes.ndim != 1 or not np.all(
-                (self.nodes >= 0) & (self.nodes < num_nodes)):
-            raise ValueError("Dirichlet nodes must be a 1d array of node "
-                             f"indices in [0, {num_nodes})")
+        self.nodes = np.asarray(np.empty(0, int) if nodes is None else nodes)
+        if not (self.nodes.ndim == 1
+                and np.issubdtype(self.nodes.dtype, np.integer)
+                and np.unique(self.nodes).size == self.nodes.size
+                and np.all((self.nodes >= 0) & (self.nodes < num_nodes))):
+            raise ValueError("Dirichlet nodes must be a 1d array of distinct "
+                             f"integer node indices in [0, {num_nodes})")
         self.conn = grid.connectivity()
         self.weight = grid.dx * grid.dz / 4.0
         self.shape = _shape_values(_GAUSS)

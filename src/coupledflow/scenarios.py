@@ -41,7 +41,7 @@ import numpy as np
 from . import coupling, richards2d, surface1d
 from .coupling import CoupledProblem, CoupledState, map_height_to_head
 from .material import SOIL_PRESETS, MaterialField
-from .richards2d import DirichletData, Grid2D
+from .richards2d import Grid2D
 from .surface1d import SurfaceModel
 
 
@@ -366,8 +366,9 @@ def build_material(config: ScenarioConfig) -> MaterialField:
 
 
 def side_dirichlet(config: ScenarioConfig, grid: Grid2D,
-                   psi0: np.ndarray) -> DirichletData | None:
-    """Head boundary on both vertical walls below the configured height.
+                   psi0: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Head boundary (nodes, heads) on both vertical walls below the
+    configured height.
 
     Pinned values are the initial heads psi0 there, so for the trench the
     walls hold psi = 1 - z for z < 1 m throughout the run.
@@ -381,7 +382,7 @@ def side_dirichlet(config: ScenarioConfig, grid: Grid2D,
     nodes = np.flatnonzero(select)
     if nodes.size == 0:
         return None
-    return DirichletData(nodes=nodes, values=psi0[nodes])
+    return nodes, psi0[nodes]
 
 
 def build_initial_state(config: ScenarioConfig, grid: Grid2D,

@@ -29,6 +29,7 @@ from coupledflow.analysis import (
     sweep_point,
     toeplitz_coeffs,
 )
+from coupledflow.linear1d import run_simulation
 
 
 def dense_interior(a: float, b: float, size: int) -> np.ndarray:
@@ -421,9 +422,16 @@ class TestValidation:
         good = dict(c=1.0, k=1.0, length=1.0, dt=0.1, num_elements=4)
         for field, value in [("c", 0.0), ("k", -1.0), ("length", 0.0),
                              ("dt", 0.0), ("num_elements", 1),
-                             ("num_elements", 0),
+                             ("num_elements", 0), ("num_elements", 2.5),
                              ("num_elements", 10**6 + 1)]:
             with pytest.raises(ValueError):
                 LinearModelParams(**{**good, field: value})
         with pytest.raises(ValueError):
             LinearModelParams(omega=0.0, **good)
+
+    def test_whole_float_num_elements_is_stored_as_int(self):
+        # the column's node count is built from it, so it must be an int
+        whole = LinearModelParams(c=1.0, k=1.0, length=1.0, dt=0.1,
+                                  num_elements=20.0)
+        assert type(whole.num_elements) is int
+        assert len(run_simulation(whole, 1).steps) == 1

@@ -45,7 +45,7 @@ from coupledflow.coupling import (
 )
 from coupledflow.iteration import fixed_point, observed_cr
 from coupledflow.material import SOIL_PRESETS, MaterialField
-from coupledflow.richards2d import DirichletData, Grid2D, top_dirichlet
+from coupledflow.richards2d import Grid2D, RichardsWorkspace
 from coupledflow.surface1d import SurfaceModel
 
 
@@ -77,7 +77,7 @@ class LinMaterial:
 def column_problem(cap: float, cond: float, num_z: int = 10, **settings,
                    ) -> tuple[CoupledProblem, CoupledState]:
     grid = Grid2D(length_x=0.5, length_z=1.0, num_x=1, num_z=num_z)
-    bottom = DirichletData(np.array([0, 1]), np.array([0.0, 0.0]))
+    bottom = (np.array([0, 1]), np.array([0.0, 0.0]))
     model = SurfaceModel(flavor="kinematic", manning_n=0.1,
                          friction_slope=1e-3, boundary_left="reflect",
                          boundary_right="reflect")
@@ -332,19 +332,30 @@ class TestCoupledStep:
             assert np.array_equal(snapshot.psi, psi)
             assert np.array_equal(snapshot.q, q)
 
+    @staticmethod
+    def static_problem(nodes, heads) -> CoupledProblem:
+        return CoupledProblem(
+            grid=Grid2D(length_x=0.5, length_z=1.0, num_x=1, num_z=4),
+            material=LinMaterial(0.1, 0.01),
+            surface_model=SurfaceModel(flavor="kinematic", manning_n=0.1,
+                                       friction_slope=1e-3,
+                                       boundary_left="reflect",
+                                       boundary_right="reflect"),
+            static_dirichlet=(np.array(nodes), np.array(heads)))
+
     def test_static_dirichlet_must_avoid_top(self):
-        grid = Grid2D(length_x=0.5, length_z=1.0, num_x=1, num_z=4)
-        top_node = grid.node_index(0, grid.num_z)
+        top_node = 8  # grid.node_index(0, num_z) on the 1 x 4 grid
         with pytest.raises(ValueError, match="distinct"):
-            CoupledProblem(
-                grid=grid, material=LinMaterial(0.1, 0.01),
-                surface_model=SurfaceModel(flavor="kinematic",
-                                           manning_n=0.1,
-                                           friction_slope=1e-3,
-                                           boundary_left="reflect",
-                                           boundary_right="reflect"),
-                static_dirichlet=DirichletData(np.array([top_node]),
-                                               np.array([0.0])))
+            self.static_problem([top_node], [0.0])
+
+    def test_static_heads_must_be_finite_one_per_node(self):
+        for heads in ([0.0, np.nan], [0.0]):
+            with pytest.raises(ValueError, match="Dirichlet heads must be "
+                               "finite, one per node"):
+                self.static_problem([0, 1], heads)
+        assert np.array_equal(
+            self.static_problem([0, 1], [0.5, -0.5]).dirichlet_values,
+            [0.0, 0.0, 0.5, -0.5])
 
     def test_config_validation(self):
         # num_z = 1: the predictor's linear column needs two elements;
@@ -379,9 +390,8 @@ class TestCoupledStep:
 class TestSweepDirichlet:
     @pytest.mark.parametrize("name", ["trench-mixed", "hillslope-silt"])
     def test_equals_top_then_static(self, monkeypatch, name):
-        # the workspace's nodes and each sweep's values equal
-        # top_dirichlet(...).merged_with(static), a per-sweep build,
-        # element for element
+        # the workspace's nodes and each sweep's values are the top row's,
+        # then the static ones, element for element
         problem, state = scenarios.build_all(scenarios.preset(name))
         assert (problem.static_dirichlet is None) == (name == "hillslope-silt")
         used, heights = [], []
@@ -404,25 +414,35 @@ class TestSweepDirichlet:
         assert len(used) == len(heights) >= 4
         assert any(np.any(h != heights[0]) for h in heights)
         for values, h_cells in zip(used, heights):
-            expected = top_dirichlet(problem.grid, to_head(h_cells))
+            nodes, heads = problem.grid.top_node_indices(), to_head(h_cells)
             if problem.static_dirichlet is not None:
-                expected = expected.merged_with(problem.static_dirichlet)
-            assert np.array_equal(problem.workspace.nodes, expected.nodes)
-            assert np.array_equal(values, expected.values)
+                nodes = np.concatenate([nodes, problem.static_dirichlet[0]])
+                heads = np.concatenate([heads, problem.static_dirichlet[1]])
+            assert np.array_equal(problem.workspace.nodes, nodes)
+            assert np.array_equal(values, heads)
 
-    def test_node_set_is_checked_once_per_problem(self, monkeypatch):
+    def test_workspace_is_built_once_per_problem(self, monkeypatch):
         problem, state = scenarios.build_all(
             scenarios.preset("trench-mixed"))
         calls = []
-        post_init = DirichletData.__post_init__
+        init = RichardsWorkspace.__init__
 
-        def counting(data):
-            calls.append(data)
-            post_init(data)
+        def counting(work, *args, **kwargs):
+            calls.append(args)
+            init(work, *args, **kwargs)
 
-        monkeypatch.setattr(DirichletData, "__post_init__", counting)
+        monkeypatch.setattr(RichardsWorkspace, "__init__", counting)
         run_coupled_step(problem, state)
         assert calls == []
+
+    def test_step_leaves_the_head_template_alone(self):
+        # each sweep writes the top heads into a copy of the template
+        problem, state = scenarios.build_all(
+            scenarios.preset("trench-mixed"))
+        template = problem.dirichlet_values.copy()
+        assert np.all(template[:problem.grid.num_x + 1] == 0.0)
+        run_coupled_step(problem, state)
+        assert np.array_equal(problem.dirichlet_values, template)
 
     def test_nan_height_rejected(self):
         problem, state = scenarios.build_all(

@@ -25,11 +25,9 @@ from coupledflow.iteration import NewtonError
 from coupledflow.material import SOIL_PRESETS, MaterialField
 from coupledflow.richards2d import (
     FIELD_COLUMNS,
-    DirichletData,
     Grid2D,
     RichardsWorkspace,
     field_rows,
-    top_dirichlet,
 )
 from coupledflow.surface1d import SurfaceModel
 
@@ -81,12 +79,11 @@ def cancelling_grid() -> Grid2D:
                   num_x=3, num_z=2)
 
 
-def wall_dirichlet(grid: Grid2D) -> DirichletData:
-    """Both vertical walls below the top row, held at -0.5."""
+def wall_nodes(grid: Grid2D) -> np.ndarray:
+    """Both vertical walls below the top row."""
     iz = np.arange(grid.num_z)
-    nodes = np.concatenate([grid.node_index(0, iz),
-                            grid.node_index(grid.num_x, iz)])
-    return DirichletData(nodes, np.full(nodes.shape, -0.5))
+    return np.concatenate([grid.node_index(0, iz),
+                           grid.node_index(grid.num_x, iz)])
 
 
 def coo_assembly(work: RichardsWorkspace, psi: np.ndarray,
@@ -123,8 +120,8 @@ def constrained_workspace(soil: str, constraints: str) -> RichardsWorkspace:
         problem = scenarios.build_all(scenarios.preset("trench-mixed"))[0]
         grid, material = problem.grid, problem.material
     nodes = {"none": None, "top": grid.top_node_indices(),
-             "top+walls": top_dirichlet(grid, 0.1).merged_with(
-                 wall_dirichlet(grid)).nodes}[constraints]
+             "top+walls": np.concatenate([grid.top_node_indices(),
+                                          wall_nodes(grid)])}[constraints]
     return RichardsWorkspace(grid, material, nodes)
 
 
@@ -160,48 +157,34 @@ class TestGrid:
     def test_validation(self):
         with pytest.raises(ValueError):
             Grid2D(length_x=0.0, length_z=1.0, num_x=2, num_z=2)
-        with pytest.raises(ValueError):
-            Grid2D(length_x=1.0, length_z=1.0, num_x=0, num_z=2)
+        for counts in ((0, 2), (2.5, 2), (2, 1.5)):
+            with pytest.raises(ValueError, match="whole number"):
+                Grid2D(1.0, 1.0, *counts)
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError, match="positive and finite"):
                 Grid2D(bad, 1.0, 2, 2)
             with pytest.raises(ValueError, match="positive and finite"):
                 Grid2D(1.0, bad, 2, 2)
 
+    def test_whole_float_counts_are_stored_as_ints(self):
+        # node indices are built from the counts, so they must be ints
+        grid = Grid2D(1.0, 1.0, 2.0, 2)
+        assert type(grid.num_x) is int and grid.num_nodes == 9
+        assert RichardsWorkspace(grid, SILT).conn.dtype.kind == "i"
+
 
 class TestDirichlet:
-    def test_top_helper_broadcasts(self):
-        data = top_dirichlet(small_grid(), 0.25)
-        assert list(data.nodes) == [8, 9, 10, 11]
-        assert_allclose(data.values, 0.25)
-
-    def test_rejects_bad_data(self):
-        with pytest.raises(ValueError):
-            DirichletData(np.array([1, 1]), np.array([0.0, 0.0]))
-        with pytest.raises(ValueError):
-            DirichletData(np.array([1, 2]), np.array([0.0, np.nan]))
-        with pytest.raises(ValueError):
-            DirichletData(np.array([[1]]), np.array([[0.0]]))
-
     def test_workspace_rejects_nodes_outside_the_grid(self):
-        # -1 would alias the last node in every psi[nodes]
+        # -1 would alias the last node in every psi[nodes]; 0.7 and 3.9
+        # were truncated to nodes 0 and 3
         grid = Grid2D(length_x=1.0, length_z=1.0, num_x=2, num_z=2)
         assert grid.num_nodes == 9
-        for nodes in ([-1, 8], [0, 9]):
-            data = DirichletData(np.array(nodes), np.zeros(2))
-            with pytest.raises(ValueError, match=r"in \[0, 9\)"):
-                RichardsWorkspace(grid, SILT, data.nodes)
-        with pytest.raises(ValueError, match="1d array"):
-            RichardsWorkspace(grid, SILT, [[0, 8]])
+        for nodes in ([-1, 8], [0, 9], [0.7, 3.9], [1, 1], [[0, 8]], [[1]]):
+            with pytest.raises(ValueError, match=r"1d array of distinct "
+                               r"integer node indices in \[0, 9\)"):
+                RichardsWorkspace(grid, SILT, np.array(nodes))
         assert list(RichardsWorkspace(grid, SILT, [0, 8]).nodes) == [0, 8]
         assert RichardsWorkspace(grid, SILT).nodes.size == 0
-
-    def test_merge(self):
-        merged = DirichletData(np.array([0]), np.array([1.0])).merged_with(
-            DirichletData(np.array([3]), np.array([2.0])))
-        assert list(merged.nodes) == [0, 3]
-        with pytest.raises(ValueError):
-            merged.merged_with(DirichletData(np.array([0]), np.array([5.0])))
 
 
 class TestResidual:
@@ -380,7 +363,10 @@ class TestJacobian:
         the COO chain's for that node set, bit for bit."""
         problem = scenarios.build_all(scenarios.preset(name))[0]
         work = problem.workspace
-        assert np.array_equal(work.nodes, problem.dirichlet.nodes)
+        static = problem.static_dirichlet
+        assert np.array_equal(work.nodes, np.concatenate(
+            [problem.grid.top_node_indices(),
+             [] if static is None else static[0]]))
         assert work.nodes.size > problem.grid.num_x + 1 or (
             name == "hillslope-silt")
         rng = np.random.default_rng(37)

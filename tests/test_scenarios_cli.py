@@ -157,13 +157,13 @@ class TestSideDirichlet:
     def test_trench_wall_nodes(self):
         config = preset("trench-loam")
         problem, _ = build_all(config)
-        data = problem.static_dirichlet
+        nodes, heads = problem.static_dirichlet
         # walls are pinned strictly below 1 m: rows z = 0, 0.375, 0.75
-        assert data.nodes.size == 6
+        assert nodes.size == 6
         x, z = problem.grid.node_coords()
-        assert set(np.round(z[data.nodes], 6)) == {0.0, 0.375, 0.75}
-        assert np.all((x[data.nodes] == 0.0) | (x[data.nodes] == 2.0))
-        assert_allclose(data.values, 1.0 - z[data.nodes], rtol=1e-15)
+        assert set(np.round(z[nodes], 6)) == {0.0, 0.375, 0.75}
+        assert np.all((x[nodes] == 0.0) | (x[nodes] == 2.0))
+        assert_allclose(heads, 1.0 - z[nodes], rtol=1e-15)
 
     def test_disabled_when_none(self):
         config = dataclasses.replace(preset("trench-loam"),
@@ -179,10 +179,10 @@ class TestSideDirichlet:
                                      num_z=3, side_dirichlet_below=0.9)
         grid = Grid2D(length_x=config.length_x, length_z=config.length_z,
                       num_x=config.num_x, num_z=config.num_z)
-        data = side_dirichlet(config, grid,
-                              config.psi0_at(*grid.node_coords()))
-        assert data.nodes.size == 6
-        assert not set(data.nodes) & set(grid.top_node_indices())
+        nodes, _ = side_dirichlet(config, grid,
+                                  config.psi0_at(*grid.node_coords()))
+        assert nodes.size == 6
+        assert not set(nodes) & set(grid.top_node_indices())
 
 
 class TestValidation:
