@@ -47,6 +47,8 @@ def _axis(text: str) -> np.ndarray:
     if not (all(0 < bound < np.inf for bound in bounds) and count >= 1):
         raise ConfigError(
             f"axis {text!r} needs positive finite bounds and count >= 1")
+    if count == 1 and bounds[0] != bounds[-1]:
+        raise ConfigError(f"axis {text!r} of count 1 needs LOW == HIGH")
     if len(parts) == 1:
         return np.array(bounds)
     return analysis.default_log_grid(bounds[0], bounds[1], count)

@@ -18,14 +18,11 @@ is (0, ..., 0, b), and M_GG + dt A_GG = a / 2.  Under relaxation omega the
 interface map is affine with slope Sigma(omega) = omega S + 1 - omega, which
 is what the testbench demonstrates through iteration.fixed_point.
 The interior matrix is factored once per run (LAPACK dpttrf in build_system,
-which is also where a matrix that is not positive definite is rejected) and
-each sweep back-substitutes (dpttrs) in subsurface_solve, the one solve
-function: the arithmetic of a dptsv solve.  Both come from scipy's compiled
-_flapack, loaded without scipy.linalg.  Every solve passes a residual check
-(check_solves), which a non-finite solution fails: run_time_step checks its
-step's solves in batched passes, in order and before it returns or raises;
-a batch holds at most SWEEP_CHUNK solution elements (or one solve), so
-memory stays bounded however many sweeps a step takes.
+which is also where a matrix that is not positive definite is rejected).  A
+sweep finishes only dpttrs's last row, the rows above eliminated once per
+step; run_time_step recovers and checks (check_solves) the step's solves in
+order, in blocks of at most SWEEP_CHUNK elements (or one solve), one dpttrs
+each (subsurface_solve).  Both come from scipy's compiled _flapack.
 """
 
 from __future__ import annotations
@@ -69,6 +66,7 @@ class Linear1DSystem:
     psi_gamma_old: float
     factor: tuple[np.ndarray, np.ndarray, int] | None
     rhs_old: np.ndarray = field(init=False)
+    last_row: tuple[float, float, float] = field(init=False)
 
     def __post_init__(self) -> None:
         c_dz = self.params.c * self.params.dz
@@ -79,10 +77,29 @@ class Linear1DSystem:
         if not np.isfinite(rhs).all():
             raise NonFiniteError("interior right-hand side must be finite")
         object.__setattr__(self, "rhs_old", rhs)
+        # what last_unknown reads: rhs_old[-1], y e[-1] and the pivot, where
+        # y, row M-2 eliminated, ends dpttrs of rows 1..M-2 with pivot 1 (an
+        # unread e entry at 1x1); a zero pivot, a corrupt factor, reads NaN
+        above, pivot = 0.0, self.diag
+        if self.factor is not None:
+            d, e, _ = self.factor
+            lead = np.append(d[:-2], 1.0)
+            y = dpttrs(lead, e[:max(e.size - 1, 1)], rhs[:-1])[0][-1]
+            above, pivot = float(y * e[-1]), float(d[-1]) or math.nan
+        object.__setattr__(self, "last_row", (rhs.item(-1), above, pivot))
 
     @property
     def num_interior(self) -> int:
         return self.params.num_elements - 1
+
+    def last_unknown(self, psi_gamma_prev_iter: float) -> float:
+        """subsurface_solve(self, psi_gamma_prev_iter)[-1] bit for bit, as
+        dptts2 does its last row; a non-finite rhs raises NonFiniteError."""
+        rhs, above, pivot = self.last_row
+        rhs -= self.off_diag * psi_gamma_prev_iter
+        if not math.isfinite(rhs):
+            raise NonFiniteError("interior right-hand side must be finite")
+        return (rhs - above) / pivot
 
     def with_previous_state(self, psi_interior: np.ndarray,
                             psi_gamma: float) -> "Linear1DSystem":
@@ -155,18 +172,17 @@ def build_system(p: LinearModelParams,
 
 
 def subsurface_solve(sys: Linear1DSystem,
-                     psi_gamma_prev_iter: float) -> np.ndarray:
-    """Solve the interior tridiagonal system for a frozen interface value,
-    leaving the residual check to check_solves."""
-    rhs = sys.rhs_old.copy()
-    rhs[-1] -= sys.off_diag * psi_gamma_prev_iter
-    # rhs_old is finite, so the last entry is the only one to test
-    if not math.isfinite(rhs[-1]):
-        raise NonFiniteError("interior right-hand side must be finite")
+                     psi_gammas: float | Sequence[float]) -> np.ndarray:
+    """Solve the interior system for each frozen interface value, one row
+    each (1d for a float), in one dpttrs; check_solves checks them."""
+    gammas = np.asarray(psi_gammas, dtype=float)
+    rhs = np.empty(gammas.shape + sys.rhs_old.shape)
+    rhs[...] = sys.rhs_old
+    rhs[..., -1] -= sys.off_diag * gammas
     if sys.factor is None:
         return rhs / sys.diag
     d, e, _ = sys.factor
-    return dpttrs(d, e, rhs, overwrite_b=1)[0]
+    return dpttrs(d, e, rhs.T, overwrite_b=1)[0].T  # rhs.T is Fortran-ordered
 
 
 def check_solves(sys: Linear1DSystem, psi_gammas: Sequence[float],
@@ -194,17 +210,15 @@ def check_solves(sys: Linear1DSystem, psi_gammas: Sequence[float],
         raise RuntimeError("banded solve failed its residual check")
 
 
-def surface_update(sys: Linear1DSystem, psi_interior_new: np.ndarray,
+def surface_update(sys: Linear1DSystem, psi_last: float,
                    psi_gamma_prev_iter: float) -> float:
     """Interface height proposed by the discrete surface equation."""
     p = sys.params
     c_dz = p.c * p.dz
-    return float(
-        -sys.off_diag * psi_interior_new[-1]
-        - sys.diag / 2.0 * psi_gamma_prev_iter
-        + c_dz / 6.0 * sys.psi_interior_old[-1]
-        + (1.0 + c_dz / 3.0) * sys.psi_gamma_old
-        - p.dt * p.k)
+    # Python floats throughout: item() keeps numpy scalars out of the sum
+    return (-sys.off_diag * psi_last - sys.diag / 2.0 * psi_gamma_prev_iter
+            + c_dz / 6.0 * sys.psi_interior_old.item(-1)
+            + (1.0 + c_dz / 3.0) * sys.psi_gamma_old - p.dt * p.k)
 
 
 def run_time_step(sys: Linear1DSystem, omega: float, tol: float = 1e-8,
@@ -217,29 +231,33 @@ def run_time_step(sys: Linear1DSystem, omega: float, tol: float = 1e-8,
     history, not as an exception: divergent settings are a legitimate region
     of parameter space.  Every solve of the step is checked before this
     returns or raises, in order, so the first failing solve decides the
-    error; solves wait in blocks of at most SWEEP_CHUNK elements (or one
-    solve), so a long step at a fine mesh does not hold all its solutions.
+    error; solves are recovered and checked in blocks of at most SWEEP_CHUNK
+    elements (or one solve), so a long step does not hold all of them.
     """
-    psi_gammas, solutions = [], []
+    psi_gammas, lasts = [], []
     block = max(1, SWEEP_CHUNK // sys.num_interior)
 
+    def check_block() -> np.ndarray:
+        solutions = subsurface_solve(sys, psi_gammas)
+        solutions[:, -1] = lasts
+        check_solves(sys, psi_gammas, solutions)
+        del psi_gammas[:], lasts[:]
+        return solutions
+
     def sweep(psi_gamma: float) -> float:
-        if len(solutions) == block:
-            check_solves(sys, psi_gammas, solutions)
-            psi_gammas.clear()
-            solutions.clear()
-        solution = subsurface_solve(sys, psi_gamma)
+        if len(lasts) == block:
+            check_block()
+        lasts.append(sys.last_unknown(psi_gamma))
         psi_gammas.append(psi_gamma)
-        solutions.append(solution)
-        return surface_update(sys, solution, psi_gamma)
+        return surface_update(sys, lasts[-1], psi_gamma)
 
     try:
         # the iterate is a Python float; abs keeps numpy calls out of the loop
         psi_gamma, iterates, residuals = fixed_point(
             sweep, sys.psi_gamma_old, omega, tol, max_iters, abs)
     finally:
-        check_solves(sys, psi_gammas, solutions)
-    return StepResult(psi_gamma=psi_gamma, psi_interior=solutions[-1],
+        solutions = check_block()
+    return StepResult(psi_gamma=psi_gamma, psi_interior=solutions[-1].copy(),
                       iterates=np.asarray(iterates), iterations=len(residuals),
                       residuals=np.asarray(residuals),
                       converged=residuals[-1] < tol, cr=observed_cr(residuals))

@@ -2,7 +2,9 @@
 
 The single step solve is checked against a dense assembly of the same
 system and, bit for bit, against the unfactored banded solve it replaced;
-the step's batched residual check against the per-solve check it replaced;
+the sweep's interface row, bit for bit, against the last entry of the full
+solve, and whole runs against the per-sweep full solves it replaced; the
+step's batched residual check against the per-solve check it replaced;
 the iteration behaviour against the affine interface map
 psi -> S psi + tail, whose slope the analysis module predicts.
 """
@@ -20,9 +22,11 @@ from scipy.linalg.lapack import dpttrf, dpttrs
 
 from coupledflow import cli, linear1d
 from coupledflow.analysis import LinearModelParams, discrete_S, sigma
-from coupledflow.iteration import observed_cr
+from coupledflow.iteration import fixed_point, observed_cr
 from coupledflow.linear1d import (
+    Linear1DSystem,
     NonFiniteError,
+    StepResult,
     build_system,
     check_solves,
     initial_state,
@@ -37,7 +41,7 @@ from coupledflow.linear1d import (
 
 def affine_tail(sys) -> float:
     """Constant term of the interface map: psi_tilde = S psi_prev + tail."""
-    return surface_update(sys, subsurface_solve(sys, 0.0), 0.0)
+    return surface_update(sys, sys.last_unknown(0.0), 0.0)
 
 
 def standard_params(**overrides) -> LinearModelParams:
@@ -111,6 +115,28 @@ def checked_solve_oracle(sys, psi_gamma_prev_iter: float) -> np.ndarray:
     if np.abs(residual).max(initial=0.0) > 1e-12 * scale:
         raise RuntimeError("banded solve failed its residual check")
     return solution
+
+
+def per_sweep_step(solve):
+    """run_time_step before the interface row: each sweep solves the whole
+    interior system with solve and updates the surface from the last entry
+    of that solution."""
+    def run_time_step(sys, omega, tol=1e-8, max_iters=200):
+        solutions = []
+
+        def sweep(psi_gamma):
+            solutions.append(solve(sys, psi_gamma))
+            return surface_update(sys, solutions[-1][-1], psi_gamma)
+
+        psi_gamma, iterates, residuals = fixed_point(
+            sweep, sys.psi_gamma_old, omega, tol, max_iters, abs)
+        return StepResult(psi_gamma=psi_gamma, psi_interior=solutions[-1],
+                          iterates=np.asarray(iterates),
+                          iterations=len(residuals),
+                          residuals=np.asarray(residuals),
+                          converged=residuals[-1] < tol,
+                          cr=observed_cr(residuals))
+    return run_time_step
 
 
 def with_wrong_factor(sys, relative: float):
@@ -193,17 +219,18 @@ class TestFactoredSolve:
         p = standard_params(num_elements=num_elements, c=c, k=k, dt=dt,
                             omega=0.6)
         factored = run_simulation(p, num_steps=6, tol=1e-12)
-        monkeypatch.setattr(linear1d, "subsurface_solve",
-                            banded_solve_oracle)
+        monkeypatch.setattr(linear1d, "run_time_step",
+                            per_sweep_step(banded_solve_oracle))
         banded = run_simulation(p, num_steps=6, tol=1e-12)
         assert list(trace_rows(factored)) == list(trace_rows(banded))
         assert summary_rows(factored) == summary_rows(banded)
         for left, right in zip(factored.steps, banded.steps):
             assert np.array_equal(left.psi_interior, right.psi_interior)
 
-    def test_factors_once_per_build_and_solves_once_per_sweep(
+    def test_factors_once_per_build_and_solves_once_per_checked_block(
             self, monkeypatch):
-        calls = {"dpttrf": 0, "dpttrs": 0, "subsurface_solve": 0}
+        calls = {"dpttrf": 0, "dpttrs": 0, "subsurface_solve": 0,
+                 "check_solves": 0}
 
         def counting(name):
             original = getattr(linear1d, name)
@@ -215,11 +242,16 @@ class TestFactoredSolve:
 
         for name in calls:
             monkeypatch.setattr(linear1d, name, counting(name))
+        # blocks of 3 sweeps at 9 unknowns; one more dpttrs per system
+        # (each step's, and the build's) eliminates the rows above the last
+        monkeypatch.setattr(linear1d, "SWEEP_CHUNK", 3 * 9 + 2)
         trace = run_simulation(standard_params(omega=0.5), num_steps=5,
                                tol=1e-12)
         assert calls["dpttrf"] == 1
-        sweeps = sum(step.iterations for step in trace.steps)
-        assert calls["dpttrs"] == calls["subsurface_solve"] == sweeps
+        blocks = sum(-(-step.iterations // 3) for step in trace.steps)
+        assert blocks > len(trace.steps)
+        assert calls["subsurface_solve"] == calls["check_solves"] == blocks
+        assert calls["dpttrs"] == blocks + len(trace.steps) + 1
         build_system(standard_params())
         assert calls["dpttrf"] == 2
 
@@ -227,8 +259,8 @@ class TestFactoredSolve:
     @pytest.mark.parametrize("gamma", [np.nan, np.inf, -np.inf])
     def test_non_finite_interface_value_rejected(self, num_elements, gamma):
         sys = build_system(standard_params(num_elements=num_elements))
-        with pytest.raises(ValueError, match="finite"):
-            subsurface_solve(sys, gamma)
+        with pytest.raises(NonFiniteError, match="finite"):
+            sys.last_unknown(gamma)
 
     def test_build_rejects_a_failed_factorization(self, monkeypatch):
         def failing(d, e):
@@ -262,6 +294,42 @@ class TestFactoredSolve:
         assert later.factor is sys.factor
         assert np.array_equal(later.rhs_old, build_system(
             standard_params(num_elements=7), np.ones(6), 0.25).rhs_old)
+
+
+class TestInterfaceRow:
+    @pytest.mark.parametrize("num_interior", [1, 2, 3, 39, 1000])
+    def test_equals_the_last_entry_of_the_full_solve(self, num_interior):
+        """Bit for bit, against scipy's dpttrs on the whole right-hand side
+        (the division for one unknown), on random systems and values."""
+        rng = np.random.default_rng(num_interior)
+        for _ in range(600 if num_interior < 1000 else 60):
+            c, k, dt = 10.0 ** rng.uniform(-3, 3, size=3)
+            p = standard_params(num_elements=num_interior + 1, c=c, k=k,
+                                dt=dt)
+            scale = 10.0 ** rng.uniform(-6, 6)
+            sys = build_system(p, rng.normal(size=num_interior, scale=scale),
+                               rng.normal(scale=scale))
+            gammas = rng.normal(size=5, scale=scale * 10.0 ** rng.uniform(
+                -3, 3, size=5))
+            for gamma in gammas:
+                rhs = sys.rhs_old.copy()
+                rhs[-1] -= sys.off_diag * gamma
+                if num_interior == 1:
+                    expected = rhs[-1] / sys.diag
+                else:
+                    expected = dpttrs(*sys.factor[:2], rhs)[0][-1]
+                assert sys.last_unknown(gamma) == expected
+            block = subsurface_solve(sys, gammas)
+            assert block.shape == (5, num_interior)
+            for gamma, solution in zip(gammas, block):
+                assert np.array_equal(solution, subsurface_solve(sys, gamma))
+            assert np.array_equal(block[:, -1],
+                                  [sys.last_unknown(g) for g in gammas])
+
+    def test_empty_block(self):
+        # a step that raises before its first sweep recovers no solve
+        sys = build_system(standard_params(num_elements=5))
+        assert subsurface_solve(sys, []).shape == (0, 4)
 
 
 class TestBatchedCheck:
@@ -378,20 +446,20 @@ class TestBatchedCheck:
         step = run_time_step(sys, omega=0.6, tol=1e-12, max_iters=16)
         assert np.array_equal(step.psi_interior, expected.psi_interior)
         assert np.array_equal(step.residuals, expected.residuals)
-        wrong = with_wrong_factor(sys, 1e-10)
-        solve = linear1d.subsurface_solve
+        row = Linear1DSystem.last_unknown
         for bad in range(step.iterations):
             calls = []
 
             def one_wrong(sys, psi_gamma):
                 calls.append(psi_gamma)
-                return solve(wrong if len(calls) == bad + 1 else sys,
-                             psi_gamma)
+                value = row(sys, psi_gamma)
+                return value + 1e-9 if len(calls) == bad + 1 else value
 
-            monkeypatch.setattr(linear1d, "subsurface_solve", one_wrong)
+            monkeypatch.setattr(Linear1DSystem, "last_unknown", one_wrong)
             with pytest.raises(RuntimeError, match="residual check"):
                 run_time_step(sys, omega=0.6, tol=1e-12, max_iters=16)
-            monkeypatch.setattr(linear1d, "subsurface_solve", solve)
+            assert len(calls) > bad
+            monkeypatch.setattr(Linear1DSystem, "last_unknown", row)
         with pytest.raises(RuntimeError, match="residual check"):
             run_time_step(with_wrong_factor(
                 build_system(standard_params(**OVERFLOW)), 1.0), omega=1.0)
@@ -426,7 +494,8 @@ class TestBatchedCheck:
             calls.append(psi_gamma_prev_iter)
             return checked_solve_oracle(sys, psi_gamma_prev_iter)
 
-        monkeypatch.setattr(linear1d, "subsurface_solve", checked)
+        monkeypatch.setattr(linear1d, "run_time_step",
+                            per_sweep_step(checked))
         out = argv.index("--out") + 1
         argv[out] = str(tmp_path / "checked")
         assert cli.main(argv) == 0
@@ -445,7 +514,7 @@ class TestInterfaceMap:
                                 dt=0.02)
             sys = build_system(p)
             values = rng.normal(size=4, scale=3.0)
-            images = [surface_update(sys, subsurface_solve(sys, v), v)
+            images = [surface_update(sys, sys.last_unknown(v), v)
                       for v in values]
             S = discrete_S(p).S
             for v, image in zip(values[1:], images[1:]):
@@ -458,7 +527,7 @@ class TestInterfaceMap:
         S = discrete_S(p).S
         tail = affine_tail(sys)
         for v in (-1.0, 0.0, 2.5):
-            image = surface_update(sys, subsurface_solve(sys, v), v)
+            image = surface_update(sys, sys.last_unknown(v), v)
             assert_allclose(image, S * v + tail, rtol=1e-12, atol=1e-14)
 
     def test_fixed_point_is_invariant(self):
@@ -466,7 +535,7 @@ class TestInterfaceMap:
         sys = build_system(p)
         S = discrete_S(p).S
         star = affine_tail(sys) / (1.0 - S)
-        image = surface_update(sys, subsurface_solve(sys, star), star)
+        image = surface_update(sys, sys.last_unknown(star), star)
         assert abs(image - star) <= 1e-14 * max(1.0, abs(star))
 
 

@@ -421,6 +421,12 @@ class TestCli:
                          str(tmp_path)]) == 2
         assert "needs positive finite bounds and count >= 1" \
             in capsys.readouterr().err
+        # geomspace(1, 2, 1) is [1]: HIGH would be dropped silently
+        assert cli.main(["analyze", "--c", "1:2:1", "--out",
+                         str(tmp_path)]) == 2
+        assert "of count 1 needs LOW == HIGH" in capsys.readouterr().err
+        assert cli.main(["analyze", "--c", "2:2:1", "--out",
+                         str(tmp_path)]) == 0
 
     @pytest.mark.parametrize("argv", [
         ["linrun", "--steps", "0"],
