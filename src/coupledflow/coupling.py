@@ -70,14 +70,18 @@ class CoupledProblem:
     dirichlet_values: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        if not (self.rain_rate >= 0.0 and self.rain_cutoff >= 0.0):
-            raise ValueError("rain rate and cutoff must be nonnegative")
+        if not (0.0 <= self.rain_rate < math.inf and self.rain_cutoff >= 0.0):
+            raise ValueError("rain rate and cutoff must be nonnegative, the "
+                             "rate finite")
         if not 0.0 < self.omega <= 1.0:
             raise ValueError("omega must lie in (0, 1]")
         if not (self.tol > 0.0 and 0.0 < self.dt < math.inf):
             raise ValueError("tol must be positive, dt positive and finite")
-        if self.max_iters < 1 or self.num_steps < 1 or self.output_every < 1:
-            raise ValueError("iteration and step counts must be positive")
+        for name in ("max_iters", "num_steps", "output_every"):
+            count = getattr(self, name)
+            if not (float(count).is_integer() and count >= 1):
+                raise ValueError(f"{name} must be a whole number >= 1")
+            setattr(self, name, int(count))
         if self.grid.num_z < 2:
             raise ValueError("num_z must be at least 2: the contraction "
                              "predictor's column needs two elements")

@@ -61,16 +61,16 @@ class VanGenuchtenParams:
 
     def __post_init__(self) -> None:
         # each test is written so that NaN fails it
-        if not self.alpha > 0.0:
-            raise ValueError("alpha must be positive")
-        if not self.n > 1.0:
-            raise ValueError("n must exceed 1")
+        if not 0.0 < self.alpha < np.inf:
+            raise ValueError("alpha must be positive and finite")
+        if not 1.0 < self.n < np.inf:
+            raise ValueError("n must exceed 1 and be finite")
         if not 0.0 <= self.theta_r < self.theta_s:
             raise ValueError("need 0 <= theta_r < theta_s")
         if not self.theta_s <= 1.0:
             raise ValueError("theta_s must not exceed 1")
-        if not self.k_s > 0.0:
-            raise ValueError("k_s must be positive")
+        if not 0.0 < self.k_s < np.inf:
+            raise ValueError("k_s must be positive and finite")
 
 
 #: Soils selectable by string key in the bundled scenarios.  The sandy loam
@@ -180,8 +180,10 @@ class MaterialField:
     steepness: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.right is not None and not self.steepness > 0.0:
-            raise ValueError("steepness must be positive")
+        if self.right is not None and not (0.0 < self.steepness < np.inf
+                                           and np.isfinite(self.center_x)):
+            raise ValueError("steepness must be positive and finite, "
+                             "center_x finite")
 
     def at(self, x) -> _BoundMaterial:
         """Bind the field to fixed positions for repeated psi evaluations."""

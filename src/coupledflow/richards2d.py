@@ -34,19 +34,19 @@ horizontally (they are baked in per quadrature point at workspace setup).
 A workspace serves one Dirichlet node set, given when it is built and
 checked there only (a 1d array of distinct integer node indices): one node
 set per workspace, whose values newton_step takes each sweep.  The
-Jacobian is assembled straight into that node set's CSC pattern: one
-bincount sums the element matrices (duplicates in element order) into the
-slots a constrained matrix keeps, the dropped off-diagonals of Dirichlet
-rows into one extra bin, and Dirichlet rows become identity rows, the
-matrix a COO -> CSR -> "+ diags" -> CSC chain gives.  The pattern and the
-column order SuperLU's gssv gives it (COLAMD, then its column etree
-postorder; both read the pattern only) are made once, with the workspace.
-Each solve then hands SuperLU the matrix already in that order, rows and
-columns alike, and asks for no ordering of its own: the factorization does
-the same arithmetic as scipy.sparse.linalg.spsolve on the same CSC arrays,
-without a sparse matrix object, and gives the same bits.  A kept entry that
-cancels to an exact zero (saturated soil on some grids) stays in the fixed
-pattern as a stored zero, where the chain would drop it.  SuperLU's
+Jacobian is assembled straight into the order SuperLU's gssv solves it:
+the workspace finds, once, the CSC pattern a constrained matrix keeps and
+the column order perm_c gssv gives it (COLAMD, then its column etree
+postorder; both read the pattern only), and stores it as P^T A P.  One
+bincount sums the element matrices (duplicates in element order) into its
+slots, the dropped off-diagonals of Dirichlet rows into one extra bin, and
+Dirichlet rows become identity rows: the matrix a COO -> CSR -> "+ diags"
+-> CSC chain gives, permuted.  Each solve hands SuperLU those arrays as
+they are, permutes only the right-hand side and the solution, and does the
+arithmetic of scipy.sparse.linalg.spsolve on the unpermuted arrays with
+no sparse matrix object or ordering, giving the same bits.  A kept entry
+that cancels to an exact zero (saturated soil on some grids) stays in the
+fixed pattern as a stored zero, where the chain would drop it.  SuperLU's
 _superlu is loaded on its own (_compiled.extension), without scipy.sparse;
 MatrixRankWarning is imported only when a solve finds the matrix singular.
 Building a workspace frees one untouched 16 MiB block so that glibc keeps
@@ -128,26 +128,24 @@ class Grid2D:
             self.node_index(ex + 1, ez + 1), self.node_index(ex, ez + 1)])
 
 
-# A Jacobian's CSC arrays in its workspace's fixed pattern (exact zeros
-# kept) and the column ordering its workspace solves them in: the final
-# column order perm_c gssv gives that pattern, its inverse, the gather
-# ordered that gives the data of P^T A P, and that matrix's row indices and
-# column starts.
-Jacobian = namedtuple("Jacobian", "data indices indptr ordering")
+# A Jacobian P^T A P: the CSC arrays of A in its workspace's fixed pattern
+# (exact zeros kept), already in the column order perm_c gssv gives that
+# pattern, rows relabelled with the columns.
+Jacobian = namedtuple("Jacobian", "data indices indptr perm_c")
 
 
 def spsolve(matrix: Jacobian, rhs: np.ndarray) -> np.ndarray:
-    """Solve the CSC system for rhs, stored zeros included, bit for bit as
-    scipy.sparse.linalg.spsolve on the same arrays; an exactly singular
+    """Solve A x = rhs, stored zeros included, bit for bit as
+    scipy.sparse.linalg.spsolve on A's CSC arrays; an exactly singular
     matrix warns MatrixRankWarning and gives NaN, as there."""
-    data, _, indptr, (perm_c, inverse, ordered, indices, starts) = matrix
-    # P^T A P is already in gssv's order, so SuperLU's own ordering is the
-    # identity.  Rows are relabelled with the columns because the pivot
-    # search prefers each column's diagonal; each column keeps the stored
-    # order of its rows, which SuperLU visits in that order.
+    data, indices, indptr, perm_c = matrix
+    # the matrix is in gssv's order, so SuperLU's own ordering is the
+    # identity and only rhs and the solution are permuted
+    ordered_rhs = np.empty_like(rhs)
+    ordered_rhs[perm_c] = rhs
     y, info = _superlu.gssv(
-        len(indptr) - 1, len(data), data[ordered], indices, starts,
-        rhs[inverse], 1, options=dict(ColPerm="NATURAL"))
+        len(indptr) - 1, len(data), data, indices, indptr, ordered_rhs, 1,
+        options=dict(ColPerm="NATURAL"))
     x = y[perm_c]
     if info != 0:
         from scipy.sparse.linalg import MatrixRankWarning
@@ -215,49 +213,44 @@ class RichardsWorkspace:
         # SuperLU's per-solve LU workspace on the heap: without it each gssv
         # call maps, faults in and unmaps that workspace afresh.
         np.empty(1 << 21)
-        # The full CSC pattern of the 16 entries per element (keys sorted by
-        # column, then row), of which the Jacobian keeps all but the
-        # off-diagonals of constrained rows.  _slot sends each entry to its
-        # kept data slot, or to the one extra bin _kept past them when it is
-        # dropped; _indices and _indptr are the kept pattern (C ints, as
-        # SuperLU's) and _diagonal the slots of the constrained diagonals.
+        # The CSC pattern of the 16 entries per element (keys sorted by
+        # column, then row) keeps all but the off-diagonals of constrained
+        # rows.  It is stored as gssv solves it, P^T A P: columns in the
+        # order perm_c gssv gives the kept pattern, rows relabelled with
+        # them (the pivot search prefers diagonals), each column's rows in
+        # their stored order, which SuperLU visits in that order.  perm_c
+        # reads the pattern only, so stand-in values (strictly diagonally
+        # dominant columns) give it; the copy lets the factorization go.
+        # _slot sends each entry to its data slot, or to the extra bin
+        # _kept when dropped; _diagonal holds the constrained rows' slots.
         rows = np.broadcast_to(self.conn[:, :, None], (len(self.conn), 4, 4))
         cols = np.broadcast_to(self.conn[:, None, :], (len(self.conn), 4, 4))
         keys, slot = np.unique((cols * num_nodes + rows).ravel(),
                                return_inverse=True)
-        all_nodes = np.arange(num_nodes + 1)
-        diagonal = np.searchsorted(keys, all_nodes[:-1] * (num_nodes + 1))
+        col, row = np.divmod(keys, num_nodes)
         constrained = np.zeros(num_nodes, dtype=bool)
         constrained[self.nodes] = True
-        keep = ~constrained[keys % num_nodes]
-        keep[diagonal[self.nodes]] = True
-        position = np.zeros(len(keep) + 1, dtype=int)
-        np.cumsum(keep, out=position[1:])
-        self._kept = int(position[-1])
-        self._slot = np.where(keep, position[:-1], self._kept)[slot.ravel()]
-        self._indices = (keys[keep] % num_nodes).astype(np.intc)
-        self._indptr = position[np.searchsorted(
-            keys, all_nodes * num_nodes)].astype(np.intc)
-        kept_diagonal = position[diagonal]
-        self._diagonal = kept_diagonal[self.nodes]
-        # gssv's column order depends on the pattern only, so factoring any
-        # nonsingular values gives it: here strictly diagonally dominant
-        # columns (the copy lets the factorization go)
-        counts = np.diff(self._indptr)
+        keep = ~constrained[row] | (row == col)
+        col, row = col[keep], row[keep]
+        self._kept = len(row)
+        counts = np.bincount(col, minlength=num_nodes)
+        indptr = np.append(0, np.cumsum(counts)).astype(np.intc)
         stand_in = np.full(self._kept, -1.0)
-        stand_in[kept_diagonal] = counts
+        stand_in[row == col] = counts
         perm_c = _superlu.gstrf(
-            num_nodes, self._kept, stand_in, self._indices, self._indptr,
+            num_nodes, self._kept, stand_in, row.astype(np.intc), indptr,
             csc_construct_func=None,
             options=dict(ColPerm="COLAMD")).perm_c.copy()
-        inverse = np.argsort(perm_c)
-        ordered_counts = counts[inverse]
-        ordered_indptr = np.zeros(num_nodes + 1, dtype=np.intc)
-        np.cumsum(ordered_counts, out=ordered_indptr[1:])
-        ordered = (np.repeat(self._indptr[inverse] - ordered_indptr[:-1],
-                             ordered_counts) + np.arange(self._kept))
-        self._ordering = (perm_c, inverse, ordered,
-                          perm_c[self._indices[ordered]], ordered_indptr)
+        solve_col = perm_c[col]
+        order = np.argsort(solve_col, kind="stable")
+        to_slot = np.full(len(keys), self._kept)
+        to_slot[np.flatnonzero(keep)[order]] = np.arange(self._kept)
+        self._slot = to_slot[slot.ravel()]
+        self._indices = perm_c[row[order]].astype(np.intc)
+        self._indptr = np.append(0, np.cumsum(np.bincount(
+            solve_col, minlength=num_nodes))).astype(np.intc)
+        self._diagonal = np.flatnonzero(constrained[row[order]])
+        self._perm_c = perm_c
         # top-edge midpoints for the interface flux
         self._top_bound = material.at((np.arange(grid.num_x) + 0.5) * grid.dx)
 
@@ -305,16 +298,15 @@ class RichardsWorkspace:
                                 self.grad_outer)))
 
     def jacobian(self, fields: QuadratureFields, dt: float) -> Jacobian:
-        """The Jacobian at fields, its Dirichlet rows identity rows: CSC
-        arrays in the workspace's fixed pattern, exact zeros kept, with the
-        ordering that solves them."""
+        """The Jacobian at fields, its Dirichlet rows identity rows, in the
+        workspace's fixed pattern and solve order, exact zeros kept."""
         # duplicates are summed in element order; the last bin takes the
         # dropped entries
         data = np.bincount(self._slot,
                            self._element_jacobians(fields, dt).ravel(),
                            self._kept + 1)[:-1]
         data[self._diagonal] = 1.0
-        return Jacobian(data, self._indices, self._indptr, self._ordering)
+        return Jacobian(data, self._indices, self._indptr, self._perm_c)
 
     # ── solves ───────────────────────────────────────────────────────────
 

@@ -20,8 +20,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy import sparse
 from scipy.sparse.linalg import spsolve
+from test_richards2d import natural_csc
 from test_surface1d import reference_llf_flux
 
 from coupledflow import coupling, linear1d, richards2d, scenarios, surface1d
@@ -119,6 +119,12 @@ class TestRainSchedule:
             column_problem(0.1, 0.01, rain_rate=-1e-6)
         with pytest.raises(ValueError, match="nonnegative"):
             column_problem(0.1, 0.01, rain_rate=1e-6, rain_cutoff=-1.0)
+        # unchecked, an infinite rate failed in the first surface solve
+        with pytest.raises(ValueError, match="rate finite"):
+            column_problem(0.1, 0.01, rain_rate=np.inf)
+        problem, _ = column_problem(0.1, 0.01, rain_rate=1e-6,
+                                    rain_cutoff=np.inf)
+        assert problem.rain_at(1e30) == 1e-6
 
 
 class TestPredictS:
@@ -241,9 +247,10 @@ class TestCoupledStep:
         ("hillslope-sandy", {})])
     def test_direct_kernels_match_scipy_and_reference_bitwise(
             self, monkeypatch, name, settings):
-        """The planned gssv call on the CSC arrays and the preallocated
-        llf_flux give the run that scipy's spsolve on a csc_matrix of the
-        same arrays and the concatenate/stack llf_flux give, bit for bit."""
+        """The direct gssv call on the ordered CSC arrays and the
+        preallocated llf_flux give the run that scipy's spsolve on the
+        node-order matrix and the concatenate/stack llf_flux give, bit for
+        bit."""
         config = replace(scenarios.preset(name), num_steps=20, **settings)
 
         def run():
@@ -253,10 +260,8 @@ class TestCoupledStep:
 
         direct = run()
 
-        def scipy_spsolve(arrays, rhs):
-            n = len(arrays[2]) - 1
-            return spsolve(sparse.csc_matrix(arrays[:3], shape=(n, n)),
-                           rhs)
+        def scipy_spsolve(jacobian, rhs):
+            return spsolve(natural_csc(jacobian), rhs)
 
         monkeypatch.setattr(richards2d, "spsolve", scipy_spsolve)
         monkeypatch.setattr(surface1d, "llf_flux", reference_llf_flux)
@@ -360,13 +365,26 @@ class TestCoupledStep:
     def test_config_validation(self):
         # num_z = 1: the predictor's linear column needs two elements;
         # unchecked, dt = nan failed in the first step's number, dt = inf in
-        # the soil Newton and tol = nan only in fixed_point
+        # the soil Newton and tol = nan only in fixed_point; a count of 2.5
+        # raised a TypeError mid-run, output_every = 1.5 snapshot every 3
         for setting in ({"omega": 0.0}, {"omega": 1.2}, {"tol": 0.0},
                         {"tol": np.nan}, {"dt": -1.0}, {"dt": np.nan},
                         {"dt": np.inf}, {"max_iters": 0}, {"num_steps": 0},
-                        {"output_every": 0}, {"num_z": 1}):
+                        {"output_every": 0}, {"num_z": 1},
+                        {"max_iters": 2.5}, {"num_steps": 2.5},
+                        {"output_every": 1.5}, {"num_steps": np.inf},
+                        {"max_iters": np.nan}):
             with pytest.raises(ValueError):
                 column_problem(0.1, 0.01, **setting)
+
+    def test_whole_float_counts_are_stored_as_ints(self):
+        problem, state = column_problem(0.1, 0.01, num_steps=3.0,
+                                        max_iters=100.0, output_every=1.0)
+        counts = (problem.num_steps, problem.max_iters, problem.output_every)
+        assert counts == (3, 100, 1)
+        assert all(type(count) is int for count in counts)
+        result = run_simulation(problem, state)
+        assert [record.step for record in result.records] == [1, 2, 3]
 
     def test_coupling_norm_is_numpy_norm_bitwise(self, monkeypatch):
         problem, state = scenarios.build_all(

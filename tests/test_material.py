@@ -164,11 +164,20 @@ class TestValidation:
         for field in good:
             with pytest.raises(ValueError):
                 VanGenuchtenParams(**{**good, field: np.nan})
+        # an infinite alpha or n gives NaN theta and K, an infinite k_s NaN K
+        for field in ("alpha", "n", "k_s"):
+            with pytest.raises(ValueError, match="finite"):
+                VanGenuchtenParams(**{**good, field: np.inf})
 
-    @pytest.mark.parametrize("steepness", [0.0, -1.0, np.nan])
+    @pytest.mark.parametrize("steepness", [0.0, -1.0, np.nan, np.inf])
     def test_blend_rejects_bad_steepness(self, steepness):
-        with pytest.raises(ValueError, match="steepness must be positive"):
+        with pytest.raises(ValueError,
+                           match="steepness must be positive and finite"):
             MaterialField(SILT, CLAY, 1.0, steepness)
+
+    def test_blend_rejects_nan_center(self):
+        with pytest.raises(ValueError, match="center_x finite"):
+            MaterialField(SILT, CLAY, np.nan, 4.0)
 
 
 class TestMaterialField:

@@ -130,11 +130,25 @@ def assert_bitwise_equal(got: np.ndarray, want: np.ndarray) -> None:
     assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
 
 
+def natural_csc(jacobian) -> sparse.csc_matrix:
+    """The matrix A of a Jacobian P^T A P in node order: each column moved
+    back to its node and its rows relabelled, in their stored order."""
+    data, indices, indptr, perm_c = jacobian
+    n = len(perm_c)
+    starts, ends = indptr[perm_c], indptr[perm_c + 1]
+    gather = np.concatenate([np.arange(a, b) for a, b in zip(starts, ends)])
+    natural_indptr = np.zeros(n + 1, dtype=np.intc)
+    np.cumsum(ends - starts, out=natural_indptr[1:])
+    rows = np.argsort(perm_c)[indices[gather]].astype(np.intc)
+    return sparse.csc_matrix((data[gather], rows, natural_indptr),
+                             shape=(n, n))
+
+
 def assert_kept_zeros_match(got, want: sparse.csc_matrix,
                             rhs: np.ndarray) -> None:
     """got, which stores zeros the chain's want drops, is want densely, bit
-    for bit, and solves as scipy's spsolve on a matrix of got's arrays."""
-    stored = sparse.csc_matrix(got[:3], shape=want.shape)
+    for bit, and solves as scipy's spsolve on got's node-order matrix."""
+    stored = natural_csc(got)
     assert_bitwise_equal(stored.toarray(order="C"), want.toarray(order="C"))
     assert_bitwise_equal(richards2d.spsolve(got, rhs), spsolve(stored, rhs))
 
@@ -320,8 +334,9 @@ class TestJacobian:
             assert np.count_nonzero(got.data == 0.0) > 0
             assert_kept_zeros_match(got, want, rhs)
             return
-        for array, name in zip(got, ("data", "indices", "indptr")):
-            assert_bitwise_equal(array, getattr(want, name))
+        natural = natural_csc(got)
+        for name in ("data", "indices", "indptr"):
+            assert_bitwise_equal(getattr(natural, name), getattr(want, name))
         # the direct gssv call solves as scipy's spsolve on the chain
         assert_bitwise_equal(richards2d.spsolve(got, rhs), spsolve(want, rhs))
 
@@ -337,21 +352,45 @@ class TestJacobian:
         with pytest.warns(MatrixRankWarning, match="singular"):
             got = richards2d.spsolve(arrays, rhs)
         with pytest.warns(MatrixRankWarning, match="singular"):
-            want = spsolve(sparse.csc_matrix(arrays[:3], shape=(n, n)), rhs)
+            want = spsolve(natural_csc(arrays), rhs)
         assert np.all(np.isnan(got)) and np.all(np.isnan(want))
         assert got.shape == want.shape == (n,)
 
+    def test_solve_hands_gssv_the_jacobians_own_arrays(self, monkeypatch):
+        """A solve passes gssv the Jacobian's data, indices and indptr
+        themselves, with no gather or copy, and equals scipy's spsolve on
+        the node-order matrix, bit for bit."""
+        work = constrained_workspace("trench-mixed", "top+walls")
+        rng = np.random.default_rng(47)
+        psi = rng.uniform(-3.0, -0.05, work.grid.num_nodes)
+        got = work.jacobian(work.at_qp(psi), 36.0)
+        rhs = rng.normal(size=psi.size)
+        want = spsolve(natural_csc(got), rhs)
+        calls = []
+        gssv = _superlu.gssv
+
+        def recording_gssv(*args, options):
+            calls.append(args)
+            return gssv(*args, options=options)
+
+        monkeypatch.setattr(_superlu, "gssv", recording_gssv)
+        solution = richards2d.spsolve(got, rhs)
+        [(_, _, data, indices, indptr, *_)] = calls
+        assert data is got.data
+        assert indices is got.indices and indptr is got.indptr
+        assert_bitwise_equal(solution, want)
+
     def test_saturated_cancellations_stay_in_the_pattern(self):
         """Exact zeros stay in the node set's fixed pattern, with or without
-        constraints: each Jacobian points at its workspace's ordering, and
-        the constrained one equals the chain densely and solves as scipy's
-        spsolve on the same arrays."""
+        constraints: each Jacobian points at its workspace's column order,
+        and the constrained one equals the chain densely and solves as
+        scipy's spsolve on its node-order matrix."""
         psi = np.full(cancelling_grid().num_nodes, 0.5)
         for constraints in ("none", "top"):
             work = constrained_workspace("silt", constraints)
             got = work.jacobian(work.at_qp(psi), 36.0)
             assert np.count_nonzero(got.data == 0.0) > 0
-            assert got.ordering is work._ordering
+            assert got.perm_c is work._perm_c
             assert len(got.data) == len(got.indices)
         rhs = np.random.default_rng(41).normal(size=psi.size)
         assert_kept_zeros_match(got, coo_assembly(work, psi, 36.0), rhs)
@@ -374,8 +413,10 @@ class TestJacobian:
             psi = rng.uniform(-3.0, -0.05, problem.grid.num_nodes)
             got = work.jacobian(work.at_qp(psi), problem.dt)
             want = coo_assembly(work, psi, problem.dt)
-            for array, field in zip(got, ("data", "indices", "indptr")):
-                assert_bitwise_equal(array, getattr(want, field))
+            natural = natural_csc(got)
+            for field in ("data", "indices", "indptr"):
+                assert_bitwise_equal(getattr(natural, field),
+                                     getattr(want, field))
             rhs = rng.normal(size=problem.grid.num_nodes)
             assert_bitwise_equal(richards2d.spsolve(got, rhs),
                                  spsolve(want, rhs))
@@ -452,9 +493,7 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
         psi_old = rng.uniform(-3.0, -0.5, grid.num_nodes)
         work = RichardsWorkspace(grid, SILT)
         dt = 1.0e5
-        matrix = sparse.csc_matrix(
-            work.jacobian(work.at_qp(psi), dt)[:3],
-            shape=(grid.num_nodes, grid.num_nodes))
+        matrix = natural_csc(work.jacobian(work.at_qp(psi), dt))
         theta_old = work.at_qp(psi_old).soil.theta
         for trial in range(3):
             direction = rng.normal(size=grid.num_nodes)
@@ -474,9 +513,7 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
         psi = np.full(grid.num_nodes, 2.0)
         work = RichardsWorkspace(grid, CLAY)
         dt = 50.0
-        matrix = sparse.csc_matrix(
-            work.jacobian(work.at_qp(psi), dt)[:3],
-            shape=(grid.num_nodes, grid.num_nodes)).toarray()
+        matrix = natural_csc(work.jacobian(work.at_qp(psi), dt)).toarray()
         assert np.max(np.abs(matrix - matrix.T)) <= 1e-12 * np.max(
             np.abs(matrix))
         # saturated capacity vanishes, so rows sum to zero as well
@@ -487,9 +524,7 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
         grid = small_grid()
         psi = np.full(grid.num_nodes, -0.5)
         work = top_workspace(grid, SILT)
-        matrix = sparse.csc_matrix(
-            work.jacobian(work.at_qp(psi), 1.0)[:3],
-            shape=(grid.num_nodes, grid.num_nodes)).toarray()
+        matrix = natural_csc(work.jacobian(work.at_qp(psi), 1.0)).toarray()
         for node in grid.top_node_indices():
             row = np.zeros(grid.num_nodes)
             row[node] = 1.0
