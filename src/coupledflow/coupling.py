@@ -75,8 +75,8 @@ class CoupledProblem:
                              "rate finite")
         if not 0.0 < self.omega <= 1.0:
             raise ValueError("omega must lie in (0, 1]")
-        if not (self.tol > 0.0 and 0.0 < self.dt < math.inf):
-            raise ValueError("tol must be positive, dt positive and finite")
+        if not (0.0 < self.tol < math.inf and 0.0 < self.dt < math.inf):
+            raise ValueError("tol and dt must be positive and finite")
         for name in ("max_iters", "num_steps", "output_every"):
             count = getattr(self, name)
             if not (float(count).is_integer() and count >= 1):

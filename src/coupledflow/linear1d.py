@@ -20,9 +20,10 @@ is what the testbench demonstrates through iteration.fixed_point.
 The interior matrix is factored once per run (LAPACK dpttrf in build_system,
 which is also where a matrix that is not positive definite is rejected).  A
 sweep finishes only dpttrs's last row, the rows above eliminated once per
-step; run_time_step recovers and checks (check_solves) the step's solves in
-order, in blocks of at most SWEEP_CHUNK elements (or one solve), one dpttrs
-each (subsurface_solve).  Both come from scipy's compiled _flapack.
+step.  After the sweeps, run_time_step recovers the step's solves in order,
+in blocks of at most SWEEP_CHUNK elements (or one solve), one dpttrs each
+(subsurface_solve), and checks each block (check_solves).  Both come from
+scipy's compiled _flapack.
 """
 
 from __future__ import annotations
@@ -190,7 +191,7 @@ def check_solves(sys: Linear1DSystem, psi_gammas: Sequence[float],
     """Residual check of subsurface_solve's solutions for the given frozen
     interface values, row by row in one pass; any failure raises, a
     non-finite solution included."""
-    x = np.array(solutions, dtype=float).reshape(-1, sys.num_interior)
+    x = np.asarray(solutions, dtype=float).reshape(-1, sys.num_interior)
     x_max = np.abs(x).max(axis=1, initial=0.0)
     # a max that is NaN fails too; tested first, as inf - inf would warn
     if not x_max.max(initial=0.0) < math.inf:
@@ -229,24 +230,15 @@ def run_time_step(sys: Linear1DSystem, omega: float, tol: float = 1e-8,
     relaxes, and stops once |psi_G_tilde - psi_G_prev| < tol.  Running out of
     iterations is reported as a non converged result carrying the residual
     history, not as an exception: divergent settings are a legitimate region
-    of parameter space.  Every solve of the step is checked before this
-    returns or raises, in order, so the first failing solve decides the
-    error; solves are recovered and checked in blocks of at most SWEEP_CHUNK
-    elements (or one solve), so a long step does not hold all of them.
+    of parameter space.  A sweep only records its interface value and last
+    unknown; after the sweeps, returned or raised, every solve of the step
+    is recovered and checked in order, so the first failing solve decides
+    the error.  Blocks of at most SWEEP_CHUNK elements (or one solve) keep a
+    long step from holding all of its solutions.
     """
     psi_gammas, lasts = [], []
-    block = max(1, SWEEP_CHUNK // sys.num_interior)
-
-    def check_block() -> np.ndarray:
-        solutions = subsurface_solve(sys, psi_gammas)
-        solutions[:, -1] = lasts
-        check_solves(sys, psi_gammas, solutions)
-        del psi_gammas[:], lasts[:]
-        return solutions
 
     def sweep(psi_gamma: float) -> float:
-        if len(lasts) == block:
-            check_block()
         lasts.append(sys.last_unknown(psi_gamma))
         psi_gammas.append(psi_gamma)
         return surface_update(sys, lasts[-1], psi_gamma)
@@ -256,7 +248,12 @@ def run_time_step(sys: Linear1DSystem, omega: float, tol: float = 1e-8,
         psi_gamma, iterates, residuals = fixed_point(
             sweep, sys.psi_gamma_old, omega, tol, max_iters, abs)
     finally:
-        solutions = check_block()
+        block = max(1, SWEEP_CHUNK // sys.num_interior)
+        for start in range(0, len(lasts), block):
+            gammas = psi_gammas[start:start + block]
+            solutions = subsurface_solve(sys, gammas)
+            solutions[:, -1] = lasts[start:start + block]
+            check_solves(sys, gammas, solutions)
     return StepResult(psi_gamma=psi_gamma, psi_interior=solutions[-1].copy(),
                       iterates=np.asarray(iterates), iterations=len(residuals),
                       residuals=np.asarray(residuals),

@@ -204,12 +204,13 @@ def _parse_optional_soil(text: str) -> str | None:
 
 
 # section -> key -> (ScenarioConfig field, parser).  Keys that set no field
-# (the base preset and the units keys of _UNITS) have a None field.
+# (the base preset and the units keys of _UNITS) have a None field.  Counts
+# parse as floats: Grid2D and CoupledProblem check that they are whole.
 _SCHEMA: dict[str, dict[str, tuple[str | None, object]]] = {
     "scenario": {"base": (None, str), "name": ("name", str)},
     "grid": {
         "length_x": ("length_x", float), "length_z": ("length_z", float),
-        "num_x": ("num_x", int), "num_z": ("num_z", int),
+        "num_x": ("num_x", float), "num_z": ("num_z", float),
     },
     "soil": {
         "preset": ("soil", str),
@@ -242,9 +243,9 @@ _SCHEMA: dict[str, dict[str, tuple[str | None, object]]] = {
                                  _parse_optional_float),
     },
     "coupling": {
-        "omega": ("omega", float), "tol": ("tol", float),
-        "max_iters": ("max_iters", int), "dt": ("dt", float),
-        "num_steps": ("num_steps", int), "output_every": ("output_every", int),
+        "omega": ("omega", float), "tol": ("tol", float), "dt": ("dt", float),
+        "max_iters": ("max_iters", float), "num_steps": ("num_steps", float),
+        "output_every": ("output_every", float),
     },
 }
 

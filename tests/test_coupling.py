@@ -366,14 +366,15 @@ class TestCoupledStep:
         # num_z = 1: the predictor's linear column needs two elements;
         # unchecked, dt = nan failed in the first step's number, dt = inf in
         # the soil Newton and tol = nan only in fixed_point; a count of 2.5
-        # raised a TypeError mid-run, output_every = 1.5 snapshot every 3
+        # raised a TypeError mid-run, output_every = 1.5 snapshot every 3;
+        # tol = inf ended every step after one sweep
         for setting in ({"omega": 0.0}, {"omega": 1.2}, {"tol": 0.0},
                         {"tol": np.nan}, {"dt": -1.0}, {"dt": np.nan},
                         {"dt": np.inf}, {"max_iters": 0}, {"num_steps": 0},
                         {"output_every": 0}, {"num_z": 1},
                         {"max_iters": 2.5}, {"num_steps": 2.5},
                         {"output_every": 1.5}, {"num_steps": np.inf},
-                        {"max_iters": np.nan}):
+                        {"max_iters": np.nan}, {"tol": np.inf}):
             with pytest.raises(ValueError):
                 column_problem(0.1, 0.01, **setting)
 

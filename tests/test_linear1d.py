@@ -213,11 +213,8 @@ class TestFactoredSolve:
             assert np.array_equal(subsurface_solve(sys, gamma),
                                   banded_solve_oracle(sys, gamma))
 
-    @pytest.mark.parametrize("num_elements,c,k,dt", FACTOR_CASES)
-    def test_run_bitwise_equal_to_banded_run(self, monkeypatch, num_elements,
-                                             c, k, dt):
-        p = standard_params(num_elements=num_elements, c=c, k=k, dt=dt,
-                            omega=0.6)
+    @staticmethod
+    def assert_run_bitwise_equal_to_banded_run(monkeypatch, p):
         factored = run_simulation(p, num_steps=6, tol=1e-12)
         monkeypatch.setattr(linear1d, "run_time_step",
                             per_sweep_step(banded_solve_oracle))
@@ -226,6 +223,24 @@ class TestFactoredSolve:
         assert summary_rows(factored) == summary_rows(banded)
         for left, right in zip(factored.steps, banded.steps):
             assert np.array_equal(left.psi_interior, right.psi_interior)
+        return factored
+
+    @pytest.mark.parametrize("num_elements,c,k,dt", FACTOR_CASES)
+    def test_run_bitwise_equal_to_banded_run(self, monkeypatch, num_elements,
+                                             c, k, dt):
+        p = standard_params(num_elements=num_elements, c=c, k=k, dt=dt,
+                            omega=0.6)
+        self.assert_run_bitwise_equal_to_banded_run(monkeypatch, p)
+
+    def test_multi_block_run_bitwise_equal_to_banded_run(self, monkeypatch):
+        # 399 unknowns: blocks of 41 solves under the real SWEEP_CHUNK, so
+        # every step's solves span a block boundary
+        trace = self.assert_run_bitwise_equal_to_banded_run(
+            monkeypatch, standard_params(num_elements=400, dt=0.05,
+                                         omega=0.3))
+        block = linear1d.SWEEP_CHUNK // 399
+        assert all(block < step.iterations <= 2 * block
+                   for step in trace.steps)
 
     def test_factors_once_per_build_and_solves_once_per_checked_block(
             self, monkeypatch):
@@ -463,6 +478,22 @@ class TestBatchedCheck:
         with pytest.raises(RuntimeError, match="residual check"):
             run_time_step(with_wrong_factor(
                 build_system(standard_params(**OVERFLOW)), 1.0), omega=1.0)
+
+    def test_a_failing_block_is_checked_once(self, monkeypatch):
+        blocks = []
+        check = linear1d.check_solves
+
+        def recording(sys, psi_gammas, solutions):
+            blocks.append(len(psi_gammas))
+            check(sys, psi_gammas, solutions)
+
+        monkeypatch.setattr(linear1d, "check_solves", recording)
+        # blocks of 3 sweeps at 9 unknowns; the first block fails
+        monkeypatch.setattr(linear1d, "SWEEP_CHUNK", 3 * 9 + 2)
+        sys = with_wrong_factor(build_system(standard_params(omega=0.5)), 1e-7)
+        with pytest.raises(RuntimeError, match="residual check"):
+            run_time_step(sys, omega=0.5, tol=1e-12)
+        assert blocks == [3]
 
     def test_solutions_of_a_long_step_are_not_held(self, tmp_path, capsys):
         # one step of 30 sweeps at 99,999 unknowns hits --max-iters; its

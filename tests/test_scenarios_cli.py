@@ -296,6 +296,15 @@ manning_units = per_minute
         assert config.num_steps == 7
         assert config.num_z == 30
 
+    def test_whole_float_counts_parse_as_in_the_python_api(self):
+        config = load_config(overrides=["grid.num_x=5.0",
+                                        "coupling.num_steps=1e1"])
+        problem, _ = build_all(config)
+        assert (problem.grid.num_x, problem.num_steps) == (5, 10)
+        assert type(problem.grid.num_x) is type(problem.num_steps) is int
+        with pytest.raises(ConfigError, match="num_steps"):
+            build_all(load_config(overrides=["coupling.num_steps=2.5"]))
+
     def test_override_format_errors(self):
         with pytest.raises(ConfigError):
             parse_overrides(["grid.num_x"])
