@@ -73,6 +73,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if any(np.size(axis) != 1 for axis, default in zip(axes, defaults)
            if np.size(default) == 1):
         raise ConfigError(message)
+    scenarios.check_out_dir(args.out)
     try:
         rows = analysis.sweep(*axes, length)
     except ValueError as exc:
@@ -102,6 +103,7 @@ def cmd_linrun(args: argparse.Namespace) -> int:
     except ValueError:
         raise ConfigError(f"--omega must be a float in (0, 1] or 'opt', "
                           f"got {args.omega!r}") from None
+    scenarios.check_out_dir(args.out)
     trace = linear1d.run_simulation(params, num_steps=args.steps,
                                     tol=args.tol, max_iters=args.max_iters)
     os.makedirs(args.out, exist_ok=True)

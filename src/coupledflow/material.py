@@ -3,10 +3,11 @@
 A soil is one scalar ``VanGenuchtenParams``; ``MaterialField`` is the one
 field type, homogeneous when its ``right`` soil is None and tanh blended
 otherwise.  Each closure is written once, as an attribute of the evaluator
-that ``MaterialField.at(x).at_heads(psi)`` returns: theta at construction, c, K
-and K' on first use, all from the shared x = alpha*|psi| and x^n and from
-parameter factors fixed per binding; scalar psi gives 0-d arrays.  Units are
-SI (meters, seconds).  The closures (van Genuchten 1980, Mualem 1976) are:
+that ``MaterialField.at(x).at_heads(psi)`` returns: theta and K at
+construction, c and K' on first use, all from the shared x = alpha*|psi| and
+x^n and from parameter factors fixed per binding; scalar psi gives 0-d
+arrays.  Units are SI (meters, seconds).  The closures (van Genuchten 1980,
+Mualem 1976) are:
 
     water content   theta(psi) = theta_r + (theta_s - theta_r)
                                  * (1 / (1 + (alpha*|psi|)^n))^((n-1)/n)   psi <= 0
@@ -107,7 +108,7 @@ class _BoundMaterial:
 
 
 class _Closures:
-    """theta at one head field, and c, K and K' there on first use."""
+    """theta and K at one head field, and c and K' there on first use."""
 
     def __init__(self, bound: _BoundMaterial, psi):
         self._bound = bound
@@ -116,9 +117,12 @@ class _Closures:
         with np.errstate(over="ignore"):
             self._x_n = self._x ** bound.n
         self._base = 1.0 + self._x_n
-        self._wet_theta = bound.theta_r + bound.span * (
+        wc = bound.theta_r + bound.span * (
             self._base ** bound.saturation_exponent)
-        self.theta = np.where(self.psi > 0.0, bound.theta_s, self._wet_theta)
+        self.theta = np.where(self.psi > 0.0, bound.theta_s, wc)
+        bracket = 1.0 - (1.0 - wc ** bound.pore) ** bound.m
+        self.hydraulic_conductivity = np.where(
+            self.psi > 0.0, bound.k_s, bound.k_s * np.sqrt(wc) * bracket ** 2)
 
     @cached_property
     def capacity(self):
@@ -130,13 +134,6 @@ class _Closures:
         # |psi|, where the true capacity has long underflowed.
         value = np.where(np.isfinite(value), value, 0.0)
         return np.where(self.psi > 0.0, 0.0, value)
-
-    @cached_property
-    def hydraulic_conductivity(self):
-        b, wc = self._bound, self._wet_theta
-        bracket = 1.0 - (1.0 - wc ** b.pore) ** b.m
-        value = b.k_s * np.sqrt(wc) * bracket ** 2
-        return np.where(self.psi > 0.0, b.k_s, value)
 
     @cached_property
     def conductivity_derivative(self):

@@ -492,6 +492,15 @@ def write_csv(path: str, columns: Sequence[str],
                 handle.write(line_format % cells)
 
 
+def check_out_dir(path: str) -> None:
+    """Raise ConfigError unless path is or can become a directory."""
+    ancestor = os.path.abspath(path)
+    while not os.path.lexists(ancestor):
+        ancestor = os.path.dirname(ancestor)
+    if not os.path.isdir(ancestor):
+        raise ConfigError(f"output {path!r}: {ancestor!r} is not a directory")
+
+
 def run_scenario(config: ScenarioConfig, out_dir: str,
                  cr_exclude_threshold: float | None = None,
                  ) -> coupling.SimulationResult:
@@ -505,6 +514,7 @@ def run_scenario(config: ScenarioConfig, out_dir: str,
             and not 0 < cr_exclude_threshold < np.inf:
         raise ConfigError("cr_exclude_threshold must be positive and finite, "
                           f"got {cr_exclude_threshold}")
+    check_out_dir(out_dir)
     problem, state = build_all(config)
     result = coupling.run_simulation(problem, state)
 

@@ -25,22 +25,21 @@ by the shared damped Newton (iteration.damped_newton); the source s [m/s]
 (soil exchange plus rain, per cell or one scalar) enters the height
 component only, and last.  The dense finite difference Jacobian comes from
 one residual call on the batch of all column-bumped states; the solves from
-one StepStart share the source-free residuals at q_old and its bumps.  Each
-residual takes every face flux from one llf_flux call.  It copies the state
-into one preallocated array with a ghost cell per side, of the kinds
-SurfaceModel.boundary_left and boundary_right (the reflect ends,
-SurfaceModel.walls, are found once per model), and evaluates f and lambda
-once per cell, writing the rows of f into one preallocated array; the
-arithmetic is that of concatenating and stacking, bit for bit.  After the
-solve, depths below H_FLOOR are raised to H_FLOOR; the added volume is
-returned next to damped_newton's report.
+one StepStart share the source-free residuals at q_old and its bumps, which
+StepStart computes when it is built.  Each residual takes every face flux
+from one llf_flux call.  It copies the state into one preallocated array
+with a ghost cell per side, of the kinds SurfaceModel.boundary_left and
+boundary_right (the reflect ends, SurfaceModel.walls, are found once per
+model), and evaluates f and lambda once per cell, writing the rows of f into
+one preallocated array; the arithmetic is that of concatenating and
+stacking, bit for bit.  After the solve, depths below H_FLOOR are raised to
+H_FLOOR; the added volume is returned next to damped_newton's report.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -85,22 +84,18 @@ class SurfaceModel:
             raise ValueError("gravity must be positive and finite")
         if self.flow_sign not in (-1.0, 1.0):
             raise ValueError("flow_sign must be +1 or -1")
-        for side in (self.boundary_left, self.boundary_right):
+        kinds = (self.boundary_left, self.boundary_right)
+        for side in kinds:
             if side not in ("copy", "reflect"):
                 raise ValueError(f"unknown boundary kind {side!r}")
+        # the ends closed by a reflect wall: 0 for x = 0, -1 for the other
+        object.__setattr__(self, "walls", tuple(
+            end for kind, end in zip(kinds, (0, -1)) if kind == "reflect"))
 
     @property
     def num_components(self) -> int:
         """Rows of a state q: (h, hu) for swe, (h,) for kinematic."""
         return 2 if self.flavor == "swe" else 1
-
-    @cached_property
-    def walls(self) -> tuple[int, ...]:
-        """The ends closed by a reflect wall: 0 for x = 0, -1 for the
-        other."""
-        kinds = (self.boundary_left, self.boundary_right)
-        return tuple(end for kind, end in zip(kinds, (0, -1))
-                     if kind == "reflect")
 
     def manning_speed(self, h) -> np.ndarray:
         """Manning velocity magnitude for the kinematic flavor."""
@@ -160,6 +155,8 @@ class StepStart:
         self.q_old, self.dt, self.dx, self.model = q_old, dt, dx, model
         self.flat = q_old.ravel()
         self.scale = max(1.0, np.abs(self.flat).max())
+        self.at_start = self.free_residual(self.flat)
+        self.at_bumps = self.bumps(self.flat)
 
     def free_residual(self, flat: np.ndarray) -> np.ndarray:
         """q - q_old + dt/dx (F_l - F_{l-1}) of a flat state or (B, size)."""
@@ -175,14 +172,6 @@ class StepStart:
         bumped = point[None].repeat(point.size, axis=0)
         bumped.flat[::point.size + 1] += eps
         return eps, self.free_residual(bumped)
-
-    @cached_property
-    def at_start(self) -> np.ndarray:
-        return self.free_residual(self.flat)
-
-    @cached_property
-    def at_bumps(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.bumps(self.flat)
 
 
 def implicit_fv_step(start: StepStart, source,
@@ -226,7 +215,8 @@ def outflow_probe(q: np.ndarray, time: float, model: SurfaceModel) -> dict:
         u0 = float(q[1, end] / h0) if h0 > 0.0 else 0.0
     else:
         u0 = float(model.manning_speed(h0))
-    return {"t": time, "h0": h0, "u0": abs(u0), "q_out": h0 * abs(u0)}
+    q_out = 0.0 if end in model.walls else h0 * abs(u0)
+    return {"t": time, "h0": h0, "u0": abs(u0), "q_out": q_out}
 
 
 PROBE_COLUMNS = ("t", "h0", "u0", "q_out")

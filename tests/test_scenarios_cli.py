@@ -13,7 +13,7 @@ from numpy.testing import assert_allclose
 from scipy.sparse.linalg import MatrixRankWarning
 
 import coupledflow
-from coupledflow import analysis, cli, scenarios
+from coupledflow import analysis, cli, coupling, linear1d, scenarios
 from coupledflow.coupling import TRACE_COLUMNS, CoupledProblem
 from coupledflow.iteration import NewtonError
 from coupledflow.material import SOIL_PRESETS
@@ -582,6 +582,27 @@ class TestCli:
             scenarios.run_scenario(config, out,
                                    cr_exclude_threshold=threshold)
         assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("nested", [False, True], ids=["file", "below"])
+    @pytest.mark.parametrize("argv", [
+        ["analyze"], ["linrun"], ["simulate", "--scenario", "hillslope-silt"],
+    ], ids=["analyze", "linrun", "simulate"])
+    def test_out_that_cannot_be_a_directory_is_a_config_error(
+            self, argv, nested, tmp_path, monkeypatch, capsys):
+        # rejected before any solve, so a long run never ends in a crash
+        def never(*args, **kwargs):
+            raise AssertionError("solved before the output path was checked")
+
+        for module, name in ((analysis, "sweep"), (linear1d, "run_simulation"),
+                             (coupling, "run_simulation")):
+            monkeypatch.setattr(module, name, never)
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        out = taken / "sub" if nested else taken
+        assert cli.main([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"configuration error: output {str(out)!r}: ")
+        assert taken.read_text() == "kept\n"
 
     def test_simulate_single_element_column_is_a_config_error(self, tmp_path,
                                                               capsys):

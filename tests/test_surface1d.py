@@ -1,5 +1,7 @@
 """Tests for the implicit finite volume surface solver."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -18,6 +20,9 @@ from coupledflow.surface1d import (
 )
 
 WALLS = {"boundary_left": "reflect", "boundary_right": "reflect"}
+# the reflect ends of each (boundary_left, boundary_right) pair
+WALL_ENDS = {("copy", "copy"): (), ("reflect", "copy"): (0,),
+             ("copy", "reflect"): (-1,), ("reflect", "reflect"): (0, -1)}
 
 
 def swe_model(**boundary) -> SurfaceModel:
@@ -120,6 +125,16 @@ class TestStates:
         with pytest.raises(ValueError, match="unknown boundary kind 'open'"):
             SurfaceModel(flavor="swe", boundary_right="open")
 
+    @pytest.mark.parametrize("left, right", list(WALL_ENDS))
+    @pytest.mark.parametrize("make", [swe_model, kinematic_model])
+    def test_walls_are_the_reflect_ends(self, make, left, right):
+        model = make(boundary_left=left, boundary_right=right)
+        assert model.walls == WALL_ENDS[left, right]
+        # replace builds a new model, whose walls follow its kinds
+        other = {"copy": "reflect", "reflect": "copy"}[left]
+        assert (dataclasses.replace(model, boundary_left=other).walls
+                == WALL_ENDS[other, right])
+
 
 class TestImplicitStep:
     def test_lake_at_rest_is_exact(self):
@@ -200,13 +215,14 @@ class TestImplicitStep:
     def test_singular_jacobian_is_a_newton_error(self):
         # bump residuals equal to the start residual: a zero Jacobian
         model, q, source = rainy_state("swe", 5, **WALLS)
-        start = StepStart(q, 5.0, 0.5, model)
 
-        def flat_bumps(point):
-            eps = 1e-8 * np.maximum(1.0, np.abs(point))
-            return eps, np.tile(start.free_residual(point), (point.size, 1))
+        class FlatBumps(StepStart):
+            def bumps(self, point):
+                eps = 1e-8 * np.maximum(1.0, np.abs(point))
+                return eps, np.tile(self.free_residual(point),
+                                    (point.size, 1))
 
-        start.bumps = flat_bumps
+        start = FlatBumps(q, 5.0, 0.5, model)
         with pytest.raises(NewtonError,
                            match="singular Newton system") as info:
             implicit_fv_step(start, source)
@@ -362,18 +378,18 @@ class TestBatchedNewton:
         monkeypatch.setattr(surface1d, "_flux_and_speed",
                             counting_flux_and_speed)
         start = StepStart(q, 5.0, 0.5, model)
-        # a fresh record evaluates every residual; a reused one takes the
-        # residuals at the start and at its bumps from the first solve
-        for reused, factor in ((0, 1.0), (1, 2.0)):
+        # construction evaluates the residuals at the start and its bumps,
+        # f and lambda once per cell of each padded state
+        assert batches == [1, size] and len(cell_calls) == 2
+        for factor in (1.0, 2.0):
             batches.clear()
             cell_calls.clear()
             _, newton, _ = implicit_fv_step(start, factor * source)
             assert newton.iterations >= 2
-            # initial residual, then per iteration one batch and one step
-            assert batches.count(size) == newton.iterations - reused
-            assert batches.count(1) == 1 + newton.iterations - reused
-            assert len(batches) == 1 + 2 * newton.iterations - 2 * reused
-            # f and lambda once per cell of the padded state
+            # per iteration one step, and one batch after the first
+            assert batches.count(1) == newton.iterations
+            assert batches.count(size) == newton.iterations - 1
+            assert len(batches) == 2 * newton.iterations - 1
             assert len(cell_calls) == len(batches)
 
     @pytest.mark.parametrize("reverse_first", [False, True])
@@ -561,3 +577,21 @@ class TestProbe:
         assert_allclose(wet["q_out"], 0.04, rtol=1e-14)
         dry = outflow_probe(np.zeros((2, 1)), 0.0, model)
         assert dry["u0"] == 0.0 and dry["q_out"] == 0.0
+
+    @pytest.mark.parametrize("outlet", ["copy", "reflect"])
+    @pytest.mark.parametrize("flavor", ["swe", "kinematic"])
+    def test_discharge_is_the_outlet_face_flux(self, flavor, outlet):
+        # a wall at the outlet passes no water, whatever the cell's speed
+        if flavor == "swe":  # flow toward x = 0 leaves through the left end
+            model, end = swe_model(boundary_left=outlet), 0
+            q = uniform([0.1, -0.02], 5)
+        else:
+            model = SurfaceModel(flavor="kinematic", manning_n=0.2,
+                                 friction_slope=5e-4, flow_sign=1.0,
+                                 boundary_right=outlet)
+            q, end = uniform([0.01], 5), -1
+        probe = outflow_probe(q, 0.0, model)
+        assert probe["h0"] == q[0, end] and probe["u0"] > 0.0
+        outflow = abs(llf_flux(q, model)[0, end])
+        assert (outflow == 0.0) == (outlet == "reflect")
+        assert_allclose(probe["q_out"], outflow, rtol=1e-15, atol=0.0)
