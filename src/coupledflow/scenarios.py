@@ -494,6 +494,9 @@ def write_csv(path: str, columns: Sequence[str],
 
 def check_out_dir(path: str) -> None:
     """Raise ConfigError unless path is or can become a directory."""
+    if not path:
+        raise ConfigError(f"output {path!r}: an empty path names no "
+                          "directory")
     ancestor = os.path.abspath(path)
     while not os.path.lexists(ancestor):
         ancestor = os.path.dirname(ancestor)

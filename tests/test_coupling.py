@@ -22,7 +22,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.sparse.linalg import spsolve
 from test_richards2d import natural_csc
-from test_surface1d import reference_llf_flux
+from test_surface1d import reference_fv_step
 
 from coupledflow import coupling, linear1d, richards2d, scenarios, surface1d
 from coupledflow.analysis import LinearModelParams, alpha_sum, toeplitz_coeffs
@@ -223,17 +223,17 @@ class TestCoupledStep:
         calls = {"richards": 0, "surface": 0}
 
         def flipping(solve, layer):
-            def wrapped(matrix, rhs):
+            def wrapped(matrix, rhs, **kwargs):
                 calls[layer] += 1
-                delta = solve(matrix, rhs)
+                delta = solve(matrix, rhs, **kwargs)
                 first = reverse_first and calls[layer] == 1
                 return -delta if first else delta
             return wrapped
 
         monkeypatch.setattr(richards2d, "spsolve",
                             flipping(richards2d.spsolve, "richards"))
-        monkeypatch.setattr(np.linalg, "solve",
-                            flipping(np.linalg.solve, "surface"))
+        monkeypatch.setattr(surface1d, "solve1",
+                            flipping(surface1d.solve1, "surface"))
         problem, state = column_problem(0.5, 0.01,
                                         omega=1.0, tol=1e-10, max_iters=50,
                                         dt=0.1, num_steps=1)
@@ -247,10 +247,10 @@ class TestCoupledStep:
         ("hillslope-sandy", {})])
     def test_direct_kernels_match_scipy_and_reference_bitwise(
             self, monkeypatch, name, settings):
-        """The direct gssv call on the ordered CSC arrays and the
-        preallocated llf_flux give the run that scipy's spsolve on the
-        node-order matrix and the concatenate/stack llf_flux give, bit for
-        bit."""
+        """The direct gssv call on the ordered CSC arrays and the scalar
+        surface step give the run that scipy's spsolve on the node-order
+        matrix and the numpy reference surface step (whole-state residuals,
+        the column-loop Jacobian and np.linalg.solve) give, bit for bit."""
         config = replace(scenarios.preset(name), num_steps=20, **settings)
 
         def run():
@@ -264,7 +264,7 @@ class TestCoupledStep:
             return spsolve(natural_csc(jacobian), rhs)
 
         monkeypatch.setattr(richards2d, "spsolve", scipy_spsolve)
-        monkeypatch.setattr(surface1d, "llf_flux", reference_llf_flux)
+        monkeypatch.setattr(coupling, "implicit_fv_step", reference_fv_step)
         reference = run()
         assert direct[0] == reference[0]
         for got, want in zip(direct[1:], reference[1:]):

@@ -604,6 +604,22 @@ class TestCli:
             f"configuration error: output {str(out)!r}: ")
         assert taken.read_text() == "kept\n"
 
+    @pytest.mark.parametrize("command", ["analyze", "linrun"])
+    def test_empty_out_is_a_config_error(self, command, tmp_path,
+                                         monkeypatch, capsys):
+        # os.path.abspath("") is the working directory, but
+        # os.makedirs("") fails: rejected before any solve
+        def never(*args, **kwargs):
+            raise AssertionError("solved before the output path was checked")
+
+        monkeypatch.setattr(analysis, "sweep", never)
+        monkeypatch.setattr(linear1d, "run_simulation", never)
+        monkeypatch.chdir(tmp_path)
+        assert cli.main([command, "--out", ""]) == 2
+        assert capsys.readouterr().err.startswith(
+            "configuration error: output '': ")
+        assert os.listdir(tmp_path) == []
+
     def test_simulate_single_element_column_is_a_config_error(self, tmp_path,
                                                               capsys):
         # the contraction predictor's linear column needs two elements

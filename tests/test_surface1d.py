@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from coupledflow import surface1d
-from coupledflow.iteration import NewtonError
+from coupledflow.iteration import NewtonError, damped_newton
 from coupledflow.scenarios import manning_minutes_to_si
 from coupledflow.surface1d import (
     H_FLOOR,
@@ -40,13 +40,18 @@ def uniform(q, num_cells=3):
     return np.tile(np.array(q, dtype=float)[:, None], num_cells)
 
 
+def faces_of(q, model):
+    """llf_flux's face fluxes of q, shaped (n_comp, cells + 1)."""
+    return np.array(llf_flux(q, model)[1]).T
+
+
 class TestFluxes:
     def test_swe_flux_hand_values(self):
         model = swe_model()
         # every face of a uniform state with copy walls carries f(q)
         for q, flux in (([1.0, 0.0], [0.0, 4.905]),
                         ([1.0, 2.0], [2.0, 4.0 + 4.905])):
-            assert_allclose(llf_flux(uniform(q), model),
+            assert_allclose(faces_of(uniform(q), model),
                             uniform(flux, 4), rtol=1e-15)
 
     def test_manning_speed_golden(self):
@@ -64,18 +69,18 @@ class TestFluxes:
             assert model.manning_speed(h).tobytes() == want.tobytes()
 
     def test_kinematic_flux_follows_fall_line(self):
-        faces = llf_flux(uniform([0.01]), kinematic_model())
+        faces = faces_of(uniform([0.01]), kinematic_model())
         assert_allclose(faces, -0.01 * 0.005226036332105808, rtol=1e-12)
 
     def test_wave_speeds(self):
         # LLF dissipates with the larger speed: |u| + sqrt(g h) of the
         # moving state here, (5/3) u against a dry neighbour
         speed = 2.0 + np.sqrt(9.81 * 4.0)
-        faces = llf_flux(np.array([[4.0, 4.0], [8.0, 0.0]]), swe_model())
+        faces = faces_of(np.array([[4.0, 4.0], [8.0, 0.0]]), swe_model())
         assert_allclose(faces[1, 1], 8.0 + 0.5 * 9.81 * 16.0 + 4.0 * speed,
                         rtol=1e-14)
         u = 0.005226036332105808
-        faces = llf_flux(np.array([[0.01, 0.0]]), kinematic_model())
+        faces = faces_of(np.array([[0.01, 0.0]]), kinematic_model())
         assert_allclose(faces[0, 1], -0.005 * u + 0.005 * 5.0 / 3.0 * u,
                         rtol=1e-12)
 
@@ -84,12 +89,12 @@ class TestFluxes:
         for model, q, flux in (
                 (swe, [0.7, 0.21], [0.21, 0.21 * 0.3 + 0.5 * 9.81 * 0.49]),
                 (kin, [0.04], [-0.04 * kin.manning_speed(0.04)])):
-            assert_allclose(llf_flux(uniform(q), model),
+            assert_allclose(faces_of(uniform(q), model),
                             uniform(flux, 4), rtol=1e-15)
 
     def test_llf_hand_value(self):
         # the middle face of a two-cell state
-        faces = llf_flux(np.array([[1.0, 0.5], [0.0, 0.1]]), swe_model())
+        faces = faces_of(np.array([[1.0, 0.5], [0.0, 0.1]]), swe_model())
         # the still deep state carries the larger speed sqrt(g)
         assert_allclose(faces[0, 1], 0.05 + 0.25 * np.sqrt(9.81), rtol=1e-14)
         assert_allclose(faces[1, 1], 3.075625 - 0.05 * np.sqrt(9.81),
@@ -213,16 +218,13 @@ class TestImplicitStep:
             implicit_fv_step(StepStart(good, 1.0, 1.0, model), np.inf)
 
     def test_singular_jacobian_is_a_newton_error(self):
-        # bump residuals equal to the start residual: a zero Jacobian
         model, q, source = rainy_state("swe", 5, **WALLS)
 
-        class FlatBumps(StepStart):
-            def bumps(self, point):
-                eps = 1e-8 * np.maximum(1.0, np.abs(point))
-                return eps, np.tile(self.free_residual(point),
-                                    (point.size, 1))
+        class ZeroJacobian(StepStart):
+            def jacobian(self, bumps, shift, res):
+                return np.zeros((res.size, res.size))
 
-        start = FlatBumps(q, 5.0, 0.5, model)
+        start = ZeroJacobian(q, 5.0, 0.5, model)
         with pytest.raises(NewtonError,
                            match="singular Newton system") as info:
             implicit_fv_step(start, source)
@@ -303,7 +305,7 @@ def reference_residual(flat, q_old, source, dt, dx, model):
 
 
 def reference_jacobian(flat, residual, *args):
-    # the column-by-column finite difference loop the batch replaces
+    # the column-by-column finite difference loop on whole states
     size = flat.size
     jacobian = np.empty((size, size))
     for j in range(size):
@@ -314,17 +316,36 @@ def reference_jacobian(flat, residual, *args):
     return jacobian
 
 
+def reference_fv_step(start, source):
+    """implicit_fv_step in numpy from start's q_old, dt, dx and model:
+    reference_residual, the reference_jacobian column loop and
+    np.linalg.solve in the shared damped Newton, then the H_FLOOR clamp."""
+    q_old, dt, dx, model = start.q_old, start.dt, start.dx, start.model
+    args = (q_old, np.asarray(source, dtype=float), dt, dx, model)
+    scale = max(1.0, np.abs(q_old).max())
+    flat, newton = damped_newton(
+        lambda x: reference_residual(x, *args),
+        lambda x, r: np.linalg.solve(reference_jacobian(x, r, *args), -r),
+        q_old.ravel(), lambda norm0: 1e-13 * scale, 30, 20,
+        accept=1e-12 * scale)
+    q_new = flat.reshape(q_old.shape).copy()
+    low = q_new[0] < H_FLOOR
+    clamped_volume = float(((H_FLOOR - q_new[0][low]) * dx).sum())
+    q_new[0][low] = H_FLOOR
+    return q_new, newton, clamped_volume
+
+
 def recorded_solves(monkeypatch, reverse_first=False):
     """Record every dense solve; optionally flip the first Newton step."""
     solves = []
-    solve = np.linalg.solve
+    solve = surface1d.solve1
 
-    def recording_solve(matrix, rhs):
+    def recording_solve(matrix, rhs, **kwargs):
         solves.append((matrix.copy(), rhs.copy()))
-        delta = solve(matrix, rhs)
+        delta = solve(matrix, rhs, **kwargs)
         return -delta if reverse_first and len(solves) == 1 else delta
 
-    monkeypatch.setattr(np.linalg, "solve", recording_solve)
+    monkeypatch.setattr(surface1d, "solve1", recording_solve)
     return solves
 
 
@@ -339,15 +360,21 @@ def rainy_state(flavor, num_x, seed=7, **boundary):
     return model, q, source
 
 
-class TestBatchedNewton:
+# (flavor, flow_sign): both kinematic flow directions
+FLAVORS = [("swe", 1.0), ("kinematic", -1.0), ("kinematic", 1.0)]
+
+
+class TestLocalJacobian:
     @pytest.mark.parametrize("num_x", [1, 2, 5, 23])
     @pytest.mark.parametrize("right", ["copy", "reflect"])
     @pytest.mark.parametrize("left", ["copy", "reflect"])
-    @pytest.mark.parametrize("flavor", ["swe", "kinematic"])
+    @pytest.mark.parametrize("flavor, flow_sign", FLAVORS)
     def test_jacobian_matches_column_loop_bitwise(self, monkeypatch, flavor,
-                                                  left, right, num_x):
+                                                  flow_sign, left, right,
+                                                  num_x):
         model, q_old, source = rainy_state(flavor, num_x, boundary_left=left,
                                            boundary_right=right)
+        model = dataclasses.replace(model, flow_sign=flow_sign)
         solves = recorded_solves(monkeypatch)
         implicit_fv_step(StepStart(q_old, 0.5, 0.5, model), source)
         args = (q_old, source, 0.5, 0.5, model)
@@ -358,39 +385,65 @@ class TestBatchedNewton:
         assert np.array_equal(jacobian, reference_jacobian(flat, residual,
                                                            *args))
 
+    @pytest.mark.parametrize("num_x", [1, 2, 5, 23])
+    @pytest.mark.parametrize("right", ["copy", "reflect"])
+    @pytest.mark.parametrize("left", ["copy", "reflect"])
+    @pytest.mark.parametrize("flavor, flow_sign", FLAVORS)
+    def test_trial_state_kernels_match_column_loop_bitwise(
+            self, flavor, flow_sign, left, right, num_x):
+        model, q_old, source = rainy_state(flavor, num_x, boundary_left=left,
+                                           boundary_right=right)
+        model = dataclasses.replace(model, flow_sign=flow_sign)
+        # a Newton trial: negative, zero and floor depths next to wet cells
+        q = q_old.copy()
+        q[0, ::4] = -0.02
+        q[0, 1::4] = 0.0
+        q[0, 2::4] = H_FLOOR
+        start = StepStart(q_old, 0.5, 0.5, model)
+        shift = np.zeros(q.size)
+        shift[:num_x] = 0.5 * source
+        state = start.evaluate(q)
+        residual = np.subtract(state[2], shift)
+        args = (q_old, source, 0.5, 0.5, model)
+        want = reference_residual(q.ravel(), *args)
+        assert_same_bytes(residual, want)
+        assert_same_bytes(start.jacobian(start.bumps(state), shift, residual),
+                          reference_jacobian(q.ravel(), want, *args))
+
     @pytest.mark.parametrize("flavor", ["swe", "kinematic"])
-    def test_one_residual_call_per_jacobian(self, monkeypatch, flavor):
-        model, q, source = rainy_state(flavor, 5, **WALLS)
-        size = q.size
-        batches, cell_calls = [], []
+    def test_one_face_pass_per_state_one_face_pair_per_bump(self, monkeypatch,
+                                                            flavor):
+        # copy ends, so that each end face also comes from the face function
+        model, q, source = rainy_state(flavor, 5)
+        size, faces_per_pass = q.size, q.shape[1] + 1
+        passes, faces = [], []
         flux = surface1d.llf_flux
-        flux_and_speed = surface1d._flux_and_speed
+        name = f"_{flavor}_face"
+        face = getattr(surface1d, name)
 
         def counting_flux(states, model):
-            batches.append(states.shape[1])
+            passes.append(states.shape)
             return flux(states, model)
 
-        def counting_flux_and_speed(*args):
-            cell_calls.append(1)
-            return flux_and_speed(*args)
+        def counting_face(left, right):
+            faces.append(1)
+            return face(left, right)
 
         monkeypatch.setattr(surface1d, "llf_flux", counting_flux)
-        monkeypatch.setattr(surface1d, "_flux_and_speed",
-                            counting_flux_and_speed)
+        monkeypatch.setattr(surface1d, name, counting_face)
         start = StepStart(q, 5.0, 0.5, model)
-        # construction evaluates the residuals at the start and its bumps,
-        # f and lambda once per cell of each padded state
-        assert batches == [1, size] and len(cell_calls) == 2
+        # construction: one pass at q_old, then two faces per column bump
+        assert passes == [q.shape]
+        assert len(faces) == faces_per_pass + 2 * size
         for factor in (1.0, 2.0):
-            batches.clear()
-            cell_calls.clear()
+            passes.clear()
+            faces.clear()
             _, newton, _ = implicit_fv_step(start, factor * source)
             assert newton.iterations >= 2
-            # per iteration one step, and one batch after the first
-            assert batches.count(1) == newton.iterations
-            assert batches.count(size) == newton.iterations - 1
-            assert len(batches) == 2 * newton.iterations - 1
-            assert len(cell_calls) == len(batches)
+            # per iteration one trial state, and its bumps after the first
+            assert passes == [q.shape] * newton.iterations
+            assert len(faces) == (faces_per_pass * newton.iterations
+                                  + 2 * size * (newton.iterations - 1))
 
     @pytest.mark.parametrize("reverse_first", [False, True])
     def test_line_search_failures_are_counted(self, monkeypatch,
@@ -432,57 +485,49 @@ class TestStepStart:
         assert np.array_equal(shared.q_old, q_old)
 
     @pytest.mark.parametrize("flavor", ["swe", "kinematic"])
-    def test_bumps_equal_the_tiled_batch_bitwise(self, flavor):
+    def test_bumps_are_the_bumped_states_residuals_bitwise(self, flavor):
         model, q, _ = rainy_state(flavor, 6, **WALLS)
         # Newton trials: negative and zero depths next to wet cells
         q[0, ::3] = -0.02
         q[0, 1::3] = 0.0
         start = StepStart(q, 5.0, 0.5, model)
-        free_residual = start.free_residual
-        batches = []
-
-        def recording(flat):
-            batches.append(flat.copy())
-            return free_residual(flat)
-
-        start.free_residual = recording
-        for point in (start.flat, 1.5 * start.flat - 0.01):
-            eps = 1e-8 * np.maximum(1.0, np.abs(point))
-            want = np.tile(point, (point.size, 1))
-            want[np.diag_indices(point.size)] += eps
-            batches.clear()
-            got_eps, got = start.bumps(point)
-            assert len(batches) == 1
-            assert_same_bytes(batches[0], want)
+        for point in (q, 1.5 * q - 0.01):
+            flat = point.ravel()
+            eps = 1e-8 * np.maximum(1.0, np.abs(flat))
+            bumped = np.tile(flat, (flat.size, 1))
+            bumped[np.diag_indices(flat.size)] += eps
+            got_eps, got = start.bumps(start.evaluate(point))
             assert_same_bytes(got_eps, eps)
-            assert_same_bytes(got, free_residual(want))
+            assert_same_bytes(got, np.array([
+                reference_residual(state, q, 0.0, 5.0, 0.5, model)
+                for state in bumped]))
 
     @pytest.mark.parametrize("flavor", ["swe", "kinematic"])
     def test_start_fluxes_are_evaluated_once(self, monkeypatch, flavor):
         model, q_old, source = rainy_state(flavor, 5, **WALLS)
-        flat = q_old.ravel()
-        bumps = np.tile(flat, (flat.size, 1))
-        bumps[np.diag_indices(flat.size)] += 1e-8 * np.maximum(1.0,
-                                                               np.abs(flat))
-        seen = []
+        seen, bumped = [], []
         flux = surface1d.llf_flux
 
         def recording_flux(states, model):
-            seen.append(states.swapaxes(0, 1).reshape(states.shape[1], -1))
+            seen.append(states.copy())
             return flux(states, model)
 
+        class Recording(StepStart):
+            def bumps(self, state):
+                bumped.append(state)
+                return super().bumps(state)
+
         monkeypatch.setattr(surface1d, "llf_flux", recording_flux)
-        start = StepStart(q_old, 5.0, 0.5, model)
+        start = Recording(q_old, 5.0, 0.5, model)
         for factor in (1.0, 2.0, 0.5):
             _, newton, _ = implicit_fv_step(start, factor * source)
             assert newton.iterations >= 1
-        assert sum(np.array_equal(states, flat[None]) for states in seen) == 1
-        assert sum(np.array_equal(states, bumps) for states in seen) == 1
+        assert sum(np.array_equal(states, q_old) for states in seen) == 1
+        assert sum(state is start.at_start for state in bumped) == 1
 
 
 def reference_flux_and_speed(q, model):
-    """_flux_and_speed with np.stack: the oracle of the preallocated
-    flux rows."""
+    """The flux rows, by np.stack, and wave speeds of the states q."""
     # Newton trial states may dip below zero; clamping h keeps f defined
     h = np.maximum(q[0], 0.0)
     if model.flavor == "swe":
@@ -495,8 +540,8 @@ def reference_flux_and_speed(q, model):
 
 
 def reference_llf_flux(q, model):
-    """llf_flux with np.concatenate and per-call wall ends: the oracle of
-    the preallocated padding."""
+    """llf_flux's faces by np.concatenate of the ghost cells and array
+    arithmetic: the oracle of the scalar face pass."""
     padded = np.concatenate([q[..., :1], q, q[..., -1:]], axis=-1)
     kinds = (model.boundary_left, model.boundary_right)
     walls = [end for kind, end in zip(kinds, (0, -1)) if kind == "reflect"]
@@ -525,23 +570,11 @@ class TestFluxOracle:
                                                    num_x):
         model, q, _ = rainy_state(flavor, num_x, boundary_left=left,
                                   boundary_right=right)
-        # Newton trials: negative and zero depths next to wet cells
-        q[0, ::3] = -0.02
-        q[0, 1::3] = 0.0
-        flat = q.ravel()
-        bumps = np.tile(flat, (flat.size, 1))
-        bumps[np.diag_indices(flat.size)] -= 0.1
-        # (n_comp, cells), (n_comp, B, cells) as StepStart passes the bumps
-        # (a strided view) and the same batch contiguous
-        batch = bumps.reshape(-1, *q.shape).swapaxes(0, 1)
-        for states in (q, batch, np.ascontiguousarray(batch)):
-            assert_same_bytes(llf_flux(states, model),
-                              reference_llf_flux(states, model))
-            padded = np.concatenate(
-                [states[..., :1], states, states[..., -1:]], axis=-1)
-            for got, want in zip(surface1d._flux_and_speed(padded, model),
-                                 reference_flux_and_speed(padded, model)):
-                assert_same_bytes(got, want)
+        # Newton trials: negative, zero and floor depths next to wet cells
+        q[0, ::4] = -0.02
+        q[0, 1::4] = 0.0
+        q[0, 2::4] = H_FLOOR
+        assert_same_bytes(faces_of(q, model), reference_llf_flux(q, model))
 
     def test_leaves_its_input_alone(self):
         model, q, _ = rainy_state("swe", 4, **WALLS)
@@ -592,6 +625,6 @@ class TestProbe:
             q, end = uniform([0.01], 5), -1
         probe = outflow_probe(q, 0.0, model)
         assert probe["h0"] == q[0, end] and probe["u0"] > 0.0
-        outflow = abs(llf_flux(q, model)[0, end])
+        outflow = abs(faces_of(q, model)[0, end])
         assert (outflow == 0.0) == (outlet == "reflect")
         assert_allclose(probe["q_out"], outflow, rtol=1e-15, atol=0.0)
