@@ -253,17 +253,28 @@ def sweep(c_axis, k_axis, dt_axis, dz_axis,
     """Row major sweep over the product of the c, K, dt and dz axes.
 
     Every point is computed and checked, SWEEP_CHUNK at a time, before this
-    returns; the rows are then made one at a time as they are read.
+    returns, and only the last chunk is kept: the others are computed again
+    (sweep_point is deterministic) as their rows are read, one at a time.
     """
     axes = [np.array(axis, dtype=float, ndmin=1)
             for axis in (c_axis, k_axis, dt_axis, dz_axis)]
     shape = [axis.size for axis in axes]
     total = math.prod(shape)
-    chunks = []
-    for start in range(0, total, SWEEP_CHUNK):
+    starts = range(0, total, SWEEP_CHUNK)
+
+    def chunk(start: int) -> dict[str, np.ndarray]:
         indices = np.unravel_index(
             np.arange(start, min(start + SWEEP_CHUNK, total)), shape)
-        chunks.append(sweep_point(
-            *(axis[index] for axis, index in zip(axes, indices)), length))
-    return (dict(zip(SWEEP_COLUMNS, row)) for chunk in chunks
-            for row in zip(*(chunk[name].tolist() for name in SWEEP_COLUMNS)))
+        return sweep_point(
+            *(axis[index] for axis, index in zip(axes, indices)), length)
+
+    for start in starts:
+        last = chunk(start)
+
+    def rows() -> Iterator[dict[str, float]]:
+        for start in starts:
+            columns = last if start == starts[-1] else chunk(start)
+            for row in zip(*(columns[name].tolist()
+                             for name in SWEEP_COLUMNS)):
+                yield dict(zip(SWEEP_COLUMNS, row))
+    return rows()

@@ -191,16 +191,10 @@ def _parse_word(text: str) -> str:
     return text.strip().lower()
 
 
-def _parse_optional_float(text: str) -> float | None:
-    text = text.strip().lower()
-    if text in ("none", ""):
-        return None
-    return float(text)
-
-
-def _parse_optional_soil(text: str) -> str | None:
-    text = text.strip()
-    return text if text and text.lower() != "none" else None
+def _optional(parse):
+    """parse, except that "none" or an empty value means unset (None)."""
+    return lambda text: None if text.strip().lower() in ("none", "") \
+        else parse(text.strip())
 
 
 # section -> key -> (ScenarioConfig field, parser).  Keys that set no field
@@ -214,10 +208,10 @@ _SCHEMA: dict[str, dict[str, tuple[str | None, object]]] = {
     },
     "soil": {
         "preset": ("soil", str),
-        "right": ("soil_right", _parse_optional_soil),
+        "right": ("soil_right", _optional(str)),
         "blend_center": ("blend_center", float),
         "blend_steepness": ("blend_steepness", float),
-        "k_s": ("k_s", _parse_optional_float),
+        "k_s": ("k_s", _optional(float)),
     },
     "initial": {
         "psi_const": ("psi0_const", float), "psi_z": ("psi0_z", float),
@@ -239,8 +233,7 @@ _SCHEMA: dict[str, dict[str, tuple[str | None, object]]] = {
         "cutoff": ("rain_cutoff", float),
     },
     "subsurface": {
-        "side_dirichlet_below": ("side_dirichlet_below",
-                                 _parse_optional_float),
+        "side_dirichlet_below": ("side_dirichlet_below", _optional(float)),
     },
     "coupling": {
         "omega": ("omega", float), "tol": ("tol", float), "dt": ("dt", float),
@@ -316,8 +309,10 @@ def load_config(path: str | None = None,
                 base: str | None = None) -> ScenarioConfig:
     """Build a ScenarioConfig from an INI file and/or override pairs.
 
-    Precedence: preset named by ``base`` (or by ``[scenario] base`` in the
-    file, defaulting to trench-loam), then file keys, then overrides.
+    Precedence: preset named by ``base`` (or by the last ``[scenario]
+    base`` item, defaulting to trench-loam), then file keys, then overrides.
+    A ``[scenario] base`` item that names another preset than ``base`` is a
+    ConfigError.
     """
     items: list[tuple[str, str, str]] = []
     if path is not None:
@@ -334,11 +329,15 @@ def load_config(path: str | None = None,
                 items.append((section, key, value))
     items.extend(parse_overrides(overrides))
 
+    bases = [value.strip() for section, key, value in items
+             if (section, key) == ("scenario", "base")]
     if base is None:
-        base = "trench-loam"
-        for section, key, value in items:
-            if (section, key) == ("scenario", "base"):
-                base = value.strip()
+        base = bases[-1] if bases else "trench-loam"
+    else:
+        for other in bases:
+            if other != base:
+                raise ConfigError(f"[scenario] base {other!r} contradicts "
+                                  f"the base preset {base!r}")
     config = preset(base)
     if items:
         config = _apply_items(config, items)
@@ -381,8 +380,6 @@ def side_dirichlet(config: ScenarioConfig, grid: Grid2D,
     select = on_wall & (z < config.side_dirichlet_below)
     select[grid.top_node_indices()] = False  # never the coupled top row
     nodes = np.flatnonzero(select)
-    if nodes.size == 0:
-        return None
     return nodes, psi0[nodes]
 
 
@@ -413,6 +410,10 @@ def build_all(config: ScenarioConfig) -> tuple[CoupledProblem, CoupledState]:
         if soil not in SOIL_PRESETS:
             known = ", ".join(sorted(SOIL_PRESETS))
             raise ConfigError(f"unknown soil {soil!r} (known: {known})")
+    if config.name in ("", ".", "..") \
+            or os.path.basename(config.name) != config.name:
+        raise ConfigError(f"scenario name {config.name!r} is not a file "
+                          "name")
     if config.h0 < 0:
         raise ConfigError("h0 must be nonnegative")
     if config.side_dirichlet_below is not None \
@@ -444,38 +445,29 @@ def build_all(config: ScenarioConfig) -> tuple[CoupledProblem, CoupledState]:
 # CSV output
 
 
-def _format_bool(value) -> str:
-    return "true" if value else "false"
-
-
-# the format of each cell type the program writes: a % spec for numbers,
-# whose text never needs csv quoting, else a function of the value
-_CELL_FORMATS = {float: "%.17g", np.float64: "%.17g", int: "%d",
-                 np.int64: "%d", bool: _format_bool, np.bool_: _format_bool,
-                 str: str}
+# the % format of each cell type the program writes; only text cells can
+# need csv quoting
+_CELL_FORMATS = {float: "%.17g", np.float64: "%.17g", int: "%d", str: "%s"}
 
 
 def format_value(value) -> str:
-    """A CSV cell, by one lookup of its type: floats round-trip ("%.17g"),
-    bools are true/false; a type without a format raises KeyError."""
-    spec = _CELL_FORMATS[type(value)]
-    return spec % value if type(spec) is str else spec(value)
+    """A CSV cell, by one lookup of its type: floats round-trip ("%.17g");
+    a type without a format raises KeyError."""
+    return _CELL_FORMATS[type(value)] % value
 
 
 def _row_format(kinds: tuple[type, ...]) -> str | None:
-    """The % format of a row of numbers with these cell types, None for a
-    row with text or bool cells; a type without a format raises KeyError."""
+    """The % format of a row with these cell types, None for a row with
+    text cells; a type without a format raises KeyError."""
     specs = [_CELL_FORMATS[kind] for kind in kinds]
-    if all(type(spec) is str for spec in specs):
-        return ",".join(specs) + "\n"
-    return None
+    return None if str in kinds else ",".join(specs) + "\n"
 
 
 def write_csv(path: str, columns: Sequence[str],
               rows: Iterable[Mapping]) -> None:
     """Write the header and then each row as it is read from rows.  A row of
-    numbers is one % format, built once per tuple of cell types; any other
-    row goes through the csv module's quoting."""
+    numbers is one % format, built once per tuple of cell types; a row with
+    text goes through the csv module's quoting."""
     formats: dict[tuple[type, ...], str | None] = {}
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")

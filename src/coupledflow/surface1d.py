@@ -65,9 +65,9 @@ class SurfaceModel:
     the kinematic flux: +1 sends water toward growing x, -1 toward x = 0.
     boundary_left (x = 0) and boundary_right each close one end with
       copy     a zero-gradient ghost (outflow / homogeneous Neumann), or
-      reflect  mirrored h with negated hu (a zero-discharge wall; the LLF
-               mass flux through it cancels exactly); zero face flux for
-               kinematic.
+      reflect  the cell with its mass flux (hu, or sign h u) negated: a
+               zero-discharge wall, through which the LLF mass flux
+               cancels exactly.
     """
 
     flavor: str
@@ -150,13 +150,11 @@ def _kinematic_face(left: tuple, right: tuple) -> tuple:
 
 def _end_face(model: SurfaceModel, end: int, side: tuple) -> tuple:
     """The flux through end (0 for x = 0, -1 for the other) of the cell of
-    this side: against a copy of the cell, or a reflect wall's mirror (hu
-    negated); zero through a kinematic wall."""
-    if model.flavor == "kinematic":
-        return (0.0,) if end in model.walls else _kinematic_face(side, side)
-    ghost = _swe_side(side[0], -side[1], model.gravity) \
-        if end in model.walls else side
-    return _swe_face(ghost, side) if end == 0 else _swe_face(side, ghost)
+    this side, against a ghost: a copy of the side, or at a reflect wall
+    the side with its mass flux (index 1 of either flavor) negated."""
+    face = _swe_face if model.flavor == "swe" else _kinematic_face
+    ghost = (side[0], -side[1], *side[2:]) if end in model.walls else side
+    return face(ghost, side) if end == 0 else face(side, ghost)
 
 
 def llf_flux(q: np.ndarray, model: SurfaceModel) -> tuple[list, list]:

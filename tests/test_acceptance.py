@@ -7,6 +7,8 @@ values are in the assertion messages.
 """
 
 import dataclasses
+import os
+import re
 import time
 
 import numpy as np
@@ -391,3 +393,22 @@ class TestSandyMonotonicity:
         print(f"\nsandy monotonicity: mean CR {means[0]:.3e} < "
               f"{means[1]:.3e} < {means[2]:.3e} for K_s = 1.16e-7, "
               f"1.16e-6, 1.16e-5 ({elapsed:.1f} s)")
+
+
+class TestReadme:
+    def test_python_examples_run(self, capsys):
+        # README's python blocks as one script: the second steps the first's
+        # problem and state
+        path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        with open(path, encoding="utf-8") as handle:
+            blocks = re.findall(r"^```python\n(.*?)^```$", handle.read(),
+                                re.MULTILINE | re.DOTALL)
+        assert len(blocks) == 2
+        start = time.perf_counter()
+        namespace = {}
+        exec(compile("".join(blocks), path, "exec"), namespace)
+        elapsed = time.perf_counter() - start
+        printed = capsys.readouterr().out.splitlines()
+        assert len(printed) == 2
+        assert namespace["h_tilde"].shape == namespace["h"].shape
+        print(f"README examples: {printed} in {elapsed:.2f} s")

@@ -8,12 +8,14 @@ digit mpmath evaluations frozen as literals.
 
 import itertools
 import timeit
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from coupledflow import analysis
 from coupledflow.analysis import (
     SWEEP_COLUMNS,
     AnalysisResult,
@@ -220,6 +222,25 @@ class TestSweeps:
         outer_axis, inner_axis = [axis for axis in axes if np.size(axis) > 1]
         assert [(row[outer], row[inner]) for row in rows] \
             == [(a, b) for a in outer_axis for b in inner_axis]
+
+    def test_memory_does_not_grow_with_the_chunks(self, monkeypatch):
+        # 16384 points are one chunk by default and 64 of 256 points here;
+        # the rows are the same, and only one chunk is held at a time
+        axis = default_log_grid(1e-3, 1e3, 128)
+        whole = list(sweep(axis, axis, 0.1, 0.05, 1.0))
+        monkeypatch.setattr(analysis, "SWEEP_CHUNK", 256)
+        assert list(sweep(axis, axis, 0.1, 0.05, 1.0)) == whole
+
+        def peak(size: int) -> int:
+            tracemalloc.start()
+            try:
+                for _ in sweep(axis[:size], axis[:size], 0.1, 0.05, 1.0):
+                    pass
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(128) <= 1.5 * peak(32)
 
     def test_default_log_grid(self):
         grid = default_log_grid()

@@ -36,15 +36,9 @@ from coupledflow.scenarios import (
 )
 
 
-def _oracle_format_bool(value) -> str:
-    return "true" if value else "false"
-
-
 _oracle_format_float = "%.17g".__mod__
 _ORACLE_CELL_FORMATS = {float: _oracle_format_float,
-                        np.float64: _oracle_format_float,
-                        int: str, np.int64: str, bool: _oracle_format_bool,
-                        np.bool_: _oracle_format_bool, str: str}
+                        np.float64: _oracle_format_float, int: str, str: str}
 
 
 def oracle_format_value(value) -> str:
@@ -296,6 +290,19 @@ manning_units = per_minute
         assert config.num_steps == 7
         assert config.num_z == 30
 
+    def test_contradicting_base_item_is_rejected(self, tmp_path):
+        # the same name passes; another name than base is an error
+        assert load_config(base="hillslope-silt", overrides=[
+            "scenario.base=hillslope-silt"]).soil == "silt-loam"
+        with pytest.raises(ConfigError, match="'hillslope-silt' contradicts"
+                                              " the base preset 'trench-loam'"):
+            load_config(base="trench-loam",
+                        overrides=["scenario.base=hillslope-silt"])
+        # without base, the last [scenario] base item wins
+        path = self.write(tmp_path, "[scenario]\nbase = trench-clay\n")
+        assert load_config(path, overrides=[
+            "scenario.base=hillslope-sandy"]).soil == "sandy-loam"
+
     def test_whole_float_counts_parse_as_in_the_python_api(self):
         config = load_config(overrides=["grid.num_x=5.0",
                                         "coupling.num_steps=1e1"])
@@ -314,13 +321,13 @@ manning_units = per_minute
 
 class TestCsv:
     def test_format_value(self):
-        assert format_value(True) == "true"
-        assert format_value(np.int64(7)) == "7"
+        assert format_value(7) == "7"
         assert format_value(0.1) == "0.10000000000000001"
         assert format_value("trench") == "trench"
         # one lookup per cell: a type the program never writes has no format
-        with pytest.raises(KeyError):
-            format_value(np.float32(0.5))
+        for value in (np.float32(0.5), True, np.bool_(False), np.int64(7)):
+            with pytest.raises(KeyError):
+                format_value(value)
 
     def test_floats_round_trip_exactly(self, tmp_path):
         rng = np.random.default_rng(41)
@@ -334,11 +341,10 @@ class TestCsv:
 
     @pytest.mark.parametrize("columns,cells", [
         (("a", "b", "c"), [
-            0.1, np.float64(-2.5e-300), 7, np.int64(2**53 + 1),
-            np.int64(-(2**62) - 3), 2**70, np.nan, np.inf, -np.inf,
-            np.float64(np.nan), "", True, np.bool_(False), "x,y",
+            0.1, np.float64(-2.5e-300), 7, 2**53 + 1, -(2**62) - 3, 2**70,
+            np.nan, np.inf, -np.inf, np.float64(np.nan), "", "x,y",
             'say "hi"', "two\nlines", "plain", 0, -0.0, 1e300]),
-        (("v",), ["", 1.5, "", np.int64(3), "a,b", True]),
+        (("v",), ["", 1.5, "", 3, "a,b"]),
         (("only",), []),
     ], ids=["mixed", "one-column", "header-only"])
     def test_bytes_equal_the_cell_by_cell_writer(self, tmp_path, columns,
@@ -747,6 +753,28 @@ print("shared")
                          "--out", str(tmp_path / "l1")]) == 2
         assert cli.main(["linrun", "--omega", "fast",
                          "--out", str(tmp_path / "l2")]) == 2
+
+    def test_simulate_contradicting_base_is_a_config_error(self, tmp_path,
+                                                           capsys):
+        out = str(tmp_path / "out")
+        assert cli.main(["simulate", "--scenario", "trench-loam",
+                         "--override", "scenario.base=hillslope-silt",
+                         "--out", out]) == 2
+        assert "contradicts" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("name", ["", ".", "..", "a/b", "a/"])
+    def test_simulate_name_that_is_no_file_name(self, name, tmp_path,
+                                                monkeypatch, capsys):
+        # runs/<name> would be runs/ itself, its parent or another folder
+        with pytest.raises(ConfigError, match="not a file name"):
+            build_all(dataclasses.replace(preset("trench-loam"), name=name))
+        path = tmp_path / "case.ini"
+        path.write_text(f"[scenario]\nname = {name}\n", encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["simulate", "--config", str(path)]) == 2
+        assert "not a file name" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["case.ini"]
 
     def test_simulate_needs_a_scenario(self, capsys):
         assert cli.main(["simulate"]) == 2
