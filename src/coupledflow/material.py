@@ -113,16 +113,17 @@ class _Closures:
     def __init__(self, bound: _BoundMaterial, psi):
         self._bound = bound
         self.psi = np.asarray(psi, dtype=float)
+        self._wet = self.psi > 0.0
         self._x = bound.alpha * np.abs(self.psi)
         with np.errstate(over="ignore"):
             self._x_n = self._x ** bound.n
         self._base = 1.0 + self._x_n
         wc = bound.theta_r + bound.span * (
             self._base ** bound.saturation_exponent)
-        self.theta = np.where(self.psi > 0.0, bound.theta_s, wc)
+        self.theta = np.where(self._wet, bound.theta_s, wc)
         bracket = 1.0 - (1.0 - wc ** bound.pore) ** bound.m
         self.hydraulic_conductivity = np.where(
-            self.psi > 0.0, bound.k_s, bound.k_s * np.sqrt(wc) * bracket ** 2)
+            self._wet, bound.k_s, bound.k_s * np.sqrt(wc) * bracket ** 2)
 
     @cached_property
     def capacity(self):
@@ -133,7 +134,7 @@ class _Closures:
         # inf * 0 between the two factors only occurs at overflow-level
         # |psi|, where the true capacity has long underflowed.
         value = np.where(np.isfinite(value), value, 0.0)
-        return np.where(self.psi > 0.0, 0.0, value)
+        return np.where(self._wet, 0.0, value)
 
     @cached_property
     def conductivity_derivative(self):
@@ -147,11 +148,12 @@ class _Closures:
             wet_deficit = -np.expm1(-b.m * np.log1p(self._x_n))
             one_minus_theta = b.dry + b.span * wet_deficit
             wc = b.theta_s - b.span * wet_deficit
+            root_wc = np.sqrt(wc)
             one_minus_tp = -np.expm1(b.pore * np.log1p(-one_minus_theta))
             bracket = 1.0 - one_minus_tp ** b.m
             dk_dtheta = b.k_s * (
-                bracket ** 2 / (2.0 * np.sqrt(wc))
-                + 2.0 * np.sqrt(wc) * bracket
+                bracket ** 2 / (2.0 * root_wc)
+                + 2.0 * root_wc * bracket
                 * wc ** b.pore_minus_one * one_minus_tp ** b.m_minus_one)
             value = dk_dtheta * self.capacity
         value = np.where(np.isfinite(value), value, 0.0)

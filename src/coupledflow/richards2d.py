@@ -189,9 +189,10 @@ class RichardsWorkspace:
         self.grid = grid
         num_nodes = grid.num_nodes
         self.nodes = np.asarray(np.empty(0, int) if nodes is None else nodes)
+        # distinct by a set: np.unique of a plain array imports numpy.ma
         if not (self.nodes.ndim == 1
                 and np.issubdtype(self.nodes.dtype, np.integer)
-                and np.unique(self.nodes).size == self.nodes.size
+                and len(set(self.nodes.tolist())) == self.nodes.size
                 and np.all((self.nodes >= 0) & (self.nodes < num_nodes))):
             raise ValueError("Dirichlet nodes must be a 1d array of distinct "
                              f"integer node indices in [0, {num_nodes})")

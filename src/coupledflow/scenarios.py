@@ -33,7 +33,6 @@ import csv
 import dataclasses
 import os
 from collections.abc import Iterable, Mapping, Sequence
-from configparser import ConfigParser, Error as ConfigParserError
 from dataclasses import dataclass
 
 import numpy as np
@@ -316,6 +315,8 @@ def load_config(path: str | None = None,
     """
     items: list[tuple[str, str, str]] = []
     if path is not None:
+        # imported only here: presets and overrides never read INI
+        from configparser import ConfigParser, Error as ConfigParserError
         parser = ConfigParser(interpolation=None)
         try:
             with open(path, encoding="utf-8") as handle:

@@ -654,6 +654,37 @@ class TestCli:
                 "if name in sys.modules))")
         assert fresh_python("-c", code).stdout.strip() == "[]"
 
+    def test_runs_leave_out_masked_arrays_and_configparser(self, tmp_path):
+        """np.unique of a plain array imports numpy.ma, and only an INI file
+        needs configparser: a fresh simulate, analyze and linrun load
+        neither, while --config files still run or fail with exit 2."""
+        good, bad = tmp_path / "short.ini", tmp_path / "bad.ini"
+        good.write_text("[scenario]\nbase = trench-mixed\n\n[coupling]\n"
+                        "num_steps = 2\n", encoding="utf-8")
+        bad.write_text("num_steps = 2\n", encoding="utf-8")
+        code = f"""
+import os, sys
+from coupledflow import cli
+out = sys.argv[1]
+def run(*argv):
+    assert cli.main([*argv, "--out", os.path.join(out, argv[0])]) == 0
+    print(sorted({{'numpy.ma', 'configparser'}} & set(sys.modules)))
+run("simulate", "--scenario", "trench-mixed",
+    "--override", "coupling.num_steps=20")
+run("analyze")
+run("linrun", "--steps", "20")
+for path in ({str(tmp_path / "none.ini")!r}, {str(bad)!r}):
+    assert cli.main(["simulate", "--config", path]) == 2
+run("simulate", "--config", {str(good)!r})
+"""
+        run = fresh_python("-c", code, str(tmp_path / "out"))
+        assert run.returncode == 0, run.stderr
+        assert [line for line in run.stdout.splitlines()
+                if line.startswith("[")] == ["[]"] * 3 + ["['configparser']"]
+        assert "cannot read config" in run.stderr
+        assert "malformed config" in run.stderr
+        assert os.path.exists(tmp_path / "out" / "simulate" / "trace.csv")
+
     def test_solver_modules_loaded_before_scipy_match_bitwise(self,
                                                               tmp_path):
         """The suite's MatrixRankWarning filter imports scipy before any
