@@ -36,9 +36,9 @@ h^(2/3) comes from one numpy array call per state and one per Jacobian,
 since numpy's array power and math.pow differ in the last bit.  The dense
 finite difference Jacobian bumps one unknown at a time, but a bump of cell
 c moves only that cell's side and faces c and c + 1: only they and the
-rows of cells c - 1 .. c + 1 are recomputed, the other rows of the bumped
-residual are the state's own (StepStart.bumps), and StepStart.jacobian
-turns the rows into the matrix that numpy's LAPACK gesv solves.  Every
+entries of cells c - 1 .. c + 1 are recomputed, by one rule for each
+component, the other entries of the bumped residual are the state's own
+(StepStart.bumps), and np.linalg.solve takes StepStart.jacobian.  Every
 expression keeps the operand order of the numpy evaluation on whole
 states, so the result is the same bit for bit.  The solves from one
 StepStart share its face pass, free residual and bumps at q_old.
@@ -50,7 +50,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.linalg._umath_linalg import solve1
 
 from .iteration import NewtonReport, damped_newton
 
@@ -175,33 +174,19 @@ def llf_flux(q: np.ndarray, model: SurfaceModel) -> tuple[list, list]:
                    _end_face(model, -1, sides[-1])]
 
 
-def _solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """np.linalg.solve(matrix, rhs) of a float matrix and vector: the same
-    LAPACK gesv gufunc under the same error state, without the wrapper's
-    conversions and checks; a singular matrix raises LinAlgError."""
-    # scipy's dgesv runs another OpenBLAS build, whose solutions differ
-    # from numpy's in the last bit on some trench-loam systems
-    with np.errstate(call=_singular, invalid="call", over="ignore",
-                     divide="ignore", under="ignore"):
-        return solve1(matrix, rhs, signature="dd->d")
-
-
-def _singular(error: str, flag: int) -> None:
-    raise np.linalg.LinAlgError("Singular matrix")
-
-
 class StepStart:
     """The checked start of one surface step and what its solves share:
     the face pass, free residual and column bumps at q_old."""
 
     def __init__(self, q_old: np.ndarray, dt: float, dx: float,
                  model: SurfaceModel):
-        if not (dt > 0.0 and dx > 0.0):
-            raise ValueError("dt and dx must be positive")
+        if not (0.0 < dt < math.inf and 0.0 < dx < math.inf):
+            raise ValueError("dt and dx must be positive: 0 < dt, dx < inf")
         q_old = np.asarray(q_old, dtype=float)
-        if q_old.ndim != 2 or len(q_old) != model.num_components:
+        if q_old.ndim != 2 or len(q_old) != model.num_components \
+                or not q_old.size:
             raise ValueError("q_old must be shaped (2, cells) for swe, "
-                             "(1, cells) for kinematic")
+                             "(1, cells) for kinematic, at least one cell")
         if not np.isfinite(q_old).all():
             raise ValueError("previous state contains non-finite values")
         self.q_old, self.dt, self.dx, self.model = q_old, dt, dx, model
@@ -229,12 +214,12 @@ class StepStart:
         residuals of the bumped states, one row per bump.
 
         Bumping cell c moves only its side and faces c and c + 1, so only
-        the entries of cells c - 1 .. c + 1 are recomputed; the others are
-        the state's own, bit for bit."""
+        the entries of cells c - 1 .. c + 1 are recomputed, by one rule for
+        each component; the others are the state's own, bit for bit."""
         sides, faces, free = state
         model, cells, old = self.model, self.cells, self.old
-        point = [side[k] for k in range(model.num_components)
-                 for side in sides]
+        components = range(model.num_components)
+        point = [side[k] for k in components for side in sides]
         eps = [1e-8 * max(1.0, abs(value)) for value in point]
         if model.flavor == "swe":
             gravity = model.gravity
@@ -250,37 +235,23 @@ class StepStart:
             face = _kinematic_face
         dt_dx, last, size = self.dt / self.dx, cells - 1, len(point)
         change = [x - o for x, o in zip(point, old)]
-        # a swe cell's second (momentum) row is written out: a loop over
-        # the rows of a cell costs more than the arithmetic
-        momentum = model.flavor == "swe"
         rows = free * size
-        at = 0
         for col, side in enumerate(bumped):
             c = col % cells
-            if c:
-                left, kept = face(sides[c - 1], side), faces[c - 1]
-                i = c - 1
-                rows[at + i] = change[i] + dt_dx * (left[0] - kept[0])
-                if momentum:
-                    i += cells
-                    rows[at + i] = change[i] + dt_dx * (left[1] - kept[1])
-            else:
-                left = _end_face(model, 0, side)
-            if c < last:
-                right, kept = face(side, sides[c + 1]), faces[c + 2]
-                i = c + 1
-                rows[at + i] = change[i] + dt_dx * (kept[0] - right[0])
-                if momentum:
-                    i += cells
-                    rows[at + i] = change[i] + dt_dx * (kept[1] - right[1])
-            else:
-                right = _end_face(model, -1, side)
-            rows[at + c] = (side[0] - old[c]) + dt_dx * (right[0] - left[0])
-            if momentum:
-                i = c + cells
-                rows[at + i] = (side[1] - old[i]) + dt_dx * (right[1]
-                                                             - left[1])
-            at += size
+            left = face(sides[c - 1], side) if c \
+                else _end_face(model, 0, side)
+            right = face(side, sides[c + 1]) if c < last \
+                else _end_face(model, -1, side)
+            for k in components:
+                i = c + k * cells
+                at = col * size + i
+                if c:
+                    rows[at - 1] = change[i - 1] + dt_dx * (left[k]
+                                                            - faces[c - 1][k])
+                rows[at] = (side[k] - old[i]) + dt_dx * (right[k] - left[k])
+                if c < last:
+                    rows[at + 1] = change[i + 1] + dt_dx * (faces[c + 2][k]
+                                                            - right[k])
         return np.array(eps), np.array(rows).reshape(size, size)
 
     def jacobian(self, bumps: tuple[np.ndarray, np.ndarray],
@@ -295,10 +266,13 @@ class StepStart:
 def implicit_fv_step(start: StepStart, source,
                      ) -> tuple[np.ndarray, NewtonReport, float]:
     """Advance start.q_old, shaped (n_comp, cells), by one implicit Euler
-    step of the FV scheme into a new array; source is the per-cell height
-    source [m/s], an array or a scalar.  Also returns the Newton report and
+    step of the FV scheme into a new array; source is the height source
+    [m/s], one value per cell or a scalar.  Also returns the Newton report and
     the volume [m^2] the H_FLOOR clamp added."""
     source = np.asarray(source, dtype=float)
+    if source.shape not in ((), (start.cells,)):
+        raise ValueError("source must be one value or one per cell: "
+                         f"source.shape in ((), ({start.cells},))")
     if not np.isfinite(source).all():
         raise ValueError("source contains non-finite values")
     # dt * source on the height rows; x - 0.0 is x for every other entry
@@ -317,7 +291,8 @@ def implicit_fv_step(start: StepStart, source,
     def direction(x: np.ndarray, res: np.ndarray) -> np.ndarray:
         bumps = start.bumps_at_start if x is start.flat \
             else start.bumps(state)
-        return _solve(start.jacobian(bumps, shift, res), -res)
+        # not scipy's dgesv: its OpenBLAS build differs in the last bit
+        return np.linalg.solve(start.jacobian(bumps, shift, res), -res)
 
     flat, newton = damped_newton(residual, direction, start.flat,
                                  lambda norm0: 1e-13 * start.scale, 30, 20,

@@ -217,6 +217,31 @@ class TestImplicitStep:
         with pytest.raises(ValueError):
             implicit_fv_step(StepStart(good, 1.0, 1.0, model), np.inf)
 
+    @pytest.mark.parametrize("dt, dx", [(np.inf, 1.0), (1.0, np.inf),
+                                        (np.inf, np.inf)])
+    def test_rejects_infinite_dt_or_dx(self, dt, dx):
+        # an infinite dx would make dt/dx zero and drop the fluxes silently
+        with pytest.raises(ValueError, match="0 < dt, dx < inf"):
+            StepStart(np.full((1, 2), 0.01), dt, dx, kinematic_model())
+
+    @pytest.mark.parametrize("flavor", ["swe", "kinematic"])
+    def test_rejects_a_state_without_cells(self, flavor):
+        model = swe_model() if flavor == "swe" else kinematic_model()
+        with pytest.raises(ValueError, match="at least one cell"):
+            StepStart(np.zeros((model.num_components, 0)), 1.0, 1.0, model)
+
+    @pytest.mark.parametrize("source", [np.zeros(2), np.zeros(4),
+                                        np.zeros((1, 3)), np.zeros((3, 1)),
+                                        np.zeros(1)])
+    def test_rejects_a_source_not_scalar_nor_per_cell(self, source):
+        start = StepStart(np.full((1, 3), 0.01), 1.0, 1.0,
+                          kinematic_model(**WALLS))
+        with pytest.raises(ValueError,
+                           match=r"source.shape in \(\(\), \(3,\)\)"):
+            implicit_fv_step(start, source)
+        for fitting in (1e-4, np.float64(1e-4), np.full(3, 1e-4)):
+            implicit_fv_step(start, fitting)
+
     def test_singular_jacobian_is_a_newton_error(self):
         model, q, source = rainy_state("swe", 5, **WALLS)
 
@@ -338,14 +363,14 @@ def reference_fv_step(start, source):
 def recorded_solves(monkeypatch, reverse_first=False):
     """Record every dense solve; optionally flip the first Newton step."""
     solves = []
-    solve = surface1d.solve1
+    solve = np.linalg.solve
 
-    def recording_solve(matrix, rhs, **kwargs):
+    def recording_solve(matrix, rhs):
         solves.append((matrix.copy(), rhs.copy()))
-        delta = solve(matrix, rhs, **kwargs)
+        delta = solve(matrix, rhs)
         return -delta if reverse_first and len(solves) == 1 else delta
 
-    monkeypatch.setattr(surface1d, "solve1", recording_solve)
+    monkeypatch.setattr(np.linalg, "solve", recording_solve)
     return solves
 
 
