@@ -5,7 +5,10 @@ The solvers call two of scipy's extension modules: SuperLU's _superlu
 runs the __init__ of scipy.sparse, scipy.sparse.linalg and scipy.linalg,
 which pull in most of scipy, numpy.f2py and numpy.testing: more than half of
 a cold start.  extension() loads the shared object from scipy's install
-directory instead and runs no scipy __init__.
+directory instead and runs no scipy __init__.  The solvers call it when a
+solver is first needed, not at import, so a command maps only the module
+it uses: simulate SuperLU, linrun LAPACK, analyze neither.  sys.modules is
+the only cache.
 """
 
 from __future__ import annotations

@@ -23,7 +23,8 @@ sweep finishes only dpttrs's last row, the rows above eliminated once per
 step.  After the sweeps, run_time_step recovers the step's solves in order,
 in blocks of at most SWEEP_CHUNK elements (or one solve), one dpttrs each
 (subsurface_solve), and checks each block (check_solves).  Both come from
-scipy's compiled _flapack.
+scipy's compiled _flapack, loaded on the first call (_compiled.extension):
+importing this module maps no LAPACK, so only linrun pays for it.
 """
 
 from __future__ import annotations
@@ -39,8 +40,15 @@ from .analysis import (SWEEP_CHUNK, AnalysisResult, LinearModelParams,
                        discrete_S, sigma, toeplitz_coeffs)
 from .iteration import fixed_point, observed_cr
 
-_flapack = extension("scipy.linalg._flapack")
-dpttrf, dpttrs = _flapack.dpttrf, _flapack.dpttrs
+
+def dpttrf(*args, **kwargs):
+    """LAPACK's dpttrf from scipy's _flapack, loaded on the first call."""
+    return extension("scipy.linalg._flapack").dpttrf(*args, **kwargs)
+
+
+def dpttrs(*args, **kwargs):
+    """LAPACK's dpttrs from scipy's _flapack, loaded on the first call."""
+    return extension("scipy.linalg._flapack").dpttrs(*args, **kwargs)
 
 
 class NonFiniteError(ValueError):

@@ -47,8 +47,10 @@ arithmetic of scipy.sparse.linalg.spsolve on the unpermuted arrays with
 no sparse matrix object or ordering, giving the same bits.  A kept entry
 that cancels to an exact zero (saturated soil on some grids) stays in the
 fixed pattern as a stored zero, where the chain would drop it.  SuperLU's
-_superlu is loaded on its own (_compiled.extension), without scipy.sparse;
-MatrixRankWarning is imported only when a solve finds the matrix singular.
+_superlu is loaded on its own (_compiled.extension), without scipy.sparse,
+on the first workspace build or solve: importing this module, as analyze
+and linrun do, maps no SuperLU.  MatrixRankWarning is imported only when a
+solve finds the matrix singular.
 Building a workspace frees one untouched 16 MiB block so that glibc keeps
 SuperLU's per-solve workspace on the heap (see RichardsWorkspace).
 """
@@ -64,7 +66,7 @@ import numpy as np
 from ._compiled import extension
 from .iteration import NewtonReport, damped_newton
 
-_superlu = extension("scipy.sparse.linalg._dsolve._superlu")
+SUPERLU = "scipy.sparse.linalg._dsolve._superlu"
 
 NEWTON_ABS_TOL = 1e-10
 NEWTON_REL_TOL = 1e-8
@@ -143,7 +145,7 @@ def spsolve(matrix: Jacobian, rhs: np.ndarray) -> np.ndarray:
     # identity and only rhs and the solution are permuted
     ordered_rhs = np.empty_like(rhs)
     ordered_rhs[perm_c] = rhs
-    y, info = _superlu.gssv(
+    y, info = extension(SUPERLU).gssv(
         len(indptr) - 1, len(data), data, indices, indptr, ordered_rhs, 1,
         options=dict(ColPerm="NATURAL"))
     x = y[perm_c]
@@ -238,7 +240,7 @@ class RichardsWorkspace:
         indptr = np.append(0, np.cumsum(counts)).astype(np.intc)
         stand_in = np.full(self._kept, -1.0)
         stand_in[row == col] = counts
-        perm_c = _superlu.gstrf(
+        perm_c = extension(SUPERLU).gstrf(
             num_nodes, self._kept, stand_in, row.astype(np.intc), indptr,
             csc_construct_func=None,
             options=dict(ColPerm="COLAMD")).perm_c.copy()

@@ -32,6 +32,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import os
+import tempfile
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
@@ -486,7 +487,9 @@ def write_csv(path: str, columns: Sequence[str],
 
 
 def check_out_dir(path: str) -> None:
-    """Raise ConfigError unless path is or can become a directory."""
+    """Raise ConfigError unless path is or can become a directory: its
+    nearest existing ancestor must be a directory that takes a new entry,
+    proved by making and removing a probe directory there."""
     if not path:
         raise ConfigError(f"output {path!r}: an empty path names no "
                           "directory")
@@ -495,6 +498,11 @@ def check_out_dir(path: str) -> None:
         ancestor = os.path.dirname(ancestor)
     if not os.path.isdir(ancestor):
         raise ConfigError(f"output {path!r}: {ancestor!r} is not a directory")
+    try:
+        os.rmdir(tempfile.mkdtemp(dir=ancestor))
+    except OSError as exc:
+        raise ConfigError(f"output {path!r}: cannot create a directory in "
+                          f"{ancestor!r} ({exc.strerror})") from None
 
 
 def run_scenario(config: ScenarioConfig, out_dir: str,

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import errno
 import os
 import subprocess
 import sys
@@ -610,6 +611,38 @@ class TestCli:
             f"configuration error: output {str(out)!r}: ")
         assert taken.read_text() == "kept\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["analyze"], ["linrun"], ["simulate", "--scenario", "hillslope-silt"],
+    ], ids=["analyze", "linrun", "simulate"])
+    def test_out_under_a_directory_that_refuses_one_is_a_config_error(
+            self, argv, tmp_path, monkeypatch, capsys):
+        # a read-only mount or a pseudo-filesystem refuses the probe
+        # directory: rejected before any solve, not in os.makedirs after it
+        def never(*args, **kwargs):
+            raise AssertionError("solved before the output path was checked")
+
+        def refused(*args, **kwargs):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+
+        for module, name in ((analysis, "sweep"), (linear1d, "run_simulation"),
+                             (coupling, "run_simulation")):
+            monkeypatch.setattr(module, name, never)
+        monkeypatch.setattr(scenarios.tempfile, "mkdtemp", refused)
+        out = tmp_path / "ro" / "out"
+        assert cli.main([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: output {str(out)!r}: cannot create a "
+            f"directory in {str(tmp_path)!r} ({os.strerror(errno.EACCES)})\n")
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_out_dir_probe_leaves_nothing_behind(self, existing, tmp_path):
+        out = tmp_path / "a" / "b"
+        if existing:
+            out.mkdir(parents=True)
+        scenarios.check_out_dir(str(out))
+        assert os.listdir(out if existing else tmp_path) == []
+
     @pytest.mark.parametrize("command", ["analyze", "linrun"])
     def test_empty_out_is_a_config_error(self, command, tmp_path,
                                          monkeypatch, capsys):
@@ -685,6 +718,33 @@ run("simulate", "--config", {str(good)!r})
         assert "malformed config" in run.stderr
         assert os.path.exists(tmp_path / "out" / "simulate" / "trace.csv")
 
+    def test_runs_load_only_the_compiled_solver_they_call(self, tmp_path):
+        """SuperLU and LAPACK load on their first call, not at import: a
+        fresh simulate maps only _superlu, analyze neither and linrun only
+        _flapack."""
+        code = f"""
+import os, sys
+import coupledflow.cli, coupledflow.scenarios
+names = ("scipy.sparse.linalg._dsolve._superlu", "scipy.linalg._flapack")
+def loaded():
+    print([name.rpartition(".")[2] for name in names if name in sys.modules])
+loaded()
+argv = {{"simulate": ["simulate", "--scenario", "trench-mixed",
+                     "--override", "coupling.num_steps=5"],
+        "analyze": ["analyze"], "linrun": ["linrun", "--steps", "5"]}}
+argv = argv[sys.argv[1]]
+assert coupledflow.cli.main(
+    argv + ["--out", os.path.join({str(tmp_path)!r}, argv[0])]) == 0
+loaded()
+"""
+        expected = {"simulate": "['_superlu']", "analyze": "[]",
+                    "linrun": "['_flapack']"}
+        for command, after in expected.items():
+            run = fresh_python("-c", code, command)
+            assert run.returncode == 0, run.stderr
+            assert [line for line in run.stdout.splitlines()
+                    if line.startswith("[")] == ["[]", after], command
+
     def test_solver_modules_loaded_before_scipy_match_bitwise(self,
                                                               tmp_path):
         """The suite's MatrixRankWarning filter imports scipy before any
@@ -697,17 +757,19 @@ run("simulate", "--config", {str(good)!r})
                 "lin": ["linrun", "--omega", "0.5", "--steps", "20"]}
         code = f"""
 import os, sys
-from coupledflow import cli, linear1d, richards2d
+from coupledflow import cli
 assert not {{'scipy.sparse', 'scipy.linalg'}} & set(sys.modules)
 for name, argv in {runs!r}.items():
     assert cli.main(argv + ["--out", os.path.join(sys.argv[1], name)]) == 0
+loaded = (sys.modules["scipy.sparse.linalg._dsolve._superlu"],
+          sys.modules["scipy.linalg._flapack"])
 import numpy as np
 from scipy.linalg.lapack import dpttrf
 from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import splu, spsolve
 from scipy.sparse.linalg._dsolve import _superlu
 from scipy.linalg import _flapack
-assert _superlu is richards2d._superlu and _flapack is linear1d._flapack
+assert loaded[0] is _superlu and loaded[1] is _flapack
 matrix = csc_matrix(np.diag([4.0] * 3) + np.diag([1.0] * 2, 1)
                     + np.diag([1.0] * 2, -1))
 rhs = np.array([5.0, 6.0, 5.0])
